@@ -33,7 +33,7 @@ from scipy.linalg import eigh, null_space
 from scipy.sparse.linalg import eigsh
 
 from . import __version__
-from .errors import BadData, EmptyComplement, SolverFailure
+from .errors import BadConfig, BadData, EmptyComplement, SolverFailure
 from .mesh_fem import AssembledOperators
 
 #: node counts up to which the temperature eigenproblem is solved densely
@@ -59,7 +59,7 @@ def displacement_eigenbasis(ops: AssembledOperators, k: int):
     """First k eigenpairs of K_D w = lambda M_u w on the interior dofs."""
     free = ops.interior_dofs
     if not (1 <= k <= free.size):
-        raise ValueError(f"k must be in [1, {free.size}], got {k}")
+        raise BadConfig(f"k must be in [1, {free.size}], got {k}")
     kff = ops.K_D[free][:, free].toarray()
     mff = ops.M_u[free][:, free].toarray()
     lam, vecs = eigh(kff, mff, subset_by_index=(0, k - 1))
@@ -76,7 +76,7 @@ def temperature_eigenbasis(ops: AssembledOperators, l: int):
     """First l Neumann-Laplacian eigenpairs against the lumped mass."""
     n = ops.n_nodes
     if not (1 <= l <= n):
-        raise ValueError(f"l must be in [1, {n}], got {l}")
+        raise BadConfig(f"l must be in [1, {n}], got {l}")
     s = 1.0 / np.sqrt(ops.M_lumped)
     A = sp.diags(s) @ ops.K_theta @ sp.diags(s)
     if n <= DENSE_CUTOFF:

@@ -47,7 +47,9 @@ from .errors import (
     BadConfig,
     BadData,
     DimensionMismatch,
+    DomainExit,
     EmptyComplement,
+    NonFiniteInput,
     ParseError,
     SolverFailure,
     StateCorrupt,
@@ -121,17 +123,14 @@ def _evolution_config(cfg) -> EvolutionConfig:
 
 def _build_lift_from_config(cfg, ops, times):
     mesh = ops.mesh
-    f_of_t, f_static, f_on = make_force(cfg, mesh)
-    g_of_t, g_static, g_on = make_boundary_displacement(cfg, mesh)
     gth_of_t, gth_on = make_boundary_flux(cfg, mesh)
     return build_lift(
         ops,
         times,
-        f_of_t=f_of_t if f_on else None,
-        g_of_t=g_of_t if g_on else None,
+        f=make_force(cfg, mesh),
+        g=make_boundary_displacement(cfg, mesh),
         gtheta_of_t=gth_of_t if gth_on else None,
         theta_tilde0=make_theta_tilde0(cfg, mesh),
-        static_elastic=f_static and g_static,
     )
 
 
@@ -199,14 +198,13 @@ def run_simulation(cfg, outdir: Path, quiet=True):
             if rep is None:
                 monitor.start(ops, e_hom, fields["theta"])
             else:
-                j = lifted.elastic_index(i)
                 monitor.update(
                     ops,
                     evo.dt,
                     state.t,
                     e_hom,
                     fields["Td"],
-                    lifted.T_tilde_dev[j],
+                    lifted.combine(lifted.T_tilde_dev, i),
                     fields["theta"],
                 )
             if i % cadence == 0 or i == evo.n_steps:
@@ -413,7 +411,7 @@ def main(argv=None) -> int:
             EmptyComplement) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverFailure as err:
+    except (SolverFailure, DomainExit, NonFiniteInput) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
     except (CertificationFailure, StateCorrupt) as err:

@@ -431,11 +431,11 @@ def make_law(cfg: dict):
 def _time_factor(spec: dict):
     time = spec.get("time")
     if time is None or time.get("kind") == "constant":
-        return (lambda t: 1.0), True
+        return lambda t: 1.0
     if time["kind"] == "ramp":
         slope = float(time.get("slope", 1.0))
         intercept = float(time.get("intercept", 0.0))
-        return (lambda t: intercept + slope * t), False
+        return lambda t: intercept + slope * t
     if time["kind"] == "csv":
         # two-column (t, factor) trajectory, linearly interpolated between
         # samples and extended constantly outside them
@@ -448,15 +448,15 @@ def _time_factor(spec: dict):
                 f"trajectory {time['path']} must be two columns with increasing times"
             )
         ts, vs = table[:, 0], table[:, 1]
-        return (lambda t: float(np.interp(t, ts, vs))), False
+        return lambda t: float(np.interp(t, ts, vs))
     amp = float(time.get("amplitude", 1.0))
     omega = float(time.get("omega", 1.0))
     phase = float(time.get("phase", 0.0))
-    return (lambda t: amp * np.sin(omega * t + phase)), False
+    return lambda t: amp * np.sin(omega * t + phase)
 
 
 def make_force(cfg: dict, mesh):
-    """Callable t -> (n, dim) nodal force density, plus a static flag."""
+    """``(factor, base)``: the nodal force density at time t is factor(t) * base."""
     spec = cfg["data"]["f"]
     n, dim = mesh.n_nodes, mesh.dim
     if spec["preset"] == "zero":
@@ -466,11 +466,11 @@ def make_force(cfg: dict, mesh):
     else:  # polynomial: componentwise value[c] * (1 + x_0) for mild asymmetry
         val = np.asarray(spec["value"], dtype=float)[:dim]
         base = val[None, :] * (1.0 + mesh.nodes[:, :1])
-    factor, static = _time_factor(spec)
-    return (lambda t: factor(t) * base), static, bool(np.abs(base).max() > 0)
+    return _time_factor(spec), base
 
 
 def make_boundary_displacement(cfg: dict, mesh):
+    """``(factor, base)``: the boundary displacement at time t is factor(t) * base."""
     spec = cfg["data"]["g"]
     n, dim = mesh.n_nodes, mesh.dim
     if spec["preset"] == "zero":
@@ -478,8 +478,7 @@ def make_boundary_displacement(cfg: dict, mesh):
     else:  # affine: x -> A x
         A = np.asarray(spec["matrix"], dtype=float)[:dim, :dim]
         base = mesh.nodes @ A.T
-    factor, static = _time_factor(spec)
-    return (lambda t: factor(t) * base), static, bool(np.abs(base).max() > 0)
+    return _time_factor(spec), base
 
 
 def make_boundary_flux(cfg: dict, mesh):
@@ -489,7 +488,7 @@ def make_boundary_flux(cfg: dict, mesh):
         base = np.zeros(n)
     else:
         base = np.full(n, float(spec["value"]))
-    factor, _ = _time_factor(spec)
+    factor = _time_factor(spec)
     return (lambda t: factor(t) * base), bool(np.abs(base).max() > 0)
 
 

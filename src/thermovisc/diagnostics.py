@@ -106,11 +106,13 @@ def collect_row(system, state, lifted, step_index: int, report=None, fields=None
     ops = system.ops
     f = reconstruct_fields(system, state, lifted, step_index) if fields is None else fields
     theta = f["theta"]
+    e_pot = potential_energy(ops, f["eps_u"], f["epsp"])
+    e_thermal = thermal_energy(ops, theta)
     row = DiagnosticsRow(
         t=float(state.t),
-        e_pot=potential_energy(ops, f["eps_u"], f["epsp"]),
-        e_thermal=thermal_energy(ops, theta),
-        e_total=total_energy(ops, f["eps_u"], f["epsp"], theta),
+        e_pot=e_pot,
+        e_thermal=e_thermal,
+        e_total=e_thermal + e_pot,
         theta_min=float(theta.min()),
         entropy=entropy(ops, theta),
         dissipation=report.dissipation if report else _initial_dissipation(system, state, f),

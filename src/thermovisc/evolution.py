@@ -193,8 +193,10 @@ def initialize(
 
 
 def _lift_slices(lifted: LiftedFields, step_index: int):
-    j = lifted.elastic_index(step_index)
-    return lifted.theta_tilde_quad[step_index], lifted.T_tilde_dev[j]
+    return (
+        lifted.theta_tilde_quad[step_index],
+        lifted.combine(lifted.T_tilde_dev, step_index),
+    )
 
 
 def step(
@@ -436,16 +438,15 @@ def reconstruct_fields(
     The stress honors T = D(eps(u) - eps_p) pointwise at the Gauss points.
     """
     ops = system.ops
-    j = lifted.elastic_index(step_index)
     u_hom = system.u_nodal(state.alpha)
     eps_u_hom = system.eps_u_quad(state.alpha)
     epsp = system.epsp_quad(state.gamma, state.delta)
     T_hom = ops.apply_D_quad(eps_u_hom - epsp)
     theta_hom = system.theta_nodal(state.beta)
 
-    u_phys = u_hom + lifted.u_tilde[j]
-    eps_u_phys = eps_u_hom + lifted.eps_u_tilde[j]
-    T_phys = T_hom + lifted.T_tilde[j]
+    u_phys = u_hom + lifted.combine(lifted.u_tilde, step_index)
+    eps_u_phys = eps_u_hom + lifted.combine(lifted.eps_u_tilde, step_index)
+    T_phys = T_hom + lifted.combine(lifted.T_tilde, step_index)
     theta_phys = theta_hom + lifted.theta_tilde[step_index]
     return {
         "u_hom": u_hom,

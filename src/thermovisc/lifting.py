@@ -2,11 +2,14 @@
 
 The elastic lift solves the stationary system -div(D eps(u)) = f with the
 prescribed boundary displacement, via a nodal-interpolation extension of the
-boundary values plus a homogeneous correction.  The heat lift advances the
-sourceless heat equation with the prescribed Neumann flux by implicit Euler
-on the lumped-mass scheme.  Subtracting the lifted fields turns the physical
-problem into one with homogeneous boundary conditions; ``recombine`` undoes
-the split for output and diagnostics.
+boundary values plus a homogeneous correction.  Every datum has the form
+factor(t) * base and the system is linear, so it is solved once per base
+field and scaled in time: the lift at time level i is sum_b c_b(t_i) base_b.
+The heat lift advances the sourceless heat equation with the prescribed
+Neumann flux by implicit Euler on the lumped-mass scheme; its trajectory is
+stored on the time grid.  Subtracting the lifted fields turns the physical
+problem into one with homogeneous boundary conditions;
+``evolution.reconstruct_fields`` undoes the split for output and diagnostics.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ from .tensor import dev6
 
 @dataclass
 class LiftedFields:
-    """Lift data sampled on the run's time grid."""
+    """Elastic lift base solutions, their time factors and the heat lift."""
 
     times: np.ndarray
-    elastic_static: bool
-    u_tilde: np.ndarray = field(repr=False)  # (ntu, ndof)
-    eps_u_tilde: np.ndarray = field(repr=False)  # (ntu, NQ, 6)
+    factors: np.ndarray = field(repr=False)  # (nt, n_bases): c_b(t_i)
+    u_tilde: np.ndarray = field(repr=False)  # (n_bases, ndof)
+    eps_u_tilde: np.ndarray = field(repr=False)  # (n_bases, NQ, 6)
     T_tilde: np.ndarray = field(repr=False)
     T_tilde_dev: np.ndarray = field(repr=False)
     theta_tilde: np.ndarray = field(repr=False)  # (nt, n)
@@ -37,14 +40,16 @@ class LiftedFields:
     theta_tilde0: np.ndarray = field(repr=False)
     flux_integral: np.ndarray = field(repr=False)  # int g_theta ds per sample
 
-    def elastic_index(self, step: int) -> int:
-        return 0 if self.elastic_static else step
+    def combine(self, bases: np.ndarray, step: int) -> np.ndarray:
+        """Elastic lift field at time level ``step`` from its (n_bases, ...) bases.
 
-    def is_zero(self) -> bool:
-        return (
-            float(np.abs(self.u_tilde).max(initial=0.0)) == 0.0
-            and float(np.abs(self.theta_tilde).max(initial=0.0)) == 0.0
-        )
+        Static data (one base with factor one) comes back as a view of the
+        base: callers only read it, and it is bit-identical to a direct solve.
+        """
+        c = self.factors[step]
+        if c.size == 1 and c[0] == 1.0:
+            return bases[0]
+        return np.einsum("b,b...->...", c, bases)
 
 
 def solve_elastic_lift(ops: AssembledOperators, f_nodal=None, g_boundary=None):
@@ -110,14 +115,14 @@ def solve_heat_lift(ops: AssembledOperators, g_flux, theta0, times):
 
     out = np.empty((times.size, n))
     out[0] = theta0
-    lu = None
-    last_dt = None
+    # one factorization per distinct step: a uniform grid built as dt * arange
+    # still has steps that differ in the last bit
+    lus = {}
     for i in range(times.size - 1):
         dt = float(times[i + 1] - times[i])
-        if lu is None or dt != last_dt:
-            A = (sp.diags(ops.M_lumped) + dt * ops.K_theta).tocsc()
-            lu = splu(A)
-            last_dt = dt
+        lu = lus.get(dt)
+        if lu is None:
+            lu = lus[dt] = splu((sp.diags(ops.M_lumped) + dt * ops.K_theta).tocsc())
         b = ops.M_lumped * out[i] + dt * (ops.B_boundary @ g_flux[i + 1])
         out[i + 1] = lu.solve(b)
         res = np.linalg.norm(
@@ -131,35 +136,40 @@ def solve_heat_lift(ops: AssembledOperators, g_flux, theta0, times):
 def build_lift(
     ops: AssembledOperators,
     times,
-    f_of_t=None,
-    g_of_t=None,
+    f=None,
+    g=None,
     gtheta_of_t=None,
     theta_tilde0=None,
-    static_elastic: bool = True,
 ) -> LiftedFields:
-    """Assemble the full lift trajectory from time-sampled data callables.
+    """Lift the data onto the time grid ``times``.
 
-    Each callable maps a time to nodal data; ``static_elastic`` marks f and g
-    as time independent so the elastic solve is done (and cached) once.
+    ``f`` (nodal force density) and ``g`` (boundary displacement) are
+    ``(factor, base)`` pairs, the datum at time t being ``factor(t) * base``;
+    a missing or all-zero base carries no data.  The elastic system is solved
+    once per base, or once for the combined datum when every factor is
+    constant on the grid.  ``gtheta_of_t`` maps a time to the nodal heat flux.
     """
     times = np.asarray(times, dtype=float)
     n = ops.n_nodes
-    dim = ops.mesh.dim
     nt = times.size
 
-    def f_at(t):
-        return np.zeros((n, dim)) if f_of_t is None else np.asarray(f_of_t(t), dtype=float)
-
-    def g_at(t):
-        return None if g_of_t is None else np.asarray(g_of_t(t), dtype=float)
-
-    n_elastic = 1 if static_elastic else nt
-    u_t = np.zeros((n_elastic, ops.n_dofs))
-    eps_t = np.zeros((n_elastic, ops.wq.size, 6))
-    T_t = np.zeros((n_elastic, ops.wq.size, 6))
-    for i in range(n_elastic):
-        t = times[0] if static_elastic else times[i]
-        u_t[i], eps_t[i], T_t[i] = solve_elastic_lift(ops, f_at(t), g_at(t))
+    data = {}
+    for key, datum in (("f_nodal", f), ("g_boundary", g)):
+        if datum is not None and np.abs(datum[1]).max() > 0:
+            data[key] = (datum[0], np.asarray(datum[1], dtype=float))
+    factors = np.array(
+        [[float(factor(t)) for factor, _ in data.values()] for t in times]
+    ).reshape(nt, len(data))
+    if not np.isfinite(factors).all():
+        raise BadData("time factor of the elastic data has non-finite values")
+    if np.all(factors == factors[0]):
+        # all data static: one solve of the combined datum, with factor one
+        combined = {key: c * base for (key, (_, base)), c in zip(data.items(), factors[0])}
+        solutions = [solve_elastic_lift(ops, **combined)]
+        factors = np.ones((nt, 1))
+    else:
+        solutions = [solve_elastic_lift(ops, **{key: base}) for key, (_, base) in data.items()]
+    u_b, eps_b, T_b = (np.stack(parts) for parts in zip(*solutions))
 
     theta0 = (
         np.zeros(n) if theta_tilde0 is None else np.asarray(theta_tilde0, dtype=float)
@@ -182,11 +192,11 @@ def build_lift(
 
     return LiftedFields(
         times=times,
-        elastic_static=static_elastic,
-        u_tilde=u_t,
-        eps_u_tilde=eps_t,
-        T_tilde=T_t,
-        T_tilde_dev=dev6(T_t),
+        factors=factors,
+        u_tilde=u_b,
+        eps_u_tilde=eps_b,
+        T_tilde=T_b,
+        T_tilde_dev=dev6(T_b),
         theta_tilde=theta,
         theta_tilde_quad=theta_q,
         theta_tilde0=theta0,
@@ -196,15 +206,3 @@ def build_lift(
 
 def zero_lift(ops: AssembledOperators, times) -> LiftedFields:
     return build_lift(ops, times)
-
-
-def recombine(u_hom, theta_hom, T_hom_quad, lifted: LiftedFields, step: int) -> dict:
-    """Physical fields from homogeneous-solution fields plus the lift."""
-    j = lifted.elastic_index(step)
-    if u_hom.shape != lifted.u_tilde[j].shape or theta_hom.shape != lifted.theta_tilde[step].shape:
-        raise DimensionMismatch("homogeneous fields do not match the lift grids")
-    return {
-        "u": u_hom + lifted.u_tilde[j],
-        "theta": theta_hom + lifted.theta_tilde[step],
-        "T": T_hom_quad + lifted.T_tilde[j],
-    }

@@ -13,7 +13,7 @@ from thermovisc.basis import (
     projection_norm_check,
     temperature_eigenbasis,
 )
-from thermovisc.errors import BadData, EmptyComplement
+from thermovisc.errors import BadConfig, BadData, EmptyComplement
 from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor, trace6
 
@@ -52,7 +52,7 @@ def test_displacement_modes_vanish_on_boundary(ops, basis):
 
 
 def test_displacement_precondition(ops):
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         displacement_eigenbasis(ops, ops.interior_dofs.size + 1)
 
 
@@ -72,7 +72,7 @@ def test_temperature_kernel(ops, basis):
 
 
 def test_temperature_precondition(ops):
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         temperature_eigenbasis(ops, ops.n_nodes + 1)
 
 

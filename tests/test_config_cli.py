@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from thermovisc.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from thermovisc.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, main
 from thermovisc.config import (
     config_hash,
     is_isolated,
@@ -258,6 +258,55 @@ def test_cli_solver_failure_exit(tmp_path):
     from thermovisc.cli import EXIT_SOLVER
 
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "s"), "--quiet"]) == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("k, l", [(50, 2), (1, 50)])
+def test_cli_basis_size_out_of_range_exit(tmp_path, capsys, k, l):
+    # more modes than the mesh has dofs is a config error, not a traceback
+    payload = {"mesh": {"cells": [2, 2]}, "discretization": {"k": k, "l": l, "n_steps": 1}}
+    cfg_path = write_cfg(tmp_path, payload)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_hardening_domain_exit(tmp_path):
+    # a hardening gain so large that the explicit y update overflows
+    payload = {
+        "mesh": {"cells": [3, 3]},
+        "material": {
+            "law": {
+                "type": "bodner_partom",
+                "g0": 1.0,
+                "m": 2.0,
+                "gamma0": 1e308,
+                "y0": 1.0,
+                "y_min": 0.5,
+                "y_max": 2.0,
+            }
+        },
+        "data": {"epsp0": {"preset": "complement_mode", "index": 0, "amplitude": 2.0}},
+        "discretization": {"k": 2, "l": 2, "dt": 1e-3, "n_steps": 2},
+    }
+    cfg_path = write_cfg(tmp_path, payload)
+    with np.errstate(over="ignore"):
+        code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == EXIT_SOLVER
+
+
+def test_cli_non_finite_law_input_exit(tmp_path, monkeypatch):
+    # a corrupted initial state reaches the law's finiteness check
+    import thermovisc.cli as cli
+
+    initialize = cli.initialize
+
+    def corrupted(*args, **kwargs):
+        state = initialize(*args, **kwargs)
+        state.delta[0] = np.nan
+        return state
+
+    monkeypatch.setattr(cli, "initialize", corrupted)
+    cfg_path = write_cfg(tmp_path, MINIMAL)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_SOLVER
 
 
 def test_bodner_partom_config_roundtrip():

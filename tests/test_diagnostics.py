@@ -98,7 +98,7 @@ def test_apriori_monitor_isolated_run():
             state.t,
             potential_energy(ops, f["eps_u"], f["epsp"]),
             f["Td"],
-            lift.T_tilde_dev[0],
+            lift.combine(lift.T_tilde_dev, i),
             f["theta"],
         )
     assert mon.satisfied()

@@ -170,7 +170,7 @@ def test_forced_run_couples_gamma():
     dt, n = 1e-2, 10
     xy = sys_.ops.mesh.nodes
     f = np.stack([0.2 * xy[:, 1] ** 2, 0.5 + 0.8 * xy[:, 0]], axis=1)
-    lift = build_lift(sys_.ops, grid(dt, n), f_of_t=lambda t: f)
+    lift = build_lift(sys_.ops, grid(dt, n), f=(lambda t: 1.0, f))
     cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n)
     st = initialize(sys_, np.ones(sys_.ops.n_nodes), np.zeros((sys_.ops.wq.size, 6)), cfg)
     res = run(sys_, st, lift, cfg)

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+import thermovisc.lifting as lifting
+from thermovisc.basis import build_basis
+from thermovisc.config import make_boundary_displacement, make_force, validate_config
+from thermovisc.constitutive import Mroz
 from thermovisc.errors import BadData, DimensionMismatch
+from thermovisc.evolution import ModalSystem, make_state, reconstruct_fields
 from thermovisc.lifting import (
     build_lift,
-    recombine,
     solve_elastic_lift,
     solve_heat_lift,
     zero_lift,
 )
 from thermovisc.mesh_fem import assemble, build_mesh
-from thermovisc.tensor import ElasticityTensor
+from thermovisc.tensor import ElasticityTensor, dev6
 
 D = ElasticityTensor.isotropic(lam=1.0, mu=1.0)
 
@@ -127,32 +131,108 @@ def test_heat_lift_validates_grid(ops):
         )
 
 
-def test_build_lift_and_recombine(ops):
+def test_build_lift_and_reconstruct(ops):
     times = np.linspace(0.0, 0.1, 6)
     g = 0.05 * ops.mesh.nodes
     lift = build_lift(
         ops,
         times,
-        g_of_t=lambda t: g,
+        g=(lambda t: 1.0, g),
         gtheta_of_t=lambda t: np.full(ops.n_nodes, 1.0),
     )
-    assert lift.u_tilde.shape[0] == 1  # static elastic part cached once
+    assert lift.u_tilde.shape[0] == 1  # static elastic part solved once
+    assert np.array_equal(lift.factors, np.ones((times.size, 1)))
     assert np.allclose(lift.flux_integral, ops.mesh.boundary_measure, atol=1e-12)
 
-    u_hom = np.zeros(ops.n_dofs)
-    th_hom = np.zeros(ops.n_nodes)
-    T_hom = np.zeros((ops.wq.size, 6))
-    phys = recombine(u_hom, th_hom, T_hom, lift, step=3)
+    system = ModalSystem(ops, build_basis(ops, k=2, l=3), Mroz.constant(1.0))
+    rest = make_state(0.0, np.zeros(2), np.zeros(3), np.zeros(3))
+    phys = reconstruct_fields(system, rest, lift, 3)
     assert np.array_equal(phys["u"], lift.u_tilde[0])
+    assert np.array_equal(phys["T"], lift.T_tilde[0])
     assert np.array_equal(phys["theta"], lift.theta_tilde[3])
 
     rng = np.random.default_rng(2)
-    u_hom = rng.standard_normal(ops.n_dofs)
+    moving = make_state(0.0, rng.standard_normal(2), np.zeros(3), np.zeros(3))
     zl = zero_lift(ops, times)
-    assert zl.is_zero()
-    phys = recombine(u_hom, th_hom, T_hom, zl, step=2)
-    assert np.array_equal(phys["u"], u_hom)
-    # round trip: recombine then subtract gives the homogeneous part back
-    # (exact up to float rounding of the add/subtract pair)
-    phys2 = recombine(u_hom, th_hom, T_hom, lift, step=2)
-    assert np.allclose(phys2["u"] - lift.u_tilde[0], u_hom, rtol=0, atol=1e-15)
+    assert not zl.u_tilde.any() and not zl.theta_tilde.any()
+    phys = reconstruct_fields(system, moving, zl, 2)
+    assert np.array_equal(phys["u"], phys["u_hom"])
+    # round trip: adding then subtracting the lift gives the homogeneous part
+    # back (exact up to float rounding of the add/subtract pair)
+    phys2 = reconstruct_fields(system, moving, lift, 2)
+    back = phys2["u"] - lift.combine(lift.u_tilde, 2)
+    assert np.allclose(back, phys2["u_hom"], rtol=0, atol=1e-15)
+
+
+TIME_KINDS = {
+    "ramp": {"kind": "ramp", "slope": 3.0, "intercept": 0.5},
+    "sinusoid": {"kind": "sinusoid", "amplitude": 0.7, "omega": 40.0, "phase": 0.3},
+    "csv": {"kind": "csv"},
+}
+
+
+def _elastic_data(tmp_path, f_time, g_time):
+    """Config-built (factor, base) pairs for a polynomial force and affine g."""
+    spec = {
+        "f": {"preset": "polynomial", "value": [0.4, -0.3]},
+        "g": {"preset": "affine", "matrix": [[0.1, 0.02], [0.0, -0.05]]},
+    }
+    for key, time in (("f", f_time), ("g", g_time)):
+        if time is not None:
+            time = dict(time)
+            if time["kind"] == "csv":
+                path = tmp_path / f"{key}.csv"
+                path.write_text("0.0,0.0\n0.04,1.0\n0.1,-0.5\n")
+                time["path"] = str(path)
+            spec[key]["time"] = time
+    return validate_config({"data": spec})
+
+
+@pytest.mark.parametrize("kind", sorted(TIME_KINDS))
+@pytest.mark.parametrize("f_static", [False, True])
+def test_separable_lift_matches_per_level_solves(ops, tmp_path, kind, f_static):
+    # the lift is solved once per datum and scaled in time; it must agree
+    # with one solve of the full datum per time level
+    time = TIME_KINDS[kind]
+    cfg = _elastic_data(tmp_path, None if f_static else time, time)
+    f = make_force(cfg, ops.mesh)
+    g = make_boundary_displacement(cfg, ops.mesh)
+    times = np.linspace(0.0, 0.1, 11)
+    lift = build_lift(ops, times, f=f, g=g)
+    assert lift.u_tilde.shape[0] == 2
+    for i, t in enumerate(times):
+        ref = solve_elastic_lift(ops, f[0](t) * f[1], g[0](t) * g[1])
+        ref = ref + (dev6(ref[2]),)
+        got = [
+            lift.combine(bases, i)
+            for bases in (lift.u_tilde, lift.eps_u_tilde, lift.T_tilde, lift.T_tilde_dev)
+        ]
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 60])
+@pytest.mark.parametrize("kinds", [(None, None), (None, "ramp"), ("sinusoid", "ramp")])
+def test_elastic_solves_do_not_grow_with_steps(ops, tmp_path, monkeypatch, n_steps, kinds):
+    calls = []
+    real = lifting.solve_elastic_lift
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, "solve_elastic_lift", counted)
+    cfg = _elastic_data(tmp_path, *(None if k is None else TIME_KINDS[k] for k in kinds))
+    times = 1e-2 * np.arange(n_steps + 1)
+    lift = build_lift(
+        ops, times, f=make_force(cfg, ops.mesh), g=make_boundary_displacement(cfg, ops.mesh)
+    )
+    static = kinds == (None, None)
+    assert len(calls) == (1 if static else 2)
+    assert lift.factors.shape == (n_steps + 1, len(calls))
+
+
+def test_time_factor_must_be_finite(ops):
+    f = np.ones((ops.n_nodes, 2))
+    with pytest.raises(BadData):
+        build_lift(ops, np.linspace(0.0, 1.0, 3), f=(lambda t: np.inf if t > 0 else 1.0, f))
