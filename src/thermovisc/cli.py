@@ -50,6 +50,7 @@ from .errors import (
     DomainExit,
     EmptyComplement,
     NonFiniteInput,
+    NonlinearSolveFailure,
     ParseError,
     SolverFailure,
     StateCorrupt,
@@ -249,7 +250,22 @@ def run_simulation(cfg, outdir: Path, quiet=True):
 
 
 def cmd_run(cfg, outdir: Path, quiet=True) -> int:
-    checks, mon, _ = run_simulation(cfg, outdir, quiet)
+    try:
+        checks, mon, _ = run_simulation(cfg, outdir, quiet)
+    except NonlinearSolveFailure as err:
+        summary = {
+            "config_hash": config_hash(cfg),
+            "version": __version__,
+            "command": "run",
+            "failed": True,
+            "failure": str(err),
+            "t_failed": err.t,
+            "residual_history": err.residual_history,
+            "checks": {"passed": False},
+        }
+        write_summary(outdir / "summary.json", summary)
+        print(f"solver failure: {err}", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK if checks["passed"] and mon["satisfied"] else EXIT_INVARIANT
 
 

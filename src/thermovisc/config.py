@@ -10,6 +10,7 @@ gets echoed next to run artifacts and hashed into their headers.
 from __future__ import annotations
 
 import json
+import math
 from hashlib import sha256
 from pathlib import Path
 
@@ -78,7 +79,10 @@ _TIME_KINDS = {"constant", "ramp", "sinusoid", "csv"}
 
 
 def _is_num(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number; JSON ``NaN`` and ``Infinity`` are refused."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
 
 
 class _Checker:
@@ -342,6 +346,9 @@ def validate_config(raw: dict) -> dict:
     ck.known_keys("certify", cert, {"samples", "radius", "thetas"})
     ck.number("certify", cert, "samples", lo=1, integer=True)
     ck.number("certify", cert, "radius", lo=0.0, strict_lo=True)
+    thetas = cert.get("thetas")
+    if not isinstance(thetas, list) or not thetas or not all(_is_num(x) for x in thetas):
+        ck.fail("certify.thetas", "expected a non-empty list of finite numbers")
 
     conv = cfg["converge"]
     ck.known_keys("converge", conv, {"ladder"})

@@ -38,11 +38,13 @@ class SolverFailure(RuntimeError):
 
 
 class NonlinearSolveFailure(SolverFailure):
-    """The implicit step did not converge; keeps the residual history."""
+    """The implicit step did not converge; keeps the time it was stepping to
+    and the residual history."""
 
-    def __init__(self, message, residual_history=()):
+    def __init__(self, message, residual_history=(), t=None):
         super().__init__(message)
         self.residual_history = list(residual_history)
+        self.t = t
 
 
 class EmptyComplement(RuntimeError):

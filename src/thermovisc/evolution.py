@@ -261,7 +261,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
         history.append(r)
         if not np.isfinite(r):
             raise NonlinearSolveFailure(
-                f"implicit step diverged at t={state.t + dt:.6g}", history
+                f"implicit step diverged at t={state.t + dt:.6g}", history, state.t + dt
             )
         if r <= config.solver_tol:
             accepted = (x, fx, aux)
@@ -275,6 +275,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
             f"implicit step did not converge in {config.solver_max_iter} iterations "
             f"(residual {history[-1]:.3e} at t={state.t + dt:.6g})",
             history,
+            state.t + dt,
         )
 
     x_acc, _, aux = accepted

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh, null_space
+from scipy.sparse.linalg import eigsh
 
+import thermovisc.basis as basis_mod
 from thermovisc.basis import (
+    GalerkinBasis,
     basis_fields,
     basis_invariant_report,
     build_basis,
@@ -182,6 +186,75 @@ def test_dump_load_round_trip(tmp_path, ops, basis):
         load_basis(path, expected_mesh_hash="deadbeef")
     with pytest.raises(BadData):
         projection_norm_check(loaded)
+
+
+def _dense_complement_oracle(ops, basis, n_pairs):
+    """Nullspace of the constraint rows plus a dense generalized eigh."""
+    f = basis_fields(ops, basis)
+    B = basis.comp.comp_basis
+    P = ops.scalar_interp_matrix()
+    C = np.stack([(P.T @ (ops.wq[:, None] * (dw @ B))).ravel() for dw in f.D_eps_w])
+    gram_D, gram_s = ops.strain_gram(B)
+    N = null_space(C)
+    lam, Y = eigh(N.T @ (gram_s @ N), N.T @ (gram_D @ N), subset_by_index=(0, n_pairs - 1))
+    return lam, (N @ Y).T, gram_D
+
+
+# (dim, cells, k, l, space, the l-cut splits a degenerate cluster)
+ORACLE_CASES = [
+    (2, 6, 5, 7, "deviatoric", False),
+    (2, 6, 3, 4, "full", False),
+    # constant deviatoric strains: lambda = 1 with multiplicity 5 in 3D
+    (3, 3, 4, 5, "deviatoric", False),
+    # the cut at 2 splits the lambda = 1 triple of plane strain
+    (2, 6, 5, 2, "deviatoric", True),
+    # the cut at 8 splits the twelvefold 6.4 cluster
+    (3, 3, 4, 8, "deviatoric", True),
+]
+
+
+@pytest.mark.parametrize("dim, cells, k, l, space, splits", ORACLE_CASES)
+def test_complement_matches_dense_oracle(dim, cells, k, l, space, splits):
+    ops_c = assemble(build_mesh(dim, (1.0,) * dim, (cells,) * dim), D)
+    b = build_basis(ops_c, k=k, l=l, space=space)
+    lam_d, Z_d, gram_D = _dense_complement_oracle(ops_c, b, l + 16)
+    assert np.abs(b.lam_z - lam_d[:l]).max() <= 1e-10
+    if dim == 3:
+        assert np.abs(b.lam_z[:5] - 1.0).max() <= 1e-10
+    assert (lam_d[l] - lam_d[l - 1] <= 1e-8) == splits
+    # every mode lies in the oracle eigenspace of its cluster; with no
+    # cluster straddling the cut this makes the two spans equal
+    for z, lam in zip(b.Z, b.lam_z):
+        cluster = Z_d[np.abs(lam_d - lam) <= 1e-8]
+        assert np.abs(lam_d[-1] - lam) > 1e-8, "oracle too short for the cluster"
+        rest = z - cluster.T @ (cluster @ (gram_D @ z))
+        assert np.sqrt(rest @ (gram_D @ rest)) <= 1e-8
+    rep = basis_invariant_report(ops_c, b)
+    assert rep["passed"], rep
+
+
+def test_complement_past_old_dof_cap(monkeypatch):
+    # 6075 strain dofs; the dense nullspace solver refused more than 6000.
+    # W and V come from shift-invert eigsh to keep the dense displacement
+    # solve out of the test.
+    ops_c = assemble(build_mesh(2, (1.0, 1.0), (44, 44)), D)
+    free = ops_c.interior_dofs
+    kff = ops_c.K_D[free][:, free].tocsc()
+    mff = ops_c.M_u[free][:, free].tocsc()
+    lam_w, vecs = eigsh(kff, k=12, M=mff, sigma=0.0)
+    order = np.argsort(lam_w)
+    W = np.zeros((12, ops_c.n_dofs))
+    W[:, free] = vecs[:, order].T
+    monkeypatch.setattr(basis_mod, "DENSE_CUTOFF", 0)
+    V, mu_v = temperature_eigenbasis(ops_c, 12)
+    Z, lam_z, comp = complement_strain_basis(ops_c, W, 12)
+    assert Z.shape == (12, 6075)
+    b = GalerkinBasis(
+        k=12, l=12, W=W, lam_w=lam_w[order], V=V, mu_v=mu_v, Z=Z, lam_z=lam_z, comp=comp
+    )
+    rep = basis_invariant_report(ops_c, b)
+    assert rep["passed"], rep
+    assert projection_norm_check(b, n_fields=200, seed=3)["non_expansive"]
 
 
 def test_full_space_variant(ops):

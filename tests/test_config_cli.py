@@ -255,9 +255,50 @@ def test_cli_solver_failure_exit(tmp_path):
         },
     }
     cfg_path = write_cfg(tmp_path, payload, name="stiff.json")
-    from thermovisc.cli import EXIT_SOLVER
+    out = tmp_path / "s"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_SOLVER
+    # the failed run still leaves a machine-readable record
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] is True
+    assert summary["checks"]["passed"] is False
+    assert "did not converge" in summary["failure"]
+    assert 0.0 < summary["t_failed"] <= 0.5
+    assert len(summary["residual_history"]) == 1
+    assert summary["residual_history"][0] > 1e-15
 
-    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "s"), "--quiet"]) == EXIT_SOLVER
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_cli_non_finite_number_exit(tmp_path, capsys, literal):
+    # JSON NaN/Infinity parse as floats; every numeric key refuses them
+    path = tmp_path / "config.json"
+    path.write_text('{"discretization": {"dt": %s}}' % literal)
+    with pytest.raises(ValidationError) as err:
+        load_config(path)
+    assert any("discretization.dt" in v for v in err.value.violations)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("thetas", ["[0.0, Infinity]", "[NaN]", "[]", "[1.0, \"hot\"]", "5.0"])
+def test_cli_certify_thetas_validated(tmp_path, capsys, thetas):
+    path = tmp_path / "config.json"
+    path.write_text('{"certify": {"samples": 10, "thetas": %s}}' % thetas)
+    out = tmp_path / "o"
+    assert main(["certify", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert "certify.thetas" in capsys.readouterr().err
+    assert not (out / "certification.json").exists()
+
+
+def test_cli_complement_sweep_cap_exit(tmp_path, monkeypatch, capsys):
+    # a complement eigensolve that runs out of sweeps raises SolverFailure,
+    # which the CLI maps to exit 3
+    import thermovisc.basis as basis_mod
+
+    monkeypatch.setattr(basis_mod, "COMPLEMENT_MAX_SWEEPS", 1)
+    cfg_path = write_cfg(tmp_path, MINIMAL)
+    code = main(["basis", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == EXIT_SOLVER
+    assert "after 1 sweeps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k, l", [(50, 2), (1, 50)])

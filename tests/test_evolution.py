@@ -206,6 +206,7 @@ def test_nonlinear_failure_reports_history():
     with pytest.raises(NonlinearSolveFailure) as err:
         step(sys_, st, lift, 1, cfg)
     assert len(err.value.residual_history) == 1
+    assert err.value.t == pytest.approx(1e-2)
 
 
 def test_state_validation():
