@@ -252,17 +252,18 @@ def run_simulation(cfg, outdir: Path, quiet=True):
 def cmd_run(cfg, outdir: Path, quiet=True) -> int:
     try:
         checks, mon, _ = run_simulation(cfg, outdir, quiet)
-    except NonlinearSolveFailure as err:
+    except (SolverFailure, DomainExit, NonFiniteInput) as err:
         summary = {
             "config_hash": config_hash(cfg),
             "version": __version__,
             "command": "run",
             "failed": True,
             "failure": str(err),
-            "t_failed": err.t,
-            "residual_history": err.residual_history,
             "checks": {"passed": False},
         }
+        if isinstance(err, NonlinearSolveFailure):
+            summary["t_failed"] = err.t
+            summary["residual_history"] = err.residual_history
         write_summary(outdir / "summary.json", summary)
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER

@@ -69,6 +69,7 @@ class DiagnosticsRow:
     equilibrium_residual: float
     solver_residual: float
     solver_iters: int
+    substeps: int
     energy_defect: float
     epsp_trace_sup: float
     source_integral: float
@@ -87,6 +88,7 @@ class DiagnosticsRow:
         "equilibrium_residual",
         "solver_residual",
         "solver_iters",
+        "substeps",
         "energy_defect",
         "epsp_trace_sup",
         "source_integral",
@@ -119,6 +121,7 @@ def collect_row(system, state, lifted, step_index: int, report=None, fields=None
         equilibrium_residual=report.equilibrium_residual if report else 0.0,
         solver_residual=report.residual if report else 0.0,
         solver_iters=report.iters if report else 0,
+        substeps=report.substeps if report else 0,
         energy_defect=report.energy_defect if report else 0.0,
         epsp_trace_sup=report.epsp_trace_sup
         if report

@@ -12,12 +12,20 @@ T = -sum_m delta_m D zeta_m, and the stress never sees the gradient part of
 the inelastic strain.
 
 One step advances (gamma, delta, beta) by implicit Euler; the nonlinear
-algebraic system is solved by a damped fixed-point iteration whose map is a
-contraction for small dt thanks to the monotonicity of the law.  Steps too
-stiff for the iteration are split by residual-based dt halving with the lift
-interpolated linearly between grid samples.  The heat row is diagonal in the
-eigenbasis: beta_m <- (beta_m + dt s_m)/(1 + dt mu_m) with the truncated,
-sign-clipped dissipation source s_m.
+algebraic system x = F(x) is solved by Anderson mixing (Walker & Ni, SIAM J.
+Numer. Anal. 49, 2011) of depth ``ANDERSON_DEPTH`` on the fixed-point map F,
+which is a contraction for small dt thanks to the monotonicity of the law.
+Whenever the max-norm residual grows, the mixing history is dropped and a
+damped Picard step x + eta (F(x) - x) with halved eta is taken, so the worst
+case is the plain damped fixed-point iteration.  F is evaluated with BLAS
+matrix-vector products over 2-D views of the Gauss-point mode tables.  An
+iterate whose stress or temperature is non-finite fails the solve before it
+reaches the law, and so does a floating-point overflow anywhere in F.  Steps
+too stiff for the iteration, or whose iterates diverge, are split by
+residual-based dt halving with the lift interpolated linearly between grid
+samples.  The heat row is diagonal in the eigenbasis:
+beta_m <- (beta_m + dt s_m)/(1 + dt mu_m) with the truncated, sign-clipped
+dissipation source s_m.
 
 Energy bookkeeping: the scheme satisfies the exact discrete counterpart of
 the continuous energy identity,
@@ -57,9 +65,6 @@ class EvolutionConfig:
     truncation_level: float | None = None  # defaults to the Galerkin index k
     solver_tol: float = 1e-12
     solver_max_iter: int = 200
-    damping: float = 1.0
-    clip_source: bool = True
-    check_invariants: bool = True
 
     def __post_init__(self):
         if self.k < 1 or self.l < 1:
@@ -70,8 +75,6 @@ class EvolutionConfig:
             raise BadData(f"n_steps must be >= 0, got {self.n_steps}")
         if self.level <= 0.0:
             raise BadData(f"truncation level must be positive, got {self.level}")
-        if not (0.0 < self.damping <= 1.0):
-            raise BadData(f"damping must be in (0, 1], got {self.damping}")
 
     @property
     def level(self) -> float:
@@ -121,6 +124,7 @@ class StepReport:
     epsp_trace_sup: float
     clip_fraction: float
     trunc_fraction: float
+    substeps: int = 1  # implicit solves behind this grid step (> 1 after dt halving)
 
 
 class ModalSystem:
@@ -136,6 +140,11 @@ class ModalSystem:
         self.wq = ops.wq
         self.k = basis.k
         self.l = basis.l
+        # (modes, NQ*6) views of the C-contiguous (modes, NQ, 6) tables, for
+        # BLAS matrix-vector products in the fixed-point map; never copies
+        self.D_eps_w_rows = self.fields.D_eps_w.reshape(self.k, -1)
+        self.D_zeta_rows = self.fields.D_zeta.reshape(self.l, -1)
+        self.eps_w_rows = self.fields.eps_w.reshape(self.k, -1)
 
     # -- field reconstruction at Gauss points --------------------------------
 
@@ -214,103 +223,130 @@ def step(
     return _advance(system, state, theta_t_q, Ttd_q, config.dt, config)
 
 
+#: columns of Anderson mixing history; 0 gives the plain damped Picard iteration
+ANDERSON_DEPTH = 5
+
+
 def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
     """Implicit-Euler advance against fixed lift slices over an interval dt."""
-    f = system.fields
     law = system.law
     wq = system.wq
+    wq_col = wq[:, None]
+    v_quad = system.fields.v_quad
+    nq = wq.size
     level = config.level
+    t_new = state.t + dt
 
     gamma0, delta0, beta0 = state.gamma, state.delta, state.beta
     k, l = system.k, system.l
-    x = np.concatenate([gamma0, delta0, beta0])
+    heat_den = 1.0 + dt * system.mu
+    history = []
+
+    def diverged(why=""):
+        message = f"implicit step diverged at t={t_new:.6g}{why}"
+        return NonlinearSolveFailure(message, history, t_new)
 
     def apply_map(xv):
         delta = xv[k : k + l]
         beta = xv[k + l :]
-        T_q = -np.einsum("m,mqi->qi", delta, f.D_zeta)
-        Td_phys = dev6(T_q) + Ttd_q
-        theta_q = beta @ f.v_quad + theta_t_q
+        Td = Ttd_q - dev6((delta @ system.D_zeta_rows).reshape(nq, 6))
+        theta_q = beta @ v_quad + theta_t_q
+        # a far extrapolation fails the solve (and so halves dt) before the law
+        if not (np.isfinite(Td).all() and np.isfinite(theta_q).all()):
+            raise diverged()
         if state.y_quad is not None:
-            G = law.evaluate_many(theta_q, Td_phys, y=state.y_quad)
+            G = law.evaluate_many(theta_q, Td, y=state.y_quad)
         else:
-            G = law.evaluate_many(theta_q, Td_phys)
-        pw = np.einsum("q,qi,nqi->n", wq, G, f.D_eps_w)
-        pz = np.einsum("q,qi,mqi->m", wq, G, f.D_zeta)
-        diss = dot6(Td_phys, G)
-        src = np.maximum(diss, 0.0) if config.clip_source else diss
-        src = truncate(src, level)
-        s = np.einsum("q,q,mq->m", wq, src, f.v_quad)
+            G = law.evaluate_many(theta_q, Td)
+        wG = (wq_col * G).ravel()
+        pz = system.D_zeta_rows @ wG
+        diss = dot6(Td, G)
+        src = truncate(np.maximum(diss, 0.0), level)
         out = np.concatenate(
             [
-                gamma0 + dt * pw / system.lam,
+                gamma0 + dt * (system.D_eps_w_rows @ wG) / system.lam,
                 delta0 + dt * pz,
-                (beta0 + dt * s) / (1.0 + dt * system.mu),
+                (beta0 + dt * (v_quad @ (wq * src))) / heat_den,
             ]
         )
-        aux = {"G": G, "T_q": T_q, "Td_phys": Td_phys, "diss": diss, "src": src, "pz": pz}
-        return out, aux
+        return out, (Td, diss, src, pz)
 
-    eta = config.damping
+    x = np.concatenate([gamma0, delta0, beta0])
+    eta = 1.0
     r_prev = np.inf
-    history = []
-    accepted = None
-    for _ in range(config.solver_max_iter):
-        fx, aux = apply_map(x)
-        r = float(np.abs(fx - x).max())
-        history.append(r)
-        if not np.isfinite(r):
-            raise NonlinearSolveFailure(
-                f"implicit step diverged at t={state.t + dt:.6g}", history, state.t + dt
-            )
-        if r <= config.solver_tol:
-            accepted = (x, fx, aux)
-            break
-        if r > r_prev:
-            eta = max(eta / 2.0, 1.0 / 1024.0)
-        x = x + eta * (fx - x)
-        r_prev = r
-    if accepted is None:
-        raise NonlinearSolveFailure(
-            f"implicit step did not converge in {config.solver_max_iter} iterations "
-            f"(residual {history[-1]:.3e} at t={state.t + dt:.6g})",
-            history,
-            state.t + dt,
-        )
+    dx, dg = [], []  # Anderson history: differences of iterates and of residuals
+    x_old = g_old = None
+    try:
+        # an overflow inside the map is a diverging iterate, not a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(config.solver_max_iter):
+                fx, aux = apply_map(x)
+                g = fx - x
+                r = float(np.abs(g).max())
+                history.append(r)
+                if not np.isfinite(r):
+                    raise diverged()
+                if r <= config.solver_tol:
+                    break
+                if r > r_prev:
+                    # safeguard: forget the secants, damped Picard with halved eta
+                    eta = max(eta / 2.0, 1.0 / 1024.0)
+                    dx.clear()
+                    dg.clear()
+                elif ANDERSON_DEPTH > 0 and g_old is not None:
+                    dx.append(x - x_old)
+                    dg.append(g - g_old)
+                    if len(dx) > ANDERSON_DEPTH:
+                        del dx[0], dg[0]
+                x_old, g_old, r_prev = x, g, r
+                if dg:
+                    DX, DG = np.array(dx).T, np.array(dg).T
+                    coef = np.linalg.lstsq(DG, g, rcond=None)[0]
+                    x = x + eta * g - (DX + eta * DG) @ coef
+                else:
+                    x = x + eta * g
+            else:
+                raise NonlinearSolveFailure(
+                    f"implicit step did not converge in {config.solver_max_iter} iterations "
+                    f"(residual {history[-1]:.3e} at t={t_new:.6g})",
+                    history,
+                    t_new,
+                )
+    except FloatingPointError as err:
+        raise diverged(f" ({err})") from None
 
-    x_acc, _, aux = accepted
-    gamma1 = x_acc[:k].copy()
-    delta1 = x_acc[k : k + l].copy()
-    beta1 = x_acc[k + l :].copy()
+    Td, diss, src, pz = aux
+    gamma1 = x[:k].copy()
+    delta1 = x[k : k + l].copy()
+    beta1 = x[k + l :].copy()
 
     # exact discrete energy identity: E = |delta|^2/2 in the zeta family
     e_old = 0.5 * float(delta0 @ delta0)
     e_new = 0.5 * float(delta1 @ delta1)
     delta_bar = 0.5 * (delta0 + delta1)
-    defect = e_new - e_old - dt * float(delta_bar @ aux["pz"])
+    defect = e_new - e_old - dt * float(delta_bar @ pz)
 
-    eq_res = float(
-        np.abs(np.einsum("q,qi,nqi->n", wq, aux["T_q"], f.eps_w)).max()
-    )
-    dissipation = float(wq @ aux["diss"])
-    source_integral = float(wq @ aux["src"])
+    # (wq T, eps(w_n)) of the accepted stress; its sign does not matter here
+    T_q = (delta1 @ system.D_zeta_rows).reshape(nq, 6)
+    eq_res = float(np.abs(system.eps_w_rows @ (wq_col * T_q).ravel()).max())
+    dissipation = float(wq @ diss)
+    source_integral = float(wq @ src)
     epsp = system.epsp_quad(gamma1, delta1)
     trace_sup = float(np.abs(trace6(epsp)).max())
 
     y1 = state.y_quad
     if y1 is not None:
-        y1 = law.advance_y_many(state.y_quad, norm6(aux["Td_phys"]), dt)
+        y1 = law.advance_y_many(state.y_quad, norm6(Td), dt)
 
     new_state = SimState(
-        t=state.t + dt,
+        t=t_new,
         alpha=gamma1,
         beta=beta1,
         gamma=gamma1,
         delta=delta1,
         y_quad=y1,
     )
-    if config.check_invariants:
-        new_state.validate()
+    new_state.validate()
 
     report = StepReport(
         t=new_state.t,
@@ -321,8 +357,8 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
         source_integral=source_integral,
         equilibrium_residual=eq_res,
         epsp_trace_sup=trace_sup,
-        clip_fraction=float(np.mean(aux["diss"] < 0.0)),
-        trunc_fraction=float(np.mean(np.abs(aux["diss"]) > level)),
+        clip_fraction=float(np.mean(diss < 0.0)),
+        trunc_fraction=float(np.mean(np.abs(diss) > level)),
     )
     return new_state, report
 
@@ -346,6 +382,7 @@ def _merge_reports(a: StepReport, b: StepReport, dt_a: float, dt_b: float) -> St
         epsp_trace_sup=b.epsp_trace_sup,
         clip_fraction=wa * a.clip_fraction + wb * b.clip_fraction,
         trunc_fraction=wa * a.trunc_fraction + wb * b.trunc_fraction,
+        substeps=a.substeps + b.substeps,
     )
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -116,6 +117,23 @@ def test_cli_run_and_determinism(tmp_path):
     assert summary["isolated"] is True
     assert (out1 / "snapshot_000000_nodes.csv").exists()
     assert (out1 / "snapshot_000005_cells.csv").exists()
+
+
+def test_cli_diagnostics_report_substeps(tmp_path):
+    # an iteration cap below what a full step needs forces dt halving, which
+    # diagnostics.csv shows in its substeps column
+    payload = copy.deepcopy(MINIMAL)
+    payload["discretization"].update(dt=1e-2, solver_max_iter=3)
+    cfg_path = write_cfg(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_OK
+    lines = [
+        ln for ln in (out / "diagnostics.csv").read_text().splitlines() if not ln.startswith("#")
+    ]
+    header = lines[0].split(",")
+    substeps = [int(ln.split(",")[header.index("substeps")]) for ln in lines[1:]]
+    assert substeps[0] == 0  # the initial row has no step behind it
+    assert all(n > 1 for n in substeps[1:])
 
 
 def test_cli_vtk_output(tmp_path):
@@ -332,6 +350,10 @@ def test_cli_hardening_domain_exit(tmp_path):
     with np.errstate(over="ignore"):
         code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_SOLVER
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["failed"] is True
+    assert summary["checks"]["passed"] is False
+    assert "hardening update" in summary["failure"]
 
 
 def test_cli_non_finite_law_input_exit(tmp_path, monkeypatch):
@@ -348,6 +370,12 @@ def test_cli_non_finite_law_input_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "initialize", corrupted)
     cfg_path = write_cfg(tmp_path, MINIMAL)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_SOLVER
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["failed"] is True
+    assert summary["checks"]["passed"] is False
+    assert "NaN or infinite" in summary["failure"]
+    # not a nonlinear solve failure, so no step time or residual history
+    assert "t_failed" not in summary and "residual_history" not in summary
 
 
 def test_bodner_partom_config_roundtrip():

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from thermovisc import evolution
 from thermovisc.basis import build_basis
 from thermovisc.constitutive import BodnerPartom, Mroz, NortonHoff
 from thermovisc.errors import BadData, NonlinearSolveFailure, StateCorrupt
@@ -182,20 +185,88 @@ def test_forced_run_couples_gamma():
 
 
 def test_stiff_step_rescued_by_dt_halving():
-    # a step too stiff for the damped fixed point at full dt converges after
-    # residual-based halving; the composite step keeps the energy identity
+    # an iteration cap below what the full step needs forces halving; the
+    # composite step keeps the energy identity and reports its substeps
     sys_ = make_system(law=NortonHoff(c=1.0, p=4.0))
     cfg = EvolutionConfig(
-        k=2, l=3, dt=0.05, n_steps=4, solver_max_iter=300, truncation_level=1e30
+        k=2, l=3, dt=0.05, n_steps=4, solver_max_iter=12, truncation_level=1e30
     )
     lift = zero_lift(sys_.ops, grid(0.05, 4))
     st = make_state(0.0, np.zeros(2), [1.5, -1.0, 0.8], [1.0, 0.0, 0.0])
     res = run(sys_, st, lift, cfg)
+    assert res.reports[0].substeps > 1
+    assert all(rep.substeps >= 1 for rep in res.reports)
     e = [0.5 * float(d @ d) for d in res.delta]
     assert all(np.diff(e) <= 1e-12)
     for rep in res.reports:
         assert abs(rep.energy_defect) <= 10 * cfg.solver_tol
         assert rep.dissipation >= 0.0
+
+
+def test_anderson_matches_picard_on_stiff_step(monkeypatch):
+    # the same fixed point as the plain damped Picard iteration, in a
+    # quarter of the iterations or fewer
+    sys_ = make_system(law=NortonHoff(c=1.0, p=4.0))
+    dt = 0.03
+    cfg = EvolutionConfig(
+        k=2, l=3, dt=dt, n_steps=1, solver_max_iter=5000, truncation_level=1e30
+    )
+    lift = zero_lift(sys_.ops, grid(dt, 1))
+    st = make_state(0.0, np.zeros(2), [1.5, -1.0, 0.8], [1.0, 0.0, 0.0])
+    anderson, rep_a = step(sys_, st, lift, 1, cfg)
+    monkeypatch.setattr(evolution, "ANDERSON_DEPTH", 0)
+    picard, rep_p = step(sys_, st, lift, 1, cfg)
+    for name in ("gamma", "delta", "beta"):
+        assert np.abs(getattr(anderson, name) - getattr(picard, name)).max() <= 1e-10
+    assert 4 * rep_a.iters <= rep_p.iters, (rep_a.iters, rep_p.iters)
+    assert abs(rep_a.energy_defect) <= 10 * cfg.solver_tol
+
+
+def test_diverging_iterate_halves_without_warnings():
+    # at dt = 1 the stiff law's iteration overflows; that must fail the solve
+    # (and so halve dt) rather than warn or reach the law's input check
+    sys_ = make_system(law=NortonHoff(c=10.0, p=3.0))
+    dt = 1.0
+    st = make_state(0.0, np.zeros(2), [1.5, -1.0, 0.8], [1.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=1, truncation_level=1e30)
+        with pytest.raises(NonlinearSolveFailure, match="diverged"):
+            step(sys_, st, zero_lift(sys_.ops, grid(dt, 1)), 1, cfg)
+        cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=3, truncation_level=1e30)
+        res = run(sys_, st, zero_lift(sys_.ops, grid(dt, 3)), cfg)
+    assert res.reports[0].substeps > 1
+    for rep in res.reports:
+        assert abs(rep.energy_defect) <= 10 * cfg.solver_tol
+
+
+@pytest.mark.parametrize("name, value", [("delta", np.inf), ("delta", np.nan), ("beta", np.inf)])
+def test_non_finite_iterate_fails_before_the_law(name, value):
+    law = NortonHoff(c=1.0, p=3.0)
+    sys_ = make_system(law=law)
+    calls = []
+    evaluate = law.evaluate_many
+    law.evaluate_many = lambda *args: calls.append(1) or evaluate(*args)
+    cfg = EvolutionConfig(k=2, l=3, dt=1e-2, n_steps=1)
+    st = make_state(0.0, np.zeros(2), np.zeros(3), np.zeros(3))
+    getattr(st, name)[0] = value
+    with pytest.raises(NonlinearSolveFailure) as err:
+        step(sys_, st, zero_lift(sys_.ops, grid(1e-2, 1)), 1, cfg)
+    assert calls == []
+    assert err.value.t == pytest.approx(1e-2)
+
+
+def test_map_tables_are_views():
+    # the fixed-point map multiplies 2-D views of the mode tables, not copies
+    sys_ = make_system(k=3, l=4)
+    f = sys_.fields
+    for rows, table in (
+        (sys_.D_eps_w_rows, f.D_eps_w),
+        (sys_.D_zeta_rows, f.D_zeta),
+        (sys_.eps_w_rows, f.eps_w),
+    ):
+        assert np.shares_memory(rows, table)
+        assert rows.shape == (table.shape[0], table.shape[1] * 6)
 
 
 def test_nonlinear_failure_reports_history():
