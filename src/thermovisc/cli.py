@@ -188,27 +188,22 @@ def run_simulation(cfg, outdir: Path, quiet=True):
     with DiagnosticsWriter(outdir / "diagnostics.csv", chash) as diag:
 
         def on_step(i, state, rep):
-            fields = reconstruct_fields(system, state, lifted, i)
-            row = collect_row(system, state, lifted, i, rep, fields=fields)
+            row = collect_row(system, state, lifted, i, rep)
             report.append(row)
             diag.write(row)
             # the a-priori bound is a theorem for the homogeneous potential
             # energy (= |delta|^2/2); physical and homogeneous agree exactly
             # for isolated runs
             e_hom = 0.5 * float(state.delta @ state.delta)
+            theta = system.theta_nodal(state.beta) + lifted.theta_tilde[i]
             if rep is None:
-                monitor.start(ops, e_hom, fields["theta"])
+                monitor.start(ops, e_hom, theta)
             else:
-                monitor.update(
-                    ops,
-                    evo.dt,
-                    state.t,
-                    e_hom,
-                    fields["Td"],
-                    lifted.combine(lifted.T_tilde_dev, i),
-                    fields["theta"],
-                )
+                td_lift = lifted.combine(lifted.T_tilde_dev, i)
+                td = system.stress_dev(state.delta, td_lift)
+                monitor.update(ops, evo.dt, state.t, e_hom, td, td_lift, theta)
             if i % cadence == 0 or i == evo.n_steps:
+                fields = reconstruct_fields(system, state, lifted, i)
                 _snapshot(cfg, outdir, chash, system, fields, i)
 
         result = run(system, state0, lifted, evo, on_step=on_step)

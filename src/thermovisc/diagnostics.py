@@ -1,13 +1,17 @@
 """Thermodynamic-completeness diagnostics and a-priori bound monitors.
 
-Everything here is computed on the recombined physical fields, so the checks
-mirror the isolated-system statements directly: conservation of the total
-energy, positivity of the temperature, nonnegative dissipation, and a
-nondecreasing entropy.  The monitors accumulate the discrete counterparts of
-the uniform bounds (sup-energy plus the dt-weighted L^p norm of the stress
-deviator, and the L^1 norm of the temperature) together with the constant
-the estimate promises, built from the certified law constants via the Young
-inequality with
+The checks mirror the isolated-system statements directly: conservation of
+the total energy, positivity of the temperature, nonnegative dissipation,
+and a nondecreasing entropy.  A diagnostics row is computed from the
+coefficients of the state, the lift time factors and the Gram tables of
+``RowTables``, built once per run; the physical fields are rebuilt only at
+snapshot cadence (``evolution.reconstruct_fields``).  The full-field
+functions ``potential_energy``, ``thermal_energy`` and ``entropy`` remain the
+reference the rows are tested against.  The monitors accumulate the discrete
+counterparts of the uniform bounds (sup-energy plus the dt-weighted L^p norm
+of the stress deviator, and the L^1 norm of the temperature) together with
+the constant the estimate promises, built from the certified law constants
+via the Young inequality with
 
     eps = beta / (2^p C^p'),   c(eps) = (1/p) (eps p')^(1-p).
 
@@ -22,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lifting import LiftedFields
 from .mesh_fem import AssembledOperators
-from .tensor import norm6
+from .tensor import dot6, norm6
 
 
 def potential_energy(ops: AssembledOperators, eps_u_quad, epsp_quad) -> float:
@@ -101,23 +106,74 @@ class DiagnosticsRow:
         return [getattr(self, name) for name in self.FIELDS]
 
 
-def collect_row(system, state, lifted, step_index: int, report=None, fields=None) -> DiagnosticsRow:
-    """One diagnostics sample from a state, its lift slice and step report."""
-    from .evolution import reconstruct_fields  # local import to avoid a cycle
+@dataclass(frozen=True, eq=False)
+class RowTables:
+    """Gram tables that give the energies of a row from the coefficients.
 
+    With e = eps(u~)(t) - sum_m delta_m zeta_m (the alpha = gamma parts of
+    eps(u) and eps_p cancel), the potential energy is the quadratic form
+    1/2 delta.Z delta - delta.P c + 1/2 c.G c in delta and the lift time
+    factors c; Z is the Gram matrix itself, so the value does not rely on
+    the zeta family being D-orthonormal.
+    """
+
+    lifted: LiftedFields = field(repr=False)  # the lift the tables belong to
+    gram_zeta: np.ndarray  # Z (l, l): (zeta_m, zeta_n)_D
+    cross: np.ndarray  # P (l, n_bases): (zeta_m, eps(u~_b))_D
+    gram_lift: np.ndarray  # G (n_bases, n_bases): (eps(u~_b), eps(u~_b'))_D
+    heat_modes: np.ndarray  # (l,): M_lumped . v_m
+    heat_lift: np.ndarray  # (nt,): M_lumped . theta~(t_i)
+
+    @classmethod
+    def build(cls, system, lifted: LiftedFields) -> "RowTables":
+        # weights go on the small factor of each product, so no weighted copy
+        # of a (modes, NQ, 6) table is made
+        ops = system.ops
+        wq = ops.wq[:, None]
+        zeta_rows = system.fields.zeta.reshape(system.l, -1)
+        nb = lifted.T_tilde.shape[0]
+        w_T_lift = (wq * lifted.T_tilde).reshape(nb, -1)  # wq D eps(u~_b)
+        return cls(
+            lifted=lifted,
+            gram_zeta=np.array([zeta_rows @ (wq * dz).ravel() for dz in system.fields.D_zeta]),
+            cross=zeta_rows @ w_T_lift.T,
+            gram_lift=lifted.eps_u_tilde.reshape(nb, -1) @ w_T_lift.T,
+            heat_modes=system.fields.v_nodal @ ops.M_lumped,
+            heat_lift=lifted.theta_tilde @ ops.M_lumped,
+        )
+
+    def potential_energy(self, delta, factors) -> float:
+        return (
+            0.5 * float(delta @ self.gram_zeta @ delta)
+            - float(delta @ self.cross @ factors)
+            + 0.5 * float(factors @ self.gram_lift @ factors)
+        )
+
+    def thermal_energy(self, beta, step_index: int) -> float:
+        return float(self.heat_modes @ beta) + float(self.heat_lift[step_index])
+
+
+def collect_row(system, state, lifted, step_index: int, report=None) -> DiagnosticsRow:
+    """One diagnostics sample from a state, its lift slice and step report.
+
+    No Gauss-point field is built except for the initial row's dissipation;
+    the temperature columns use the nodal field beta @ v + theta~.
+    """
     ops = system.ops
-    f = reconstruct_fields(system, state, lifted, step_index) if fields is None else fields
-    theta = f["theta"]
-    e_pot = potential_energy(ops, f["eps_u"], f["epsp"])
-    e_thermal = thermal_energy(ops, theta)
-    row = DiagnosticsRow(
+    tables = system.row_tables(lifted)
+    theta = system.theta_nodal(state.beta) + lifted.theta_tilde[step_index]
+    e_pot = tables.potential_energy(state.delta, lifted.factors[step_index])
+    e_thermal = tables.thermal_energy(state.beta, step_index)
+    return DiagnosticsRow(
         t=float(state.t),
         e_pot=e_pot,
         e_thermal=e_thermal,
         e_total=e_thermal + e_pot,
         theta_min=float(theta.min()),
         entropy=entropy(ops, theta),
-        dissipation=report.dissipation if report else _initial_dissipation(system, state, f),
+        dissipation=report.dissipation
+        if report
+        else _initial_dissipation(system, state, lifted, step_index),
         equilibrium_residual=report.equilibrium_residual if report else 0.0,
         solver_residual=report.residual if report else 0.0,
         solver_iters=report.iters if report else 0,
@@ -125,23 +181,22 @@ def collect_row(system, state, lifted, step_index: int, report=None, fields=None
         energy_defect=report.energy_defect if report else 0.0,
         epsp_trace_sup=report.epsp_trace_sup
         if report
-        else float(np.abs(f["epsp"][:, :3].sum(axis=1)).max()),
+        else float(np.abs(system.epsp_trace(state.gamma, state.delta)).max()),
         source_integral=report.source_integral if report else 0.0,
         boundary_flux=float(lifted.flux_integral[step_index]),
         clip_fraction=report.clip_fraction if report else 0.0,
         trunc_fraction=report.trunc_fraction if report else 0.0,
     )
-    return row
 
 
-def _initial_dissipation(system, state, fields) -> float:
-    theta_q = fields["theta_quad"]
-    td = fields["Td"]
+def _initial_dissipation(system, state, lifted, step_index: int) -> float:
+    theta_q = system.theta_quad(state.beta) + lifted.theta_tilde_quad[step_index]
+    td = system.stress_dev(state.delta, lifted.combine(lifted.T_tilde_dev, step_index))
     if state.y_quad is not None:
         G = system.law.evaluate_many(theta_q, td, y=state.y_quad)
     else:
         G = system.law.evaluate_many(theta_q, td)
-    return float(system.ops.wq @ np.einsum("qi,qi->q", td, G))
+    return float(system.ops.wq @ dot6(td, G))
 
 
 @dataclass

@@ -45,6 +45,7 @@ import numpy as np
 
 from .basis import BasisFields, GalerkinBasis, basis_fields
 from .constitutive import BodnerPartom
+from .diagnostics import RowTables
 from .errors import BadData, NonlinearSolveFailure, StateCorrupt
 from .lifting import LiftedFields
 from .mesh_fem import AssembledOperators
@@ -145,6 +146,16 @@ class ModalSystem:
         self.D_eps_w_rows = self.fields.D_eps_w.reshape(self.k, -1)
         self.D_zeta_rows = self.fields.D_zeta.reshape(self.l, -1)
         self.eps_w_rows = self.fields.eps_w.reshape(self.k, -1)
+        # tr eps(w_n) and tr zeta_m at the Gauss points: the trace of eps_p
+        self.tr_eps_w = self.fields.eps_w[..., :3].sum(axis=-1)
+        self.tr_zeta = self.fields.zeta[..., :3].sum(axis=-1)
+        self._row_tables = None
+
+    def row_tables(self, lifted: LiftedFields) -> RowTables:
+        """Diagnostics Gram tables of this system and ``lifted``, built on first use."""
+        if self._row_tables is None or self._row_tables.lifted is not lifted:
+            self._row_tables = RowTables.build(self, lifted)
+        return self._row_tables
 
     # -- field reconstruction at Gauss points --------------------------------
 
@@ -153,8 +164,15 @@ class ModalSystem:
             "m,mqi->qi", delta, self.fields.zeta
         )
 
+    def epsp_trace(self, gamma, delta) -> np.ndarray:
+        return gamma @ self.tr_eps_w + delta @ self.tr_zeta
+
     def T_hom_quad(self, delta) -> np.ndarray:
         return -np.einsum("m,mqi->qi", delta, self.fields.D_zeta)
+
+    def stress_dev(self, delta, Ttd_q) -> np.ndarray:
+        """Physical stress deviator at the Gauss points from the lift's ``Ttd_q``."""
+        return Ttd_q - dev6((delta @ self.D_zeta_rows).reshape(-1, 6))
 
     def theta_nodal(self, beta) -> np.ndarray:
         return beta @ self.fields.v_nodal
@@ -249,7 +267,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
     def apply_map(xv):
         delta = xv[k : k + l]
         beta = xv[k + l :]
-        Td = Ttd_q - dev6((delta @ system.D_zeta_rows).reshape(nq, 6))
+        Td = system.stress_dev(delta, Ttd_q)
         theta_q = beta @ v_quad + theta_t_q
         # a far extrapolation fails the solve (and so halves dt) before the law
         if not (np.isfinite(Td).all() and np.isfinite(theta_q).all()):
@@ -331,8 +349,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
     eq_res = float(np.abs(system.eps_w_rows @ (wq_col * T_q).ravel()).max())
     dissipation = float(wq @ diss)
     source_integral = float(wq @ src)
-    epsp = system.epsp_quad(gamma1, delta1)
-    trace_sup = float(np.abs(trace6(epsp)).max())
+    trace_sup = float(np.abs(system.epsp_trace(gamma1, delta1)).max())
 
     y1 = state.y_quad
     if y1 is not None:

@@ -9,7 +9,9 @@ The heat lift advances the sourceless heat equation with the prescribed
 Neumann flux by implicit Euler on the lumped-mass scheme; its trajectory is
 stored on the time grid.  Subtracting the lifted fields turns the physical
 problem into one with homogeneous boundary conditions;
-``evolution.reconstruct_fields`` undoes the split for output and diagnostics.
+``evolution.reconstruct_fields`` undoes the split for the snapshots, and the
+diagnostics rows see the lift only through its time factors, base fields and
+heat content (``diagnostics.RowTables``).
 """
 
 from __future__ import annotations

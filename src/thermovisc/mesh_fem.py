@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BadConfig, DimensionMismatch, SolverFailure
-from .tensor import SQRT2, ElasticityTensor
+from .tensor import SQRT2, ElasticityTensor, dot6
 
 _GAUSS1D = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 
@@ -387,7 +387,7 @@ class AssembledOperators:
 
     def inner_D_quad(self, a_q: np.ndarray, b_q: np.ndarray) -> float:
         """(a, b)_D = integral of (D a):b over the domain."""
-        return float(np.einsum("q,qi,ij,qj->", self.wq, a_q, self.D.voigt, b_q))
+        return float(self.wq @ dot6(self.apply_D_quad(a_q), b_q))
 
     def apply_D_quad(self, e_q: np.ndarray) -> np.ndarray:
         return np.asarray(e_q) @ self.D.voigt.T

@@ -79,26 +79,65 @@ def cell_average(ops, quad_field: np.ndarray) -> np.ndarray:
     return shaped.mean(axis=1)
 
 
+#: table rows converted to Python floats at a time; bounds the objects alive
+_BLOCK = 64
+
+#: one cell tensor of a VTK TENSORS block: three rows and a blank line
+_VTK_TENSOR = "{} {} {}\n{} {} {}\n{} {} {}\n\n"
+
+
+def _write_table(fh, table, line) -> None:
+    """Write ``line(i, row)`` for every row of a 2-D float table.
+
+    ``row`` is a list of Python floats, so ``repr`` gives the text ``_fmt``
+    would; rows are converted a block at a time.
+    """
+    table = np.asarray(table, dtype=float)
+    for start in range(0, len(table), _BLOCK):
+        rows = table[start : start + _BLOCK].tolist()
+        fh.writelines(line(start + i, row) for i, row in enumerate(rows))
+
+
+def _csv_line(i, row) -> str:
+    return f"{i}," + ",".join(map(repr, row)) + "\n"
+
+
+def _vtk_line(_, row) -> str:
+    return " ".join(map(repr, row)) + "\n"
+
+
+def _vtk_tensor(_, row) -> str:
+    return _VTK_TENSOR.format(*map(repr, row))
+
+
+def _xyz(vectors: np.ndarray) -> np.ndarray:
+    """(n, dim) vectors padded with zero components to (n, 3)."""
+    out = np.zeros((len(vectors), 3))
+    out[:, : vectors.shape[1]] = vectors
+    return out
+
+
 def write_nodes_csv(path, mesh, columns: dict, config_hash: str) -> None:
     """Flat node table: id, coordinates, then one column per field."""
     names = list(columns)
+    table = np.column_stack([mesh.nodes] + [columns[name] for name in names])
     with open(path, "w", newline="") as fh:
         for line in meta_lines(config_hash):
             fh.write(line + "\n")
         coords = [f"x{i}" for i in range(mesh.dim)]
         fh.write(",".join(["node"] + coords + names) + "\n")
-        for i in range(mesh.n_nodes):
-            vals = [str(i)] + [_fmt(c) for c in mesh.nodes[i]]
-            vals += [_fmt(columns[name][i]) for name in names]
-            fh.write(",".join(vals) + "\n")
+        _write_table(fh, table, _csv_line)
 
 
 def write_cells_csv(path, mesh, tensors: dict, config_hash: str) -> None:
     """Cell table of Voigt tensors (natural components, unweighted)."""
     comp = ["c11", "c22", "c33", "c12", "c13", "c23"]
     names = list(tensors)
-    centroids = mesh.nodes[mesh.conn].mean(axis=1)
     s = 1.0 / np.sqrt(2.0)
+    parts = [mesh.nodes[mesh.conn].mean(axis=1)]
+    for name in names:
+        v = np.asarray(tensors[name], dtype=float)
+        parts += [v[:, :3], s * v[:, 3:]]
     with open(path, "w", newline="") as fh:
         for line in meta_lines(config_hash):
             fh.write(line + "\n")
@@ -106,13 +145,7 @@ def write_cells_csv(path, mesh, tensors: dict, config_hash: str) -> None:
         for name in names:
             header += [f"{name}_{c}" for c in comp]
         fh.write(",".join(header) + "\n")
-        for e in range(mesh.n_cells):
-            vals = [str(e)] + [_fmt(c) for c in centroids[e]]
-            for name in names:
-                v = tensors[name][e]
-                nat = [v[0], v[1], v[2], s * v[3], s * v[4], s * v[5]]
-                vals += [_fmt(x) for x in nat]
-            fh.write(",".join(vals) + "\n")
+        _write_table(fh, np.hstack(parts), _csv_line)
 
 
 def write_vtk(path, mesh, point_scalars=None, point_vectors=None, cell_tensors=None,
@@ -128,27 +161,18 @@ def write_vtk(path, mesh, point_scalars=None, point_vectors=None, cell_tensors=N
         fh.write("ASCII\nDATASET STRUCTURED_GRID\n")
         fh.write(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n")
         fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for p in mesh.nodes:
-            xyz = list(p) + [0.0] * (3 - mesh.dim)
-            fh.write(" ".join(_fmt(c) for c in xyz) + "\n")
+        _write_table(fh, _xyz(mesh.nodes), _vtk_line)
         if point_scalars or point_vectors:
             fh.write(f"POINT_DATA {mesh.n_nodes}\n")
             for name, vals in point_scalars.items():
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for v in vals:
-                    fh.write(_fmt(v) + "\n")
+                _write_table(fh, np.reshape(vals, (-1, 1)), _vtk_line)
             for name, vecs in point_vectors.items():
                 fh.write(f"VECTORS {name} double\n")
                 arr = np.asarray(vecs).reshape(mesh.n_nodes, mesh.dim)
-                for v in arr:
-                    xyz = list(v) + [0.0] * (3 - mesh.dim)
-                    fh.write(" ".join(_fmt(c) for c in xyz) + "\n")
+                _write_table(fh, _xyz(arr), _vtk_line)
         if cell_tensors:
             fh.write(f"CELL_DATA {mesh.n_cells}\n")
             for name, vals in cell_tensors.items():
                 fh.write(f"TENSORS {name} double\n")
-                for v in vals:
-                    m = voigt_to_matrix(v)
-                    for r in m:
-                        fh.write(" ".join(_fmt(c) for c in r) + "\n")
-                    fh.write("\n")
+                _write_table(fh, voigt_to_matrix(vals).reshape(-1, 9), _vtk_tensor)

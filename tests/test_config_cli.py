@@ -136,6 +136,40 @@ def test_cli_diagnostics_report_substeps(tmp_path):
     assert all(n > 1 for n in substeps[1:])
 
 
+@pytest.mark.parametrize("n_steps", [3, 12, 48])
+def test_full_fields_only_at_snapshot_cadence(tmp_path, monkeypatch, n_steps):
+    # rows and the monitor come from the coefficients and run-wide tables;
+    # physical fields are rebuilt only for the two snapshots (first, last)
+    from thermovisc import cli, diagnostics, evolution
+
+    calls = {"reconstruct": 0, "tables": 0}
+    real_reconstruct = evolution.reconstruct_fields
+    real_build = diagnostics.RowTables.build.__func__
+
+    def reconstruct(*args, **kwargs):
+        calls["reconstruct"] += 1
+        return real_reconstruct(*args, **kwargs)
+
+    def build(cls, *args, **kwargs):
+        calls["tables"] += 1
+        return real_build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "reconstruct_fields", reconstruct)
+    monkeypatch.setattr(cli, "reconstruct_fields", reconstruct)
+    monkeypatch.setattr(diagnostics.RowTables, "build", classmethod(build))
+    payload = copy.deepcopy(MINIMAL)
+    payload["discretization"]["n_steps"] = n_steps
+    payload["data"]["f"] = {
+        "preset": "polynomial",
+        "value": [0.4, 0.6],
+        "time": {"kind": "ramp", "slope": 5.0},
+    }
+    payload["output"] = {"cadence": 1000, "formats": ["csv", "vtk"]}
+    cfg_path = write_cfg(tmp_path, payload)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
+    assert calls == {"reconstruct": 2, "tables": 1}
+
+
 def test_cli_vtk_output(tmp_path):
     payload = dict(MINIMAL)
     payload["output"] = {"cadence": 5, "formats": ["csv", "vtk"]}

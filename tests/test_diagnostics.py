@@ -16,8 +16,15 @@ from thermovisc.diagnostics import (
     thermal_energy,
     total_energy,
 )
-from thermovisc.evolution import EvolutionConfig, ModalSystem, initialize, run, step
-from thermovisc.lifting import zero_lift
+from thermovisc.evolution import (
+    EvolutionConfig,
+    ModalSystem,
+    initialize,
+    reconstruct_fields,
+    run,
+    step,
+)
+from thermovisc.lifting import build_lift, zero_lift
 from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor
 
@@ -84,8 +91,6 @@ def test_apriori_monitor_isolated_run():
     st = initialize(system, np.ones(ops.n_nodes), 0.3 * system.fields.zeta[0], cfg)
 
     mon = AprioriMonitor(beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume)
-    from thermovisc.evolution import reconstruct_fields
-
     f0 = reconstruct_fields(system, st, lift, 0)
     mon.start(ops, potential_energy(ops, f0["eps_u"], f0["epsp"]), f0["theta"])
     state = st
@@ -155,3 +160,97 @@ def test_collect_row_and_report_isolated():
     row = report.rows[0]
     assert len(row.values()) == len(DiagnosticsRow.FIELDS)
     assert np.isfinite(report.series("e_total")).all()
+
+
+# -- coefficient rows against the full-field oracle ---------------------------
+
+def _parity_case(name):
+    """(system, initial state, lift, config) of one parity scenario."""
+    ops = assemble(build_mesh(2, (1.0, 1.0), (5, 4)), ElasticityTensor.isotropic(1.0, 1.0))
+    n = 12
+    if name == "isolated":
+        law, dt, max_iter = NortonHoff(c=1.0, p=3.0), 1e-3, 200
+    elif name == "forced":
+        law, dt, max_iter = NortonHoff(c=1.0, p=3.0), 2e-3, 200
+    else:  # halving: an iteration cap below what a full step needs
+        law, dt, max_iter = NortonHoff(c=1.0, p=4.0), 0.05, 4
+    system = ModalSystem(ops, build_basis(ops, k=3, l=4), law)
+    cfg = EvolutionConfig(
+        k=3, l=4, dt=dt, n_steps=n, truncation_level=1e30, solver_max_iter=max_iter
+    )
+    times = dt * np.arange(n + 1)
+    if name == "isolated":
+        lift = zero_lift(ops, times)
+    else:
+        # a ramped force and a pulsing boundary displacement (two lift
+        # bases) plus a pulsing heat flux
+        x = ops.mesh.nodes
+        lift = build_lift(
+            ops,
+            times,
+            f=(lambda t: 5.0 * t, np.column_stack([0.4 * (1.0 + x[:, 0]), np.full(len(x), 0.6)])),
+            g=(lambda t: np.sin(40.0 * t), x @ np.array([[0.02, 0.01], [0.0, -0.03]]).T),
+            gtheta_of_t=lambda t: np.full(ops.n_nodes, 0.2 * np.sin(30.0 * t)),
+            theta_tilde0=np.full(ops.n_nodes, 0.1),
+        )
+        assert lift.factors.shape[1] == 2
+    epsp0 = 0.3 * system.fields.zeta[0] - 0.2 * system.fields.zeta[2]
+    theta0 = np.full(ops.n_nodes, 1.5) - lift.theta_tilde0
+    return system, initialize(system, theta0, epsp0, cfg), lift, cfg
+
+
+@pytest.mark.parametrize("name", ["isolated", "forced", "halving"])
+def test_coefficient_rows_match_full_fields(name):
+    system, state0, lift, cfg = _parity_case(name)
+    ops = system.ops
+    law = system.law
+
+    def monitor():
+        return AprioriMonitor(
+            beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume
+        )
+
+    coef_mon, field_mon = monitor(), monitor()
+    substeps = []
+
+    def on_step(i, state, rep):
+        row = collect_row(system, state, lift, i, rep)
+        f = reconstruct_fields(system, state, lift, i)
+        e_pot = potential_energy(ops, f["eps_u"], f["epsp"])
+        e_thermal = thermal_energy(ops, f["theta"])
+        assert row.e_pot == pytest.approx(e_pot, rel=1e-12, abs=0.0)
+        assert row.e_thermal == pytest.approx(e_thermal, rel=1e-12, abs=0.0)
+        assert row.e_total == pytest.approx(e_pot + e_thermal, rel=1e-12, abs=0.0)
+        assert row.theta_min == float(f["theta"].min())
+        assert row.entropy == entropy(ops, f["theta"])
+        trace_sup = float(np.abs(f["epsp"][:, :3].sum(axis=1)).max())
+        assert row.epsp_trace_sup == pytest.approx(trace_sup, rel=1e-12, abs=1e-15)
+        td_lift = lift.combine(lift.T_tilde_dev, i)
+        td = system.stress_dev(state.delta, td_lift)
+        if rep is None:
+            coef_mon.start(ops, e_pot, f["theta"])
+            field_mon.start(ops, e_pot, f["theta"])
+        else:
+            substeps.append(rep.substeps)
+            coef_mon.update(ops, cfg.dt, state.t, e_pot, td, td_lift, f["theta"])
+            field_mon.update(ops, cfg.dt, state.t, e_pot, f["Td"], td_lift, f["theta"])
+            assert coef_mon.stress_lp_sum == pytest.approx(field_mon.stress_lp_sum, rel=1e-12)
+            assert coef_mon.lift_lp_sum == field_mon.lift_lp_sum
+
+    run(system, state0, lift, cfg, on_step=on_step)
+    assert len(substeps) == cfg.n_steps
+    assert (max(substeps) > 1) == (name == "halving")
+    assert coef_mon.stress_lp_sum > 0.0
+
+
+def test_energy_uses_the_gram_matrix():
+    # a zeta family that is not D-orthonormal: the row must still equal the
+    # full-field energy, where |delta|^2/2 would not
+    system, state0, lift, _ = _parity_case("isolated")
+    for name in ("zeta", "D_zeta"):
+        getattr(system.fields, name)[0] *= 2.0
+    row = collect_row(system, state0, lift, 0)
+    f = reconstruct_fields(system, state0, lift, 0)
+    e_pot = potential_energy(system.ops, f["eps_u"], f["epsp"])
+    assert row.e_pot == pytest.approx(e_pot, rel=1e-12)
+    assert abs(0.5 * float(state0.delta @ state0.delta) - e_pot) > 1e-3 * e_pot
