@@ -164,7 +164,7 @@ def complement_strain_basis(
     P = ops.scalar_interp_matrix()
     C = np.empty((k, ns))
     for i in range(k):
-        dw = ops.apply_D_quad(ops.strain_quad(W[i]))
+        dw = ops.D.apply6(ops.strain_quad(W[i]))
         C[i] = (P.T @ (ops.wq[:, None] * (dw @ B))).ravel()
     # orthonormal rows with the same kernel: C C^T = I, and functionals that
     # are dependent on the nodal space are dropped rather than factored
@@ -277,9 +277,9 @@ def basis_fields(ops: AssembledOperators, basis: GalerkinBasis) -> BasisFields:
     v_quad = np.stack([P @ v for v in basis.V])
     return BasisFields(
         eps_w=eps_w,
-        D_eps_w=ops.apply_D_quad(eps_w),
+        D_eps_w=ops.D.apply6(eps_w),
         zeta=zeta,
-        D_zeta=ops.apply_D_quad(zeta),
+        D_zeta=ops.D.apply6(zeta),
         v_quad=v_quad,
         v_nodal=basis.V,
     )

@@ -18,24 +18,15 @@ form whose dissipation is exactly c |Td|^p and whose growth constant is c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import BadData, CertificationFailure, DomainExit, NonFiniteInput
-from .tensor import DevTensor3, SymTensor3, dev6, dot6, norm6, trace6
+from .tensor import dev6, dot6, norm6, trace6
 
 _TINY = 1e-300
-
-
-def _as_voigt(td) -> np.ndarray:
-    if isinstance(td, SymTensor3):
-        return td.to_voigt()
-    v = np.asarray(td, dtype=float)
-    if v.shape != (6,):
-        raise BadData(f"expected a 6-vector or SymTensor3, got shape {v.shape}")
-    return v
 
 
 def _check_finite(theta, td):
@@ -45,41 +36,7 @@ def _check_finite(theta, td):
         raise NonFiniteInput("stress deviator is NaN or infinite")
 
 
-class _LawBase:
-    """Scalar-call conveniences shared by all laws; subclasses implement
-    ``evaluate_many`` on (n,) temperatures and (n, 6) deviators."""
-
-    name = "law"
-    p = 2.0
-    C_growth = 1.0
-    beta_coercivity = 1.0
-
-    def evaluate_many(self, theta: np.ndarray, td: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def evaluate(self, theta: float, td) -> DevTensor3:
-        v = _as_voigt(td)
-        _check_finite(theta, v)
-        tr = abs(float(trace6(v)))
-        if tr > 1e-12 * max(1.0, float(norm6(v))):
-            raise BadData(f"input deviator has trace {tr:.3e}")
-        out = self.evaluate_many(np.array([float(theta)]), v[None, :])[0]
-        return DevTensor3.from_voigt(out)
-
-
-def evaluate(law, theta: float, td) -> DevTensor3:
-    """Strain rate G(theta, Td) of the given law."""
-    return law.evaluate(theta, td)
-
-
-def dissipation_density(law, theta: float, td) -> float:
-    """Pointwise mechanical dissipation Td : G(theta, Td)."""
-    g = law.evaluate(theta, td)
-    v = _as_voigt(td)
-    return float(np.dot(v, g.to_voigt()))
-
-
-class NortonHoff(_LawBase):
+class NortonHoff:
     """Power-law creep G = c |Td|^(p-2) Td, temperature independent."""
 
     def __init__(self, c: float, p: float):
@@ -102,7 +59,7 @@ class NortonHoff(_LawBase):
         return (self.c * r ** (self.p - 2.0))[..., None] * td
 
 
-class Mroz(_LawBase):
+class Mroz:
     """Temperature-modulated linear law G = g(theta) Td.
 
     ``g`` must be vectorizable over numpy arrays; ``g_min``/``g_max`` are the
@@ -159,56 +116,7 @@ class Mroz(_LawBase):
         return np.broadcast_to(gval, td.shape[:-1])[..., None] * td
 
 
-@dataclass(frozen=True)
-class HardeningState:
-    """Isotropic hardening value with its evolution data.
-
-    y_t = gamma(y) * rate_fn(|Td|/y) * |Td| - A * delta(y), clamped to
-    [y_min, y_max] after each explicit step.
-    """
-
-    y: float
-    rate_fn: Callable = field(repr=False, default=lambda s: s)
-    gamma_fn: Callable = field(repr=False, default=lambda y: 0.0)
-    delta_fn: Callable = field(repr=False, default=lambda y: 0.0)
-    A: float = 0.0
-    y_min: float = 1e-6
-    y_max: float = 1e6
-
-    def __post_init__(self):
-        if not (self.y_min > 0.0 and self.y_min <= self.y <= self.y_max):
-            raise BadData(
-                f"hardening value y={self.y} outside declared domain "
-                f"[{self.y_min}, {self.y_max}]"
-            )
-
-
-def advance_hardening(state: HardeningState, theta: float, td, dt: float) -> HardeningState:
-    """One explicit-Euler update of the hardening variable."""
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    v = _as_voigt(td)
-    _check_finite(theta, v)
-    r = float(norm6(v))
-    rate = state.gamma_fn(state.y) * state.rate_fn(r / state.y) * r - state.A * state.delta_fn(
-        state.y
-    )
-    y_new = state.y + dt * float(rate)
-    if not np.isfinite(y_new):
-        raise DomainExit(f"hardening update produced non-finite y from y={state.y}")
-    y_new = min(max(y_new, state.y_min), state.y_max)
-    return HardeningState(
-        y=y_new,
-        rate_fn=state.rate_fn,
-        gamma_fn=state.gamma_fn,
-        delta_fn=state.delta_fn,
-        A=state.A,
-        y_min=state.y_min,
-        y_max=state.y_max,
-    )
-
-
-class BodnerPartom(_LawBase):
+class BodnerPartom:
     """Isotropic-hardening power law G = g0 ((|Td| + beta(theta))^+ / y)^m Td/|Td|.
 
     The hardening variable y is carried per material point by the caller and
@@ -246,17 +154,6 @@ class BodnerPartom(_LawBase):
         self.C_growth = self.g0 / self.y_min**self.m
         self.beta_coercivity = self.g0 / self.y_max**self.m
         self.name = f"bodner_partom(g0={g0}, m={m})"
-
-    def make_state(self) -> HardeningState:
-        return HardeningState(
-            y=self.y0,
-            rate_fn=lambda s: self.g0 * np.asarray(s) ** self.m,
-            gamma_fn=lambda y: self.gamma0,
-            delta_fn=lambda y: self.delta0,
-            A=self.A,
-            y_min=self.y_min,
-            y_max=self.y_max,
-        )
 
     def evaluate_many(self, theta, td, y=None):
         td = np.asarray(td, dtype=float)

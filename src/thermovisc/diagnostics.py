@@ -110,8 +110,8 @@ class DiagnosticsRow:
 class RowTables:
     """Gram tables that give the energies of a row from the coefficients.
 
-    With e = eps(u~)(t) - sum_m delta_m zeta_m (the alpha = gamma parts of
-    eps(u) and eps_p cancel), the potential energy is the quadratic form
+    With e = eps(u~)(t) - sum_m delta_m zeta_m (u = sum_n gamma_n w_n, so the
+    gamma parts of eps(u) and eps_p cancel), the potential energy is the quadratic form
     1/2 delta.Z delta - delta.P c + 1/2 c.G c in delta and the lift time
     factors c; Z is the Gram matrix itself, so the value does not rely on
     the zeta family being D-orthonormal.

@@ -2,14 +2,14 @@
 
 State layout (coefficients of the modal expansion):
 
-    u      = sum_n alpha_n w_n            displacement
     theta  = sum_m beta_m v_m             temperature (homogeneous part)
     eps_p  = sum_n gamma_n eps(w_n) + sum_m delta_m zeta_m
+    u      = sum_n gamma_n w_n            displacement
 
-The discrete equilibrium row forces alpha_n = gamma_n, so the homogeneous
-stress is carried entirely by the complement coefficients,
-T = -sum_m delta_m D zeta_m, and the stress never sees the gradient part of
-the inelastic strain.
+The discrete equilibrium row slaves the displacement coefficients to the
+gradient part of eps_p, so u needs no coefficients of its own and the
+homogeneous stress is carried entirely by the complement coefficients,
+T = -sum_m delta_m D zeta_m.
 
 One step advances (gamma, delta, beta) by implicit Euler; the nonlinear
 algebraic system x = F(x) is solved by Anderson mixing (Walker & Ni, SIAM J.
@@ -87,16 +87,13 @@ class SimState:
     """Coefficient vectors at one time instant."""
 
     t: float
-    alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
     delta: np.ndarray
     y_quad: np.ndarray | None = None
 
     def validate(self):
-        if not np.array_equal(self.alpha, self.gamma):
-            raise StateCorrupt("equilibrium elimination broken: alpha != gamma")
-        for name in ("alpha", "beta", "gamma", "delta"):
+        for name in ("beta", "gamma", "delta"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise StateCorrupt(f"non-finite coefficients in {name}")
         if self.y_quad is not None and not np.all(np.isfinite(self.y_quad)):
@@ -105,7 +102,6 @@ class SimState:
     def copy(self) -> "SimState":
         return SimState(
             t=self.t,
-            alpha=self.alpha.copy(),
             beta=self.beta.copy(),
             gamma=self.gamma.copy(),
             delta=self.delta.copy(),
@@ -180,11 +176,11 @@ class ModalSystem:
     def theta_quad(self, beta) -> np.ndarray:
         return beta @ self.fields.v_quad
 
-    def u_nodal(self, alpha) -> np.ndarray:
-        return alpha @ self.basis.W
+    def u_nodal(self, gamma) -> np.ndarray:
+        return gamma @ self.basis.W
 
-    def eps_u_quad(self, alpha) -> np.ndarray:
-        return np.einsum("n,nqi->qi", alpha, self.fields.eps_w)
+    def eps_u_quad(self, gamma) -> np.ndarray:
+        return np.einsum("n,nqi->qi", gamma, self.fields.eps_w)
 
 
 def initialize(
@@ -214,9 +210,7 @@ def initialize(
     y_quad = None
     if isinstance(system.law, BodnerPartom):
         y_quad = np.full(ops.wq.size, system.law.y0)
-    return SimState(
-        t=0.0, alpha=gamma.copy(), beta=beta, gamma=gamma, delta=delta, y_quad=y_quad
-    )
+    return SimState(t=0.0, beta=beta, gamma=gamma, delta=delta, y_quad=y_quad)
 
 
 def _lift_slices(lifted: LiftedFields, step_index: int):
@@ -355,14 +349,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
     if y1 is not None:
         y1 = law.advance_y_many(state.y_quad, norm6(Td), dt)
 
-    new_state = SimState(
-        t=t_new,
-        alpha=gamma1,
-        beta=beta1,
-        gamma=gamma1,
-        delta=delta1,
-        y_quad=y1,
-    )
+    new_state = SimState(t=t_new, beta=beta1, gamma=gamma1, delta=delta1, y_quad=y1)
     new_state.validate()
 
     report = StepReport(
@@ -493,10 +480,10 @@ def reconstruct_fields(
     The stress honors T = D(eps(u) - eps_p) pointwise at the Gauss points.
     """
     ops = system.ops
-    u_hom = system.u_nodal(state.alpha)
-    eps_u_hom = system.eps_u_quad(state.alpha)
+    u_hom = system.u_nodal(state.gamma)
+    eps_u_hom = system.eps_u_quad(state.gamma)
     epsp = system.epsp_quad(state.gamma, state.delta)
-    T_hom = ops.apply_D_quad(eps_u_hom - epsp)
+    T_hom = ops.D.apply6(eps_u_hom - epsp)
     theta_hom = system.theta_nodal(state.beta)
 
     u_phys = u_hom + lifted.combine(lifted.u_tilde, step_index)
@@ -518,13 +505,11 @@ def reconstruct_fields(
 
 
 def make_state(t, gamma, delta, beta, y_quad=None) -> SimState:
-    """Assemble a state from raw coefficient vectors (alpha is slaved)."""
-    gamma = np.asarray(gamma, dtype=float)
+    """Assemble a state from raw coefficient vectors."""
     return SimState(
         t=float(t),
-        alpha=gamma.copy(),
-        beta=np.asarray(beta, dtype=float).copy(),
-        gamma=gamma.copy(),
-        delta=np.asarray(delta, dtype=float).copy(),
+        beta=np.array(beta, dtype=float),
+        gamma=np.array(gamma, dtype=float),
+        delta=np.array(delta, dtype=float),
         y_quad=y_quad,
     )

@@ -91,7 +91,7 @@ def solve_elastic_lift(ops: AssembledOperators, f_nodal=None, g_boundary=None):
         if res > 1e-10 * max(scale, 1.0):
             raise SolverFailure(f"elastic lift residual {res:.3e} exceeds tolerance")
     eps_q = ops.strain_quad(u)
-    return u, eps_q, ops.apply_D_quad(eps_q)
+    return u, eps_q, ops.D.apply6(eps_q)
 
 
 def solve_heat_lift(ops: AssembledOperators, g_flux, theta0, times):

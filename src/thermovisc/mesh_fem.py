@@ -17,8 +17,8 @@ from hashlib import sha256
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadConfig, DimensionMismatch, SolverFailure
-from .tensor import SQRT2, ElasticityTensor, dot6
+from .errors import BadConfig, DimensionMismatch
+from .tensor import SQRT2, ElasticityTensor
 
 _GAUSS1D = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 
@@ -387,45 +387,9 @@ class AssembledOperators:
 
     def inner_D_quad(self, a_q: np.ndarray, b_q: np.ndarray) -> float:
         """(a, b)_D = integral of (D a):b over the domain."""
-        return float(self.wq @ dot6(self.apply_D_quad(a_q), b_q))
-
-    def apply_D_quad(self, e_q: np.ndarray) -> np.ndarray:
-        return np.asarray(e_q) @ self.D.voigt.T
+        return float(self.wq @ self.D.inner6(a_q, b_q))
 
 
 def assemble(mesh: BoxMesh, D: ElasticityTensor) -> AssembledOperators:
     """Assemble every operator the bases and the evolution need."""
     return AssembledOperators(mesh, D)
-
-
-def project_onto_modes(ops: AssembledOperators, modes, field, kind: str = "D") -> np.ndarray:
-    """Galerkin projection coefficients of ``field`` onto ``modes``.
-
-    kind "D": tensor quadrature fields, inner product (.,.)_D
-    kind "L2q": scalar quadrature fields, L2 by Gauss quadrature
-    kind "L2n": scalar nodal fields, lumped-mass L2
-    """
-    modes = np.asarray(modes, dtype=float)
-    field = np.asarray(field, dtype=float)
-    if kind == "D":
-        if modes.ndim != 3 or field.shape != modes.shape[1:]:
-            raise DimensionMismatch(f"modes {modes.shape} vs field {field.shape}")
-        Dm = np.einsum("rqi,ij->rqj", modes, ops.D.voigt)
-        gram = np.einsum("q,rqi,sqi->rs", ops.wq, Dm, modes)
-        rhs = np.einsum("q,rqi,qi->r", ops.wq, Dm, field)
-    elif kind == "L2q":
-        if modes.ndim != 2 or field.shape != modes.shape[1:]:
-            raise DimensionMismatch(f"modes {modes.shape} vs field {field.shape}")
-        gram = np.einsum("q,rq,sq->rs", ops.wq, modes, modes)
-        rhs = np.einsum("q,rq,q->r", ops.wq, modes, field)
-    elif kind == "L2n":
-        if modes.ndim != 2 or field.shape != (ops.n_nodes,) or modes.shape[1] != ops.n_nodes:
-            raise DimensionMismatch(f"modes {modes.shape} vs field {field.shape}")
-        gram = np.einsum("n,rn,sn->rs", ops.M_lumped, modes, modes)
-        rhs = np.einsum("n,rn,n->r", ops.M_lumped, modes, field)
-    else:
-        raise ValueError(f"unknown projection kind {kind!r}")
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SolverFailure(f"singular modal Gram matrix: {err}") from None

@@ -15,16 +15,11 @@ the algebra is identical in 2D and 3D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadData
 
 SQRT2 = float(np.sqrt(2.0))
-
-#: |trace| tolerance (relative above unit scale) for deviatoric values
-TRACE_TOL = 1e-14
 
 #: unit vector along the identity direction in weighted Voigt coordinates
 VOIGT_TRACE = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
@@ -62,13 +57,6 @@ def dot6(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", np.asarray(a), np.asarray(b))
 
 
-def matrix_to_voigt(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    return np.array(
-        [m[0, 0], m[1, 1], m[2, 2], SQRT2 * m[0, 1], SQRT2 * m[0, 2], SQRT2 * m[1, 2]]
-    )
-
-
 def voigt_to_matrix(v: np.ndarray) -> np.ndarray:
     """(..., 6) Voigt arrays as (..., 3, 3) symmetric matrices."""
     v = np.asarray(v, dtype=float)
@@ -77,113 +65,6 @@ def voigt_to_matrix(v: np.ndarray) -> np.ndarray:
     a12, a13, a23 = s * v[..., 3], s * v[..., 4], s * v[..., 5]
     rows = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-
-# ---------------------------------------------------------------------------
-# typed scalar values
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymTensor3:
-    """A symmetric 3x3 tensor given by its six independent entries."""
-
-    a11: float
-    a22: float
-    a33: float
-    a12: float
-    a13: float
-    a23: float
-
-    @classmethod
-    def from_matrix(cls, m) -> "SymTensor3":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise BadData(f"expected a 3x3 matrix, got shape {m.shape}")
-        if not np.allclose(m, m.T, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-            raise BadData("matrix is not symmetric")
-        return cls(m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2])
-
-    @classmethod
-    def from_voigt(cls, v) -> "SymTensor3":
-        v = np.asarray(v, dtype=float)
-        s = 1.0 / SQRT2
-        return cls(v[0], v[1], v[2], s * v[3], s * v[4], s * v[5])
-
-    @classmethod
-    def zero(cls) -> "SymTensor3":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def identity(cls) -> "SymTensor3":
-        return cls(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-
-    def to_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.a11, self.a12, self.a13],
-                [self.a12, self.a22, self.a23],
-                [self.a13, self.a23, self.a33],
-            ]
-        )
-
-    def to_voigt(self) -> np.ndarray:
-        return np.array(
-            [
-                self.a11,
-                self.a22,
-                self.a33,
-                SQRT2 * self.a12,
-                SQRT2 * self.a13,
-                SQRT2 * self.a23,
-            ]
-        )
-
-    @property
-    def trace(self) -> float:
-        return self.a11 + self.a22 + self.a33
-
-    @property
-    def norm(self) -> float:
-        return float(norm6(self.to_voigt()))
-
-    def dot(self, other: "SymTensor3") -> float:
-        """Double contraction self : other."""
-        return float(np.dot(self.to_voigt(), other.to_voigt()))
-
-    def __add__(self, other):
-        return SymTensor3.from_voigt(self.to_voigt() + other.to_voigt())
-
-    def __sub__(self, other):
-        return SymTensor3.from_voigt(self.to_voigt() - other.to_voigt())
-
-    def __mul__(self, c: float):
-        return SymTensor3.from_voigt(c * self.to_voigt())
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class DevTensor3(SymTensor3):
-    """A SymTensor3 constrained to zero trace on construction."""
-
-    def __post_init__(self):
-        tol = TRACE_TOL * max(1.0, self.norm)
-        if not np.isfinite(self.trace) or abs(self.trace) > tol:
-            raise BadData(f"trace {self.trace:.3e} exceeds deviatoric tolerance {tol:.3e}")
-
-
-def deviatoric(t: SymTensor3) -> DevTensor3:
-    """Traceless part t - (1/3) tr(t) I."""
-    m = t.trace / 3.0
-    return DevTensor3(t.a11 - m, t.a22 - m, t.a33 - m, t.a12, t.a13, t.a23)
-
-
-def sym_grad_voigt(grad) -> SymTensor3:
-    """Symmetric part (G + G^T)/2 of a 3x3 displacement gradient."""
-    g = np.asarray(grad, dtype=float)
-    if g.shape != (3, 3):
-        raise BadData(f"expected a 3x3 gradient, got shape {g.shape}")
-    return SymTensor3.from_matrix(0.5 * (g + g.T))
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +110,6 @@ class ElasticityTensor:
         """Apply D to (..., 6) Voigt arrays."""
         return np.asarray(v) @ self.voigt.T
 
-    def apply(self, e: SymTensor3) -> SymTensor3:
-        return SymTensor3.from_voigt(self.apply6(e.to_voigt()))
-
     def inner6(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pointwise D-weighted contraction (D a):b for (..., 6) arrays."""
         return dot6(self.apply6(a), b)
-
-    def inner(self, a: SymTensor3, b: SymTensor3) -> float:
-        return float(self.inner6(a.to_voigt(), b.to_voigt()))
-
-
-def apply_D(D: ElasticityTensor, e: SymTensor3) -> SymTensor3:
-    """Stress from elastic strain, T = D e."""
-    return D.apply(e)
-
-
-def inner_D(D: ElasticityTensor, a: SymTensor3, b: SymTensor3) -> float:
-    """Pointwise integrand of the D-weighted inner product, (D a):b."""
-    return D.inner(a, b)

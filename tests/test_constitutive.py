@@ -3,22 +3,18 @@ import pytest
 
 from thermovisc.constitutive import (
     BodnerPartom,
-    HardeningState,
     Mroz,
     NortonHoff,
-    advance_hardening,
     certify_assumption1,
-    dissipation_density,
-    evaluate,
 )
-from thermovisc.errors import BadData, CertificationFailure, NonFiniteInput
-from thermovisc.tensor import DevTensor3, dev6, norm6
+from thermovisc.errors import CertificationFailure, DomainExit, NonFiniteInput
+from thermovisc.tensor import dev6, dot6, norm6
 
 
 def unit_dev(scale=1.0):
-    # diag(2,-1,-1)/sqrt(6) has unit Frobenius norm
+    # diag(2,-1,-1)/sqrt(6) has unit Frobenius norm; one row of a (1, 6) batch
     s = scale / np.sqrt(6.0)
-    return DevTensor3(2 * s, -s, -s, 0.0, 0.0, 0.0)
+    return np.array([[2 * s, -s, -s, 0.0, 0.0, 0.0]])
 
 
 ALL_LAWS = [
@@ -48,8 +44,9 @@ def test_norton_hoff_p2_is_identity():
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.name)
 def test_zero_maps_to_zero(law):
     # direct-evaluation oracle: every implemented law vanishes at Td = 0
-    g = evaluate(law, 1.0, DevTensor3(0, 0, 0, 0, 0, 0))
-    assert g.norm == pytest.approx(0.0, abs=1e-15)
+    g = law.evaluate_many(np.array([1.0, -2.0, 50.0]), np.zeros((3, 6)))
+    assert g.shape == (3, 6)
+    assert np.abs(g).max() == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.name)
@@ -61,14 +58,22 @@ def test_output_traceless(law):
     assert np.max(tr / np.maximum(1.0, norm6(g))) <= 1e-14
 
 
+def dissipation(law, theta, td):
+    """Pointwise mechanical dissipation Td : G(theta, Td)."""
+    return dot6(td, law.evaluate_many(np.full(len(td), theta), td))
+
+
 def test_dissipation_values():
     # Norton-Hoff: c |Td|^p
     law = NortonHoff(c=1.0, p=3.0)
-    assert dissipation_density(law, 0.0, unit_dev(2.0)) == pytest.approx(8.0, rel=1e-12)
+    assert dissipation(law, 0.0, unit_dev(2.0))[0] == pytest.approx(8.0, rel=1e-12)
+    law = NortonHoff(c=2.5, p=4.0)
+    td = np.concatenate([unit_dev(0.5), unit_dev(3.0)])
+    assert dissipation(law, 0.0, td) == pytest.approx([2.5 * 0.5**4, 2.5 * 3.0**4], rel=1e-12)
     # Mroz: g |Td|^2
     law = Mroz.constant(2.0)
-    assert dissipation_density(law, 0.0, unit_dev(1.0)) == pytest.approx(2.0, rel=1e-12)
-    assert dissipation_density(law, 0.0, DevTensor3(0, 0, 0, 0, 0, 0)) == 0.0
+    assert dissipation(law, 0.0, unit_dev(1.0))[0] == pytest.approx(2.0, rel=1e-12)
+    assert dissipation(law, 0.0, np.zeros((1, 6)))[0] == 0.0
 
 
 def test_dissipation_meets_coercivity_bound():
@@ -83,27 +88,27 @@ def test_dissipation_meets_coercivity_bound():
 def test_non_finite_inputs_rejected():
     law = NortonHoff(c=1.0, p=3.0)
     with pytest.raises(NonFiniteInput):
-        evaluate(law, np.nan, unit_dev())
+        law.evaluate_many(np.array([np.nan]), unit_dev())
     with pytest.raises(NonFiniteInput):
-        law.evaluate_many(np.array([np.inf]), unit_dev().to_voigt()[None, :])
+        law.evaluate_many(np.array([np.inf]), unit_dev())
+    bad = unit_dev()
+    bad[0, 3] = np.nan
     with pytest.raises(NonFiniteInput):
-        evaluate(law, 0.0, DevTensor3(0, 0, 0, np.nan, 0, 0))
-
-
-def test_scalar_evaluate_rejects_trace():
-    law = Mroz.constant(1.0)
-    with pytest.raises(BadData):
-        evaluate(law, 0.0, np.array([1.0, 0, 0, 0, 0, 0]))
+        law.evaluate_many(np.array([0.0]), bad)
+    for other in (Mroz.constant(1.0), BodnerPartom()):
+        with pytest.raises(NonFiniteInput):
+            other.evaluate_many(np.array([0.0]), bad)
 
 
 def test_mroz_accepts_any_finite_theta():
     law = Mroz.table([0.0, 1.0, 2.0], [1.0, 0.8, 0.6])
+    td = np.repeat(unit_dev(), 4, axis=0)
+    g = law.evaluate_many(np.array([-50.0, 0.0, 1.5, 1e6]), td)
     # constant extension below theta_min and above the table
-    g_low = evaluate(law, -50.0, unit_dev())
-    g_zero = evaluate(law, 0.0, unit_dev())
-    assert np.allclose(g_low.to_voigt(), g_zero.to_voigt(), atol=1e-14)
-    g_hi = evaluate(law, 1e6, unit_dev())
-    assert np.allclose(g_hi.to_voigt(), 0.6 * unit_dev().to_voigt(), atol=1e-14)
+    assert np.allclose(g[0], g[1], atol=1e-14)
+    assert np.allclose(g[1], td[0], atol=1e-14)
+    assert np.allclose(g[2], 0.7 * td[0], atol=1e-14)
+    assert np.allclose(g[3], 0.6 * td[0], atol=1e-14)
 
 
 # -- certification ----------------------------------------------------------
@@ -163,31 +168,39 @@ def test_certify_bodner_partom_default():
 # -- hardening ---------------------------------------------------------------
 
 def test_hardening_zero_rhs():
-    st = HardeningState(y=1.0, gamma_fn=lambda y: 0.0, A=0.0)
-    out = advance_hardening(st, 0.0, unit_dev(), dt=0.5)
-    assert out.y == pytest.approx(1.0)
+    law = BodnerPartom(gamma0=0.0, A=0.0)
+    out = law.advance_y_many(np.array([1.0, 0.7]), norm6(unit_dev(3.0)).repeat(2), dt=0.5)
+    assert out == pytest.approx([1.0, 0.7])
 
 
 def test_hardening_forced_arithmetic():
-    st = HardeningState(
-        y=1.0, rate_fn=lambda s: s, gamma_fn=lambda y: 1.0, delta_fn=lambda y: 0.0, A=0.0
-    )
-    out = advance_hardening(st, 0.0, unit_dev(1.0), dt=0.1)
-    assert out.y == pytest.approx(1.1, rel=1e-12)
+    # y' = gamma0 g0 (|Td|/y)^m |Td| - A delta0
+    law = BodnerPartom(g0=1.0, m=1.0, gamma0=1.0, y_min=0.5, y_max=2.0)
+    out = law.advance_y_many(np.array([1.0]), norm6(unit_dev(1.0)), dt=0.1)
+    assert out[0] == pytest.approx(1.1, rel=1e-12)
+    law = BodnerPartom(g0=2.0, m=2.0, gamma0=0.5, A=0.3, delta0=1.0, y_min=0.5, y_max=2.0)
+    out = law.advance_y_many(np.array([1.0]), np.array([0.5]), dt=0.1)
+    assert out[0] == pytest.approx(1.0 + 0.1 * (0.5 * 2.0 * 0.25 * 0.5 - 0.3), rel=1e-12)
 
 
 def test_hardening_rejects_zero_dt():
-    st = HardeningState(y=1.0)
-    with pytest.raises(ValueError):
-        advance_hardening(st, 0.0, unit_dev(), dt=0.0)
+    law = BodnerPartom()
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            law.advance_y_many(np.array([1.0]), np.array([1.0]), dt=dt)
 
 
 def test_hardening_clamps_to_domain():
-    st = HardeningState(
-        y=1.0, rate_fn=lambda s: s, gamma_fn=lambda y: 1.0, y_min=0.5, y_max=1.05
-    )
-    out = advance_hardening(st, 0.0, unit_dev(1.0), dt=1.0)
-    assert out.y == pytest.approx(1.05)
+    law = BodnerPartom(g0=1.0, m=1.0, gamma0=1.0, y_min=0.5, y_max=1.05)
+    out = law.advance_y_many(np.array([1.0]), norm6(unit_dev(1.0)), dt=1.0)
+    assert out[0] == pytest.approx(1.05)
+    # recovery pulls below the floor: clamped to y_min
+    law = BodnerPartom(A=10.0, delta0=1.0, y_min=0.5, y_max=2.0)
+    assert law.advance_y_many(np.array([1.0]), np.array([0.0]), dt=1.0)[0] == 0.5
+    # a non-finite update leaves the domain instead of being clamped
+    law = BodnerPartom(gamma0=1e308, y_min=0.5, y_max=2.0)
+    with pytest.raises(DomainExit), np.errstate(over="ignore"):
+        law.advance_y_many(np.array([1.0]), np.array([1e3]), dt=1.0)
 
 
 def test_bodner_partom_vector_hardening():

@@ -44,7 +44,7 @@ def test_initialize_zero_data():
     sys_ = make_system()
     cfg = EvolutionConfig(k=2, l=3, dt=1e-3, n_steps=1)
     st = initialize(sys_, np.zeros(sys_.ops.n_nodes), np.zeros((sys_.ops.wq.size, 6)), cfg)
-    assert np.abs(st.alpha).max() == 0.0
+    assert np.abs(st.gamma).max() == 0.0
     assert np.abs(st.beta).max() == 0.0
     assert np.abs(st.delta).max() == 0.0
 
@@ -58,7 +58,19 @@ def test_initialize_reproduces_gradient_mode():
     st = initialize(sys_, np.zeros(sys_.ops.n_nodes), epsp0, cfg, validate=False)
     assert np.abs(st.gamma - [0.0, 1.0, 0.0]).max() <= 1e-10
     assert np.abs(st.delta).max() <= 1e-10
-    assert np.array_equal(st.alpha, st.gamma)
+    # the displacement is slaved to gamma: u = sum_n gamma_n w_n = w_2
+    assert np.abs(sys_.u_nodal(st.gamma) - sys_.basis.W[1]).max() <= 1e-10
+    # any field in the span is reproduced, and projecting twice changes nothing
+    c, d = np.array([0.5, -1.0, 2.0]), np.array([0.3, -0.7])
+    st = initialize(sys_, np.zeros(sys_.ops.n_nodes), sys_.epsp_quad(c, d), cfg, validate=False)
+    assert np.abs(st.gamma - c).max() <= 1e-10 and np.abs(st.delta - d).max() <= 1e-10
+    rng = np.random.default_rng(4)
+    epsp0 = rng.standard_normal((sys_.ops.wq.size, 6))
+    st = initialize(sys_, np.zeros(sys_.ops.n_nodes), epsp0, cfg, validate=False)
+    epsp1 = sys_.epsp_quad(st.gamma, st.delta)
+    st2 = initialize(sys_, np.zeros(sys_.ops.n_nodes), epsp1, cfg, validate=False)
+    assert np.abs(st2.gamma - st.gamma).max() <= 1e-10
+    assert np.abs(st2.delta - st.delta).max() <= 1e-10
 
 
 def test_initialize_truncates_temperature():
@@ -281,13 +293,13 @@ def test_nonlinear_failure_reports_history():
 
 
 def test_state_validation():
-    st = make_state(0.0, [1.0], [0.0], [2.0])
-    st.alpha = np.array([9.0])
-    with pytest.raises(StateCorrupt):
-        st.validate()
-    st2 = make_state(0.0, [np.nan], [0.0], [1.0])
-    with pytest.raises(StateCorrupt):
-        st2.validate()
+    make_state(0.0, [1.0], [0.0], [2.0], y_quad=np.ones(4)).validate()
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("beta", "gamma", "delta", "y_quad"):
+            st = make_state(0.0, [1.0], [0.0], [2.0], y_quad=np.ones(4))
+            getattr(st, name)[0] = bad
+            with pytest.raises(StateCorrupt, match=name if name != "y_quad" else "hardening"):
+                st.validate()
 
 
 def test_reconstruct_fields_contract():
@@ -299,7 +311,7 @@ def test_reconstruct_fields_contract():
     res = run(sys_, st, lift, cfg)
     fields = reconstruct_fields(sys_, res.final_state, lift, n)
     # pointwise constitutive contract
-    recomputed = sys_.ops.apply_D_quad(fields["eps_u"] - fields["epsp"])
+    recomputed = sys_.ops.D.apply6(fields["eps_u"] - fields["epsp"])
     assert np.abs(fields["T"] - recomputed).max() <= 1e-12
     # solver shortcut agrees with the assembled stress
     assert np.abs(fields["T_hom"] - sys_.T_hom_quad(res.final_state.delta)).max() <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermovisc.errors import BadConfig, DimensionMismatch
-from thermovisc.mesh_fem import assemble, build_mesh, project_onto_modes
+from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor
 
 D = ElasticityTensor.isotropic(lam=1.0, mu=1.0)
@@ -137,6 +137,13 @@ def test_strain_quad_affine_exact(ops2d):
     eq = ops2d.strain_quad(u)
     expect = np.array([0.3, -0.2, 0.0, 0.2 / np.sqrt(2.0), 0.0, 0.0])
     assert np.max(np.abs(eq - expect)) <= 1e-13
+    # only the symmetric part of the gradient counts: a rotation has no strain,
+    # and a pure shear gradient splits evenly over the two off-diagonal slots
+    rot = (ops2d.mesh.nodes @ np.array([[0.0, 1.0], [-1.0, 0.0]]).T).ravel()
+    assert np.max(np.abs(ops2d.strain_quad(rot))) <= 1e-13
+    shear = (ops2d.mesh.nodes @ np.array([[0.0, 1.0], [0.0, 0.0]]).T).ravel()
+    expect = np.array([0.0, 0.0, 0.0, 0.5 * np.sqrt(2.0), 0.0, 0.0])
+    assert np.max(np.abs(ops2d.strain_quad(shear) - expect)) <= 1e-13
 
 
 def test_scalar_quad_partition_of_unity(ops3d):
@@ -158,29 +165,6 @@ def test_interp_matrix_matches_direct(ops2d):
     assert np.allclose(P @ f, ops2d.scalar_quad(f), atol=1e-13)
 
 
-# -- projections -------------------------------------------------------------
-
-def test_project_field_in_span(ops2d):
-    rng = np.random.default_rng(3)
-    modes = rng.standard_normal((3, ops2d.wq.size, 6))
-    coeff = np.array([0.5, -1.0, 2.0])
-    field = np.einsum("r,rqi->qi", coeff, modes)
-    got = project_onto_modes(ops2d, modes, field, kind="D")
-    assert np.allclose(got, coeff, atol=1e-10)
-
-
-def test_project_zero_and_idempotent(ops2d):
-    rng = np.random.default_rng(4)
-    modes = rng.standard_normal((4, ops2d.wq.size, 6))
-    zero = np.zeros((ops2d.wq.size, 6))
-    assert np.allclose(project_onto_modes(ops2d, modes, zero, kind="D"), 0.0, atol=1e-14)
-    field = rng.standard_normal((ops2d.wq.size, 6))
-    c1 = project_onto_modes(ops2d, modes, field, kind="D")
-    proj = np.einsum("r,rqi->qi", c1, modes)
-    c2 = project_onto_modes(ops2d, modes, proj, kind="D")
-    assert np.allclose(c1, c2, atol=1e-10)
-
-
-def test_project_dimension_mismatch(ops2d):
+def test_scalar_quad_dimension_mismatch(ops2d):
     with pytest.raises(DimensionMismatch):
-        project_onto_modes(ops2d, np.zeros((2, 5, 6)), np.zeros((4, 6)), kind="D")
+        ops2d.scalar_quad(np.zeros(ops2d.n_nodes + 1))

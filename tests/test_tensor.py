@@ -3,17 +3,13 @@ import pytest
 
 from thermovisc.errors import BadData
 from thermovisc.tensor import (
-    DevTensor3,
+    VOIGT_TRACE,
     ElasticityTensor,
-    SymTensor3,
-    apply_D,
-    deviatoric,
     dev6,
     dot6,
-    inner_D,
     norm6,
-    sym_grad_voigt,
     trace6,
+    voigt_to_matrix,
 )
 
 
@@ -22,33 +18,37 @@ def random_sym(rng, n):
     return v
 
 
+def to_voigt(m):
+    """Weighted Voigt vector of a symmetric 3x3 matrix (test oracle)."""
+    r2 = np.sqrt(2.0)
+    return np.array([m[0, 0], m[1, 1], m[2, 2], r2 * m[0, 1], r2 * m[0, 2], r2 * m[1, 2]])
+
+
 def test_deviatoric_of_identity_is_zero():
-    d = deviatoric(SymTensor3.identity())
-    assert d.norm == pytest.approx(0.0, abs=1e-15)
+    assert norm6(dev6(VOIGT_TRACE)) == pytest.approx(0.0, abs=1e-15)
+    # a batch of scaled identities
+    assert np.abs(dev6(np.outer([0.0, 1.0, -3.5, 1e6], VOIGT_TRACE))).max() <= 1e-9
 
 
 def test_deviatoric_diag_3_0_0():
-    t = SymTensor3(3.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    d = deviatoric(t)
-    assert (d.a11, d.a22, d.a33) == pytest.approx((2.0, -1.0, -1.0))
-    assert abs(d.trace) <= 1e-14
+    d = dev6(np.array([3.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    assert tuple(d[:3]) == pytest.approx((2.0, -1.0, -1.0))
+    assert abs(trace6(d)) <= 1e-14
 
 
 def test_deviatoric_fixes_traceless_inputs():
     rng = np.random.default_rng(1)
-    for v in dev6(random_sym(rng, 50)):
-        t = SymTensor3.from_voigt(v)
-        d = deviatoric(t)
-        assert np.allclose(d.to_voigt(), v, atol=1e-14)
+    v = dev6(random_sym(rng, 50))
+    assert np.allclose(dev6(v), v, atol=1e-14)
 
 
 def test_deviatoric_idempotent():
     rng = np.random.default_rng(2)
-    for v in random_sym(rng, 50):
-        t = SymTensor3.from_voigt(v)
-        once = deviatoric(t).to_voigt()
-        twice = deviatoric(deviatoric(t)).to_voigt()
-        assert np.allclose(once, twice, atol=1e-14)
+    v = random_sym(rng, 50)
+    once = dev6(v)
+    assert np.allclose(dev6(once), once, atol=1e-14)
+    # a single (6,) vector behaves like a row of the batch
+    assert np.allclose(dev6(v[0]), once[0], atol=1e-15)
 
 
 def test_traceless_contraction_identity():
@@ -59,50 +59,43 @@ def test_traceless_contraction_identity():
     assert np.allclose(dot6(a, dev6(b)), dot6(a, b), atol=1e-12)
 
 
-def test_devtensor_rejects_trace():
-    with pytest.raises(BadData):
-        DevTensor3(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
 def test_voigt_round_trip_and_contraction():
     rng = np.random.default_rng(4)
     for _ in range(20):
         m = rng.standard_normal((3, 3))
         m = 0.5 * (m + m.T)
-        t = SymTensor3.from_matrix(m)
-        assert np.allclose(t.to_matrix(), m, atol=1e-15)
-        s = SymTensor3.from_matrix(np.eye(3))
+        v = to_voigt(m)
+        assert np.allclose(voigt_to_matrix(v), m, atol=1e-15)
         # Voigt dot equals the matrix double contraction
-        assert t.dot(s) == pytest.approx(np.tensordot(m, np.eye(3)), abs=1e-12)
-    v = rng.standard_normal(6)
-    assert norm6(v) == pytest.approx(
-        np.linalg.norm(SymTensor3.from_voigt(v).to_matrix()), abs=1e-12
-    )
+        assert dot6(v, VOIGT_TRACE) == pytest.approx(np.tensordot(m, np.eye(3)), abs=1e-12)
+        assert norm6(v) == pytest.approx(np.linalg.norm(m), abs=1e-12)
+    batch = random_sym(rng, 7)
+    assert np.allclose(voigt_to_matrix(batch), [voigt_to_matrix(v) for v in batch], atol=0.0)
 
 
 def test_apply_D_zero_and_identity_scaling():
     D = ElasticityTensor.isotropic(lam=0.0, mu=0.5)
-    z = SymTensor3.zero()
-    assert apply_D(D, z).norm == 0.0
+    assert np.abs(D.apply6(np.zeros((3, 6)))).max() == 0.0
     rng = np.random.default_rng(5)
-    for v in random_sym(rng, 20):
-        e = SymTensor3.from_voigt(v)
-        assert np.allclose(apply_D(D, e).to_voigt(), v, atol=1e-14)
+    v = random_sym(rng, 20)
+    assert np.allclose(D.apply6(v), v, atol=1e-14)
 
 
 def test_apply_D_isotropic_identity():
     D = ElasticityTensor.isotropic(lam=1.0, mu=1.0)
-    out = apply_D(D, SymTensor3.identity())
-    assert np.allclose(out.to_matrix(), 5.0 * np.eye(3), atol=1e-14)
+    out = D.apply6(VOIGT_TRACE)
+    assert np.allclose(voigt_to_matrix(out), 5.0 * np.eye(3), atol=1e-14)
 
 
 def test_apply_D_linear():
     D = ElasticityTensor.isotropic(lam=0.7, mu=1.3)
     rng = np.random.default_rng(6)
-    a, b = (SymTensor3.from_voigt(v) for v in random_sym(rng, 2))
-    lhs = apply_D(D, SymTensor3.from_voigt(2.0 * a.to_voigt() + 3.0 * b.to_voigt()))
-    rhs = 2.0 * apply_D(D, a).to_voigt() + 3.0 * apply_D(D, b).to_voigt()
-    assert np.allclose(lhs.to_voigt(), rhs, atol=1e-13)
+    a, b = random_sym(rng, 50), random_sym(rng, 50)
+    lhs = D.apply6(2.0 * a + 3.0 * b)
+    rhs = 2.0 * D.apply6(a) + 3.0 * D.apply6(b)
+    assert np.allclose(lhs, rhs, atol=1e-13)
+    # (..., 6) arrays of any leading shape map row by row
+    assert np.allclose(D.apply6(a.reshape(5, 10, 6)).reshape(50, 6), D.apply6(a), atol=0.0)
 
 
 def test_inner_D_symmetric_and_matches_contraction():
@@ -115,10 +108,8 @@ def test_inner_D_symmetric_and_matches_contraction():
     assert np.allclose(ab, ba, atol=1e-11)
     # (D a):b computed elementwise
     assert np.allclose(ab, dot6(va @ D.voigt.T, vb), atol=1e-12)
-    a = SymTensor3.from_voigt(va[0])
-    b = SymTensor3.from_voigt(vb[0])
-    assert inner_D(D, a, b) == pytest.approx(apply_D(D, a).dot(b), abs=1e-12)
-    assert inner_D(D, SymTensor3.zero(), SymTensor3.zero()) == 0.0
+    assert D.inner6(va[0], vb[0]) == pytest.approx(dot6(D.apply6(va[0]), vb[0]), abs=1e-12)
+    assert D.inner6(np.zeros(6), np.zeros(6)) == 0.0
 
 
 def test_inner_D_reduces_to_contraction_for_unit_D():
@@ -152,17 +143,6 @@ def test_minor_major_symmetry_via_voigt():
         ElasticityTensor(bad)
     with pytest.raises(BadData):
         ElasticityTensor(-np.eye(6))
-
-
-def test_sym_grad():
-    g = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    e = sym_grad_voigt(g)
-    assert e.a12 == pytest.approx(0.5)
-    assert e.a11 == e.a22 == e.a33 == e.a13 == e.a23 == 0.0
-    sym = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 0.0], [0.5, 0.0, 3.0]])
-    assert np.allclose(sym_grad_voigt(sym).to_matrix(), sym, atol=1e-15)
-    anti = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5], [2.0, -0.5, 0.0]])
-    assert sym_grad_voigt(anti).norm == pytest.approx(0.0, abs=1e-15)
 
 
 def test_trace6_dev6_consistency():
