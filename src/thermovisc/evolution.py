@@ -11,10 +11,14 @@ gradient part of eps_p, so u needs no coefficients of its own and the
 homogeneous stress is carried entirely by the complement coefficients,
 T = -sum_m delta_m D zeta_m.
 
-One step advances (gamma, delta, beta) by implicit Euler; the nonlinear
-algebraic system x = F(x) is solved by Anderson mixing (Walker & Ni, SIAM J.
-Numer. Anal. 49, 2011) of depth ``ANDERSON_DEPTH`` on the fixed-point map F,
-which is a contraction for small dt thanks to the monotonicity of the law.
+One step advances (gamma, delta, beta) by implicit Euler.  The stress and
+the temperature depend only on (delta, beta), so the unknowns of the
+nonlinear algebraic system x = F(x) are x = (delta, beta); it is solved by
+Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of depth
+``ANDERSON_DEPTH`` on the fixed-point map F, which is a contraction for
+small dt thanks to the monotonicity of the law.  gamma is then explicit:
+gamma(new) = gamma(old) + dt (G, D eps(w_n)) / lam_n with the law value G
+of the accepted map evaluation.
 Whenever the max-norm residual grows, the mixing history is dropped and a
 damped Picard step x + eta (F(x) - x) with halved eta is taken, so the worst
 case is the plain damped fixed-point iteration.  F is evaluated with BLAS
@@ -250,7 +254,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
     t_new = state.t + dt
 
     gamma0, delta0, beta0 = state.gamma, state.delta, state.beta
-    k, l = system.k, system.l
+    l = system.l
     heat_den = 1.0 + dt * system.mu
     history = []
 
@@ -259,8 +263,8 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
         return NonlinearSolveFailure(message, history, t_new)
 
     def apply_map(xv):
-        delta = xv[k : k + l]
-        beta = xv[k + l :]
+        delta = xv[:l]
+        beta = xv[l:]
         Td = system.stress_dev(delta, Ttd_q)
         theta_q = beta @ v_quad + theta_t_q
         # a far extrapolation fails the solve (and so halves dt) before the law
@@ -275,15 +279,11 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
         diss = dot6(Td, G)
         src = truncate(np.maximum(diss, 0.0), level)
         out = np.concatenate(
-            [
-                gamma0 + dt * (system.D_eps_w_rows @ wG) / system.lam,
-                delta0 + dt * pz,
-                (beta0 + dt * (v_quad @ (wq * src))) / heat_den,
-            ]
+            [delta0 + dt * pz, (beta0 + dt * (v_quad @ (wq * src))) / heat_den]
         )
-        return out, (Td, diss, src, pz)
+        return out, (Td, diss, src, pz, wG)
 
-    x = np.concatenate([gamma0, delta0, beta0])
+    x = np.concatenate([delta0, beta0])
     eta = 1.0
     r_prev = np.inf
     dx, dg = [], []  # Anderson history: differences of iterates and of residuals
@@ -327,10 +327,10 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
     except FloatingPointError as err:
         raise diverged(f" ({err})") from None
 
-    Td, diss, src, pz = aux
-    gamma1 = x[:k].copy()
-    delta1 = x[k : k + l].copy()
-    beta1 = x[k + l :].copy()
+    Td, diss, src, pz, wG = aux
+    gamma1 = gamma0 + dt * (system.D_eps_w_rows @ wG) / system.lam
+    delta1 = x[:l].copy()
+    beta1 = x[l:].copy()
 
     # exact discrete energy identity: E = |delta|^2/2 in the zeta family
     e_old = 0.5 * float(delta0 @ delta0)

@@ -196,6 +196,28 @@ def test_forced_run_couples_gamma():
         assert rep.equilibrium_residual <= 1e-9
 
 
+def test_gamma_is_explicit_in_the_accepted_stress():
+    # gamma is not an unknown of the fixed-point iteration: after the step,
+    # (gamma1 - gamma0) lam / dt is (G, D eps(w_n)) of the law evaluated at
+    # the accepted (delta1, beta1)
+    sys_ = make_system(k=3, l=4, law=NortonHoff(c=1.0, p=3.0))
+    dt = 0.05
+    xy = sys_.ops.mesh.nodes
+    f = np.stack([0.2 * xy[:, 1] ** 2, 0.5 + 0.8 * xy[:, 0]], axis=1)
+    lift = build_lift(sys_.ops, grid(dt, 1), f=(lambda t: 1.0, f))
+    cfg = EvolutionConfig(k=3, l=4, dt=dt, n_steps=1)
+    st0 = make_state(0.0, [0.01, -0.02, 0.0], [0.1, -0.05, 0.02, 0.0], [1.0, 0.1, 0.0, 0.0])
+    st1, rep = step(sys_, st0, lift, 1, cfg)
+    assert rep.residual <= cfg.solver_tol
+    theta_t_q, Ttd_q = evolution._lift_slices(lift, 1)
+    Td = sys_.stress_dev(st1.delta, Ttd_q)
+    G = sys_.law.evaluate_many(st1.beta @ sys_.fields.v_quad + theta_t_q, Td)
+    expect = sys_.D_eps_w_rows @ (sys_.wq[:, None] * G).ravel()
+    got = (st1.gamma - st0.gamma) * sys_.lam / dt
+    assert np.abs(expect).max() > 1e-3
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
 def test_stiff_step_rescued_by_dt_halving():
     # an iteration cap below what the full step needs forces halving; the
     # composite step keeps the energy identity and reports its substeps
