@@ -178,12 +178,15 @@ def complement_strain_basis(
         )
 
     # gram_s is SPD: symmetric ordering without pivoting, as for a Cholesky
-    lu = splu(
-        gram_s.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    try:
+        lu = splu(
+            gram_s.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as err:
+        raise SolverFailure(f"complement strain Gram factorization failed: {err}") from None
     SC = lu.solve(C.T)
     schur = cho_factor(C @ SC)
 
@@ -199,7 +202,12 @@ def complement_strain_basis(
         Y = constrained_solve(GX)
         GY = gram_D @ Y
         SY = gram_s @ Y
-        lam, Q = eigh(Y.T @ SY, Y.T @ GY)
+        try:
+            lam, Q = eigh(Y.T @ SY, Y.T @ GY)
+        except np.linalg.LinAlgError as err:
+            raise SolverFailure(
+                f"complement Rayleigh-Ritz eigensolve failed in sweep {sweep}: {err}"
+            ) from None
         X, GX = Y @ Q, GY @ Q
         # residual of the first l Ritz pairs, tested inside the complement
         lam_z = lam[:l]

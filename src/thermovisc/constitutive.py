@@ -1,7 +1,8 @@
 """Temperature-dependent monotone constitutive laws for the inelastic strain rate.
 
-Each law maps (theta, Td) to a traceless strain rate and declares the
-constants of its monotonicity / growth / coercivity certificate:
+Each law maps (theta, Td) to a traceless strain rate, evaluated on arrays by
+``evaluate_many(theta, td)`` with (n,) temperatures and (n, 6) deviators, and
+declares the constants of its monotonicity / growth / coercivity certificate:
 
     monotonicity   (G(th,T1) - G(th,T2)) : (T1 - T2) >= 0
     growth         |G(th,Td)| <= C (1 + |Td|)^(p-1)

@@ -19,14 +19,6 @@ from .diagnostics import DiagnosticsRow
 from .tensor import voigt_to_matrix
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def meta_lines(config_hash: str) -> list:
     return [f"# config_hash={config_hash}", f"# version={__version__}"]
 
@@ -42,7 +34,8 @@ class DiagnosticsWriter:
         self._fh.write(",".join(DiagnosticsRow.FIELDS) + "\n")
 
     def write(self, row: DiagnosticsRow):
-        self._fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
+        # every field is a Python float or int, whose repr is the CSV text
+        self._fh.write(",".join(map(repr, row.values())) + "\n")
 
     def close(self):
         self._fh.close()
@@ -89,8 +82,8 @@ _VTK_TENSOR = "{} {} {}\n{} {} {}\n{} {} {}\n\n"
 def _write_table(fh, table, line) -> None:
     """Write ``line(i, row)`` for every row of a 2-D float table.
 
-    ``row`` is a list of Python floats, so ``repr`` gives the text ``_fmt``
-    would; rows are converted a block at a time.
+    ``row`` is a list of Python floats, so ``repr`` gives their shortest
+    round-trip text; rows are converted a block at a time.
     """
     table = np.asarray(table, dtype=float)
     for start in range(0, len(table), _BLOCK):

@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from thermovisc.config import (
     validate_config,
 )
 from thermovisc.errors import ParseError, ValidationError
+
+REPO = Path(__file__).resolve().parents[1]
 
 MINIMAL = {
     "mesh": {"cells": [4, 4]},
@@ -351,6 +354,42 @@ def test_cli_complement_sweep_cap_exit(tmp_path, monkeypatch, capsys):
     code = main(["basis", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_SOLVER
     assert "after 1 sweeps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", [1e-4, 1e-6])
+def test_cli_complement_rayleigh_ritz_failure_exit(tmp_path, capsys, mu):
+    # a soft shear modulus makes the Rayleigh-Ritz Gram matrix lose
+    # definiteness; that is a solver failure (exit 3), never a traceback
+    payload = json.loads((REPO / "configs" / "isolated.json").read_text())
+    payload["material"]["elasticity"]["mu"] = mu
+    payload["discretization"].update(k=4, l=4)
+    cfg_path = write_cfg(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["basis", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "complement Rayleigh-Ritz eigensolve failed" in err
+    assert "Traceback" not in err
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_SOLVER
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] is True
+    assert "Rayleigh-Ritz" in summary["failure"]
+
+
+def test_complement_factorization_failure_is_solver_failure(monkeypatch):
+    # SuperLU reports a singular strain Gram matrix with a RuntimeError
+    import thermovisc.basis as basis_mod
+    from thermovisc.errors import SolverFailure
+    from thermovisc.mesh_fem import assemble, build_mesh
+    from thermovisc.tensor import ElasticityTensor
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    ops = assemble(build_mesh(2, (1.0, 1.0), (3, 3)), ElasticityTensor.isotropic(1.0, 1.0))
+    W, _ = basis_mod.displacement_eigenbasis(ops, 2)
+    monkeypatch.setattr(basis_mod, "splu", singular)
+    with pytest.raises(SolverFailure, match="Gram factorization failed: Factor is exactly"):
+        basis_mod.complement_strain_basis(ops, W, 2)
 
 
 @pytest.mark.parametrize("k, l", [(50, 2), (1, 50)])

@@ -1,8 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from thermovisc.cli import EXIT_OK, main
+from thermovisc.diagnostics import DiagnosticsRow
 from thermovisc.mesh_fem import build_mesh
-from thermovisc.runio import meta_lines, write_cells_csv, write_nodes_csv, write_vtk
+from thermovisc.runio import (
+    DiagnosticsWriter,
+    meta_lines,
+    write_cells_csv,
+    write_nodes_csv,
+    write_vtk,
+)
 
 # Reference writers: one repr(float(x)) per value, row by row.
 
@@ -113,3 +124,26 @@ def test_vtk_matches_reference(tmp_path, snapshot):
     )
     ref = _ref_vtk(mesh, {"theta": theta}, {"displacement": u}, tensors, "abc")
     assert (tmp_path / "s.vtk").read_text() == ref
+
+
+def test_diagnostics_rows_hold_python_scalars(tmp_path, monkeypatch):
+    # the diagnostics writer prints repr() of each field: a numpy scalar would
+    # print as "np.float64(...)", so every field must be a Python float or int
+    rows = []
+    write = DiagnosticsWriter.write
+    monkeypatch.setattr(
+        DiagnosticsWriter, "write", lambda self, row: rows.append(row) or write(self, row)
+    )
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "forced.json").read_text())
+    cfg["discretization"]["n_steps"] = 3
+    cfg_path = tmp_path / "forced.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert len(rows) == 4
+    ints = {"solver_iters", "substeps"}
+    for row in (rows[0], rows[-1]):  # the initial row and a step row
+        for name, value in zip(DiagnosticsRow.FIELDS, row.values()):
+            assert type(value) is (int if name in ints else float), (name, type(value))
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[-1] == ",".join(repr(v) for v in rows[-1].values())
