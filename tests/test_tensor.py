@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from thermovisc.errors import BadData
+from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import (
     VOIGT_TRACE,
     ElasticityTensor,
@@ -71,6 +72,24 @@ def test_voigt_round_trip_and_contraction():
         assert norm6(v) == pytest.approx(np.linalg.norm(m), abs=1e-12)
     batch = random_sym(rng, 7)
     assert np.allclose(voigt_to_matrix(batch), [voigt_to_matrix(v) for v in batch], atol=0.0)
+
+
+def test_sym_grad():
+    # the symmetric displacement gradient in Voigt form, taken from affine
+    # displacements u(x) = G x on a 3D mesh, where grad u = G exactly
+    ops = assemble(build_mesh(3, (1.0, 1.0, 1.0), (1, 1, 1)), ElasticityTensor.isotropic(1.0, 1.0))
+
+    def sym_grad(g):
+        return voigt_to_matrix(ops.strain_quad((ops.mesh.nodes @ g.T).ravel()))
+
+    e = sym_grad(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    expect = np.zeros((3, 3))
+    expect[0, 1] = expect[1, 0] = 0.5
+    assert np.abs(e - expect).max() <= 1e-13
+    sym = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 0.0], [0.5, 0.0, 3.0]])
+    assert np.abs(sym_grad(sym) - sym).max() <= 1e-13
+    anti = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5], [2.0, -0.5, 0.0]])
+    assert np.abs(sym_grad(anti)).max() <= 1e-13
 
 
 def test_apply_D_zero_and_identity_scaling():
