@@ -36,11 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import ArpackError, eigsh, splu
 
 from . import __version__
 from .errors import BadConfig, BadData, EmptyComplement, SolverFailure
 from .mesh_fem import AssembledOperators
+from .tensor import VOIGT_PAIRS
 
 #: node counts up to which the temperature eigenproblem is solved densely
 DENSE_CUTOFF = 2600
@@ -74,7 +75,10 @@ def displacement_eigenbasis(ops: AssembledOperators, k: int):
         raise BadConfig(f"k must be in [1, {free.size}], got {k}")
     kff = ops.K_D[free][:, free].toarray()
     mff = ops.M_u[free][:, free].toarray()
-    lam, vecs = eigh(kff, mff, subset_by_index=(0, k - 1))
+    try:
+        lam, vecs = eigh(kff, mff, subset_by_index=(0, k - 1))
+    except np.linalg.LinAlgError as err:
+        raise SolverFailure(f"displacement eigensolve failed: {err}") from None
     res = np.linalg.norm(kff @ vecs - mff @ vecs * lam[None, :], axis=0)
     res /= np.linalg.norm(vecs, axis=0)
     if np.any(res > _EIG_TOL):
@@ -91,14 +95,17 @@ def temperature_eigenbasis(ops: AssembledOperators, l: int):
         raise BadConfig(f"l must be in [1, {n}], got {l}")
     s = 1.0 / np.sqrt(ops.M_lumped)
     A = sp.diags(s) @ ops.K_theta @ sp.diags(s)
-    if n <= DENSE_CUTOFF:
-        mu, Y = eigh(A.toarray(), subset_by_index=(0, l - 1))
-    else:
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        mu, Y = eigsh((A + sp.eye(n)).tocsc(), k=l, sigma=0.0, which="LM", v0=v0)
-        mu -= 1.0
-        order = np.argsort(mu)
-        mu, Y = mu[order], Y[:, order]
+    try:
+        if n <= DENSE_CUTOFF:
+            mu, Y = eigh(A.toarray(), subset_by_index=(0, l - 1))
+        else:
+            v0 = np.full(n, 1.0 / np.sqrt(n))
+            mu, Y = eigsh((A + sp.eye(n)).tocsc(), k=l, sigma=0.0, which="LM", v0=v0)
+            mu -= 1.0
+            order = np.argsort(mu)
+            mu, Y = mu[order], Y[:, order]
+    except (np.linalg.LinAlgError, ArpackError) as err:
+        raise SolverFailure(f"temperature eigensolve failed: {err}") from None
     V = (Y * s[:, None]).T
     res = np.linalg.norm(
         (ops.K_theta @ V.T) - (ops.M_lumped[:, None] * V.T) * mu[None, :], axis=0
@@ -123,22 +130,19 @@ class ComplementSpace:
 
 
 def _node_tensor_basis(dim: int, space: str) -> np.ndarray:
+    # plane strain keeps every diagonal slot; a shear slot a_ij needs j < dim
+    shear = [np.eye(6)[:, slot] for slot, i, j in VOIGT_PAIRS if i != j and j < dim]
     s2, s6 = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(6.0)
     if space == "deviatoric":
-        cols = [
+        diagonal = [
             np.array([s2, -s2, 0.0, 0.0, 0.0, 0.0]),
             np.array([s6, s6, -2.0 * s6, 0.0, 0.0, 0.0]),
-            np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]),
         ]
-        if dim == 3:
-            cols.append(np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
-            cols.append(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]))
     elif space == "full":
-        active = [0, 1, 2, 3] if dim == 2 else [0, 1, 2, 3, 4, 5]
-        cols = [np.eye(6)[:, a] for a in active]
+        diagonal = [np.eye(6)[:, slot] for slot, i, j in VOIGT_PAIRS if i == j]
     else:
         raise ValueError(f"unknown strain space {space!r}")
-    return np.stack(cols, axis=1)
+    return np.stack(diagonal + shear, axis=1)
 
 
 def complement_strain_basis(
@@ -188,7 +192,10 @@ def complement_strain_basis(
     except RuntimeError as err:
         raise SolverFailure(f"complement strain Gram factorization failed: {err}") from None
     SC = lu.solve(C.T)
-    schur = cho_factor(C @ SC)
+    try:
+        schur = cho_factor(C @ SC)
+    except np.linalg.LinAlgError as err:
+        raise SolverFailure(f"complement constraint Schur factorization failed: {err}") from None
 
     def constrained_solve(rhs):
         # saddle-point solve of gram_s x = rhs + C^T mu, C x = 0

@@ -14,6 +14,7 @@ the THERMOVISC_OUT environment variable (output dir only).
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
 from pathlib import Path
@@ -98,15 +99,15 @@ def _echo_config(cfg, outdir: Path):
     (outdir / "effective_config.json").write_text(canonical_json(cfg))
 
 
-def build_problem(cfg):
-    """Mesh, operators, basis and modal system for the configured problem."""
+def build_operators(cfg):
+    """Mesh and assembled operators of the configured problem."""
     mesh = build_mesh(cfg["mesh"]["dim"], cfg["mesh"]["extents"], cfg["mesh"]["cells"])
-    D = make_elasticity(cfg)
-    ops = assemble(mesh, D)
+    return assemble(mesh, make_elasticity(cfg))
+
+
+def _build_basis(cfg, ops):
     disc = cfg["discretization"]
-    basis = build_basis(ops, disc["k"], disc["l"], space=disc["complement_space"])
-    system = ModalSystem(ops, basis, make_law(cfg))
-    return mesh, ops, basis, system
+    return build_basis(ops, disc["k"], disc["l"], space=disc["complement_space"])
 
 
 def _evolution_config(cfg) -> EvolutionConfig:
@@ -133,6 +134,16 @@ def _build_lift_from_config(cfg, ops, times):
         gtheta_of_t=gth_of_t if gth_on else None,
         theta_tilde0=make_theta_tilde0(cfg, mesh),
     )
+
+
+def prepare_run(cfg, ops):
+    """Modal system, evolution config, lift and initial state of one run."""
+    system = ModalSystem(ops, _build_basis(cfg, ops), make_law(cfg))
+    evo = _evolution_config(cfg)
+    lifted = _build_lift_from_config(cfg, ops, evo.dt * np.arange(evo.n_steps + 1))
+    theta0_hom = make_theta0(cfg, ops.mesh) - lifted.theta_tilde[0]
+    state0 = initialize(system, theta0_hom, make_epsp0(cfg, ops, system.fields), evo)
+    return system, evo, lifted, state0
 
 
 def _snapshot(cfg, outdir, chash, system, fields, step_index):
@@ -168,15 +179,8 @@ def run_simulation(cfg, outdir: Path, quiet=True):
     """Full cmd_run pipeline; returns (checks, monitor summary, run result)."""
     chash = config_hash(cfg)
     _echo_config(cfg, outdir)
-    _, ops, basis, system = build_problem(cfg)
-    evo = _evolution_config(cfg)
-    times = evo.dt * np.arange(evo.n_steps + 1)
-    lifted = _build_lift_from_config(cfg, ops, times)
-
-    theta_hat0 = make_theta0(cfg, ops.mesh)
-    theta0_hom = theta_hat0 - lifted.theta_tilde0
-    epsp0 = make_epsp0(cfg, ops, system.fields)
-    state0 = initialize(system, theta0_hom, epsp0, evo)
+    ops = build_operators(cfg)
+    system, evo, lifted, state0 = prepare_run(cfg, ops)
 
     law = system.law
     monitor = AprioriMonitor(
@@ -293,7 +297,8 @@ def cmd_certify(cfg, outdir: Path, quiet=True) -> int:
 def cmd_basis(cfg, outdir: Path, quiet=True) -> int:
     chash = config_hash(cfg)
     _echo_config(cfg, outdir)
-    _, ops, basis, _ = build_problem(cfg)
+    ops = build_operators(cfg)
+    basis = _build_basis(cfg, ops)
     rep = basis_invariant_report(ops, basis)
     norm = projection_norm_check(basis, n_fields=1000, seed=cfg["seed"])
     dump_basis(outdir / "basis.npz", basis)
@@ -317,29 +322,17 @@ def cmd_basis(cfg, outdir: Path, quiet=True) -> int:
 
 def _terminal_fields(cfg, ops, k, l):
     """One ladder run at basis sizes (k, l); returns terminal physical fields."""
-    import copy
-
     sub = copy.deepcopy(cfg)
-    sub["discretization"]["k"] = int(k)
-    sub["discretization"]["l"] = int(l)
-    disc = sub["discretization"]
-    basis = build_basis(ops, disc["k"], disc["l"], space=disc["complement_space"])
-    system = ModalSystem(ops, basis, make_law(sub))
-    evo = _evolution_config(sub)
-    times = evo.dt * np.arange(evo.n_steps + 1)
-    lifted = _build_lift_from_config(sub, ops, times)
-    theta0_hom = make_theta0(sub, ops.mesh) - lifted.theta_tilde0
-    state0 = initialize(system, theta0_hom, make_epsp0(sub, ops, system.fields), evo)
+    sub["discretization"].update(k=int(k), l=int(l))
+    system, evo, lifted, state0 = prepare_run(sub, ops)
     result = run(system, state0, lifted, evo)
-    fields = reconstruct_fields(system, result.final_state, lifted, evo.n_steps)
-    return fields
+    return reconstruct_fields(system, result.final_state, lifted, evo.n_steps)
 
 
 def cmd_converge(cfg, outdir: Path, quiet=True) -> int:
     chash = config_hash(cfg)
     _echo_config(cfg, outdir)
-    mesh = build_mesh(cfg["mesh"]["dim"], cfg["mesh"]["extents"], cfg["mesh"]["cells"])
-    ops = assemble(mesh, make_elasticity(cfg))
+    ops = build_operators(cfg)
     ladder = [(int(k), int(l)) for k, l in cfg["converge"]["ladder"]]
     fields = {pair: _terminal_fields(cfg, ops, *pair) for pair in ladder}
     finest = ladder[-1]

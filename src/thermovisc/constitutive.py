@@ -1,8 +1,10 @@
 """Temperature-dependent monotone constitutive laws for the inelastic strain rate.
 
 Each law maps (theta, Td) to a traceless strain rate, evaluated on arrays by
-``evaluate_many(theta, td)`` with (n,) temperatures and (n, 6) deviators, and
-declares the constants of its monotonicity / growth / coercivity certificate:
+``evaluate_many(theta, td, y=None)`` with (n,) temperatures and (n, 6)
+deviators; ``y`` is the hardening field of a hardening law and is ignored by
+the others.  Each law declares the constants of its monotonicity / growth /
+coercivity certificate:
 
     monotonicity   (G(th,T1) - G(th,T2)) : (T1 - T2) >= 0
     growth         |G(th,Td)| <= C (1 + |Td|)^(p-1)
@@ -51,7 +53,7 @@ class NortonHoff:
         self.beta_coercivity = float(c)
         self.name = f"norton_hoff(c={c}, p={p})"
 
-    def evaluate_many(self, theta, td):
+    def evaluate_many(self, theta, td, y=None):
         td = np.asarray(td, dtype=float)
         _check_finite(theta, td)
         if self.p == 2.0:
@@ -107,7 +109,7 @@ class Mroz:
 
         return cls(g, float(values.min()), float(values.max()), theta_min=float(thetas[0]))
 
-    def evaluate_many(self, theta, td):
+    def evaluate_many(self, theta, td, y=None):
         td = np.asarray(td, dtype=float)
         theta = np.asarray(theta, dtype=float)
         _check_finite(theta, td)
@@ -171,8 +173,10 @@ class BodnerPartom:
         """Vectorized explicit hardening update on quadrature-point arrays."""
         if not (dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt}")
-        rate = self.gamma0 * self.g0 * (td_norm / y) ** self.m * td_norm - self.A * self.delta0
-        y_new = y + dt * rate
+        # an overflow here is a domain exit, reported below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate = self.gamma0 * self.g0 * (td_norm / y) ** self.m * td_norm - self.A * self.delta0
+            y_new = y + dt * rate
         if not np.all(np.isfinite(y_new)):
             raise DomainExit("hardening update produced non-finite values")
         return np.clip(y_new, self.y_min, self.y_max)
@@ -221,12 +225,6 @@ def _random_deviators(rng, n: int, radius: float) -> np.ndarray:
     return (target / norms)[:, None] * raw
 
 
-def _eval(law, theta, td, y=None):
-    if isinstance(law, BodnerPartom):
-        return law.evaluate_many(theta, td, y=y)
-    return law.evaluate_many(theta, td)
-
-
 def certify_assumption1(
     law,
     sample_count: int = 10_000,
@@ -251,8 +249,8 @@ def certify_assumption1(
     anchors = np.asarray(theta_values, dtype=float)
     theta[: anchors.size] = anchors
 
-    g1 = _eval(law, theta, t1)
-    g2 = _eval(law, theta, t2)
+    g1 = law.evaluate_many(theta, t1)
+    g2 = law.evaluate_many(theta, t2)
 
     mono = dot6(g1 - g2, t1 - t2)
     i_mono = int(np.argmin(mono))
@@ -275,7 +273,7 @@ def certify_assumption1(
     by_theta = {}
     for ta in theta_values:
         th = np.full(n, float(ta))
-        ga = _eval(law, th, t1)
+        ga = law.evaluate_many(th, t1)
         ca = dot6(ga, t1)[mask] / r1[mask] ** pexp
         by_theta[float(ta)] = {
             "growth_ratio_max": float(np.max(norm6(ga) / (1.0 + r1) ** (pexp - 1.0))),

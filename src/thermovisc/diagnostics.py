@@ -192,10 +192,7 @@ def collect_row(system, state, lifted, step_index: int, report=None) -> Diagnost
 def _initial_dissipation(system, state, lifted, step_index: int) -> float:
     theta_q = system.theta_quad(state.beta) + lifted.theta_tilde_quad[step_index]
     td = system.stress_dev(state.delta, lifted.combine(lifted.T_tilde_dev, step_index))
-    if state.y_quad is not None:
-        G = system.law.evaluate_many(theta_q, td, y=state.y_quad)
-    else:
-        G = system.law.evaluate_many(theta_q, td)
+    G = system.law.evaluate_many(theta_q, td, y=state.y_quad)
     return float(system.ops.wq @ dot6(td, G))
 
 

@@ -103,15 +103,6 @@ class SimState:
         if self.y_quad is not None and not np.all(np.isfinite(self.y_quad)):
             raise StateCorrupt("non-finite hardening field")
 
-    def copy(self) -> "SimState":
-        return SimState(
-            t=self.t,
-            beta=self.beta.copy(),
-            gamma=self.gamma.copy(),
-            delta=self.delta.copy(),
-            y_quad=None if self.y_quad is None else self.y_quad.copy(),
-        )
-
 
 @dataclass
 class StepReport:
@@ -270,10 +261,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
         # a far extrapolation fails the solve (and so halves dt) before the law
         if not (np.isfinite(Td).all() and np.isfinite(theta_q).all()):
             raise diverged()
-        if state.y_quad is not None:
-            G = law.evaluate_many(theta_q, Td, y=state.y_quad)
-        else:
-            G = law.evaluate_many(theta_q, Td)
+        G = law.evaluate_many(theta_q, Td, y=state.y_quad)
         wG = (wq_col * G).ravel()
         pz = system.D_zeta_rows @ wG
         diss = dot6(Td, G)

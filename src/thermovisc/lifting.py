@@ -39,7 +39,6 @@ class LiftedFields:
     T_tilde_dev: np.ndarray = field(repr=False)
     theta_tilde: np.ndarray = field(repr=False)  # (nt, n)
     theta_tilde_quad: np.ndarray = field(repr=False)
-    theta_tilde0: np.ndarray = field(repr=False)
     flux_integral: np.ndarray = field(repr=False)  # int g_theta ds per sample
 
     def combine(self, bases: np.ndarray, step: int) -> np.ndarray:
@@ -84,8 +83,11 @@ def solve_elastic_lift(ops: AssembledOperators, f_nodal=None, g_boundary=None):
     free = ops.interior_dofs
     u = g_lift.ravel().copy()
     if free.size:
-        kff = ops.K_D[free][:, free].tocsc()
-        u[free] += splu(kff).solve(rhs[free])
+        try:
+            lu = splu(ops.K_D[free][:, free].tocsc())
+        except RuntimeError as err:
+            raise SolverFailure(f"elastic lift factorization failed: {err}") from None
+        u[free] += lu.solve(rhs[free])
         res = np.linalg.norm((ops.K_D @ u - ops.M_u @ f_nodal.ravel())[free])
         scale = max(np.linalg.norm(rhs[free]), 1e-30)
         if res > 1e-10 * max(scale, 1.0):
@@ -124,7 +126,12 @@ def solve_heat_lift(ops: AssembledOperators, g_flux, theta0, times):
         dt = float(times[i + 1] - times[i])
         lu = lus.get(dt)
         if lu is None:
-            lu = lus[dt] = splu((sp.diags(ops.M_lumped) + dt * ops.K_theta).tocsc())
+            try:
+                lu = lus[dt] = splu((sp.diags(ops.M_lumped) + dt * ops.K_theta).tocsc())
+            except RuntimeError as err:
+                raise SolverFailure(
+                    f"heat lift factorization failed at step {i + 1}: {err}"
+                ) from None
         b = ops.M_lumped * out[i] + dt * (ops.B_boundary @ g_flux[i + 1])
         out[i + 1] = lu.solve(b)
         res = np.linalg.norm(
@@ -201,7 +208,6 @@ def build_lift(
         T_tilde_dev=dev6(T_b),
         theta_tilde=theta,
         theta_tilde_quad=theta_q,
-        theta_tilde0=theta0,
         flux_integral=flux,
     )
 

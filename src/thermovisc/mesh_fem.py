@@ -1,26 +1,60 @@
 """Structured box meshes, first-order elements, and assembled operators.
 
 Domains are axis-aligned boxes meshed with uniform Q1 quads (2D, plane
-strain) or hexes (3D).  Tensor-product 2-point Gauss quadrature is exact
-for every polynomial integrand these elements produce, so the assembled
-bilinear forms and all quadrature sums downstream are exact discrete inner
-products.  In 2D the tensor algebra stays three dimensional: in-plane
-displacement gradients occupy the (11, 22, 12) slots and the 33 slot is
-populated by the elasticity map and the inelastic strain only.
+strain) or hexes (3D); one code path serves d = 2 and 3.  Node (i_1, .., i_d)
+has id i_1 + (n_1+1) (i_2 + (n_2+1) i_3), so the first axis is fastest, and
+cells are numbered the same way.  A cell lists its corners in ``_CORNERS``
+order: counterclockwise in the x-y plane, and in 3D the z = 0 layer before
+the z = 1 layer.  Tensor-product 2-point Gauss quadrature is exact for every
+polynomial integrand these elements produce, so the assembled bilinear
+forms and all quadrature sums downstream are exact discrete inner products.
+The boundary mass is the exact Q1 mass of the (d-1)-dimensional boundary
+faces (edges in 2D, quads in 3D).  In 2D the tensor algebra stays three
+dimensional: in-plane displacement gradients occupy the (11, 22, 12) slots
+and the 33 slot is populated by the elasticity map and the inelastic strain
+only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha256
+from itertools import combinations
+from math import prod
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import BadConfig, DimensionMismatch
-from .tensor import SQRT2, ElasticityTensor
+from .tensor import SQRT2, VOIGT_PAIRS, ElasticityTensor
 
 _GAUSS1D = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
+
+_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]  # counterclockwise
+
+#: corner offsets of the reference cell of each dimension, in local node order
+_CORNERS = {
+    1: np.array([[0], [1]]),
+    2: np.array(_SQUARE),
+    3: np.array([corner + [z] for z in (0, 1) for corner in _SQUARE]),
+}
+
+
+def _node_strides(cells) -> np.ndarray:
+    """Id step of one node along each axis of a grid of ``cells`` cells."""
+    return np.cumprod((1,) + tuple(c + 1 for c in cells[:-1]))
+
+
+def _grid_elements(cells, strides) -> np.ndarray:
+    """Node ids (n_cells, 2**d) of the cells of a structured grid.
+
+    ``cells[a]`` cells lie along axis a, and a step along that axis moves
+    ``strides[a]`` ids in the node numbering.  Cells come first axis fastest,
+    each with its corners in ``_CORNERS`` order.
+    """
+    index = np.meshgrid(*[np.arange(c) for c in cells], indexing="ij")
+    first = sum(s * i.ravel(order="F") for s, i in zip(strides, index))
+    return first[:, None] + _CORNERS[len(cells)] @ np.asarray(strides)
 
 
 @dataclass(frozen=True)
@@ -54,11 +88,8 @@ class BoxMesh:
 
     @property
     def boundary_measure(self) -> float:
-        if self.dim == 2:
-            lx, ly = self.extents
-            return 2.0 * (lx + ly)
-        lx, ly, lz = self.extents
-        return 2.0 * (lx * ly + lx * lz + ly * lz)
+        # the faces come in pairs, one pair per choice of dim - 1 axes
+        return 2.0 * sum(prod(axes) for axes in combinations(self.extents, self.dim - 1))
 
     def content_hash(self) -> str:
         key = f"dim={self.dim};extents={tuple(self.extents)};cells={tuple(self.cells)}"
@@ -79,48 +110,9 @@ def build_mesh(dim: int, extents, cells) -> BoxMesh:
         raise BadConfig(f"need at least one cell per axis, got {cells}")
 
     axes = [np.linspace(0.0, extents[a], cells[a] + 1) for a in range(dim)]
-    shape = tuple(c + 1 for c in cells)
     grids = np.meshgrid(*axes, indexing="ij")
-    # node id = i + (nx+1) * (j + (ny+1) * k): x index fastest
     nodes = np.stack([g.ravel(order="F") for g in grids], axis=1)
-
-    def nid(idx):
-        out = idx[0]
-        stride = shape[0]
-        for a in range(1, dim):
-            out = out + stride * idx[a]
-            stride *= shape[a]
-        return out
-
-    if dim == 2:
-        nx, ny = cells
-        i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        i = i.ravel(order="F")
-        j = j.ravel(order="F")
-        conn = np.stack(
-            [nid((i, j)), nid((i + 1, j)), nid((i + 1, j + 1)), nid((i, j + 1))], axis=1
-        )
-    else:
-        nx, ny, nz = cells
-        i, j, k = np.meshgrid(
-            np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-        )
-        i = i.ravel(order="F")
-        j = j.ravel(order="F")
-        k = k.ravel(order="F")
-        conn = np.stack(
-            [
-                nid((i, j, k)),
-                nid((i + 1, j, k)),
-                nid((i + 1, j + 1, k)),
-                nid((i, j + 1, k)),
-                nid((i, j, k + 1)),
-                nid((i + 1, j, k + 1)),
-                nid((i + 1, j + 1, k + 1)),
-                nid((i, j + 1, k + 1)),
-            ],
-            axis=1,
-        )
+    conn = _grid_elements(cells, _node_strides(cells))
 
     names = ["x_min", "x_max", "y_min", "y_max", "z_min", "z_max"][: 2 * dim]
     faces = {}
@@ -147,23 +139,8 @@ def build_mesh(dim: int, extents, cells) -> BoxMesh:
 
 
 def _reference_element(dim: int):
-    """Corner signs, Gauss points, shape values and reference gradients."""
-    if dim == 2:
-        signs = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-    else:
-        signs = np.array(
-            [
-                [-1, -1, -1],
-                [1, -1, -1],
-                [1, 1, -1],
-                [-1, 1, -1],
-                [-1, -1, 1],
-                [1, -1, 1],
-                [1, 1, 1],
-                [-1, 1, 1],
-            ],
-            dtype=float,
-        )
+    """Shape values and reference gradients at the Gauss points."""
+    signs = 2.0 * _CORNERS[dim] - 1.0
     pts = np.array(np.meshgrid(*([_GAUSS1D] * dim), indexing="ij")).reshape(dim, -1).T
     nnc = signs.shape[0]
     nqc = pts.shape[0]
@@ -176,7 +153,7 @@ def _reference_element(dim: int):
             for j in range(dim):
                 others = np.prod(np.delete(terms, j))
                 dN[q, j, a] = (signs[a, j] / 2.0) * others
-    return signs, pts, N, dN
+    return N, dN
 
 
 class AssembledOperators:
@@ -192,7 +169,7 @@ class AssembledOperators:
         self.D = D
         dim = mesh.dim
         nnc = mesh.conn.shape[1]
-        _, qref, N_ref, dN_ref = _reference_element(dim)
+        N_ref, dN_ref = _reference_element(dim)
         h = np.asarray(mesh.spacing)
         detJ = float(np.prod(h / 2.0))
         # physical-gradient tables; uniform cells share them
@@ -201,9 +178,6 @@ class AssembledOperators:
         self.nqc = N_ref.shape[0]
         nq_total = mesh.n_cells * self.nqc
         self.wq = np.full(nq_total, detJ)
-        # global quadrature coordinates
-        xq = np.einsum("qa,ead->eqd", N_ref, mesh.nodes[mesh.conn])
-        self.qpoints = xq.reshape(nq_total, dim)
 
         n = mesh.n_nodes
         me = detJ * np.einsum("qa,qb->ab", N_ref, N_ref)
@@ -220,27 +194,18 @@ class AssembledOperators:
         self.M_lumped = np.asarray(self.M_theta.sum(axis=1)).ravel()
 
         # elasticity: B maps cell displacement dofs (node-major) to Voigt strain
-        B = np.zeros((self.nqc, 6, nnc * dim))
+        B = np.zeros((self.nqc, 6, nnc, dim))
+        g = self.dNdx_ref
         s = 1.0 / SQRT2
-        for q in range(self.nqc):
-            g = self.dNdx_ref[q]
-            for a in range(nnc):
-                B[q, 0, a * dim + 0] = g[0, a]
-                B[q, 1, a * dim + 1] = g[1, a]
-                B[q, 3, a * dim + 0] = s * g[1, a]
-                B[q, 3, a * dim + 1] = s * g[0, a]
-                if dim == 3:
-                    B[q, 2, a * dim + 2] = g[2, a]
-                    B[q, 4, a * dim + 0] = s * g[2, a]
-                    B[q, 4, a * dim + 2] = s * g[0, a]
-                    B[q, 5, a * dim + 1] = s * g[2, a]
-                    B[q, 5, a * dim + 2] = s * g[1, a]
-        self._B_ref = B
+        for slot, i, j in VOIGT_PAIRS:
+            if j < dim:
+                B[:, slot, :, i] = g[:, i] if i == j else s * g[:, j]
+                B[:, slot, :, j] = g[:, j] if i == j else s * g[:, i]
+        B = B.reshape(self.nqc, 6, nnc * dim)
         kde = detJ * np.einsum("qia,ij,qjb->ab", B, D.voigt, B)
         dof_conn = (mesh.conn[:, :, None] * dim + np.arange(dim)[None, None, :]).reshape(
             mesh.n_cells, nnc * dim
         )
-        self.dof_conn = dof_conn
         drows = np.repeat(dof_conn, nnc * dim, axis=1).ravel()
         dcols = np.tile(dof_conn, (1, nnc * dim)).ravel()
         ndof = n * dim
@@ -259,72 +224,28 @@ class AssembledOperators:
     # -- boundary -----------------------------------------------------------
 
     def _assemble_boundary_mass(self) -> sp.csr_matrix:
+        """Exact Q1 mass of the boundary faces, taken for each axis at its low
+        then its high end.  This face order fixes the summation order where
+        faces share a node, and so the bits of the matrix."""
         mesh = self.mesh
-        n = mesh.n_nodes
+        dim = mesh.dim
+        strides = _node_strides(mesh.cells)
+        corners = _CORNERS[dim - 1]
+        # the 1D Q1 mass is h [[2, 1], [1, 2]] / 6; a face's is its tensor product
+        ref = np.prod(1 + (corners[:, None] == corners[None, :]), axis=2) / 6.0 ** (dim - 1)
         rows, cols, vals = [], [], []
-
-        def add(elem_nodes, me):
-            nn = elem_nodes.shape[1]
-            r = np.repeat(elem_nodes, nn, axis=1).ravel()
-            c = np.tile(elem_nodes, (1, nn)).ravel()
-            rows.append(r)
-            cols.append(c)
-            vals.append(np.tile(me.ravel(), elem_nodes.shape[0]))
-
-        shape = tuple(c + 1 for c in mesh.cells)
-
-        def nid(idx):
-            out = idx[0]
-            stride = shape[0]
-            for a in range(1, mesh.dim):
-                out = out + stride * idx[a]
-                stride *= shape[a]
-            return out
-
-        if mesh.dim == 2:
-            nx, ny = mesh.cells
-            hx, hy = mesh.spacing
-            seg = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-            i = np.arange(nx)
-            for j, hname in ((0, "y_min"), (ny, "y_max")):
-                e = np.stack([nid((i, np.full_like(i, j))), nid((i + 1, np.full_like(i, j)))], 1)
-                add(e, hx * seg)
-            j = np.arange(ny)
-            for i0 in (0, nx):
-                e = np.stack([nid((np.full_like(j, i0), j)), nid((np.full_like(j, i0), j + 1))], 1)
-                add(e, hy * seg)
-        else:
-            nx, ny, nz = mesh.cells
-            hx, hy, hz = mesh.spacing
-            quad = (
-                np.array(
-                    [[4, 2, 1, 2], [2, 4, 2, 1], [1, 2, 4, 2], [2, 1, 2, 4]], dtype=float
+        for a in range(dim):
+            tangential = [b for b in range(dim) if b != a]
+            h = np.prod([mesh.spacing[b] for b in tangential])
+            for end in (0, mesh.cells[a]):
+                elems = end * strides[a] + _grid_elements(
+                    [mesh.cells[b] for b in tangential], strides[tangential]
                 )
-                / 36.0
-            )
-
-            def face(fixed_axis, fixed_val, ua, ub, na, nb, ha, hb):
-                ia, ib = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
-                ia = ia.ravel()
-                ib = ib.ravel()
-
-                def build(da, db):
-                    idx = [None] * 3
-                    idx[fixed_axis] = np.full_like(ia, fixed_val)
-                    idx[ua] = ia + da
-                    idx[ub] = ib + db
-                    return nid(tuple(idx))
-
-                e = np.stack([build(0, 0), build(1, 0), build(1, 1), build(0, 1)], 1)
-                add(e, ha * hb * quad)
-
-            face(0, 0, 1, 2, ny, nz, hy, hz)
-            face(0, nx, 1, 2, ny, nz, hy, hz)
-            face(1, 0, 0, 2, nx, nz, hx, hz)
-            face(1, ny, 0, 2, nx, nz, hx, hz)
-            face(2, 0, 0, 1, nx, ny, hx, hy)
-            face(2, nz, 0, 1, nx, ny, hx, hy)
-
+                nn = elems.shape[1]
+                rows.append(np.repeat(elems, nn, axis=1).ravel())
+                cols.append(np.tile(elems, (1, nn)).ravel())
+                vals.append(np.tile((h * ref).ravel(), elems.shape[0]))
+        n = mesh.n_nodes
         return sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
         ).tocsr()
@@ -351,13 +272,9 @@ class AssembledOperators:
         nq = grad.shape[0] * grad.shape[1]
         g = grad.reshape(nq, dim, dim)
         out = np.zeros((nq, 6))
-        out[:, 0] = g[:, 0, 0]
-        out[:, 1] = g[:, 1, 1]
-        out[:, 3] = (g[:, 0, 1] + g[:, 1, 0]) / SQRT2
-        if dim == 3:
-            out[:, 2] = g[:, 2, 2]
-            out[:, 4] = (g[:, 0, 2] + g[:, 2, 0]) / SQRT2
-            out[:, 5] = (g[:, 1, 2] + g[:, 2, 1]) / SQRT2
+        for slot, i, j in VOIGT_PAIRS:
+            if j < dim:
+                out[:, slot] = g[:, i, i] if i == j else (g[:, i, j] + g[:, j, i]) / SQRT2
         return out
 
     def scalar_interp_matrix(self) -> sp.csr_matrix:

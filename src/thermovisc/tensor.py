@@ -24,6 +24,9 @@ SQRT2 = float(np.sqrt(2.0))
 #: unit vector along the identity direction in weighted Voigt coordinates
 VOIGT_TRACE = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
+#: (slot, i, j): the Voigt slot of the tensor entry a_ij, i <= j
+VOIGT_PAIRS = ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, 1), (4, 0, 2), (5, 1, 2))
+
 
 # ---------------------------------------------------------------------------
 # array helpers: the hot paths work on (..., 6) weighted-Voigt arrays
@@ -93,7 +96,6 @@ class ElasticityTensor:
         if eigvals[0] <= 0.0:
             raise BadData(f"elasticity matrix not positive definite (min eig {eigvals[0]:.3e})")
         self.c0 = float(eigvals[0])
-        self.bound = float(eigvals[-1])
 
     @classmethod
     def isotropic(cls, lam: float, mu: float) -> "ElasticityTensor":

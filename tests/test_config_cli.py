@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from thermovisc import basis, lifting
 from thermovisc.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, main
 from thermovisc.config import (
     config_hash,
@@ -14,7 +16,9 @@ from thermovisc.config import (
     make_law,
     validate_config,
 )
-from thermovisc.errors import ParseError, ValidationError
+from thermovisc.errors import ParseError, SolverFailure, ValidationError
+from thermovisc.mesh_fem import assemble, build_mesh
+from thermovisc.tensor import ElasticityTensor
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -392,6 +396,64 @@ def test_complement_factorization_failure_is_solver_failure(monkeypatch):
         basis_mod.complement_strain_basis(ops, W, 2)
 
 
+def _raises(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+def _complement_solve(ops):
+    W, _ = basis.displacement_eigenbasis(ops, 2)
+    return basis.complement_strain_basis(ops, W, 2)
+
+
+_SINGULAR = RuntimeError("Factor is exactly singular")
+_NOT_DEFINITE = np.linalg.LinAlgError("not positive definite")
+_NO_CONVERGENCE = ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), None)
+
+
+@pytest.mark.parametrize(
+    "target, error, solve, message",
+    [
+        ("basis.eigh", _NOT_DEFINITE, lambda ops: basis.displacement_eigenbasis(ops, 2),
+         "displacement eigensolve failed"),
+        ("basis.eigh", _NOT_DEFINITE, lambda ops: basis.temperature_eigenbasis(ops, 2),
+         "temperature eigensolve failed"),
+        ("basis.eigsh", _NO_CONVERGENCE, lambda ops: basis.temperature_eigenbasis(ops, 2),
+         "temperature eigensolve failed"),
+        ("basis.cho_factor", _NOT_DEFINITE, _complement_solve,
+         "complement constraint Schur factorization failed"),
+        ("lifting.splu", _SINGULAR, lambda ops: lifting.solve_elastic_lift(ops),
+         "elastic lift factorization failed"),
+        ("lifting.splu", _SINGULAR,
+         lambda ops: lifting.solve_heat_lift(ops, np.zeros((2, 16)), np.ones(16), [0.0, 0.1]),
+         "heat lift factorization failed at step 1"),
+    ],
+    ids=["displacement", "temperature", "temperature_arpack", "schur", "elastic_lift", "heat_lift"],
+)
+def test_setup_solver_failure_names_stage(monkeypatch, target, error, solve, message):
+    # a failing set-up factorization or eigensolve is a SolverFailure naming
+    # the stage (exit 3), never a library exception
+    ops = assemble(build_mesh(2, (1.0, 1.0), (3, 3)), ElasticityTensor.isotropic(1.0, 1.0))
+    if target == "basis.eigsh":
+        monkeypatch.setattr(basis, "DENSE_CUTOFF", 0)  # take the ARPACK path
+    monkeypatch.setattr(f"thermovisc.{target}", _raises(error))
+    with pytest.raises(SolverFailure, match=message):
+        solve(ops)
+
+
+def test_cli_run_lift_factorization_failure_exit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(lifting, "splu", _raises(_SINGULAR))
+    out = tmp_path / "o"
+    code = main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--out", str(out), "--quiet"])
+    assert code == EXIT_SOLVER
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] is True
+    assert "elastic lift factorization failed" in summary["failure"]
+
+
 @pytest.mark.parametrize("k, l", [(50, 2), (1, 50)])
 def test_cli_basis_size_out_of_range_exit(tmp_path, capsys, k, l):
     # more modes than the mesh has dofs is a config error, not a traceback
@@ -420,8 +482,7 @@ def test_cli_hardening_domain_exit(tmp_path):
         "discretization": {"k": 2, "l": 2, "dt": 1e-3, "n_steps": 2},
     }
     cfg_path = write_cfg(tmp_path, payload)
-    with np.errstate(over="ignore"):
-        code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"])
+    code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_SOLVER
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["failed"] is True

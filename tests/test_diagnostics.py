@@ -195,7 +195,7 @@ def _parity_case(name):
         )
         assert lift.factors.shape[1] == 2
     epsp0 = 0.3 * system.fields.zeta[0] - 0.2 * system.fields.zeta[2]
-    theta0 = np.full(ops.n_nodes, 1.5) - lift.theta_tilde0
+    theta0 = np.full(ops.n_nodes, 1.5) - lift.theta_tilde[0]
     return system, initialize(system, theta0, epsp0, cfg), lift, cfg
 
 

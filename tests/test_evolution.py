@@ -149,7 +149,7 @@ def test_truncation_inactive_equivalence():
     out = []
     for level in (1e3, 1e30):
         cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n, truncation_level=level)
-        res = run(sys_, st.copy(), lift, cfg)
+        res = run(sys_, st, lift, cfg)
         out.append(np.concatenate([res.gamma[-1], res.delta[-1], res.beta[-1]]))
     assert np.abs(out[0] - out[1]).max() <= 1e-12
 
@@ -160,8 +160,8 @@ def test_run_deterministic():
     cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n)
     lift = zero_lift(sys_.ops, grid(dt, n))
     st = make_state(0.0, np.zeros(2), [0.1, 0.0, -0.08], [1.0, 0.1, 0.0])
-    r1 = run(sys_, st.copy(), lift, cfg)
-    r2 = run(sys_, st.copy(), lift, cfg)
+    r1 = run(sys_, st, lift, cfg)
+    r2 = run(sys_, st, lift, cfg)
     assert np.array_equal(r1.delta, r2.delta)
     assert np.array_equal(r1.beta, r2.beta)
 
@@ -269,7 +269,7 @@ def test_non_finite_iterate_fails_before_the_law(name, value):
     sys_ = make_system(law=law)
     calls = []
     evaluate = law.evaluate_many
-    law.evaluate_many = lambda *args: calls.append(1) or evaluate(*args)
+    law.evaluate_many = lambda *args, **kwargs: calls.append(1) or evaluate(*args, **kwargs)
     cfg = EvolutionConfig(k=2, l=3, dt=1e-2, n_steps=1)
     st = make_state(0.0, np.zeros(2), np.zeros(3), np.zeros(3))
     getattr(st, name)[0] = value

@@ -60,6 +60,56 @@ def test_boundary_classification():
     assert corners.sum() == 1
 
 
+def test_conn_numbering():
+    # x fastest for nodes and cells; corners counterclockwise, bottom layer first
+    assert build_mesh(2, (2.0, 1.0), (2, 1)).conn.tolist() == [[0, 1, 4, 3], [1, 2, 5, 4]]
+    assert build_mesh(3, (1.0,) * 3, (1, 1, 1)).conn.tolist() == [[0, 1, 3, 2, 4, 5, 7, 6]]
+
+
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+CORNERS = {2: SQUARE, 3: [c + [0] for c in SQUARE] + [c + [1] for c in SQUARE]}
+ANISOTROPIC = [
+    ((1.0, 2.0), (3, 5)),
+    ((1.0, 2.0, 0.5), (2, 3, 2)),
+    ((0.7, 1.3, 2.1), (4, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("extents, cells", ANISOTROPIC)
+def test_conn_corner_geometry(extents, cells):
+    m = build_mesh(len(cells), extents, cells)
+    offsets = m.nodes[m.conn] - m.nodes[m.conn[:, :1]]
+    expect = np.asarray(CORNERS[m.dim]) * np.asarray(m.spacing)
+    assert np.allclose(offsets, expect[None], rtol=0.0, atol=1e-14)
+
+
+def _boundary_moment(extents, a, b):
+    """Exact integral of x_a x_b over the boundary of [0, L_1] x .. x [0, L_d]."""
+    total = 0.0
+    for c in range(len(extents)):
+        area = np.prod([L for t, L in enumerate(extents) if t != c])
+        for end in (0.0, extents[c]):
+            # mean over the face x_c = end of x_a x_b (tangential x_t is uniform)
+            if a == b:
+                mean = end**2 if a == c else extents[a] ** 2 / 3.0
+            else:
+                mean = np.prod([end if t == c else extents[t] / 2.0 for t in (a, b)])
+            total += area * mean
+    return total
+
+
+@pytest.mark.parametrize("extents, cells", ANISOTROPIC)
+def test_boundary_mass_second_moments(extents, cells):
+    # the Q1 face mass integrates products of the (linear) coordinates exactly
+    ops = assemble(build_mesh(len(cells), extents, cells), D)
+    X = ops.mesh.nodes
+    for a in range(ops.mesh.dim):
+        for b in range(ops.mesh.dim):
+            assert X[:, a] @ (ops.B_boundary @ X[:, b]) == pytest.approx(
+                _boundary_moment(extents, a, b), rel=1e-13
+            )
+
+
 @pytest.mark.parametrize("fix", ["ops2d", "ops3d"])
 def test_matrix_symmetry(fix, request):
     ops = request.getfixturevalue(fix)
