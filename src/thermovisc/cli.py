@@ -43,7 +43,7 @@ from .config import (
     make_theta_tilde0,
 )
 from .constitutive import CertificationFailure, certify_assumption1
-from .diagnostics import AprioriMonitor, EnergyReport, collect_row
+from .diagnostics import AprioriMonitor, EnergyReport, collect_row, lift_lp_integrals
 from .errors import (
     BadConfig,
     BadData,
@@ -186,6 +186,7 @@ def run_simulation(cfg, outdir: Path, quiet=True):
     monitor = AprioriMonitor(
         beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume
     )
+    lift_lp = lift_lp_integrals(ops, lifted, law.p)
     report = EnergyReport()
     cadence = cfg["output"]["cadence"]
 
@@ -203,9 +204,8 @@ def run_simulation(cfg, outdir: Path, quiet=True):
             if rep is None:
                 monitor.start(ops, e_hom, theta)
             else:
-                td_lift = lifted.combine(lifted.T_tilde_dev, i)
-                td = system.stress_dev(state.delta, td_lift)
-                monitor.update(ops, evo.dt, state.t, e_hom, td, td_lift, theta)
+                td = system.stress_dev(state.delta, lifted.combine(lifted.T_tilde_dev, i))
+                monitor.update(ops, evo.dt, state.t, e_hom, td, lift_lp(i), theta)
             if i % cadence == 0 or i == evo.n_steps:
                 fields = reconstruct_fields(system, state, lifted, i)
                 _snapshot(cfg, outdir, chash, system, fields, i)
@@ -323,7 +323,7 @@ def cmd_basis(cfg, outdir: Path, quiet=True) -> int:
 def _terminal_fields(cfg, ops, k, l):
     """One ladder run at basis sizes (k, l); returns terminal physical fields."""
     sub = copy.deepcopy(cfg)
-    sub["discretization"].update(k=int(k), l=int(l))
+    sub["discretization"].update(k=k, l=l)
     system, evo, lifted, state0 = prepare_run(sub, ops)
     result = run(system, state0, lifted, evo)
     return reconstruct_fields(system, result.final_state, lifted, evo.n_steps)
@@ -333,7 +333,7 @@ def cmd_converge(cfg, outdir: Path, quiet=True) -> int:
     chash = config_hash(cfg)
     _echo_config(cfg, outdir)
     ops = build_operators(cfg)
-    ladder = [(int(k), int(l)) for k, l in cfg["converge"]["ladder"]]
+    ladder = [tuple(pair) for pair in cfg["converge"]["ladder"]]
     fields = {pair: _terminal_fields(cfg, ops, *pair) for pair in ladder}
     finest = ladder[-1]
 

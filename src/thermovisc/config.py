@@ -1,16 +1,29 @@
 """Run configuration: JSON loading, validation, and object builders.
 
 A config is a single JSON file with nested sections (mesh, material, data,
-discretization, output).  Validation fills defaults, rejects unknown keys,
-and collects every violation with its field path instead of stopping at the
-first.  The canonical (sorted, defaults-filled) form of the config is what
-gets echoed next to run artifacts and hashed into their headers.
+discretization, certify, converge, output) and a seed.  ``SCHEMA`` states
+each key once, as ``key: (check, default)``.  A fixed section is a table of
+keys; a variant node (the elasticity model, the law and Mroz's ``g``, each
+data spec and its ``time`` factor) takes the table of its tag, and a key
+foreign to that table is rejected.
+
+Validation fills the defaults of the fixed sections, takes variant nodes
+wholesale, and collects every violation (unknown key, missing required key,
+failed check) with its field path instead of stopping at the first.  The
+canonical (sorted, defaults-filled) form of the config is what gets echoed
+next to run artifacts and hashed into their headers, so defaults of variant
+nodes are never written into it: the builders read them from the table.
+Law keys have no table default; ``make_law`` passes the given keys to the
+law constructor, whose signature holds the defaults.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import sys
+from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 
@@ -20,363 +33,264 @@ from .constitutive import BodnerPartom, Mroz, NortonHoff
 from .errors import BadData, ParseError, ValidationError
 from .tensor import ElasticityTensor, dev6
 
-DEFAULT_CONFIG = {
-    "mesh": {"dim": 2, "extents": [1.0, 1.0], "cells": [8, 8]},
-    "material": {
-        "elasticity": {"model": "isotropic", "lam": 1.0, "mu": 1.0},
-        "law": {"type": "norton_hoff", "c": 1.0, "p": 3.0},
-    },
-    "data": {
-        "f": {"preset": "zero"},
-        "g": {"preset": "zero"},
-        "g_theta": {"preset": "zero"},
-        "theta0": {"preset": "constant", "value": 1.0},
-        "epsp0": {"preset": "zero"},
-        "theta_tilde0": {"preset": "zero"},
-    },
-    "discretization": {
-        "k": 4,
-        "l": 4,
-        "dt": 1e-3,
-        "n_steps": 100,
-        "truncation_level": None,
-        "solver_tol": 1e-12,
-        "solver_max_iter": 200,
-        "complement_space": "deviatoric",
-    },
-    "certify": {"samples": 10000, "radius": 10.0, "thetas": [0.0, 1.0, 10.0, 100.0]},
-    "converge": {"ladder": [[4, 4], [8, 8], [16, 16]]},
-    "output": {"cadence": 10, "formats": ["csv"], "dir": "out"},
-    "seed": 0,
-}
+#: default of a key that must be given
+REQUIRED = object()
+#: default of a key that may be left out and gets no default from the table
+OPTIONAL = object()
 
-_LAW_KEYS = {
-    "norton_hoff": {"type", "c", "p"},
-    "mroz": {"type", "g"},
-    "bodner_partom": {
-        "type",
-        "g0",
-        "m",
-        "A",
-        "gamma0",
-        "delta0",
-        "y0",
-        "y_min",
-        "y_max",
-    },
-}
 
-_DATA_PRESETS = {
-    "f": {"zero", "constant", "polynomial"},
-    "g": {"zero", "affine"},
-    "g_theta": {"zero", "constant"},
-    "theta0": {"constant", "cosine"},
-    "epsp0": {"zero", "complement_mode", "gradient_mode", "constant_deviatoric"},
-    "theta_tilde0": {"zero", "constant"},
-}
+@dataclass(frozen=True)
+class _Variant:
+    """A node whose keys are those of ``cases[node[tag]]``."""
 
-_TIME_KINDS = {"constant", "ramp", "sinusoid", "csv"}
+    tag: str
+    cases: dict
 
 
 def _is_num(x):
-    """A finite JSON number; JSON ``NaN`` and ``Infinity`` are refused."""
-    if isinstance(x, bool):
-        return False
-    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
+    """A finite JSON number; NaN, Infinity and integers past the float range are refused."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-class _Checker:
-    def __init__(self):
-        self.errors = []
-
-    def fail(self, path, msg):
-        self.errors.append(f"{path}: {msg}")
-
-    def known_keys(self, path, d, allowed):
-        for key in d:
-            if key not in allowed:
-                self.fail(f"{path}.{key}", "unknown key")
-
-    def require(self, path, d, *keys):
-        ok = True
-        for key in keys:
-            if key not in d:
-                self.fail(f"{path}.{key}", "required key missing")
-                ok = False
-        return ok
-
-    def number(self, path, d, key, lo=None, hi=None, strict_lo=False, integer=False):
-        v = d.get(key)
-        if v is None:
-            return None
-        if not _is_num(v) or (integer and int(v) != v):
-            self.fail(f"{path}.{key}", f"expected {'an integer' if integer else 'a number'}")
-            return None
-        if lo is not None and (v <= lo if strict_lo else v < lo):
-            self.fail(f"{path}.{key}", f"must be {'>' if strict_lo else '>='} {lo}")
-            return None
-        if hi is not None and v > hi:
-            self.fail(f"{path}.{key}", f"must be <= {hi}")
-            return None
-        return v
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-# variant-typed nodes are replaced wholesale when the user provides them;
-# deep-merging defaults into them would mix fields across variants
-_REPLACE_PATHS = {
-    ("material", "law"),
-    ("material", "elasticity"),
-    ("data", "f"),
-    ("data", "g"),
-    ("data", "g_theta"),
-    ("data", "theta0"),
-    ("data", "epsp0"),
-    ("data", "theta_tilde0"),
-    ("converge", "ladder"),
+def _list_of(v, lo, hi=math.inf, item=_is_num):
+    return isinstance(v, list) and lo <= len(v) <= hi and all(item(x) for x in v)
+
+
+def _rule(msg, pred):
+    """A check: None when ``pred(value, ctx)`` holds, else ``msg`` filled in from ctx.
+
+    ``ctx`` holds the mesh ``dim`` and the basis sizes ``k`` and ``l`` (inf when invalid).
+    """
+    return lambda v, ctx: None if pred(v, ctx) else msg.format(**ctx)
+
+
+def _num(lo=None, strict=False, integer=False):
+    bound = "" if lo is None else f" {'>' if strict else '>='} {lo}"
+    return _rule(
+        f"expected {'an integer' if integer else 'a number'}{bound}",
+        lambda v, ctx: (_is_int(v) if integer else _is_num(v))
+        and (lo is None or (v > lo if strict else v >= lo)),
+    )
+
+
+def _one_of(*choices):
+    return _rule(
+        f"must be one of {list(choices)}",
+        lambda v, ctx: any(type(v) is type(c) and v == c for c in choices),
+    )
+
+
+def _index(size):
+    return _rule(
+        "expected an integer in [0, {%s})" % size, lambda v, ctx: _is_int(v) and 0 <= v < ctx[size]
+    )
+
+
+_NUM, _POS, _NONNEG = _num(), _num(0, strict=True), _num(0)
+_COUNT, _DIM = _num(1, integer=True), _one_of(2, 3)
+_STR = _rule("expected a string", lambda v, ctx: isinstance(v, str))
+_TABLE = _rule("expected a numeric list, length >= 2", lambda v, ctx: _list_of(v, 2))
+_FORCE = _rule(
+    "expected a numeric list of length >= {dim}", lambda v, ctx: _list_of(v, ctx["dim"])
+)
+
+_TIME = _Variant("kind", {
+    "constant": {},
+    "ramp": {"slope": (_NUM, 1.0), "intercept": (_NUM, 0.0)},
+    "sinusoid": {"amplitude": (_NUM, 1.0), "omega": (_NUM, 1.0), "phase": (_NUM, 0.0)},
+    "csv": {"path": (_STR, REQUIRED)},
+})
+_TIMED = {"time": (_TIME, OPTIONAL)}  # only f, g and g_theta vary in time
+
+_THETA0 = _Variant("preset", {
+    "constant": {"value": (_NUM, REQUIRED)},
+    # mean + amplitude * prod_a cos(pi modes[a] x_a / extents[a]); the default
+    # is mode 1 on every axis
+    "cosine": {
+        "mean": (_NUM, 1.0),
+        "amplitude": (_NUM, 0.1),
+        "modes": (_rule("expected a numeric list of length {dim}",
+                        lambda v, ctx: _list_of(v, ctx["dim"], ctx["dim"])), 1),
+    },
+})
+
+_EPSP0 = _Variant("preset", {
+    "zero": {},
+    "complement_mode": {"index": (_index("l"), 0), "amplitude": (_NUM, 0.1)},
+    "gradient_mode": {"index": (_index("k"), 0), "amplitude": (_NUM, 0.1)},
+    "constant_deviatoric": {
+        "value": (_rule("expected a numeric 6-vector", lambda v, ctx: _list_of(v, 6, 6)), REQUIRED)
+    },
+})
+
+_LAW = _Variant("type", {
+    "norton_hoff": {"c": (_POS, REQUIRED), "p": (_num(2), REQUIRED)},
+    "mroz": {"g": (_Variant("kind", {
+        "constant": {"value": (_NUM, REQUIRED)},
+        "lorentz": {
+            "amplitude": (_NONNEG, REQUIRED), "offset": (_POS, REQUIRED), "width": (_POS, OPTIONAL)
+        },
+        "table": {"thetas": (_TABLE, REQUIRED), "values": (_TABLE, REQUIRED)},
+    }), REQUIRED)},
+    "bodner_partom": {
+        "g0": (_POS, OPTIONAL), "m": (_num(1), OPTIONAL),
+        **{key: (_NONNEG, OPTIONAL) for key in ("A", "gamma0", "delta0")},
+        **{key: (_POS, OPTIONAL) for key in ("y0", "y_min", "y_max")},
+    },
+})
+
+SCHEMA = {
+    "mesh": ({
+        "dim": (_DIM, 2),
+        "extents": (_rule("expected a list of {dim} positive numbers", lambda v, ctx: _list_of(
+            v, ctx["dim"], ctx["dim"], lambda x: _is_num(x) and x > 0)), [1.0, 1.0]),
+        "cells": (_rule("expected a list of {dim} integers >= 1", lambda v, ctx: _list_of(
+            v, ctx["dim"], ctx["dim"], lambda x: _is_int(x) and x >= 1)), [8, 8]),
+    }, {}),
+    "material": ({
+        "elasticity": (_Variant("model", {
+            "isotropic": {"lam": (_NONNEG, REQUIRED), "mu": (_POS, REQUIRED)},
+            "voigt": {"matrix": (_rule("expected a 6x6 numeric matrix", lambda v, ctx: _list_of(
+                v, 6, 6, lambda row: _list_of(row, 6, 6))), REQUIRED)},
+        }), {"model": "isotropic", "lam": 1.0, "mu": 1.0}),
+        "law": (_LAW, {"type": "norton_hoff", "c": 1.0, "p": 3.0}),
+    }, {}),
+    "data": ({
+        "f": (_Variant("preset", {
+            "zero": _TIMED,
+            "constant": {"value": (_FORCE, REQUIRED), **_TIMED},
+            "polynomial": {"value": (_FORCE, REQUIRED), **_TIMED},
+        }), {"preset": "zero"}),
+        "g": (_Variant("preset", {
+            "zero": _TIMED,
+            "affine": {"matrix": (_rule("expected a numeric {dim}x{dim} matrix", lambda v, ctx: (
+                _list_of(v, ctx["dim"], item=lambda row: _list_of(row, ctx["dim"])))), REQUIRED),
+                **_TIMED},
+        }), {"preset": "zero"}),
+        "g_theta": (_Variant("preset", {
+            "zero": _TIMED, "constant": {"value": (_NUM, REQUIRED), **_TIMED},
+        }), {"preset": "zero"}),
+        "theta0": (_THETA0, {"preset": "constant", "value": 1.0}),
+        "epsp0": (_EPSP0, {"preset": "zero"}),
+        "theta_tilde0": (_Variant("preset", {
+            "zero": {}, "constant": {"value": (_NUM, REQUIRED)},
+        }), {"preset": "zero"}),
+    }, {}),
+    "discretization": ({
+        "k": (_COUNT, 4),
+        "l": (_COUNT, 4),
+        "dt": (_POS, 1e-3),
+        "n_steps": (_num(0, integer=True), 100),
+        "horizon": (_POS, OPTIONAL),  # replaced by the n_steps it spans
+        "truncation_level": (_rule("expected null or a number > 0", lambda v, ctx: (
+            v is None or (_is_num(v) and v > 0))), None),
+        "solver_tol": (_POS, 1e-12),
+        "solver_max_iter": (_COUNT, 200),
+        "complement_space": (_one_of("deviatoric", "full"), "deviatoric"),
+    }, {}),
+    "certify": ({
+        "samples": (_COUNT, 10000),
+        "radius": (_POS, 10.0),
+        "thetas": (_rule("expected a non-empty list of finite numbers", lambda v, ctx: (
+            _list_of(v, 1))), [0.0, 1.0, 10.0, 100.0]),
+    }, {}),
+    "converge": ({
+        "ladder": (_rule("expected a list of >= 2 [k, l] integer pairs", lambda v, ctx: _list_of(
+            v, 2, item=lambda kl: _list_of(kl, 2, 2, lambda x: _is_int(x) and x >= 1))),
+            [[4, 4], [8, 8], [16, 16]]),
+    }, {}),
+    "output": ({
+        "cadence": (_COUNT, 10),
+        "formats": (_rule("expected a list drawn from ['csv', 'vtk']", lambda v, ctx: _list_of(
+            v, 0, item=lambda x: x in ("csv", "vtk"))), ["csv"]),
+        "dir": (_STR, "out"),
+    }, {}),
+    "seed": (_num(0, integer=True), 0),
 }
 
 
-def _merge_defaults(user: dict, defaults: dict, path=()) -> dict:
-    out = {}
-    for key, dv in defaults.items():
-        here = path + (key,)
-        if (
-            key in user
-            and isinstance(dv, dict)
-            and isinstance(user[key], dict)
-            and here not in _REPLACE_PATHS
-        ):
-            out[key] = _merge_defaults(user[key], dv, here)
-        elif key in user:
-            out[key] = user[key]
-        else:
-            out[key] = json.loads(json.dumps(dv))
-    for key in user:
-        if key not in defaults:
-            out[key] = user[key]  # flagged by validation
+def _has_default(default) -> bool:
+    return default is not REQUIRED and default is not OPTIONAL
+
+
+def _merge_defaults(user: dict, table: dict) -> dict:
+    """``user`` with the defaults of a fixed table filled in, recursively.
+
+    Variant nodes and values given by the user are taken wholesale; keys the
+    table does not know are kept for the walk to report.
+    """
+    out = dict(user)
+    for key, (check, default) in table.items():
+        value = user.get(key, default)
+        if isinstance(check, dict) and isinstance(value, dict):
+            out[key] = _merge_defaults(value, check)
+        elif key not in user and _has_default(default):
+            out[key] = copy.deepcopy(default)
     return out
+
+
+def _walk(errors: list, path: str, value, node, ctx) -> None:
+    """Append to ``errors`` every violation of ``value`` against ``node``."""
+    if not isinstance(value, dict):
+        errors.append(f"{path}: expected an object")
+        return
+    tag, table = None, node
+    if isinstance(node, _Variant):
+        tag = node.tag
+        if not isinstance(value.get(tag), str) or value[tag] not in node.cases:
+            errors.append(f"{path}.{tag}: must be one of {sorted(node.cases)}")
+            return
+        table = node.cases[value[tag]]
+    prefix = f"{path}." if path else ""
+    errors.extend(f"{prefix}{key}: unknown key" for key in value if key not in table and key != tag)
+    for key, (check, default) in table.items():
+        if key not in value:
+            if default is REQUIRED:
+                errors.append(f"{prefix}{key}: required key missing")
+        elif isinstance(check, (dict, _Variant)):
+            _walk(errors, prefix + key, value[key], check, ctx)
+        elif (msg := check(value[key], ctx)) is not None:
+            errors.append(f"{prefix}{key}: {msg}")
 
 
 def validate_config(raw: dict) -> dict:
     """Defaults-filled, fully validated config dict (or ValidationError)."""
     if not isinstance(raw, dict):
         raise ValidationError(["top level: expected an object"])
-    cfg = _merge_defaults(raw, DEFAULT_CONFIG)
-    ck = _Checker()
-    ck.known_keys("", cfg, set(DEFAULT_CONFIG))
+    cfg = _merge_defaults(raw, SCHEMA)
+    mesh, disc = (d if isinstance(d, dict) else {} for d in (cfg["mesh"], cfg["discretization"]))
+    ctx = {"dim": 2, "k": math.inf, "l": math.inf}
+    if _DIM(mesh.get("dim"), ctx) is None:
+        ctx["dim"] = mesh["dim"]
+    ctx.update({key: disc[key] for key in ("k", "l") if _COUNT(disc.get(key), ctx) is None})
+    errors = []
+    _walk(errors, "", cfg, SCHEMA, ctx)
 
-    mesh = cfg["mesh"]
-    ck.known_keys("mesh", mesh, {"dim", "extents", "cells"})
-    dim = mesh.get("dim")
-    if dim not in (2, 3):
-        ck.fail("mesh.dim", "must be 2 or 3")
-        dim = 2
-    for key, kind in (("extents", "number"), ("cells", "integer")):
-        v = mesh.get(key)
-        if not isinstance(v, list) or len(v) != dim:
-            ck.fail(f"mesh.{key}", f"expected a list of length {dim}")
-            continue
-        for i, x in enumerate(v):
-            if kind == "number" and (not _is_num(x) or x <= 0):
-                ck.fail(f"mesh.{key}[{i}]", "must be a positive number")
-            if kind == "integer" and (not _is_num(x) or int(x) != x or x < 1):
-                ck.fail(f"mesh.{key}[{i}]", "must be an integer >= 1")
+    horizon, dt = disc.pop("horizon", None), disc.get("dt")
+    if _POS(horizon, ctx) is None and _POS(dt, ctx) is None:
+        n = horizon / dt
+        if not math.isfinite(n) or abs(round(n) * dt - horizon) > 1e-9 * max(horizon, 1.0):
+            errors.append(
+                f"discretization.horizon: not an integer multiple of dt (got {horizon}, dt={dt})"
+            )
+        else:
+            disc["n_steps"] = round(n)
 
-    mat = cfg["material"]
-    ck.known_keys("material", mat, {"elasticity", "law"})
-    ela = mat.get("elasticity", {})
-    model = ela.get("model")
-    if model == "isotropic":
-        ck.known_keys("material.elasticity", ela, {"model", "lam", "mu"})
-        ck.require("material.elasticity", ela, "lam", "mu")
-        ck.number("material.elasticity", ela, "lam", lo=0.0)
-        ck.number("material.elasticity", ela, "mu", lo=0.0, strict_lo=True)
-    elif model == "voigt":
-        ck.known_keys("material.elasticity", ela, {"model", "matrix"})
-        ck.require("material.elasticity", ela, "matrix")
-        m = ela.get("matrix")
-        ok = isinstance(m, list) and len(m) == 6 and all(
-            isinstance(r, list) and len(r) == 6 and all(_is_num(x) for x in r) for r in m
-        )
-        if not ok:
-            ck.fail("material.elasticity.matrix", "expected a 6x6 numeric matrix")
-    else:
-        ck.fail("material.elasticity.model", "must be 'isotropic' or 'voigt'")
+    # the constructors check what couples keys (y_min <= y0 <= y_max,
+    # increasing table thetas, a positive definite matrix)
+    if not any(e.startswith("material") for e in errors):
+        for path, build in (("material.elasticity", make_elasticity), ("material.law", make_law)):
+            try:
+                build(cfg)
+            except BadData as err:
+                errors.append(f"{path}: {err}")
 
-    law = mat.get("law", {})
-    ltype = law.get("type")
-    if ltype not in _LAW_KEYS:
-        ck.fail("material.law.type", f"must be one of {sorted(_LAW_KEYS)}")
-    else:
-        ck.known_keys("material.law", law, _LAW_KEYS[ltype])
-        if ltype == "norton_hoff":
-            ck.require("material.law", law, "c", "p")
-            ck.number("material.law", law, "c", lo=0.0, strict_lo=True)
-            ck.number("material.law", law, "p", lo=2.0)
-        elif ltype == "mroz":
-            ck.require("material.law", law, "g")
-            g = law.get("g")
-            if not isinstance(g, dict):
-                ck.fail("material.law.g", "expected an object")
-            else:
-                kind = g.get("kind")
-                if kind == "constant":
-                    ck.known_keys("material.law.g", g, {"kind", "value"})
-                    ck.require("material.law.g", g, "value")
-                    ck.number("material.law.g", g, "value")
-                elif kind == "lorentz":
-                    ck.known_keys("material.law.g", g, {"kind", "amplitude", "offset", "width"})
-                    ck.require("material.law.g", g, "amplitude", "offset")
-                    ck.number("material.law.g", g, "amplitude", lo=0.0)
-                    ck.number("material.law.g", g, "offset", lo=0.0, strict_lo=True)
-                    ck.number("material.law.g", g, "width", lo=0.0, strict_lo=True)
-                elif kind == "table":
-                    ck.known_keys("material.law.g", g, {"kind", "thetas", "values"})
-                    ck.require("material.law.g", g, "thetas", "values")
-                    for key in ("thetas", "values"):
-                        v = g.get(key)
-                        if not isinstance(v, list) or len(v) < 2 or not all(
-                            _is_num(x) for x in v
-                        ):
-                            ck.fail(
-                                f"material.law.g.{key}", "expected a numeric list, length >= 2"
-                            )
-                else:
-                    ck.fail("material.law.g.kind", "must be constant, lorentz or table")
-        elif ltype == "bodner_partom":
-            ck.number("material.law", law, "g0", lo=0.0, strict_lo=True)
-            ck.number("material.law", law, "m", lo=1.0)
-            for key in ("A", "gamma0", "delta0"):
-                ck.number("material.law", law, key, lo=0.0)
-            for key in ("y0", "y_min", "y_max"):
-                ck.number("material.law", law, key, lo=0.0, strict_lo=True)
-
-    data = cfg["data"]
-    ck.known_keys("data", data, set(DEFAULT_CONFIG["data"]))
-    for name, spec in data.items():
-        if name not in _DATA_PRESETS:
-            continue
-        path = f"data.{name}"
-        if not isinstance(spec, dict):
-            ck.fail(path, "expected an object")
-            continue
-        allowed = {"preset", "time", "value", "matrix", "index", "amplitude", "mean", "modes"}
-        ck.known_keys(path, spec, allowed)
-        preset = spec.get("preset")
-        if preset not in _DATA_PRESETS[name]:
-            ck.fail(f"{path}.preset", f"must be one of {sorted(_DATA_PRESETS[name])}")
-        elif preset in ("constant", "constant_deviatoric", "polynomial"):
-            if ck.require(path, spec, "value"):
-                v = spec["value"]
-                if name in ("f",):
-                    if not isinstance(v, list) or len(v) < dim or not all(
-                        _is_num(x) for x in v
-                    ):
-                        ck.fail(f"{path}.value", f"expected a numeric list of length >= {dim}")
-                elif name == "epsp0":
-                    if not isinstance(v, list) or len(v) != 6 or not all(
-                        _is_num(x) for x in v
-                    ):
-                        ck.fail(f"{path}.value", "expected a numeric 6-vector")
-                elif not _is_num(v):
-                    ck.fail(f"{path}.value", "expected a number")
-        elif preset == "affine":
-            if ck.require(path, spec, "matrix"):
-                m = spec["matrix"]
-                ok = isinstance(m, list) and len(m) >= dim and all(
-                    isinstance(r, list) and len(r) >= dim and all(_is_num(x) for x in r)
-                    for r in m
-                )
-                if not ok:
-                    ck.fail(f"{path}.matrix", f"expected a numeric {dim}x{dim} matrix")
-        time = spec.get("time")
-        if time is not None:
-            if not isinstance(time, dict) or time.get("kind") not in _TIME_KINDS:
-                ck.fail(f"{path}.time.kind", f"must be one of {sorted(_TIME_KINDS)}")
-            else:
-                ck.known_keys(
-                    f"{path}.time",
-                    time,
-                    {"kind", "slope", "intercept", "amplitude", "omega", "phase", "path"},
-                )
-                if time["kind"] == "csv" and not isinstance(time.get("path"), str):
-                    ck.fail(f"{path}.time.path", "csv trajectories need a file path")
-
-    disc = cfg["discretization"]
-    ck.known_keys(
-        "discretization",
-        disc,
-        {
-            "k",
-            "l",
-            "dt",
-            "n_steps",
-            "horizon",
-            "truncation_level",
-            "solver_tol",
-            "solver_max_iter",
-            "complement_space",
-        },
-    )
-    ck.number("discretization", disc, "k", lo=1, integer=True)
-    ck.number("discretization", disc, "l", lo=1, integer=True)
-    dt = ck.number("discretization", disc, "dt", lo=0.0, strict_lo=True)
-    ck.number("discretization", disc, "n_steps", lo=0, integer=True)
-    ck.number("discretization", disc, "solver_tol", lo=0.0, strict_lo=True)
-    ck.number("discretization", disc, "solver_max_iter", lo=1, integer=True)
-    if disc.get("truncation_level") is not None:
-        ck.number("discretization", disc, "truncation_level", lo=0.0, strict_lo=True)
-    if disc.get("complement_space") not in ("deviatoric", "full"):
-        ck.fail("discretization.complement_space", "must be 'deviatoric' or 'full'")
-    horizon = disc.pop("horizon", None)
-    if horizon is not None:
-        if not _is_num(horizon) or horizon <= 0:
-            ck.fail("discretization.horizon", "must be a positive number")
-        elif dt:
-            n = round(horizon / dt)
-            if abs(n * dt - horizon) > 1e-9 * max(horizon, 1.0):
-                ck.fail(
-                    "discretization.horizon",
-                    f"not an integer multiple of dt (got {horizon}, dt={dt})",
-                )
-            else:
-                disc["n_steps"] = int(n)
-
-    cert = cfg["certify"]
-    ck.known_keys("certify", cert, {"samples", "radius", "thetas"})
-    ck.number("certify", cert, "samples", lo=1, integer=True)
-    ck.number("certify", cert, "radius", lo=0.0, strict_lo=True)
-    thetas = cert.get("thetas")
-    if not isinstance(thetas, list) or not thetas or not all(_is_num(x) for x in thetas):
-        ck.fail("certify.thetas", "expected a non-empty list of finite numbers")
-
-    conv = cfg["converge"]
-    ck.known_keys("converge", conv, {"ladder"})
-    ladder = conv.get("ladder")
-    if (
-        not isinstance(ladder, list)
-        or len(ladder) < 2
-        or not all(
-            isinstance(p, list) and len(p) == 2 and all(_is_num(x) and x >= 1 for x in p)
-            for p in ladder
-        )
-    ):
-        ck.fail("converge.ladder", "expected a list of >= 2 [k, l] pairs")
-
-    out = cfg["output"]
-    ck.known_keys("output", out, {"cadence", "formats", "dir"})
-    ck.number("output", out, "cadence", lo=1, integer=True)
-    fmts = out.get("formats")
-    if not isinstance(fmts, list) or not set(fmts) <= {"csv", "vtk"}:
-        ck.fail("output.formats", "expected a list drawn from ['csv', 'vtk']")
-    if not isinstance(out.get("dir"), str):
-        ck.fail("output.dir", "expected a string")
-
-    if not isinstance(cfg.get("seed"), int) or isinstance(cfg.get("seed"), bool):
-        ck.fail("seed", "expected an integer")
-
-    if ck.errors:
-        raise ValidationError(ck.errors)
+    if errors:
+        raise ValidationError(errors)
     return cfg
 
 
@@ -405,6 +319,12 @@ def config_hash(cfg: dict) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
+def _filled(spec: dict, node: _Variant) -> dict:
+    """A validated variant ``spec`` with the table defaults of its case filled in."""
+    table = node.cases[spec[node.tag]]
+    return {**{k: d for k, (_, d) in table.items() if _has_default(d)}, **spec}
+
+
 def make_elasticity(cfg: dict) -> ElasticityTensor:
     ela = cfg["material"]["elasticity"]
     if ela["model"] == "isotropic":
@@ -413,35 +333,25 @@ def make_elasticity(cfg: dict) -> ElasticityTensor:
 
 
 def make_law(cfg: dict):
-    law = cfg["material"]["law"]
-    if law["type"] == "norton_hoff":
-        return NortonHoff(c=law["c"], p=law["p"])
-    if law["type"] == "mroz":
-        g = law["g"]
-        if g["kind"] == "constant":
-            return Mroz.constant(g["value"])
-        if g["kind"] == "lorentz":
-            return Mroz.lorentz(g["amplitude"], g["offset"], g.get("width", 1.0))
-        return Mroz.table(g["thetas"], g["values"])
-    return BodnerPartom(
-        g0=law.get("g0", 1.0),
-        m=law.get("m", 2.0),
-        A=law.get("A", 0.0),
-        gamma0=law.get("gamma0", 0.0),
-        delta0=law.get("delta0", 0.0),
-        y0=law.get("y0", 1.0),
-        y_min=law.get("y_min", 0.5),
-        y_max=law.get("y_max", 2.0),
-    )
+    """The configured law; its keys go to the constructor as given."""
+    kwargs = dict(cfg["material"]["law"])
+    law = kwargs.pop("type")
+    if law == "mroz":
+        g = dict(kwargs["g"])
+        kind = g.pop("kind")
+        return {"constant": Mroz.constant, "lorentz": Mroz.lorentz, "table": Mroz.table}[kind](**g)
+    return {"norton_hoff": NortonHoff, "bodner_partom": BodnerPartom}[law](**kwargs)
 
 
 def _time_factor(spec: dict):
-    time = spec.get("time")
-    if time is None or time.get("kind") == "constant":
+    if "time" not in spec:
+        return lambda t: 1.0
+    time = _filled(spec["time"], _TIME)
+    if time["kind"] == "constant":
         return lambda t: 1.0
     if time["kind"] == "ramp":
-        slope = float(time.get("slope", 1.0))
-        intercept = float(time.get("intercept", 0.0))
+        slope = float(time["slope"])
+        intercept = float(time["intercept"])
         return lambda t: intercept + slope * t
     if time["kind"] == "csv":
         # two-column (t, factor) trajectory, linearly interpolated between
@@ -456,9 +366,9 @@ def _time_factor(spec: dict):
             )
         ts, vs = table[:, 0], table[:, 1]
         return lambda t: float(np.interp(t, ts, vs))
-    amp = float(time.get("amplitude", 1.0))
-    omega = float(time.get("omega", 1.0))
-    phase = float(time.get("phase", 0.0))
+    amp = float(time["amplitude"])
+    omega = float(time["omega"])
+    phase = float(time["phase"])
     return lambda t: amp * np.sin(omega * t + phase)
 
 
@@ -482,8 +392,8 @@ def make_boundary_displacement(cfg: dict, mesh):
     n, dim = mesh.n_nodes, mesh.dim
     if spec["preset"] == "zero":
         base = np.zeros((n, dim))
-    else:  # affine: x -> A x
-        A = np.asarray(spec["matrix"], dtype=float)[:dim, :dim]
+    else:  # affine: x -> A x, from the leading dim x dim block of the matrix
+        A = np.array([row[:dim] for row in spec["matrix"][:dim]], dtype=float)
         base = mesh.nodes @ A.T
     return _time_factor(spec), base
 
@@ -500,18 +410,16 @@ def make_boundary_flux(cfg: dict, mesh):
 
 
 def make_theta0(cfg: dict, mesh) -> np.ndarray:
-    spec = cfg["data"]["theta0"]
+    spec = _filled(cfg["data"]["theta0"], _THETA0)
     n = mesh.n_nodes
     if spec["preset"] == "constant":
         return np.full(n, float(spec["value"]))
-    mean = float(spec.get("mean", 1.0))
-    amp = float(spec.get("amplitude", 0.1))
-    modes = spec.get("modes", [1] * mesh.dim)
-    field = np.full(n, mean)
+    modes = np.full(mesh.dim, spec["modes"], dtype=float)
+    field = np.full(n, float(spec["mean"]))
     wave = np.ones(n)
     for a in range(mesh.dim):
         wave = wave * np.cos(np.pi * modes[a] * mesh.nodes[:, a] / mesh.extents[a])
-    return field + amp * wave
+    return field + float(spec["amplitude"]) * wave
 
 
 def make_theta_tilde0(cfg: dict, mesh) -> np.ndarray:
@@ -522,14 +430,14 @@ def make_theta_tilde0(cfg: dict, mesh) -> np.ndarray:
 
 
 def make_epsp0(cfg: dict, ops, fields) -> np.ndarray:
-    spec = cfg["data"]["epsp0"]
+    spec = _filled(cfg["data"]["epsp0"], _EPSP0)
     nq = ops.wq.size
     if spec["preset"] == "zero":
         return np.zeros((nq, 6))
     if spec["preset"] == "complement_mode":
-        return float(spec.get("amplitude", 0.1)) * fields.zeta[int(spec.get("index", 0))]
+        return float(spec["amplitude"]) * fields.zeta[spec["index"]]
     if spec["preset"] == "gradient_mode":
-        return float(spec.get("amplitude", 0.1)) * fields.eps_w[int(spec.get("index", 0))]
+        return float(spec["amplitude"]) * fields.eps_w[spec["index"]]
     base = dev6(np.asarray(spec["value"], dtype=float))
     return np.tile(base, (nq, 1))
 

@@ -21,6 +21,7 @@ form whose dissipation is exactly c |Td|^p and whose growth constant is c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -154,8 +155,13 @@ class BodnerPartom:
         self.y_max = float(y_max)
         self.beta_fn = beta_fn
         self.p = self.m + 1.0
-        self.C_growth = self.g0 / self.y_min**self.m
-        self.beta_coercivity = self.g0 / self.y_max**self.m
+        try:
+            self.C_growth = self.g0 / self.y_min**self.m
+            self.beta_coercivity = self.g0 / self.y_max**self.m
+        except (OverflowError, ZeroDivisionError):
+            self.C_growth = self.beta_coercivity = math.nan
+        if not (0.0 < self.beta_coercivity and self.C_growth < math.inf):
+            raise BadData(f"g0 / y^m leaves the float range for g0={g0}, m={m}")
         self.name = f"bodner_partom(g0={g0}, m={m})"
 
     def evaluate_many(self, theta, td, y=None):

@@ -22,10 +22,11 @@ temperature marks the sample as undefined (NaN) without aborting the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .errors import BadData
 from .lifting import LiftedFields
 from .mesh_fem import AssembledOperators
 from .tensor import dot6, norm6
@@ -82,28 +83,12 @@ class DiagnosticsRow:
     clip_fraction: float
     trunc_fraction: float
 
-    FIELDS = (
-        "t",
-        "e_pot",
-        "e_thermal",
-        "e_total",
-        "theta_min",
-        "entropy",
-        "dissipation",
-        "equilibrium_residual",
-        "solver_residual",
-        "solver_iters",
-        "substeps",
-        "energy_defect",
-        "epsp_trace_sup",
-        "source_integral",
-        "boundary_flux",
-        "clip_fraction",
-        "trunc_fraction",
-    )
-
     def values(self):
         return [getattr(self, name) for name in self.FIELDS]
+
+
+#: the column names of a row, in field order
+DiagnosticsRow.FIELDS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,6 +181,24 @@ def _initial_dissipation(system, state, lifted, step_index: int) -> float:
     return float(system.ops.wq @ dot6(td, G))
 
 
+def lift_lp_integrals(ops, lifted: LiftedFields, p: float):
+    """``lift_lp(i)``: integral |T~^d(t_i)|^p at time level i of the lift.
+
+    The integrand depends on i only through the row ``lifted.factors[i]``,
+    so each distinct row is integrated once, when first asked for; a static
+    lift needs one integral.
+    """
+    by_row = {}
+
+    def lift_lp(i):
+        key = lifted.factors[i].tobytes()
+        if key not in by_row:
+            by_row[key] = ops.integrate(norm6(lifted.combine(lifted.T_tilde_dev, i)) ** p)
+        return by_row[key]
+
+    return lift_lp
+
+
 @dataclass
 class AprioriMonitor:
     """Discrete mirror of the uniform energy / L^p stress / L^1 heat bounds."""
@@ -216,8 +219,14 @@ class AprioriMonitor:
 
     def __post_init__(self):
         pp = self.p / (self.p - 1.0)
-        self.eps_young = self.beta / (2.0**self.p * self.C**pp)
-        self.c_young = (1.0 / self.p) * (self.eps_young * pp) ** (1.0 - self.p)
+        try:
+            self.eps_young = self.beta / (2.0**self.p * self.C**pp)
+            self.c_young = (1.0 / self.p) * (self.eps_young * pp) ** (1.0 - self.p)
+        except (OverflowError, ZeroDivisionError):
+            raise BadData(
+                f"the a-priori bound constants are zero or out of float range for "
+                f"beta={self.beta}, C={self.C}, p={self.p}"
+            ) from None
 
     def start(self, ops, e_pot0: float, theta_nodal):
         self.e_pot0 = e_pot0
@@ -228,10 +237,11 @@ class AprioriMonitor:
         self.bounds.append(e_pot0)
         self.theta_l1_series.append(self.theta_l1_0)
 
-    def update(self, ops, dt, t, e_pot, td_phys_quad, td_lift_quad, theta_nodal):
+    def update(self, ops, dt, t, e_pot, td_phys_quad, lift_lp, theta_nodal):
+        """Add one step; ``lift_lp`` is the step's value from ``lift_lp_integrals``."""
         self.sup_e_pot = max(self.sup_e_pot, e_pot)
         self.stress_lp_sum += dt * ops.integrate(norm6(td_phys_quad) ** self.p)
-        self.lift_lp_sum += dt * ops.integrate(norm6(td_lift_quad) ** self.p)
+        self.lift_lp_sum += dt * lift_lp
         l1 = float(ops.M_lumped @ np.abs(theta_nodal))
         self.sup_theta_l1 = max(self.sup_theta_l1, l1)
         self.theta_l1_series.append(l1)

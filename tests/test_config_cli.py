@@ -243,6 +243,65 @@ def test_data_value_shapes_validated():
         validate_config({"data": {"g": {"preset": "affine", "matrix": [[1.0]]}}})
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [("isolated", "0135f4313303be15"), ("forced", "ffc6125b30c45e27"),
+     ("converge", "73fbc78f3a8ba98d")],
+)
+def test_shipped_config_hash_pinned(name, digest):
+    # the hash heads every CSV; a drift in the canonical form shows up here
+    assert config_hash(load_config(REPO / "configs" / f"{name}.json")) == digest
+
+
+_COSINE = {"preset": "cosine"}
+_RAMPED_F = {"preset": "polynomial", "value": [0.4, 0.6], "time": {"kind": "ramp"}}
+
+# (where in configs/isolated.json, the value put there, what stderr must name);
+# the shipped config has k = l = 10
+_CONFIG_HOLES = {
+    "modes_short": (("data", "theta0"), {**_COSINE, "modes": [1]}, "data.theta0.modes"),
+    "modes_not_list": (("data", "theta0"), {**_COSINE, "modes": "ab"}, "data.theta0.modes"),
+    "mean": (("data", "theta0"), {**_COSINE, "mean": "m"}, "data.theta0.mean"),
+    "amplitude": (("data", "theta0"), {**_COSINE, "amplitude": "x"}, "data.theta0.amplitude"),
+    "ramp_slope": (("data", "f", "time", "slope"), "a", "data.f.time.slope"),
+    "sinusoid_omega": (("data", "f", "time"), {"kind": "sinusoid", "omega": [1]},
+                       "data.f.time.omega"),
+    "index_negative": (("data", "epsp0", "index"), -1, "data.epsp0.index"),
+    "index_l": (("data", "epsp0", "index"), 10, "data.epsp0.index"),
+    "index_k_gradient": (("data", "epsp0"), {"preset": "gradient_mode", "index": 10},
+                         "data.epsp0.index"),
+    "key_foreign_to_preset": (("data", "f"), {"preset": "zero", "matrix": [[1.0]]},
+                              "data.f.matrix"),
+    "key_foreign_to_kind": (("data", "f", "time", "omega"), 2.0, "data.f.time.omega"),
+    "time_on_theta0": (("data", "theta0", "time"), {"kind": "ramp"}, "data.theta0.time"),
+    "section_not_object": (("mesh",), 5, "mesh: expected an object"),
+    "tag_not_string": (("material", "law", "type"), ["mroz"], "material.law.type"),
+    "integer_as_float": (("discretization", "k"), 2.0, "discretization.k"),
+    "negative_seed": (("seed",), -1, "seed"),
+    "law_constants_overflow": (("material", "law"), {"type": "bodner_partom", "m": 2000},
+                               "material.law"),
+    "bound_constants_overflow": (("material", "law", "p"), 50, "a-priori bound constants"),
+}
+
+
+@pytest.mark.parametrize("where, value, named", _CONFIG_HOLES.values(), ids=_CONFIG_HOLES)
+def test_config_holes_exit_2(tmp_path, capsys, where, value, named):
+    # every key a builder reads is checked against the config table, so each
+    # case exits 2, names its key and prints no traceback
+    payload = json.loads((REPO / "configs" / "isolated.json").read_text())
+    payload["discretization"]["n_steps"] = 2
+    payload["data"]["f"] = copy.deepcopy(_RAMPED_F)
+    node = payload
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    cfg_path = write_cfg(tmp_path, payload)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_cli_voigt_elasticity_and_full_complement(tmp_path):
     # anisotropic 6x6 elasticity with the full (trace-carrying) strain space
     m = np.diag([3.0, 3.1, 3.2, 2.0, 2.1, 2.2])

@@ -12,6 +12,7 @@ from thermovisc.diagnostics import (
     collect_row,
     entropy,
     entropy_rate_check,
+    lift_lp_integrals,
     potential_energy,
     thermal_energy,
     total_energy,
@@ -26,7 +27,7 @@ from thermovisc.evolution import (
 )
 from thermovisc.lifting import build_lift, zero_lift
 from thermovisc.mesh_fem import assemble, build_mesh
-from thermovisc.tensor import ElasticityTensor
+from thermovisc.tensor import ElasticityTensor, norm6
 
 D_HALF = ElasticityTensor.isotropic(lam=0.0, mu=0.5)
 
@@ -93,6 +94,7 @@ def test_apriori_monitor_isolated_run():
     mon = AprioriMonitor(beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume)
     f0 = reconstruct_fields(system, st, lift, 0)
     mon.start(ops, potential_energy(ops, f0["eps_u"], f0["epsp"]), f0["theta"])
+    lift_lp = lift_lp_integrals(ops, lift, law.p)
     state = st
     for i in range(1, n + 1):
         state, rep = step(system, state, lift, i, cfg)
@@ -103,7 +105,7 @@ def test_apriori_monitor_isolated_run():
             state.t,
             potential_energy(ops, f["eps_u"], f["epsp"]),
             f["Td"],
-            lift.combine(lift.T_tilde_dev, i),
+            lift_lp(i),
             f["theta"],
         )
     assert mon.satisfied()
@@ -128,10 +130,26 @@ def test_apriori_monitor_constant_under_zero_dynamics():
     mon.start(ops, 0.0, theta)
     z = np.zeros((4, 6))
     for i in range(1, 4):
-        mon.update(ops, 0.1, 0.1 * i, 0.0, z, z, theta)
+        mon.update(ops, 0.1, 0.1 * i, 0.0, z, 0.0, theta)
     assert np.allclose(mon.values, mon.values[0])
     assert np.allclose(mon.theta_l1_series, 1.0)
     assert mon.satisfied()
+
+
+def test_lift_integrated_once_per_distinct_factor_row(monkeypatch):
+    ops = assemble(build_mesh(2, (1.0, 1.0), (3, 3)), ElasticityTensor.isotropic(1.0, 1.0))
+    times = np.linspace(0.0, 0.1, 6)
+    f = np.ones((ops.n_nodes, 2))
+    calls = []
+    real = ops.integrate
+    monkeypatch.setattr(ops, "integrate", lambda fq: calls.append(1) or real(fq))
+    for factor, distinct in ((lambda t: 1.0, 1), (lambda t: min(t, 0.05), 4)):
+        lift = build_lift(ops, times, f=(factor, f))
+        calls.clear()
+        lift_lp = lift_lp_integrals(ops, lift, 3.0)
+        for i in range(times.size):
+            assert lift_lp(i) == real(norm6(lift.combine(lift.T_tilde_dev, i)) ** 3.0)
+        assert len(calls) == distinct
 
 
 def test_collect_row_and_report_isolated():
@@ -211,6 +229,7 @@ def test_coefficient_rows_match_full_fields(name):
         )
 
     coef_mon, field_mon = monitor(), monitor()
+    lift_lp = lift_lp_integrals(ops, lift, law.p)
     substeps = []
 
     def on_step(i, state, rep):
@@ -232,10 +251,11 @@ def test_coefficient_rows_match_full_fields(name):
             field_mon.start(ops, e_pot, f["theta"])
         else:
             substeps.append(rep.substeps)
-            coef_mon.update(ops, cfg.dt, state.t, e_pot, td, td_lift, f["theta"])
-            field_mon.update(ops, cfg.dt, state.t, e_pot, f["Td"], td_lift, f["theta"])
+            coef_mon.update(ops, cfg.dt, state.t, e_pot, td, lift_lp(i), f["theta"])
+            field_mon.update(ops, cfg.dt, state.t, e_pot, f["Td"], lift_lp(i), f["theta"])
             assert coef_mon.stress_lp_sum == pytest.approx(field_mon.stress_lp_sum, rel=1e-12)
             assert coef_mon.lift_lp_sum == field_mon.lift_lp_sum
+            assert lift_lp(i) == ops.integrate(norm6(td_lift) ** law.p)
 
     run(system, state0, lift, cfg, on_step=on_step)
     assert len(substeps) == cfg.n_steps

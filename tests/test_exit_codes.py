@@ -1,0 +1,118 @@
+"""Seeded property test of the exit-code contract of ``run``.
+
+Random data, law and time specs on a 3x3 mesh with 2 steps must end in one of
+the documented exit codes (0 ok, 2 config, 3 solver, 4 invariant), and never
+in a traceback.  The draws mix valid keys and values with malformed ones.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from thermovisc.cli import main
+
+NUM = st.one_of(st.integers(-2, 4), st.floats(-3.0, 3.0))
+POS = st.floats(0.1, 4.0)
+NOISE = st.sampled_from([1e300, "a", None, True, {}, [], [1.0, "x"]])
+
+
+def _maybe(good):
+    """Mostly ``good`` values, sometimes a malformed one."""
+    return st.one_of(good, good, good, NOISE)
+
+
+def _vec(lo, hi):
+    return st.lists(NUM, min_size=lo, max_size=hi)
+
+
+def _node(tag, name, required=None, **optional):
+    fixed = {tag: st.just(name)}
+    fixed.update({k: _maybe(v) for k, v in (required or {}).items()})
+    return st.fixed_dictionaries(fixed, optional={k: _maybe(v) for k, v in optional.items()})
+
+
+TIME = st.one_of(
+    _node("kind", "constant"),
+    _node("kind", "ramp", slope=NUM, intercept=NUM),
+    _node("kind", "sinusoid", amplitude=NUM, omega=NUM, phase=NUM),
+)
+
+# each preset with its own keys, plus a few keys foreign to it
+DATA = st.fixed_dictionaries(
+    {},
+    optional={
+        "f": st.one_of(
+            _node("preset", "zero", time=TIME, value=_vec(2, 2)),
+            _node("preset", "constant", {"value": _vec(1, 3)}, time=TIME),
+            _node("preset", "polynomial", {"value": _vec(1, 3)}, time=TIME),
+        ),
+        "g": st.one_of(
+            _node("preset", "zero", time=TIME),
+            _node("preset", "affine", {"matrix": st.lists(_vec(1, 3), min_size=1, max_size=3)},
+                  time=TIME),
+        ),
+        "g_theta": st.one_of(
+            _node("preset", "zero", time=TIME),
+            _node("preset", "constant", {"value": NUM}, time=TIME),
+        ),
+        "theta0": st.one_of(
+            _node("preset", "constant", {"value": POS}, time=TIME),
+            _node("preset", "cosine", mean=NUM, amplitude=NUM, modes=_vec(0, 3)),
+        ),
+        "epsp0": st.one_of(
+            _node("preset", "zero", index=st.integers(0, 1)),
+            _node("preset", "complement_mode", index=st.integers(-1, 3), amplitude=NUM),
+            _node("preset", "gradient_mode", index=st.integers(-1, 3), amplitude=NUM),
+            _node("preset", "constant_deviatoric", {"value": _vec(5, 7)}),
+        ),
+        "theta_tilde0": st.one_of(
+            _node("preset", "zero"), _node("preset", "constant", {"value": NUM})
+        ),
+    },
+)
+
+LAW = st.one_of(
+    _node("type", "norton_hoff", {"c": POS, "p": st.floats(2.0, 6.0)}),
+    _node(
+        "type",
+        "mroz",
+        {
+            "g": st.one_of(
+                _node("kind", "constant", {"value": NUM}),
+                _node("kind", "lorentz", {"amplitude": POS, "offset": POS}, width=POS),
+                _node("kind", "table", {"thetas": _vec(1, 3), "values": _vec(1, 3)}),
+            )
+        },
+    ),
+    _node(
+        "type",
+        "bodner_partom",
+        **{k: POS for k in ("g0", "m", "A", "gamma0", "delta0", "y0", "y_min", "y_max")},
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=DATA, law=LAW)
+def test_run_exit_code_contract(data, law):
+    payload = {
+        "mesh": {"cells": [3, 3]},
+        "material": {"law": law},
+        "data": data,
+        "discretization": {"k": 2, "l": 2, "dt": 1e-2, "n_steps": 2},
+        "output": {"cadence": 10},
+    }
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(payload))
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "o"), "--quiet"])
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
