@@ -1,20 +1,25 @@
 """Batch front end: config ingestion, run orchestration, verification suites.
 
-Subcommands
-    run        advance the coupled evolution and stream diagnostics
-    certify    randomized certificate for the configured constitutive law
-    basis      build, verify and dump the Galerkin basis artifact
-    converge   two-level refinement ladder with terminal-field deltas
+Subcommands, and the artifact each writes
+    run        advance the evolution and stream diagnostics     summary.json
+    certify    randomized certificate for the configured law    certification.json
+    basis      build, verify and dump the Galerkin basis        basis_report.json
+    converge   two-level refinement ladder                      converge.json
 
-Exit codes: 0 all suites pass, 2 config error, 3 solver failure,
-4 invariant violation.  The output directory can be overridden by --out or
-the THERMOVISC_OUT environment variable (output dir only).
+``main`` loads the config, echoes it to ``effective_config.json`` and writes
+the command's artifact, stamped with ``config_hash``, ``version`` and
+``command``: the command's payload, or a failure record when it raised.
+Exit codes: 0 all suites pass, 4 a suite fails, and a raised error exits
+with its family's code (``errors``: 2 config, 3 solver, 4 invariant).  A
+config that cannot be parsed or validated leaves no artifact.  --out or the
+THERMOVISC_OUT environment variable override the output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -42,21 +47,16 @@ from .config import (
     make_theta0,
     make_theta_tilde0,
 )
-from .constitutive import CertificationFailure, certify_assumption1
-from .diagnostics import AprioriMonitor, EnergyReport, collect_row, lift_lp_integrals
-from .errors import (
-    BadConfig,
-    BadData,
-    DimensionMismatch,
-    DomainExit,
-    EmptyComplement,
-    NonFiniteInput,
-    NonlinearSolveFailure,
-    ParseError,
-    SolverFailure,
-    StateCorrupt,
-    ValidationError,
+from .constitutive import certify_assumption1
+from .diagnostics import (
+    AprioriMonitor,
+    EnergyReport,
+    collect_row,
+    lift_lp_integrals,
+    young_constants,
 )
+# the exit codes are re-exported: they are part of main's contract
+from .errors import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, Failure  # noqa: F401
 from .evolution import (
     EvolutionConfig,
     ModalSystem,
@@ -75,17 +75,7 @@ from .runio import (
     write_vtk,
 )
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_SOLVER = 3
-EXIT_INVARIANT = 4
-
 ENV_OUT = "THERMOVISC_OUT"
-
-
-def _say(quiet, *parts):
-    if not quiet:
-        print(*parts)
 
 
 def _outdir(cfg, override) -> Path:
@@ -93,10 +83,6 @@ def _outdir(cfg, override) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _echo_config(cfg, outdir: Path):
-    (outdir / "effective_config.json").write_text(canonical_json(cfg))
 
 
 def build_operators(cfg):
@@ -110,38 +96,21 @@ def _build_basis(cfg, ops):
     return build_basis(ops, disc["k"], disc["l"], space=disc["complement_space"])
 
 
-def _evolution_config(cfg) -> EvolutionConfig:
-    d = cfg["discretization"]
-    return EvolutionConfig(
-        k=d["k"],
-        l=d["l"],
-        dt=d["dt"],
-        n_steps=d["n_steps"],
-        truncation_level=d["truncation_level"],
-        solver_tol=d["solver_tol"],
-        solver_max_iter=d["solver_max_iter"],
-    )
-
-
-def _build_lift_from_config(cfg, ops, times):
-    mesh = ops.mesh
-    gth_of_t, gth_on = make_boundary_flux(cfg, mesh)
-    return build_lift(
-        ops,
-        times,
-        f=make_force(cfg, mesh),
-        g=make_boundary_displacement(cfg, mesh),
-        gtheta_of_t=gth_of_t if gth_on else None,
-        theta_tilde0=make_theta_tilde0(cfg, mesh),
-    )
-
-
 def prepare_run(cfg, ops):
     """Modal system, evolution config, lift and initial state of one run."""
+    mesh = ops.mesh
     system = ModalSystem(ops, _build_basis(cfg, ops), make_law(cfg))
-    evo = _evolution_config(cfg)
-    lifted = _build_lift_from_config(cfg, ops, evo.dt * np.arange(evo.n_steps + 1))
-    theta0_hom = make_theta0(cfg, ops.mesh) - lifted.theta_tilde[0]
+    disc = cfg["discretization"]
+    evo = EvolutionConfig(**{f.name: disc[f.name] for f in dataclasses.fields(EvolutionConfig)})
+    lifted = build_lift(
+        ops,
+        evo.dt * np.arange(evo.n_steps + 1),
+        f=make_force(cfg, mesh),
+        g=make_boundary_displacement(cfg, mesh),
+        g_theta=make_boundary_flux(cfg, mesh),
+        theta_tilde0=make_theta_tilde0(cfg, mesh),
+    )
+    theta0_hom = make_theta0(cfg, mesh) - lifted.theta_tilde[0]
     state0 = initialize(system, theta0_hom, make_epsp0(cfg, ops, system.fields), evo)
     return system, evo, lifted, state0
 
@@ -175,10 +144,9 @@ def _snapshot(cfg, outdir, chash, system, fields, step_index):
         )
 
 
-def run_simulation(cfg, outdir: Path, quiet=True):
-    """Full cmd_run pipeline; returns (checks, monitor summary, run result)."""
+def cmd_run(cfg, outdir: Path, quiet=True):
+    """Advance the evolution, stream the diagnostics and check them."""
     chash = config_hash(cfg)
-    _echo_config(cfg, outdir)
     ops = build_operators(cfg)
     system, evo, lifted, state0 = prepare_run(cfg, ops)
 
@@ -214,22 +182,6 @@ def run_simulation(cfg, outdir: Path, quiet=True):
 
     checks = report.evaluate(isolated=is_isolated(cfg), solver_tol=evo.solver_tol)
     mon = monitor.summary()
-    summary = {
-        "config_hash": chash,
-        "version": __version__,
-        "command": "run",
-        "isolated": is_isolated(cfg),
-        "n_steps": evo.n_steps,
-        "checks": checks,
-        "monitor": mon,
-        "terminal": {
-            "t": result.final_state.t,
-            "e_pot": report.rows[-1].e_pot,
-            "e_total": report.rows[-1].e_total,
-            "theta_min": report.rows[-1].theta_min,
-        },
-    }
-    write_summary(outdir / "summary.json", summary)
     if not quiet:
         last = report.rows[-1]
         print(f"run: {evo.n_steps} steps to t={result.final_state.t:g}")
@@ -245,67 +197,48 @@ def run_simulation(cfg, outdir: Path, quiet=True):
         ):
             print(f"{label:<22} {getattr(first, name):>14.6e} {getattr(last, name):>14.6e}")
         print(f"checks passed={checks['passed']}, monitor ok={mon['satisfied']}")
-    return checks, mon, result
+    return checks["passed"] and mon["satisfied"], {
+        "isolated": is_isolated(cfg),
+        "n_steps": evo.n_steps,
+        "checks": checks,
+        "monitor": mon,
+        "terminal": {
+            "t": result.final_state.t,
+            "e_pot": report.rows[-1].e_pot,
+            "e_total": report.rows[-1].e_total,
+            "theta_min": report.rows[-1].theta_min,
+        },
+    }
 
 
-def cmd_run(cfg, outdir: Path, quiet=True) -> int:
-    try:
-        checks, mon, _ = run_simulation(cfg, outdir, quiet)
-    except (SolverFailure, DomainExit, NonFiniteInput) as err:
-        summary = {
-            "config_hash": config_hash(cfg),
-            "version": __version__,
-            "command": "run",
-            "failed": True,
-            "failure": str(err),
-            "checks": {"passed": False},
-        }
-        if isinstance(err, NonlinearSolveFailure):
-            summary["t_failed"] = err.t
-            summary["residual_history"] = err.residual_history
-        write_summary(outdir / "summary.json", summary)
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK if checks["passed"] and mon["satisfied"] else EXIT_INVARIANT
-
-
-def cmd_certify(cfg, outdir: Path, quiet=True) -> int:
-    chash = config_hash(cfg)
-    _echo_config(cfg, outdir)
+def cmd_certify(cfg, outdir: Path, quiet=True):
+    """Certify the configured law; its a-priori bound must be formable, as in ``run``."""
     law = make_law(cfg)
+    young_constants(law.beta_coercivity, law.C_growth, law.p)
     cert = cfg["certify"]
-    try:
-        rep = certify_assumption1(
-            law,
-            sample_count=cert["samples"],
-            radius=cert["radius"],
-            seed=cfg["seed"],
-            theta_values=tuple(cert["thetas"]),
-        )
-        payload = rep.as_dict()
-        code = EXIT_OK
-    except CertificationFailure as err:
-        payload = err.report.as_dict() if hasattr(err, "report") else {"passed": False}
-        payload["failure"] = str(err)
-        code = EXIT_INVARIANT
-    payload.update({"config_hash": chash, "version": __version__, "command": "certify"})
-    write_summary(outdir / "certification.json", payload)
-    _say(quiet, f"certify: {law.name} passed={payload.get('passed')}")
-    return code
+    rep = certify_assumption1(
+        law,
+        sample_count=cert["samples"],
+        radius=cert["radius"],
+        seed=cfg["seed"],
+        theta_values=tuple(cert["thetas"]),
+    )
+    if not quiet:
+        print(f"certify: {law.name} passed={rep.passed}")
+    return rep.passed, rep.as_dict()
 
 
-def cmd_basis(cfg, outdir: Path, quiet=True) -> int:
-    chash = config_hash(cfg)
-    _echo_config(cfg, outdir)
+def cmd_basis(cfg, outdir: Path, quiet=True):
+    """Build, check and dump the Galerkin basis."""
     ops = build_operators(cfg)
     basis = _build_basis(cfg, ops)
     rep = basis_invariant_report(ops, basis)
     norm = projection_norm_check(basis, n_fields=1000, seed=cfg["seed"])
     dump_basis(outdir / "basis.npz", basis)
-    payload = {
-        "config_hash": chash,
-        "version": __version__,
-        "command": "basis",
+    ok = rep["passed"] and norm["non_expansive"]
+    if not quiet:
+        print(f"basis: k={basis.k} l={basis.l} invariants passed={ok}")
+    return ok, {
         "k": basis.k,
         "l": basis.l,
         "lam_w": basis.lam_w,
@@ -314,10 +247,6 @@ def cmd_basis(cfg, outdir: Path, quiet=True) -> int:
         "invariants": rep,
         "projection": norm,
     }
-    write_summary(outdir / "basis_report.json", payload)
-    ok = rep["passed"] and norm["non_expansive"]
-    _say(quiet, f"basis: k={basis.k} l={basis.l} invariants passed={ok}")
-    return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def _terminal_fields(cfg, ops, k, l):
@@ -329,9 +258,8 @@ def _terminal_fields(cfg, ops, k, l):
     return reconstruct_fields(system, result.final_state, lifted, evo.n_steps)
 
 
-def cmd_converge(cfg, outdir: Path, quiet=True) -> int:
-    chash = config_hash(cfg)
-    _echo_config(cfg, outdir)
+def cmd_converge(cfg, outdir: Path, quiet=True):
+    """Run the refinement ladder and compare each rung with the finest."""
     ops = build_operators(cfg)
     ladder = [tuple(pair) for pair in cfg["converge"]["ladder"]]
     fields = {pair: _terminal_fields(cfg, ops, *pair) for pair in ladder}
@@ -357,16 +285,6 @@ def cmd_converge(cfg, outdir: Path, quiet=True) -> int:
         )
     totals = [r["delta_total"] for r in rows]
     decreasing = bool(all(a > b for a, b in zip(totals, totals[1:])))
-    payload = {
-        "config_hash": chash,
-        "version": __version__,
-        "command": "converge",
-        "ladder": [list(p) for p in ladder],
-        "reference": list(finest),
-        "rows": rows,
-        "strictly_decreasing": decreasing,
-    }
-    write_summary(outdir / "converge.json", payload)
     if not quiet:
         print(f"{'k':>4} {'l':>4} {'d_theta':>12} {'d_epsp':>12} {'d_u':>12} {'total':>12}")
         for r in rows:
@@ -375,7 +293,12 @@ def cmd_converge(cfg, outdir: Path, quiet=True) -> int:
                 f"{r['delta_epsp']:>12.5e} {r['delta_u']:>12.5e} {r['delta_total']:>12.5e}"
             )
         print(f"strictly decreasing: {decreasing}")
-    return EXIT_OK if decreasing else EXIT_INVARIANT
+    return decreasing, {
+        "ladder": [list(p) for p in ladder],
+        "reference": list(finest),
+        "rows": rows,
+        "strictly_decreasing": decreasing,
+    }
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -398,30 +321,38 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: each command and the one artifact it writes
 _COMMANDS = {
-    "run": cmd_run,
-    "certify": cmd_certify,
-    "basis": cmd_basis,
-    "converge": cmd_converge,
+    "run": (cmd_run, "summary.json"),
+    "certify": (cmd_certify, "certification.json"),
+    "basis": (cmd_basis, "basis_report.json"),
+    "converge": (cmd_converge, "converge.json"),
 }
+
+
+def _report(err) -> int:
+    print(f"{err.label}: {err}", file=sys.stderr)
+    return err.exit_code
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    command, artifact = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        outdir = _outdir(cfg, args.out)
-        return _COMMANDS[args.command](cfg, outdir, quiet=args.quiet)
-    except (ParseError, ValidationError, BadConfig, BadData, DimensionMismatch,
-            EmptyComplement) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SolverFailure, DomainExit, NonFiniteInput) as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (CertificationFailure, StateCorrupt) as err:
-        print(f"invariant violation: {err}", file=sys.stderr)
-        return EXIT_INVARIANT
+    except Failure as err:  # no config, nothing to stamp an artifact with
+        return _report(err)
+    outdir = _outdir(cfg, args.out)
+    (outdir / "effective_config.json").write_text(canonical_json(cfg))
+    stamp = {"config_hash": config_hash(cfg), "version": __version__, "command": args.command}
+    try:
+        passed, payload = command(cfg, outdir, quiet=args.quiet)
+        code = EXIT_OK if passed else EXIT_INVARIANT
+    except Failure as err:
+        payload = {**err.record(), "failed": True, "failure": str(err), "checks": {"passed": False}}
+        code = _report(err)
+    write_summary(outdir / artifact, {**payload, **stamp})
+    return code
 
 
 if __name__ == "__main__":

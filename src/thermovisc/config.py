@@ -399,14 +399,14 @@ def make_boundary_displacement(cfg: dict, mesh):
 
 
 def make_boundary_flux(cfg: dict, mesh):
+    """``(factor, base)``: the nodal heat flux at time t is factor(t) * base."""
     spec = cfg["data"]["g_theta"]
     n = mesh.n_nodes
     if spec["preset"] == "zero":
         base = np.zeros(n)
     else:
         base = np.full(n, float(spec["value"]))
-    factor = _time_factor(spec)
-    return (lambda t: factor(t) * base), bool(np.abs(base).max() > 0)
+    return _time_factor(spec), base
 
 
 def make_theta0(cfg: dict, mesh) -> np.ndarray:

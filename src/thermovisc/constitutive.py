@@ -335,8 +335,6 @@ def certify_assumption1(
     if failures:
         report.passed = False
         msg = "; ".join(f"{name} violated: {detail}" for name, detail, _ in failures)
-        err = CertificationFailure(msg, check=failures[0][0], sample=failures[0][2])
-        err.checks = [name for name, _, _ in failures]
-        err.report = report
-        raise err
+        checks = [name for name, _, _ in failures]
+        raise CertificationFailure(msg, report, checks=checks, sample=failures[0][2])
     return report

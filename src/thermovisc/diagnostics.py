@@ -177,8 +177,11 @@ def collect_row(system, state, lifted, step_index: int, report=None) -> Diagnost
 def _initial_dissipation(system, state, lifted, step_index: int) -> float:
     theta_q = system.theta_quad(state.beta) + lifted.theta_tilde_quad[step_index]
     td = system.stress_dev(state.delta, lifted.combine(lifted.T_tilde_dev, step_index))
-    G = system.law.evaluate_many(theta_q, td, y=state.y_quad)
-    return float(system.ops.wq @ dot6(td, G))
+    # a law value past the float range is written as inf or nan, not warned
+    # about; a step from this state fails on it (exit 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = system.law.evaluate_many(theta_q, td, y=state.y_quad)
+        return float(system.ops.wq @ dot6(td, G))
 
 
 def lift_lp_integrals(ops, lifted: LiftedFields, p: float):
@@ -197,6 +200,20 @@ def lift_lp_integrals(ops, lifted: LiftedFields, p: float):
         return by_row[key]
 
     return lift_lp
+
+
+def young_constants(beta: float, C: float, p: float):
+    """``(eps, c(eps))`` of the Young inequality behind the a-priori bound;
+    BadData when a constant is zero or out of float range."""
+    pp = p / (p - 1.0)
+    try:
+        eps = beta / (2.0**p * C**pp)
+        return eps, (1.0 / p) * (eps * pp) ** (1.0 - p)
+    except (OverflowError, ZeroDivisionError):
+        raise BadData(
+            f"the a-priori bound constants are zero or out of float range for "
+            f"beta={beta}, C={C}, p={p}"
+        ) from None
 
 
 @dataclass
@@ -218,15 +235,10 @@ class AprioriMonitor:
     theta_l1_series: list = field(default_factory=list)
 
     def __post_init__(self):
-        pp = self.p / (self.p - 1.0)
-        try:
-            self.eps_young = self.beta / (2.0**self.p * self.C**pp)
-            self.c_young = (1.0 / self.p) * (self.eps_young * pp) ** (1.0 - self.p)
-        except (OverflowError, ZeroDivisionError):
-            raise BadData(
-                f"the a-priori bound constants are zero or out of float range for "
-                f"beta={self.beta}, C={self.C}, p={self.p}"
-            ) from None
+        # the bound is a theorem for coercive laws only
+        if not self.beta > 0.0:
+            raise BadData(f"the a-priori bound needs a coercive law, got beta={self.beta}")
+        self.eps_young, self.c_young = young_constants(self.beta, self.C, self.p)
 
     def start(self, ops, e_pot0: float, theta_nodal):
         self.e_pot0 = e_pot0

@@ -193,6 +193,10 @@ def initialize(
     epsp0 = np.asarray(epsp0_quad, dtype=float)
     if epsp0.shape != (ops.wq.size, 6) or not np.isfinite(epsp0).all():
         raise BadData("initial inelastic strain must be a finite quadrature field")
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = ops.inner_D_quad(epsp0, epsp0)
+    if not np.isfinite(energy):
+        raise BadData("initial inelastic strain energy leaves the float range")
     tr = np.abs(trace6(epsp0)).max()
     if validate and tr > 1e-10 * max(1.0, float(norm6(epsp0).max())):
         raise BadData(f"initial inelastic strain has trace {tr:.3e}")

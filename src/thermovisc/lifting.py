@@ -83,13 +83,16 @@ def solve_elastic_lift(ops: AssembledOperators, f_nodal=None, g_boundary=None):
     free = ops.interior_dofs
     u = g_lift.ravel().copy()
     if free.size:
+        with np.errstate(over="ignore"):
+            scale = np.linalg.norm(rhs[free])
+        if not np.isfinite(scale):
+            raise BadData("elastic lift data leaves the float range")
         try:
             lu = splu(ops.K_D[free][:, free].tocsc())
         except RuntimeError as err:
             raise SolverFailure(f"elastic lift factorization failed: {err}") from None
         u[free] += lu.solve(rhs[free])
         res = np.linalg.norm((ops.K_D @ u - ops.M_u @ f_nodal.ravel())[free])
-        scale = max(np.linalg.norm(rhs[free]), 1e-30)
         if res > 1e-10 * max(scale, 1.0):
             raise SolverFailure(f"elastic lift residual {res:.3e} exceeds tolerance")
     eps_q = ops.strain_quad(u)
@@ -133,11 +136,15 @@ def solve_heat_lift(ops: AssembledOperators, g_flux, theta0, times):
                     f"heat lift factorization failed at step {i + 1}: {err}"
                 ) from None
         b = ops.M_lumped * out[i] + dt * (ops.B_boundary @ g_flux[i + 1])
+        with np.errstate(over="ignore"):
+            scale = np.linalg.norm(b)
+        if not np.isfinite(scale):
+            raise BadData(f"heat lift data leaves the float range at step {i + 1}")
         out[i + 1] = lu.solve(b)
         res = np.linalg.norm(
             ops.M_lumped * out[i + 1] + dt * (ops.K_theta @ out[i + 1]) - b
         )
-        if res > 1e-12 * max(np.linalg.norm(b), 1.0):
+        if res > 1e-12 * max(scale, 1.0):
             raise SolverFailure(f"heat lift residual {res:.3e} at step {i + 1}")
     return out
 
@@ -147,25 +154,26 @@ def build_lift(
     times,
     f=None,
     g=None,
-    gtheta_of_t=None,
+    g_theta=None,
     theta_tilde0=None,
 ) -> LiftedFields:
     """Lift the data onto the time grid ``times``.
 
-    ``f`` (nodal force density) and ``g`` (boundary displacement) are
-    ``(factor, base)`` pairs, the datum at time t being ``factor(t) * base``;
-    a missing or all-zero base carries no data.  The elastic system is solved
-    once per base, or once for the combined datum when every factor is
-    constant on the grid.  ``gtheta_of_t`` maps a time to the nodal heat flux.
+    ``f`` (nodal force density), ``g`` (boundary displacement) and
+    ``g_theta`` (nodal heat flux) are ``(factor, base)`` pairs, the datum at
+    time t being ``factor(t) * base``; a missing or all-zero base carries no
+    data.  The elastic system is solved once per base, or once for the
+    combined datum when every factor is constant on the grid.
     """
     times = np.asarray(times, dtype=float)
     n = ops.n_nodes
     nt = times.size
 
     data = {}
-    for key, datum in (("f_nodal", f), ("g_boundary", g)):
+    for key, datum in (("f_nodal", f), ("g_boundary", g), ("g_theta", g_theta)):
         if datum is not None and np.abs(datum[1]).max() > 0:
             data[key] = (datum[0], np.asarray(datum[1], dtype=float))
+    g_theta = data.pop("g_theta", None)  # None when it carries no data
     factors = np.array(
         [[float(factor(t)) for factor, _ in data.values()] for t in times]
     ).reshape(nt, len(data))
@@ -183,16 +191,13 @@ def build_lift(
     theta0 = (
         np.zeros(n) if theta_tilde0 is None else np.asarray(theta_tilde0, dtype=float)
     )
-    if gtheta_of_t is None and not theta0.any():
+    if g_theta is None and not theta0.any():
         theta = np.zeros((nt, n))
         flux = np.zeros(nt)
         theta_q = np.zeros((nt, ops.wq.size))
     else:
         g_flux = np.stack(
-            [
-                np.zeros(n) if gtheta_of_t is None else np.asarray(gtheta_of_t(t), dtype=float)
-                for t in times
-            ]
+            [np.zeros(n) if g_theta is None else g_theta[0](t) * g_theta[1] for t in times]
         )
         theta = solve_heat_lift(ops, g_flux, theta0, times) if nt > 1 else theta0[None, :]
         ones = np.ones(n)

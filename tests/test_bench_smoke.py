@@ -5,13 +5,29 @@ A change that breaks a workload fails here, before the benchmark runs it.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from thermovisc.cli import EXIT_OK, main
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+REPO = Path(__file__).resolve().parents[1]
+WORKLOADS_PY = REPO / "bench" / "workloads.py"
+
+#: spans the benchmark's tracer must record; it skips a patch point it cannot
+#: find, so a rename in the package would zero a per-layer metric silently
+TRACED_SPANS = (
+    "cli.main",
+    "cli.on_step",
+    "evolution.run",
+    "diagnostics.collect_row",
+    "diagnostics.monitor_update",
+    "runio.diag_write",
+    "constitutive.evaluate_many",
+    "lifting.solve_heat_lift",
+)
 
 
 def _workloads():
@@ -37,3 +53,21 @@ def test_workload_runs_at_warmup_size(tmp_path, name):
     lines = (out / "diagnostics.csv").read_text().splitlines()
     rows = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(rows) == cfg["discretization"]["n_steps"] + 1
+
+
+def test_traced_child_records_every_layer(tmp_path):
+    # the tracer patches the package in place, so it runs in a child
+    # interpreter, never in this one
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(workloads.warmup_config(workloads.generate("ramp_lift", 1))))
+    result = tmp_path / "result.json"
+    child = [sys.executable, "bench/child.py", str(cfg_path), str(tmp_path / "out"), str(result)]
+    proc = subprocess.run(
+        child + ["--trace"], cwd=REPO, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(result.read_text())
+    assert record["exit_code"] == EXIT_OK
+    recorded = {span[0] for span in record["spans"]}
+    assert set(TRACED_SPANS) <= recorded, set(TRACED_SPANS) - recorded
+    assert record["counters"]["evolution.fp_iters"] > 0

@@ -256,6 +256,13 @@ def test_shipped_config_hash_pinned(name, digest):
 _COSINE = {"preset": "cosine"}
 _RAMPED_F = {"preset": "polynomial", "value": [0.4, 0.6], "time": {"kind": "ramp"}}
 
+_LORENTZ_HUGE = {"type": "mroz", "g": {"kind": "lorentz", "amplitude": 1e308, "offset": 1e308}}
+
+
+def _mroz(g):
+    return {"type": "mroz", "g": g}
+
+
 # (where in configs/isolated.json, the value put there, what stderr must name);
 # the shipped config has k = l = 10
 _CONFIG_HOLES = {
@@ -281,6 +288,11 @@ _CONFIG_HOLES = {
     "law_constants_overflow": (("material", "law"), {"type": "bodner_partom", "m": 2000},
                                "material.law"),
     "bound_constants_overflow": (("material", "law", "p"), 50, "a-priori bound constants"),
+    "mroz_negative": (("material", "law"), _mroz({"kind": "constant", "value": -1}),
+                      "coercive law"),
+    "mroz_table_negative": (("material", "law"),
+                            _mroz({"kind": "table", "thetas": [0, 1], "values": [1, -0.5]}),
+                            "coercive law"),
 }
 
 
@@ -300,6 +312,86 @@ def test_config_holes_exit_2(tmp_path, capsys, where, value, named):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        {"type": "norton_hoff", "c": 1.0, "p": 1000},
+        {"type": "bodner_partom", "m": 1000},
+        _LORENTZ_HUGE,
+        _mroz({"kind": "constant", "value": 0}),
+    ],
+    ids=["norton_hoff_p1000", "bodner_partom_m1000", "lorentz_1e308", "mroz_zero"],
+)
+@pytest.mark.parametrize(
+    "command, artifact", [("run", "summary.json"), ("certify", "certification.json")]
+)
+def test_cli_law_without_bound_exit_2(tmp_path, capsys, command, artifact, law):
+    # run and certify both refuse a law whose a-priori bound cannot be
+    # formed (certify before its sweep), and leave a failure record
+    payload = {**MINIMAL, "material": {"law": law}, "certify": {"samples": 100}}
+    cfg_path = write_cfg(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert "a-priori bound" in capsys.readouterr().err
+    rep = json.loads((out / artifact).read_text())
+    assert rep["failed"] is True and rep["checks"]["passed"] is False
+    assert rep["config_hash"] == config_hash(load_config(cfg_path))
+
+
+@pytest.mark.parametrize(
+    "key, spec",
+    [
+        ("epsp0", {"preset": "complement_mode", "amplitude": 1e300}),
+        ("f", {"preset": "constant", "value": [1e300, 1]}),
+    ],
+)
+def test_cli_huge_data_fails_without_overflow_warning(tmp_path, capsys, key, spec):
+    # energies of data near the float limit leave the float range; the run
+    # fails with a record, and no RuntimeWarning (an error under pytest) leaks
+    payload = copy.deepcopy(MINIMAL)
+    payload["data"][key] = spec
+    out = tmp_path / "o"
+    code = main(["run", "--config", write_cfg(tmp_path, payload), "--out", str(out), "--quiet"])
+    assert code in (EXIT_CONFIG, EXIT_SOLVER)
+    assert "float range" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] is True and summary["checks"]["passed"] is False
+
+
+def test_cli_failed_run_replaces_a_stale_summary(tmp_path):
+    # a run that fails after set-up began overwrites the summary an earlier
+    # run left in the same directory
+    out = tmp_path / "o"
+    first = write_cfg(tmp_path, MINIMAL)
+    assert main(["run", "--config", first, "--out", str(out), "--quiet"]) == EXIT_OK
+    payload = copy.deepcopy(MINIMAL)
+    payload["material"] = {"law": {"type": "norton_hoff", "c": 1.0, "p": 50}}
+    cfg_path = write_cfg(tmp_path, payload, name="p50.json")
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] is True and summary["checks"]["passed"] is False
+    assert summary["config_hash"] == config_hash(load_config(cfg_path))
+
+
+@pytest.mark.parametrize(
+    "command, artifact", [("basis", "basis_report.json"), ("converge", "converge.json")]
+)
+def test_cli_solver_failure_record(tmp_path, command, artifact):
+    # the soft-shear complement failure of run also leaves a record from
+    # basis and converge
+    payload = json.loads((REPO / "configs" / "isolated.json").read_text())
+    payload["material"]["elasticity"]["mu"] = 1e-4
+    payload["discretization"].update(k=4, l=4)
+    cfg_path = write_cfg(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_SOLVER
+    rep = json.loads((out / artifact).read_text())
+    assert rep["failed"] is True and rep["checks"]["passed"] is False
+    assert "Rayleigh-Ritz" in rep["failure"]
+    assert rep["command"] == command
+    assert rep["config_hash"] == config_hash(load_config(cfg_path))
 
 
 def test_cli_voigt_elasticity_and_full_complement(tmp_path):
@@ -347,10 +439,10 @@ def test_csv_time_trajectory(tmp_path):
     from thermovisc.mesh_fem import build_mesh
 
     mesh = build_mesh(2, (1.0, 1.0), (2, 2))
-    flux_of_t, active = make_boundary_flux(cfg, mesh)
-    assert active
-    assert flux_of_t(0.25)[0] == pytest.approx(2.0 * 0.5)
-    assert flux_of_t(0.75)[0] == pytest.approx(2.0 * 0.75)
+    factor, base = make_boundary_flux(cfg, mesh)
+    assert np.array_equal(base, np.full(mesh.n_nodes, 2.0))
+    assert factor(0.25) == pytest.approx(0.5)
+    assert factor(0.75) == pytest.approx(0.75)
     # missing path is a validation error
     with pytest.raises(ValidationError):
         validate_config(
@@ -568,6 +660,30 @@ def test_cli_non_finite_law_input_exit(tmp_path, monkeypatch):
     assert summary["checks"]["passed"] is False
     assert "NaN or infinite" in summary["failure"]
     # not a nonlinear solve failure, so no step time or residual history
+    assert "t_failed" not in summary and "residual_history" not in summary
+
+
+def test_cli_state_corrupt_leaves_failure_record(tmp_path, monkeypatch):
+    # a state found corrupt mid-run is an invariant violation (exit 4) with
+    # a failure record
+    import thermovisc.cli as cli
+
+    collect_row = cli.collect_row
+
+    def corrupt_at_step_3(system, state, lifted, step_index, report=None):
+        if step_index == 3:
+            state.delta[0] = np.nan
+            state.validate()
+        return collect_row(system, state, lifted, step_index, report)
+
+    monkeypatch.setattr(cli, "collect_row", corrupt_at_step_3)
+    cfg_path = write_cfg(tmp_path, MINIMAL)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_INVARIANT
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] is True and summary["checks"]["passed"] is False
+    assert "non-finite coefficients in delta" in summary["failure"]
+    assert summary["config_hash"] == config_hash(load_config(cfg_path))
     assert "t_failed" not in summary and "residual_history" not in summary
 
 

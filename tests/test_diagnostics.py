@@ -208,7 +208,7 @@ def _parity_case(name):
             times,
             f=(lambda t: 5.0 * t, np.column_stack([0.4 * (1.0 + x[:, 0]), np.full(len(x), 0.6)])),
             g=(lambda t: np.sin(40.0 * t), x @ np.array([[0.02, 0.01], [0.0, -0.03]]).T),
-            gtheta_of_t=lambda t: np.full(ops.n_nodes, 0.2 * np.sin(30.0 * t)),
+            g_theta=(lambda t: 0.2 * np.sin(30.0 * t), np.ones(ops.n_nodes)),
             theta_tilde0=np.full(ops.n_nodes, 0.1),
         )
         assert lift.factors.shape[1] == 2

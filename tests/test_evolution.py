@@ -453,9 +453,7 @@ def test_flux_bookkeeping_through_lift():
     ops = sys_.ops
     q = 0.7
     dt, n = 1e-3, 20
-    lift = build_lift(
-        ops, grid(dt, n), gtheta_of_t=lambda t: np.full(ops.n_nodes, q)
-    )
+    lift = build_lift(ops, grid(dt, n), g_theta=(lambda t: 1.0, np.full(ops.n_nodes, q)))
     cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n)
     st = initialize(sys_, np.full(ops.n_nodes, 1.0), np.zeros((ops.wq.size, 6)), cfg)
     heats = []

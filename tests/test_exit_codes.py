@@ -2,7 +2,9 @@
 
 Random data, law and time specs on a 3x3 mesh with 2 steps must end in one of
 the documented exit codes (0 ok, 2 config, 3 solver, 4 invariant), and never
-in a traceback.  The draws mix valid keys and values with malformed ones.
+in a traceback.  Once the config has loaded (the output directory exists),
+``summary.json`` is this config's record and passes exactly when the exit
+code is 0.  The draws mix valid keys and values with malformed ones.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from thermovisc.cli import main
+from thermovisc.config import config_hash, validate_config
 
 NUM = st.one_of(st.integers(-2, 4), st.floats(-3.0, 3.0))
 POS = st.floats(0.1, 4.0)
@@ -109,10 +112,14 @@ def test_run_exit_code_contract(data, law):
     }
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
+        path, out = Path(tmp) / "config.json", Path(tmp) / "o"
         path.write_text(json.dumps(payload))
         with contextlib.redirect_stderr(err):
-            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "o"), "--quiet"])
+            code = main(["run", "--config", str(path), "--out", str(out), "--quiet"])
+        summary = json.loads((out / "summary.json").read_text()) if out.exists() else None
     event(f"exit {code}")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if summary is not None:
+        assert summary["config_hash"] == config_hash(validate_config(payload))
+        assert summary["checks"]["passed"] is (code == 0)

@@ -138,7 +138,7 @@ def test_build_lift_and_reconstruct(ops):
         ops,
         times,
         g=(lambda t: 1.0, g),
-        gtheta_of_t=lambda t: np.full(ops.n_nodes, 1.0),
+        g_theta=(lambda t: 1.0, np.full(ops.n_nodes, 1.0)),
     )
     assert lift.u_tilde.shape[0] == 1  # static elastic part solved once
     assert np.array_equal(lift.factors, np.ones((times.size, 1)))
