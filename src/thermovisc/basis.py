@@ -124,10 +124,6 @@ class ComplementSpace:
     gram_D: sp.csr_matrix | None = field(default=None, repr=False)
     gram_s: sp.csr_matrix | None = field(default=None, repr=False)
 
-    @property
-    def m(self) -> int:
-        return self.comp_basis.shape[1]
-
 
 def _node_tensor_basis(dim: int, space: str) -> np.ndarray:
     # plane strain keeps every diagonal slot; a shear slot a_ij needs j < dim
@@ -305,7 +301,7 @@ def project_complement(ops: AssembledOperators, fields: BasisFields, field_quad:
     return np.einsum("q,qi,mqi->m", ops.wq, np.asarray(field_quad), fields.D_zeta)
 
 
-def projection_norm_check(basis: GalerkinBasis, n_fields: int = 1000, seed: int = 0, n_use=None):
+def projection_norm_check(basis: GalerkinBasis, n_fields: int = 1000, seed: int = 0):
     """Non-expansiveness of the complement projector in the surrogate norm.
 
     Random fields are drawn from the discrete complement space, the domain on
@@ -315,20 +311,18 @@ def projection_norm_check(basis: GalerkinBasis, n_fields: int = 1000, seed: int 
     if comp.C is None:
         raise BadData("basis was loaded without its complement space; rebuild to check")
     rng = np.random.default_rng(seed)
-    C, S, G = comp.C, comp.gram_s, comp.gram_D
-    n_use = basis.l if n_use is None else int(n_use)
-    Zu = basis.Z[:n_use]
+    C, S, G, Z = comp.C, comp.gram_s, comp.gram_D, basis.Z
     # C has orthonormal rows, so R - C^T (C C^T)^-1 C R is R - C^T C R
     phi = rng.standard_normal((C.shape[1], n_fields))
     phi -= C.T @ (C @ phi)
-    coeff = Zu @ (G @ phi)
-    proj = Zu.T @ coeff
+    coeff = Z @ (G @ phi)
+    proj = Z.T @ coeff
     num = np.einsum("nf,nf->f", proj, S @ proj)
     den = np.einsum("nf,nf->f", phi, S @ phi)
     ratios = np.sqrt(num / den)
     return {
         "n_fields": int(n_fields),
-        "modes_used": int(n_use),
+        "modes_used": int(basis.l),
         "max_ratio": float(ratios.max()),
         "non_expansive": bool(ratios.max() <= 1.0 + 1e-10),
     }

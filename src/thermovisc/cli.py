@@ -51,6 +51,7 @@ from .constitutive import certify_assumption1
 from .diagnostics import (
     AprioriMonitor,
     EnergyReport,
+    RowTables,
     collect_row,
     lift_lp_integrals,
     young_constants,
@@ -155,13 +156,14 @@ def cmd_run(cfg, outdir: Path, quiet=True):
         beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume
     )
     lift_lp = lift_lp_integrals(ops, lifted, law.p)
+    tables = RowTables.build(system, lifted)
     report = EnergyReport()
     cadence = cfg["output"]["cadence"]
 
     with DiagnosticsWriter(outdir / "diagnostics.csv", chash) as diag:
 
         def on_step(i, state, rep):
-            row = collect_row(system, state, lifted, i, rep)
+            row = collect_row(tables, state, i, rep)
             report.append(row)
             diag.write(row)
             # the a-priori bound is a theorem for the homogeneous potential
@@ -169,11 +171,10 @@ def cmd_run(cfg, outdir: Path, quiet=True):
             # for isolated runs
             e_hom = 0.5 * float(state.delta @ state.delta)
             theta = system.theta_nodal(state.beta) + lifted.theta_tilde[i]
-            if rep is None:
+            if i == 0:
                 monitor.start(ops, e_hom, theta)
             else:
-                td = system.stress_dev(state.delta, lifted.combine(lifted.T_tilde_dev, i))
-                monitor.update(ops, evo.dt, state.t, e_hom, td, lift_lp(i), theta)
+                monitor.update(ops, evo.dt, state.t, e_hom, rep.stress_lp, lift_lp(i), theta)
             if i % cadence == 0 or i == evo.n_steps:
                 fields = reconstruct_fields(system, state, lifted, i)
                 _snapshot(cfg, outdir, chash, system, fields, i)

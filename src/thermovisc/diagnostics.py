@@ -17,6 +17,8 @@ via the Young inequality with
 
 Entropy uses the lumped nodal quadrature of ln(theta); a nonpositive nodal
 temperature marks the sample as undefined (NaN) without aborting the run.
+The solver-side columns of a row and the monitor's integral |T^d|^p are
+read from the level's ``evolution.StepReport``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import BadData
 from .lifting import LiftedFields
 from .mesh_fem import AssembledOperators
-from .tensor import dot6, norm6
+from .tensor import norm6
 
 
 def potential_energy(ops: AssembledOperators, eps_u_quad, epsp_quad) -> float:
@@ -102,7 +104,8 @@ class RowTables:
     the zeta family being D-orthonormal.
     """
 
-    lifted: LiftedFields = field(repr=False)  # the lift the tables belong to
+    system: object = field(repr=False)  # the evolution.ModalSystem the tables belong to
+    lifted: LiftedFields = field(repr=False)  # and its lift
     gram_zeta: np.ndarray  # Z (l, l): (zeta_m, zeta_n)_D
     cross: np.ndarray  # P (l, n_bases): (zeta_m, eps(u~_b))_D
     gram_lift: np.ndarray  # G (n_bases, n_bases): (eps(u~_b), eps(u~_b'))_D
@@ -119,6 +122,7 @@ class RowTables:
         nb = lifted.T_tilde.shape[0]
         w_T_lift = (wq * lifted.T_tilde).reshape(nb, -1)  # wq D eps(u~_b)
         return cls(
+            system=system,
             lifted=lifted,
             gram_zeta=np.array([zeta_rows @ (wq * dz).ravel() for dz in system.fields.D_zeta]),
             cross=zeta_rows @ w_T_lift.T,
@@ -138,14 +142,13 @@ class RowTables:
         return float(self.heat_modes @ beta) + float(self.heat_lift[step_index])
 
 
-def collect_row(system, state, lifted, step_index: int, report=None) -> DiagnosticsRow:
-    """One diagnostics sample from a state, its lift slice and step report.
+def collect_row(tables: RowTables, state, step_index: int, report) -> DiagnosticsRow:
+    """One diagnostics sample from a state, the run's tables and the level's report.
 
-    No Gauss-point field is built except for the initial row's dissipation;
-    the temperature columns use the nodal field beta @ v + theta~.
+    No Gauss-point field is built; the temperature columns use the nodal
+    field beta @ v + theta~.
     """
-    ops = system.ops
-    tables = system.row_tables(lifted)
+    system, lifted = tables.system, tables.lifted
     theta = system.theta_nodal(state.beta) + lifted.theta_tilde[step_index]
     e_pot = tables.potential_energy(state.delta, lifted.factors[step_index])
     e_thermal = tables.thermal_energy(state.beta, step_index)
@@ -155,33 +158,19 @@ def collect_row(system, state, lifted, step_index: int, report=None) -> Diagnost
         e_thermal=e_thermal,
         e_total=e_thermal + e_pot,
         theta_min=float(theta.min()),
-        entropy=entropy(ops, theta),
-        dissipation=report.dissipation
-        if report
-        else _initial_dissipation(system, state, lifted, step_index),
-        equilibrium_residual=report.equilibrium_residual if report else 0.0,
-        solver_residual=report.residual if report else 0.0,
-        solver_iters=report.iters if report else 0,
-        substeps=report.substeps if report else 0,
-        energy_defect=report.energy_defect if report else 0.0,
-        epsp_trace_sup=report.epsp_trace_sup
-        if report
-        else float(np.abs(system.epsp_trace(state.gamma, state.delta)).max()),
-        source_integral=report.source_integral if report else 0.0,
+        entropy=entropy(system.ops, theta),
+        dissipation=report.dissipation,
+        equilibrium_residual=report.equilibrium_residual,
+        solver_residual=report.residual,
+        solver_iters=report.iters,
+        substeps=report.substeps,
+        energy_defect=report.energy_defect,
+        epsp_trace_sup=report.epsp_trace_sup,
+        source_integral=report.source_integral,
         boundary_flux=float(lifted.flux_integral[step_index]),
-        clip_fraction=report.clip_fraction if report else 0.0,
-        trunc_fraction=report.trunc_fraction if report else 0.0,
+        clip_fraction=report.clip_fraction,
+        trunc_fraction=report.trunc_fraction,
     )
-
-
-def _initial_dissipation(system, state, lifted, step_index: int) -> float:
-    theta_q = system.theta_quad(state.beta) + lifted.theta_tilde_quad[step_index]
-    td = system.stress_dev(state.delta, lifted.combine(lifted.T_tilde_dev, step_index))
-    # a law value past the float range is written as inf or nan, not warned
-    # about; a step from this state fails on it (exit 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = system.law.evaluate_many(theta_q, td, y=state.y_quad)
-        return float(system.ops.wq @ dot6(td, G))
 
 
 def lift_lp_integrals(ops, lifted: LiftedFields, p: float):
@@ -249,10 +238,10 @@ class AprioriMonitor:
         self.bounds.append(e_pot0)
         self.theta_l1_series.append(self.theta_l1_0)
 
-    def update(self, ops, dt, t, e_pot, td_phys_quad, lift_lp, theta_nodal):
-        """Add one step; ``lift_lp`` is the step's value from ``lift_lp_integrals``."""
+    def update(self, ops, dt, t, e_pot, stress_lp, lift_lp, theta_nodal):
+        """Add one step, its ``StepReport.stress_lp`` and its ``lift_lp_integrals`` value."""
         self.sup_e_pot = max(self.sup_e_pot, e_pot)
-        self.stress_lp_sum += dt * ops.integrate(norm6(td_phys_quad) ** self.p)
+        self.stress_lp_sum += dt * stress_lp
         self.lift_lp_sum += dt * lift_lp
         l1 = float(ops.M_lumped @ np.abs(theta_nodal))
         self.sup_theta_l1 = max(self.sup_theta_l1, l1)

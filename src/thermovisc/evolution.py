@@ -38,18 +38,20 @@ the continuous energy identity,
 
 where Tbar is the midpoint stress (T(new)+T(old))/2 and E = |delta|^2 / 2 is
 the homogeneous potential energy (the zeta family is D-orthonormal).  The
-per-step defect reported by the stepper is this quantity.
+per-step defect reported by the stepper is this quantity.  Every time level
+has a ``StepReport``, level 0 included (``initial_report``), and each
+carries the integral |T^d|^p of its stress deviator for the monitor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisFields, GalerkinBasis, basis_fields
+from .basis import BasisFields, GalerkinBasis, basis_fields, project_complement
 from .constitutive import BodnerPartom
-from .diagnostics import RowTables
 from .errors import BadData, NonlinearSolveFailure, StateCorrupt
 from .lifting import LiftedFields
 from .mesh_fem import AssembledOperators
@@ -106,17 +108,20 @@ class SimState:
 
 @dataclass
 class StepReport:
+    """Solver-side quantities of one time level (zero solver fields at level 0)."""
+
     t: float
-    iters: int
-    residual: float
-    energy_defect: float
     dissipation: float
-    source_integral: float
-    equilibrium_residual: float
     epsp_trace_sup: float
-    clip_fraction: float
-    trunc_fraction: float
-    substeps: int = 1  # implicit solves behind this grid step (> 1 after dt halving)
+    stress_lp: float  # integral |T^d|^p of the level's stress deviator, p of the law
+    iters: int = 0
+    residual: float = 0.0
+    energy_defect: float = 0.0
+    source_integral: float = 0.0
+    equilibrium_residual: float = 0.0
+    clip_fraction: float = 0.0
+    trunc_fraction: float = 0.0
+    substeps: int = 0  # implicit solves behind this grid step (> 1 after dt halving)
 
 
 class ModalSystem:
@@ -140,13 +145,6 @@ class ModalSystem:
         # tr eps(w_n) and tr zeta_m at the Gauss points: the trace of eps_p
         self.tr_eps_w = self.fields.eps_w[..., :3].sum(axis=-1)
         self.tr_zeta = self.fields.zeta[..., :3].sum(axis=-1)
-        self._row_tables = None
-
-    def row_tables(self, lifted: LiftedFields) -> RowTables:
-        """Diagnostics Gram tables of this system and ``lifted``, built on first use."""
-        if self._row_tables is None or self._row_tables.lifted is not lifted:
-            self._row_tables = RowTables.build(self, lifted)
-        return self._row_tables
 
     # -- field reconstruction at Gauss points --------------------------------
 
@@ -205,18 +203,44 @@ def initialize(
     theta_tr = truncate(theta0, config.level)
     beta = np.einsum("mn,n,n->m", f.v_nodal, ops.M_lumped, theta_tr)
     gamma = np.einsum("q,qi,nqi->n", ops.wq, epsp0, f.D_eps_w) / system.lam
-    delta = np.einsum("q,qi,mqi->m", ops.wq, epsp0, f.D_zeta)
+    delta = project_complement(ops, f, epsp0)
     y_quad = None
     if isinstance(system.law, BodnerPartom):
         y_quad = np.full(ops.wq.size, system.law.y0)
     return SimState(t=0.0, beta=beta, gamma=gamma, delta=delta, y_quad=y_quad)
 
 
-def _lift_slices(lifted: LiftedFields, step_index: int):
+def _lift_slices(system: ModalSystem, lifted: LiftedFields, step_index: int):
     return (
-        lifted.theta_tilde_quad[step_index],
+        system.ops.scalar_quad(lifted.theta_tilde[step_index]),
         lifted.combine(lifted.T_tilde_dev, step_index),
     )
+
+
+def _law_terms(system, delta, beta, theta_t_q, Ttd_q, y, diverged=None):
+    """Td, G and Td : G at the Gauss points; raises ``diverged()`` on a non-finite input to G."""
+    Td = system.stress_dev(delta, Ttd_q)
+    theta_q = system.theta_quad(beta) + theta_t_q
+    if diverged is not None and not (np.isfinite(Td).all() and np.isfinite(theta_q).all()):
+        raise diverged()
+    G = system.law.evaluate_many(theta_q, Td, y=y)
+    return Td, G, dot6(Td, G)
+
+
+def initial_report(system: ModalSystem, state: SimState, lifted: LiftedFields) -> StepReport:
+    """The report of time level 0: the initial state's dissipation, trace and stress integral."""
+    # a law value past the float range is written as inf or nan, not warned
+    # about; a step from this state fails on it (exit 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Td, _, diss = _law_terms(
+            system, state.delta, state.beta, *_lift_slices(system, lifted, 0), state.y_quad
+        )
+        return StepReport(
+            t=state.t,
+            dissipation=float(system.wq @ diss),
+            epsp_trace_sup=float(np.abs(system.epsp_trace(state.gamma, state.delta)).max()),
+            stress_lp=system.ops.integrate(norm6(Td) ** system.law.p),
+        )
 
 
 def step(
@@ -230,8 +254,7 @@ def step(
 
     ``step_index`` is the index of the *target* time level on the lift grid.
     """
-    theta_t_q, Ttd_q = _lift_slices(lifted, step_index)
-    return _advance(system, state, theta_t_q, Ttd_q, config.dt, config)
+    return _advance(system, state, *_lift_slices(system, lifted, step_index), config.dt, config)
 
 
 #: columns of Anderson mixing history; 0 gives the plain damped Picard iteration
@@ -258,17 +281,9 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
         return NonlinearSolveFailure(message, history, t_new)
 
     def apply_map(xv):
-        delta = xv[:l]
-        beta = xv[l:]
-        Td = system.stress_dev(delta, Ttd_q)
-        theta_q = beta @ v_quad + theta_t_q
-        # a far extrapolation fails the solve (and so halves dt) before the law
-        if not (np.isfinite(Td).all() and np.isfinite(theta_q).all()):
-            raise diverged()
-        G = law.evaluate_many(theta_q, Td, y=state.y_quad)
+        Td, G, diss = _law_terms(system, xv[:l], xv[l:], theta_t_q, Ttd_q, state.y_quad, diverged)
         wG = (wq_col * G).ravel()
         pz = system.D_zeta_rows @ wG
-        diss = dot6(Td, G)
         src = truncate(np.maximum(diss, 0.0), level)
         out = np.concatenate(
             [delta0 + dt * pz, (beta0 + dt * (v_quad @ (wq * src))) / heat_den]
@@ -353,8 +368,10 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
         source_integral=source_integral,
         equilibrium_residual=eq_res,
         epsp_trace_sup=trace_sup,
+        stress_lp=system.ops.integrate(norm6(Td) ** law.p),
         clip_fraction=float(np.mean(diss < 0.0)),
         trunc_fraction=float(np.mean(np.abs(diss) > level)),
+        substeps=1,
     )
     return new_state, report
 
@@ -376,6 +393,7 @@ def _merge_reports(a: StepReport, b: StepReport, dt_a: float, dt_b: float) -> St
         source_integral=wa * a.source_integral + wb * b.source_integral,
         equilibrium_residual=max(a.equilibrium_residual, b.equilibrium_residual),
         epsp_trace_sup=b.epsp_trace_sup,
+        stress_lp=b.stress_lp,
         clip_fraction=wa * a.clip_fraction + wb * b.clip_fraction,
         trunc_fraction=wa * a.trunc_fraction + wb * b.trunc_fraction,
         substeps=a.substeps + b.substeps,
@@ -387,17 +405,16 @@ def _step_adaptive(system, state, lifted, step_index, config: EvolutionConfig):
 
     Substeps interpolate the lift slices linearly between the two enclosing
     grid samples; the composite report carries summed defects and
-    time-averaged rates, so the per-step identities remain exact.
+    time-averaged rates, so the per-step identities remain exact.  Level i-1
+    is formed only when the step halves.
     """
-    th0, Ttd0 = _lift_slices(lifted, step_index - 1)
-    th1, Ttd1 = _lift_slices(lifted, step_index)
+    end = _lift_slices(system, lifted, step_index)
+    start = functools.cache(lambda: _lift_slices(system, lifted, step_index - 1))
 
     def attempt(st, s0, s1, depth):
-        frac = s1
-        theta_q = (1.0 - frac) * th0 + frac * th1
-        Ttd_q = (1.0 - frac) * Ttd0 + frac * Ttd1
+        slices = end if s1 == 1.0 else [(1.0 - s1) * a + s1 * b for a, b in zip(start(), end)]
         try:
-            return _advance(system, st, theta_q, Ttd_q, (s1 - s0) * config.dt, config)
+            return _advance(system, st, *slices, (s1 - s0) * config.dt, config)
         except NonlinearSolveFailure:
             if depth >= MAX_HALVINGS:
                 raise
@@ -447,7 +464,7 @@ def run(
     reports = []
     state = state0
     if on_step is not None:
-        on_step(0, state, None)
+        on_step(0, state, initial_report(system, state, lifted))
     for i in range(1, n + 1):
         state, rep = _step_adaptive(system, state, lifted, i, config)
         gam[i], del_[i], bet[i] = state.gamma, state.delta, state.beta
@@ -481,7 +498,8 @@ def reconstruct_fields(
     u_phys = u_hom + lifted.combine(lifted.u_tilde, step_index)
     eps_u_phys = eps_u_hom + lifted.combine(lifted.eps_u_tilde, step_index)
     T_phys = T_hom + lifted.combine(lifted.T_tilde, step_index)
-    theta_phys = theta_hom + lifted.theta_tilde[step_index]
+    theta_tilde = lifted.theta_tilde[step_index]
+    theta_phys = theta_hom + theta_tilde
     return {
         "u_hom": u_hom,
         "u": u_phys,
@@ -492,7 +510,7 @@ def reconstruct_fields(
         "Td": dev6(T_phys),
         "theta_hom": theta_hom,
         "theta": theta_phys,
-        "theta_quad": system.theta_quad(state.beta) + lifted.theta_tilde_quad[step_index],
+        "theta_quad": system.theta_quad(state.beta) + ops.scalar_quad(theta_tilde),
     }
 
 

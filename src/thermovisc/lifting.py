@@ -6,9 +6,10 @@ boundary values plus a homogeneous correction.  Every datum has the form
 factor(t) * base and the system is linear, so it is solved once per base
 field and scaled in time: the lift at time level i is sum_b c_b(t_i) base_b.
 The heat lift advances the sourceless heat equation with the prescribed
-Neumann flux by implicit Euler on the lumped-mass scheme; its trajectory is
-stored on the time grid.  Subtracting the lifted fields turns the physical
-problem into one with homogeneous boundary conditions;
+Neumann flux by implicit Euler on the lumped-mass scheme; its nodal
+trajectory is stored on the time grid (a level's Gauss-point values are
+interpolated where they are read).  Subtracting the lifted fields turns the
+physical problem into one with homogeneous boundary conditions;
 ``evolution.reconstruct_fields`` undoes the split for the snapshots, and the
 diagnostics rows see the lift only through its time factors, base fields and
 heat content (``diagnostics.RowTables``).
@@ -38,7 +39,6 @@ class LiftedFields:
     T_tilde: np.ndarray = field(repr=False)
     T_tilde_dev: np.ndarray = field(repr=False)
     theta_tilde: np.ndarray = field(repr=False)  # (nt, n)
-    theta_tilde_quad: np.ndarray = field(repr=False)
     flux_integral: np.ndarray = field(repr=False)  # int g_theta ds per sample
 
     def combine(self, bases: np.ndarray, step: int) -> np.ndarray:
@@ -194,7 +194,6 @@ def build_lift(
     if g_theta is None and not theta0.any():
         theta = np.zeros((nt, n))
         flux = np.zeros(nt)
-        theta_q = np.zeros((nt, ops.wq.size))
     else:
         g_flux = np.stack(
             [np.zeros(n) if g_theta is None else g_theta[0](t) * g_theta[1] for t in times]
@@ -202,7 +201,6 @@ def build_lift(
         theta = solve_heat_lift(ops, g_flux, theta0, times) if nt > 1 else theta0[None, :]
         ones = np.ones(n)
         flux = np.array([ones @ (ops.B_boundary @ g_flux[i]) for i in range(nt)])
-        theta_q = np.stack([ops.scalar_quad(theta[i]) for i in range(nt)])
 
     return LiftedFields(
         times=times,
@@ -212,7 +210,6 @@ def build_lift(
         T_tilde=T_b,
         T_tilde_dev=dev6(T_b),
         theta_tilde=theta,
-        theta_tilde_quad=theta_q,
         flux_integral=flux,
     )
 

@@ -18,7 +18,7 @@ from thermovisc.basis import (
 )
 from thermovisc.cli import EXIT_OK, main
 from thermovisc.constitutive import Mroz, NortonHoff, certify_assumption1
-from thermovisc.diagnostics import EnergyReport, collect_row
+from thermovisc.diagnostics import EnergyReport, RowTables, collect_row
 from thermovisc.evolution import (
     EvolutionConfig,
     ModalSystem,
@@ -128,9 +128,10 @@ def isolated_run():
 
     report = EnergyReport()
     t0 = time.perf_counter()
+    tables = RowTables.build(system, lift)
 
     def on_step(i, state, rep):
-        report.append(collect_row(system, state, lift, i, rep))
+        report.append(collect_row(tables, state, i, rep))
 
     run(system, state0, lift, cfg, on_step=on_step)
     elapsed = time.perf_counter() - t0

@@ -670,11 +670,11 @@ def test_cli_state_corrupt_leaves_failure_record(tmp_path, monkeypatch):
 
     collect_row = cli.collect_row
 
-    def corrupt_at_step_3(system, state, lifted, step_index, report=None):
+    def corrupt_at_step_3(tables, state, step_index, report):
         if step_index == 3:
             state.delta[0] = np.nan
             state.validate()
-        return collect_row(system, state, lifted, step_index, report)
+        return collect_row(tables, state, step_index, report)
 
     monkeypatch.setattr(cli, "collect_row", corrupt_at_step_3)
     cfg_path = write_cfg(tmp_path, MINIMAL)

@@ -9,6 +9,7 @@ from thermovisc.diagnostics import (
     AprioriMonitor,
     DiagnosticsRow,
     EnergyReport,
+    RowTables,
     collect_row,
     entropy,
     entropy_rate_check,
@@ -20,6 +21,7 @@ from thermovisc.diagnostics import (
 from thermovisc.evolution import (
     EvolutionConfig,
     ModalSystem,
+    initial_report,
     initialize,
     reconstruct_fields,
     run,
@@ -27,7 +29,7 @@ from thermovisc.evolution import (
 )
 from thermovisc.lifting import build_lift, zero_lift
 from thermovisc.mesh_fem import assemble, build_mesh
-from thermovisc.tensor import ElasticityTensor, norm6
+from thermovisc.tensor import ElasticityTensor, dot6, norm6
 
 D_HALF = ElasticityTensor.isotropic(lam=0.0, mu=0.5)
 
@@ -104,7 +106,7 @@ def test_apriori_monitor_isolated_run():
             dt,
             state.t,
             potential_energy(ops, f["eps_u"], f["epsp"]),
-            f["Td"],
+            ops.integrate(norm6(f["Td"]) ** law.p),
             lift_lp(i),
             f["theta"],
         )
@@ -121,16 +123,11 @@ def test_apriori_monitor_constant_under_zero_dynamics():
     class _Ops:
         M_lumped = np.ones(3) / 3.0
 
-        @staticmethod
-        def integrate(f):
-            return float(np.mean(f))
-
     ops = _Ops()
     theta = np.ones(3)
     mon.start(ops, 0.0, theta)
-    z = np.zeros((4, 6))
     for i in range(1, 4):
-        mon.update(ops, 0.1, 0.1 * i, 0.0, z, 0.0, theta)
+        mon.update(ops, 0.1, 0.1 * i, 0.0, 0.0, 0.0, theta)
     assert np.allclose(mon.values, mon.values[0])
     assert np.allclose(mon.theta_l1_series, 1.0)
     assert mon.satisfied()
@@ -163,11 +160,10 @@ def test_collect_row_and_report_isolated():
     st = initialize(system, np.full(ops.n_nodes, 2.0), 0.2 * system.fields.zeta[1], cfg)
 
     report = EnergyReport()
-    report.append(collect_row(system, st, lift, 0, None))
+    tables = RowTables.build(system, lift)
 
     def sink(i, state, rep):
-        if rep is not None:
-            report.append(collect_row(system, state, lift, i, rep))
+        report.append(collect_row(tables, state, i, rep))
 
     run(system, st, lift, cfg, on_step=sink)
     checks = report.evaluate(isolated=True, solver_tol=cfg.solver_tol)
@@ -230,10 +226,11 @@ def test_coefficient_rows_match_full_fields(name):
 
     coef_mon, field_mon = monitor(), monitor()
     lift_lp = lift_lp_integrals(ops, lift, law.p)
+    tables = RowTables.build(system, lift)
     substeps = []
 
     def on_step(i, state, rep):
-        row = collect_row(system, state, lift, i, rep)
+        row = collect_row(tables, state, i, rep)
         f = reconstruct_fields(system, state, lift, i)
         e_pot = potential_energy(ops, f["eps_u"], f["epsp"])
         e_thermal = thermal_energy(ops, f["theta"])
@@ -246,13 +243,20 @@ def test_coefficient_rows_match_full_fields(name):
         assert row.epsp_trace_sup == pytest.approx(trace_sup, rel=1e-12, abs=1e-15)
         td_lift = lift.combine(lift.T_tilde_dev, i)
         td = system.stress_dev(state.delta, td_lift)
-        if rep is None:
+        # the step's own stress integral is the one formed from the state
+        assert rep.stress_lp == ops.integrate(norm6(td) ** law.p)
+        if i == 0:
+            # the law evaluated on the initial state and the lift's level 0
+            theta_q = system.theta_quad(state.beta) + ops.scalar_quad(lift.theta_tilde[0])
+            G = law.evaluate_many(theta_q, td, y=state.y_quad)
+            assert rep.dissipation == float(ops.wq @ dot6(td, G))
             coef_mon.start(ops, e_pot, f["theta"])
             field_mon.start(ops, e_pot, f["theta"])
         else:
             substeps.append(rep.substeps)
-            coef_mon.update(ops, cfg.dt, state.t, e_pot, td, lift_lp(i), f["theta"])
-            field_mon.update(ops, cfg.dt, state.t, e_pot, f["Td"], lift_lp(i), f["theta"])
+            field_lp = ops.integrate(norm6(f["Td"]) ** law.p)
+            coef_mon.update(ops, cfg.dt, state.t, e_pot, rep.stress_lp, lift_lp(i), f["theta"])
+            field_mon.update(ops, cfg.dt, state.t, e_pot, field_lp, lift_lp(i), f["theta"])
             assert coef_mon.stress_lp_sum == pytest.approx(field_mon.stress_lp_sum, rel=1e-12)
             assert coef_mon.lift_lp_sum == field_mon.lift_lp_sum
             assert lift_lp(i) == ops.integrate(norm6(td_lift) ** law.p)
@@ -269,7 +273,9 @@ def test_energy_uses_the_gram_matrix():
     system, state0, lift, _ = _parity_case("isolated")
     for name in ("zeta", "D_zeta"):
         getattr(system.fields, name)[0] *= 2.0
-    row = collect_row(system, state0, lift, 0)
+    row = collect_row(
+        RowTables.build(system, lift), state0, 0, initial_report(system, state0, lift)
+    )
     f = reconstruct_fields(system, state0, lift, 0)
     e_pot = potential_energy(system.ops, f["eps_u"], f["epsp"])
     assert row.e_pot == pytest.approx(e_pot, rel=1e-12)

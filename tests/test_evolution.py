@@ -198,7 +198,7 @@ def test_gamma_is_explicit_in_the_accepted_stress():
     st0 = make_state(0.0, [0.01, -0.02, 0.0], [0.1, -0.05, 0.02, 0.0], [1.0, 0.1, 0.0, 0.0])
     st1, rep = step(sys_, st0, lift, 1, cfg)
     assert rep.residual <= cfg.solver_tol
-    theta_t_q, Ttd_q = evolution._lift_slices(lift, 1)
+    theta_t_q, Ttd_q = evolution._lift_slices(sys_, lift, 1)
     Td = sys_.stress_dev(st1.delta, Ttd_q)
     G = sys_.law.evaluate_many(st1.beta @ sys_.fields.v_quad + theta_t_q, Td)
     expect = sys_.D_eps_w_rows @ (sys_.wq[:, None] * G).ravel()

@@ -1,10 +1,13 @@
-"""Seeded property test of the exit-code contract of ``run``.
+"""Seeded property tests of the exit-code contract of ``run`` and ``basis``.
 
-Random data, law and time specs on a 3x3 mesh with 2 steps must end in one of
-the documented exit codes (0 ok, 2 config, 3 solver, 4 invariant), and never
-in a traceback.  Once the config has loaded (the output directory exists),
-``summary.json`` is this config's record and passes exactly when the exit
-code is 0.  The draws mix valid keys and values with malformed ones.
+Random data, law and time specs on a 3x3 mesh with 2 steps, and random set-ups
+(2D/3D meshes of 1-4 cells a side with extents 1e-3-1e3, isotropic moduli on
+a units ladder, basis sizes, time grids of 0-3 steps), must end in one of the
+documented exit codes (0 ok, 2 config, 3 solver, 4 invariant), and never in a
+traceback.  Once the config has loaded (the output directory exists), the
+command's artifact is this config's record: a raised failure leaves a failure
+record, and ``run``'s ``summary.json`` passes exactly when the exit code is 0.
+The data and law draws mix valid keys and values with malformed ones.
 """
 
 import contextlib
@@ -16,7 +19,7 @@ from pathlib import Path
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from thermovisc.cli import main
+from thermovisc.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from thermovisc.config import config_hash, validate_config
 
 NUM = st.one_of(st.integers(-2, 4), st.floats(-3.0, 3.0))
@@ -31,6 +34,11 @@ def _maybe(good):
 
 def _vec(lo, hi):
     return st.lists(NUM, min_size=lo, max_size=hi)
+
+
+def _log10(lo, hi):
+    """Magnitudes spread evenly over the decades 10**lo ... 10**hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
 def _node(tag, name, required=None, **optional):
@@ -100,6 +108,57 @@ LAW = st.one_of(
 )
 
 
+MESH = st.integers(2, 3).flatmap(
+    lambda dim: st.fixed_dictionaries(
+        {
+            "dim": st.just(dim),
+            "cells": st.lists(st.integers(1, 4), min_size=dim, max_size=dim),
+            "extents": st.lists(_log10(-3, 3), min_size=dim, max_size=dim),
+        }
+    )
+)
+
+# mu from 1e-8 to 1e12 and lam/mu from 1e-3 to 1e5, or lam = 0
+ELASTICITY = st.builds(
+    lambda mu, ratio: {"model": "isotropic", "lam": ratio * mu, "mu": mu},
+    _log10(-8, 12),
+    st.one_of(st.just(0.0), _log10(-3, 5)),
+)
+
+DISCRETIZATION = st.fixed_dictionaries(
+    {
+        "k": st.integers(1, 8),
+        "l": st.integers(1, 8),
+        "dt": _log10(-4, 0),
+        "n_steps": st.integers(0, 3),
+    }
+)
+
+#: the artifact each command writes
+ARTIFACTS = {"run": "summary.json", "basis": "basis_report.json"}
+
+
+def _check_exit_code_contract(command, payload):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "o"
+        path.write_text(json.dumps(payload))
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+        record = json.loads((out / ARTIFACTS[command]).read_text()) if out.exists() else None
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if record is not None:
+        assert record["config_hash"] == config_hash(validate_config(payload))
+        if code in (EXIT_CONFIG, EXIT_SOLVER):
+            assert record["failed"] is True
+        if code == EXIT_OK:
+            assert "failed" not in record
+        if command == "run":
+            assert record["checks"]["passed"] is (code == 0)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(data=DATA, law=LAW)
 def test_run_exit_code_contract(data, law):
@@ -110,16 +169,22 @@ def test_run_exit_code_contract(data, law):
         "discretization": {"k": 2, "l": 2, "dt": 1e-2, "n_steps": 2},
         "output": {"cadence": 10},
     }
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "config.json", Path(tmp) / "o"
-        path.write_text(json.dumps(payload))
-        with contextlib.redirect_stderr(err):
-            code = main(["run", "--config", str(path), "--out", str(out), "--quiet"])
-        summary = json.loads((out / "summary.json").read_text()) if out.exists() else None
-    event(f"exit {code}")
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
-    if summary is not None:
-        assert summary["config_hash"] == config_hash(validate_config(payload))
-        assert summary["checks"]["passed"] is (code == 0)
+    _check_exit_code_contract("run", payload)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(ARTIFACTS)), mesh=MESH, elasticity=ELASTICITY,
+       disc=DISCRETIZATION)
+def test_setup_exit_code_contract(command, mesh, elasticity, disc):
+    payload = {
+        "mesh": mesh,
+        "material": {"elasticity": elasticity},
+        # the data of configs/isolated.json: a relaxing complement mode
+        "data": {
+            "theta0": {"preset": "constant", "value": 2.0},
+            "epsp0": {"preset": "complement_mode", "index": 0, "amplitude": 0.05},
+        },
+        "discretization": disc,
+        "output": {"cadence": 10},
+    }
+    _check_exit_code_contract(command, payload)
