@@ -53,7 +53,6 @@ from .diagnostics import (
     EnergyReport,
     RowTables,
     collect_row,
-    lift_lp_integrals,
     young_constants,
 )
 # the exit codes are re-exported: they are part of main's contract
@@ -155,7 +154,6 @@ def cmd_run(cfg, outdir: Path, quiet=True):
     monitor = AprioriMonitor(
         beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume
     )
-    lift_lp = lift_lp_integrals(ops, lifted, law.p)
     tables = RowTables.build(system, lifted)
     report = EnergyReport()
     cadence = cfg["output"]["cadence"]
@@ -163,18 +161,19 @@ def cmd_run(cfg, outdir: Path, quiet=True):
     with DiagnosticsWriter(outdir / "diagnostics.csv", chash) as diag:
 
         def on_step(i, state, rep):
-            row = collect_row(tables, state, i, rep)
+            theta = system.theta_nodal(state.beta) + lifted.theta_tilde[i]
+            row = collect_row(tables, state, i, rep, theta)
             report.append(row)
             diag.write(row)
             # the a-priori bound is a theorem for the homogeneous potential
             # energy (= |delta|^2/2); physical and homogeneous agree exactly
             # for isolated runs
             e_hom = 0.5 * float(state.delta @ state.delta)
-            theta = system.theta_nodal(state.beta) + lifted.theta_tilde[i]
+            theta_l1 = float(ops.M_lumped @ np.abs(theta))
             if i == 0:
-                monitor.start(ops, e_hom, theta)
+                monitor.start(e_hom, theta_l1)
             else:
-                monitor.update(ops, evo.dt, state.t, e_hom, rep.stress_lp, lift_lp(i), theta)
+                monitor.update(evo.dt, state.t, e_hom, rep.stress_lp, tables.lift_lp[i], theta_l1)
             if i % cadence == 0 or i == evo.n_steps:
                 fields = reconstruct_fields(system, state, lifted, i)
                 _snapshot(cfg, outdir, chash, system, fields, i)

@@ -4,8 +4,9 @@ The checks mirror the isolated-system statements directly: conservation of
 the total energy, positivity of the temperature, nonnegative dissipation,
 and a nondecreasing entropy.  A diagnostics row is computed from the
 coefficients of the state, the lift time factors and the Gram tables of
-``RowTables``, built once per run; the physical fields are rebuilt only at
-snapshot cadence (``evolution.reconstruct_fields``).  The full-field
+``RowTables``, built once per run, and from the level's nodal temperature,
+which the caller forms once per step; the physical fields are rebuilt only
+at snapshot cadence (``evolution.reconstruct_fields``).  The full-field
 functions ``potential_energy``, ``thermal_energy`` and ``entropy`` remain the
 reference the rows are tested against.  The monitors accumulate the discrete
 counterparts of the uniform bounds (sup-energy plus the dt-weighted L^p norm
@@ -18,7 +19,8 @@ via the Young inequality with
 Entropy uses the lumped nodal quadrature of ln(theta); a nonpositive nodal
 temperature marks the sample as undefined (NaN) without aborting the run.
 The solver-side columns of a row and the monitor's integral |T^d|^p are
-read from the level's ``evolution.StepReport``.
+read from the level's ``evolution.StepReport``; the lift's integral
+|T~^d|^p depends on the level only and is a column of ``RowTables``.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ class RowTables:
     gram_lift: np.ndarray  # G (n_bases, n_bases): (eps(u~_b), eps(u~_b'))_D
     heat_modes: np.ndarray  # (l,): M_lumped . v_m
     heat_lift: np.ndarray  # (nt,): M_lumped . theta~(t_i)
+    lift_lp: np.ndarray  # (nt,): integral |T~^d(t_i)|^p, p of the law
 
     @classmethod
     def build(cls, system, lifted: LiftedFields) -> "RowTables":
@@ -121,6 +124,15 @@ class RowTables:
         zeta_rows = system.fields.zeta.reshape(system.l, -1)
         nb = lifted.T_tilde.shape[0]
         w_T_lift = (wq * lifted.T_tilde).reshape(nb, -1)  # wq D eps(u~_b)
+        # T~^d(t_i) depends on i only through the row factors[i], so each
+        # distinct row is integrated once; a static lift needs one integral
+        _, first, row_of = np.unique(
+            lifted.factors, axis=0, return_index=True, return_inverse=True
+        )
+        lift_lp = np.array([
+            ops.integrate(norm6(lifted.combine(lifted.T_tilde_dev, i)) ** system.law.p)
+            for i in first
+        ])
         return cls(
             system=system,
             lifted=lifted,
@@ -129,6 +141,7 @@ class RowTables:
             gram_lift=lifted.eps_u_tilde.reshape(nb, -1) @ w_T_lift.T,
             heat_modes=system.fields.v_nodal @ ops.M_lumped,
             heat_lift=lifted.theta_tilde @ ops.M_lumped,
+            lift_lp=lift_lp[row_of.ravel()],  # row_of is (nt, 1) under NumPy 2.0.0
         )
 
     def potential_energy(self, delta, factors) -> float:
@@ -142,14 +155,13 @@ class RowTables:
         return float(self.heat_modes @ beta) + float(self.heat_lift[step_index])
 
 
-def collect_row(tables: RowTables, state, step_index: int, report) -> DiagnosticsRow:
+def collect_row(tables: RowTables, state, step_index: int, report, theta) -> DiagnosticsRow:
     """One diagnostics sample from a state, the run's tables and the level's report.
 
-    No Gauss-point field is built; the temperature columns use the nodal
-    field beta @ v + theta~.
+    No Gauss-point field is built; the temperature columns use ``theta``,
+    the level's nodal temperature beta @ v + theta~.
     """
     system, lifted = tables.system, tables.lifted
-    theta = system.theta_nodal(state.beta) + lifted.theta_tilde[step_index]
     e_pot = tables.potential_energy(state.delta, lifted.factors[step_index])
     e_thermal = tables.thermal_energy(state.beta, step_index)
     return DiagnosticsRow(
@@ -171,24 +183,6 @@ def collect_row(tables: RowTables, state, step_index: int, report) -> Diagnostic
         clip_fraction=report.clip_fraction,
         trunc_fraction=report.trunc_fraction,
     )
-
-
-def lift_lp_integrals(ops, lifted: LiftedFields, p: float):
-    """``lift_lp(i)``: integral |T~^d(t_i)|^p at time level i of the lift.
-
-    The integrand depends on i only through the row ``lifted.factors[i]``,
-    so each distinct row is integrated once, when first asked for; a static
-    lift needs one integral.
-    """
-    by_row = {}
-
-    def lift_lp(i):
-        key = lifted.factors[i].tobytes()
-        if key not in by_row:
-            by_row[key] = ops.integrate(norm6(lifted.combine(lifted.T_tilde_dev, i)) ** p)
-        return by_row[key]
-
-    return lift_lp
 
 
 def young_constants(beta: float, C: float, p: float):
@@ -214,7 +208,6 @@ class AprioriMonitor:
     p: float
     volume: float
     e_pot0: float = 0.0
-    theta_l1_0: float = 0.0
     sup_e_pot: float = 0.0
     stress_lp_sum: float = 0.0  # sum dt * int |T^d|^p
     lift_lp_sum: float = 0.0  # sum dt * int |T~^d|^p
@@ -229,23 +222,23 @@ class AprioriMonitor:
             raise BadData(f"the a-priori bound needs a coercive law, got beta={self.beta}")
         self.eps_young, self.c_young = young_constants(self.beta, self.C, self.p)
 
-    def start(self, ops, e_pot0: float, theta_nodal):
+    def start(self, e_pot0: float, theta_l1: float):
+        """Level 0: its potential energy and the L^1 norm M_lumped @ |theta|."""
         self.e_pot0 = e_pot0
         self.sup_e_pot = e_pot0
-        self.theta_l1_0 = float(ops.M_lumped @ np.abs(theta_nodal))
-        self.sup_theta_l1 = self.theta_l1_0
+        self.sup_theta_l1 = theta_l1
         self.values.append(e_pot0)
         self.bounds.append(e_pot0)
-        self.theta_l1_series.append(self.theta_l1_0)
+        self.theta_l1_series.append(theta_l1)
 
-    def update(self, ops, dt, t, e_pot, stress_lp, lift_lp, theta_nodal):
-        """Add one step, its ``StepReport.stress_lp`` and its ``lift_lp_integrals`` value."""
+    def update(self, dt, t, e_pot, stress_lp, lift_lp, theta_l1):
+        """Add one step: its ``StepReport.stress_lp``, its ``RowTables.lift_lp``
+        entry and the L^1 norm M_lumped @ |theta| of its temperature."""
         self.sup_e_pot = max(self.sup_e_pot, e_pot)
         self.stress_lp_sum += dt * stress_lp
         self.lift_lp_sum += dt * lift_lp
-        l1 = float(ops.M_lumped @ np.abs(theta_nodal))
-        self.sup_theta_l1 = max(self.sup_theta_l1, l1)
-        self.theta_l1_series.append(l1)
+        self.sup_theta_l1 = max(self.sup_theta_l1, theta_l1)
+        self.theta_l1_series.append(theta_l1)
         value = self.sup_e_pot + 0.5 * self.beta * self.stress_lp_sum
         bound = (
             self.e_pot0

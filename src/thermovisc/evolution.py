@@ -29,7 +29,9 @@ too stiff for the iteration, or whose iterates diverge, are split by
 residual-based dt halving with the lift interpolated linearly between grid
 samples.  The heat row is diagonal in the eigenbasis:
 beta_m <- (beta_m + dt s_m)/(1 + dt mu_m) with the truncated, sign-clipped
-dissipation source s_m.
+dissipation source s_m.  The truncation level defaults to the Galerkin index
+k, read from the basis: the basis alone holds the sizes k and l, and
+``EvolutionConfig`` holds only the time grid and the solver settings.
 
 Energy bookkeeping: the scheme satisfies the exact discrete counterpart of
 the continuous energy identity,
@@ -65,27 +67,26 @@ def truncate(x, level: float):
 
 @dataclass
 class EvolutionConfig:
-    k: int
-    l: int
+    """Time grid and solver settings of a run."""
+
     dt: float
     n_steps: int
-    truncation_level: float | None = None  # defaults to the Galerkin index k
+    truncation_level: float | None = None  # None: the Galerkin index k of the basis
     solver_tol: float = 1e-12
     solver_max_iter: int = 200
 
     def __post_init__(self):
-        if self.k < 1 or self.l < 1:
-            raise BadData(f"basis sizes must be >= 1, got k={self.k}, l={self.l}")
         if not (self.dt > 0.0):
             raise BadData(f"dt must be positive, got {self.dt}")
         if self.n_steps < 0:
             raise BadData(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.level <= 0.0:
-            raise BadData(f"truncation level must be positive, got {self.level}")
+        if self.truncation_level is not None and self.truncation_level <= 0.0:
+            raise BadData(f"truncation level must be positive, got {self.truncation_level}")
 
-    @property
-    def level(self) -> float:
-        return float(self.k if self.truncation_level is None else self.truncation_level)
+
+def _truncation_level(system, config: EvolutionConfig) -> float:
+    """The configured truncation level, or the Galerkin index k of ``system``."""
+    return float(system.k if config.truncation_level is None else config.truncation_level)
 
 
 @dataclass
@@ -200,7 +201,7 @@ def initialize(
         raise BadData(f"initial inelastic strain has trace {tr:.3e}")
 
     f = system.fields
-    theta_tr = truncate(theta0, config.level)
+    theta_tr = truncate(theta0, _truncation_level(system, config))
     beta = np.einsum("mn,n,n->m", f.v_nodal, ops.M_lumped, theta_tr)
     gamma = np.einsum("q,qi,nqi->n", ops.wq, epsp0, f.D_eps_w) / system.lam
     delta = project_complement(ops, f, epsp0)
@@ -268,7 +269,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
     wq_col = wq[:, None]
     v_quad = system.fields.v_quad
     nq = wq.size
-    level = config.level
+    level = _truncation_level(system, config)
     t_new = state.t + dt
 
     gamma0, delta0, beta0 = state.gamma, state.delta, state.beta
@@ -447,11 +448,6 @@ def run(
 ) -> RunResult:
     """Advance to the horizon, streaming (step_index, state, report) callbacks."""
     n = config.n_steps
-    if (config.k, config.l) != (system.k, system.l):
-        raise BadData(
-            f"config sizes (k={config.k}, l={config.l}) do not match the basis "
-            f"(k={system.k}, l={system.l})"
-        )
     if lifted.times.size < n + 1:
         raise BadData(
             f"lift sampled on {lifted.times.size} levels but the run needs {n + 1}"

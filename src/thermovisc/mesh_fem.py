@@ -259,11 +259,6 @@ class AssembledOperators:
             raise DimensionMismatch(f"expected ({self.n_nodes},), got {values.shape}")
         return (values[self.mesh.conn] @ self.N_ref.T).ravel()
 
-    def scalar_grad_quad(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        out = np.einsum("qja,ea->eqj", self.dNdx_ref, values[self.mesh.conn])
-        return out.reshape(-1, self.mesh.dim)
-
     def strain_quad(self, u_flat: np.ndarray) -> np.ndarray:
         """Symmetric displacement gradient at Gauss points in Voigt form."""
         dim = self.mesh.dim

@@ -121,7 +121,7 @@ def isolated_run():
     basis = build_basis(ops, k=10, l=10)
     system = ModalSystem(ops, basis, NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 200
-    cfg = EvolutionConfig(k=10, l=10, dt=dt, n_steps=n)
+    cfg = EvolutionConfig(dt=dt, n_steps=n)
     lift = zero_lift(ops, dt * np.arange(n + 1))
     epsp0 = 0.04 * system.fields.zeta[0] + 0.025 * system.fields.zeta[3]
     state0 = initialize(system, np.full(ops.n_nodes, 2.0), epsp0, cfg)
@@ -131,7 +131,8 @@ def isolated_run():
     tables = RowTables.build(system, lift)
 
     def on_step(i, state, rep):
-        report.append(collect_row(tables, state, i, rep))
+        theta = system.theta_nodal(state.beta) + lift.theta_tilde[i]
+        report.append(collect_row(tables, state, i, rep, theta))
 
     run(system, state0, lift, cfg, on_step=on_step)
     elapsed = time.perf_counter() - t0
@@ -187,7 +188,7 @@ def test_criterion_6_single_mode_decay():
     errors = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         n = round(horizon / dt)
-        cfg = EvolutionConfig(k=1, l=1, dt=dt, n_steps=n, truncation_level=1e30)
+        cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
         lift = zero_lift(ops, dt * np.arange(n + 1))
         st = initialize(system, np.ones(ops.n_nodes), amp * system.fields.zeta[0], cfg)
         res = run(system, st, lift, cfg)
@@ -286,7 +287,7 @@ def test_criterion_9_truncation():
     theta0 = np.full(ops.n_nodes, 0.01)
 
     def run_level(level):
-        cfg = EvolutionConfig(k=6, l=6, dt=dt, n_steps=n, truncation_level=level)
+        cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=level)
         st = initialize(system, theta0, epsp0, cfg)
         res = run(system, st, lift, cfg)
         dmax = max(

@@ -13,7 +13,6 @@ from thermovisc.diagnostics import (
     collect_row,
     entropy,
     entropy_rate_check,
-    lift_lp_integrals,
     potential_energy,
     thermal_energy,
     total_energy,
@@ -83,32 +82,35 @@ def test_entropy_rate_check():
     assert entropy_rate_check([0.0, 0.2, 0.2 - 5e-9], tol=1e-8)
 
 
+def theta_l1(ops, theta):
+    return float(ops.M_lumped @ np.abs(theta))
+
+
 def test_apriori_monitor_isolated_run():
     law = NortonHoff(c=1.0, p=3.0)
     ops = assemble(build_mesh(2, (1.0, 1.0), (4, 4)), ElasticityTensor.isotropic(1.0, 1.0))
     basis = build_basis(ops, k=2, l=3)
     system = ModalSystem(ops, basis, law)
     dt, n = 1e-3, 40
-    cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n, truncation_level=1e30)
+    cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = zero_lift(ops, np.linspace(0, dt * n, n + 1))
     st = initialize(system, np.ones(ops.n_nodes), 0.3 * system.fields.zeta[0], cfg)
 
     mon = AprioriMonitor(beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume)
     f0 = reconstruct_fields(system, st, lift, 0)
-    mon.start(ops, potential_energy(ops, f0["eps_u"], f0["epsp"]), f0["theta"])
-    lift_lp = lift_lp_integrals(ops, lift, law.p)
+    mon.start(potential_energy(ops, f0["eps_u"], f0["epsp"]), theta_l1(ops, f0["theta"]))
+    tables = RowTables.build(system, lift)
     state = st
     for i in range(1, n + 1):
         state, rep = step(system, state, lift, i, cfg)
         f = reconstruct_fields(system, state, lift, i)
         mon.update(
-            ops,
             dt,
             state.t,
             potential_energy(ops, f["eps_u"], f["epsp"]),
             ops.integrate(norm6(f["Td"]) ** law.p),
-            lift_lp(i),
-            f["theta"],
+            tables.lift_lp[i],
+            theta_l1(ops, f["theta"]),
         )
     assert mon.satisfied()
     s = mon.summary()
@@ -119,15 +121,9 @@ def test_apriori_monitor_isolated_run():
 
 def test_apriori_monitor_constant_under_zero_dynamics():
     mon = AprioriMonitor(beta=1.0, C=1.0, p=2.0, volume=1.0)
-
-    class _Ops:
-        M_lumped = np.ones(3) / 3.0
-
-    ops = _Ops()
-    theta = np.ones(3)
-    mon.start(ops, 0.0, theta)
+    mon.start(0.0, 1.0)
     for i in range(1, 4):
-        mon.update(ops, 0.1, 0.1 * i, 0.0, 0.0, 0.0, theta)
+        mon.update(0.1, 0.1 * i, 0.0, 0.0, 0.0, 1.0)
     assert np.allclose(mon.values, mon.values[0])
     assert np.allclose(mon.theta_l1_series, 1.0)
     assert mon.satisfied()
@@ -135,6 +131,7 @@ def test_apriori_monitor_constant_under_zero_dynamics():
 
 def test_lift_integrated_once_per_distinct_factor_row(monkeypatch):
     ops = assemble(build_mesh(2, (1.0, 1.0), (3, 3)), ElasticityTensor.isotropic(1.0, 1.0))
+    system = ModalSystem(ops, build_basis(ops, k=1, l=1), NortonHoff(c=1.0, p=3.0))
     times = np.linspace(0.0, 0.1, 6)
     f = np.ones((ops.n_nodes, 2))
     calls = []
@@ -143,10 +140,11 @@ def test_lift_integrated_once_per_distinct_factor_row(monkeypatch):
     for factor, distinct in ((lambda t: 1.0, 1), (lambda t: min(t, 0.05), 4)):
         lift = build_lift(ops, times, f=(factor, f))
         calls.clear()
-        lift_lp = lift_lp_integrals(ops, lift, 3.0)
-        for i in range(times.size):
-            assert lift_lp(i) == real(norm6(lift.combine(lift.T_tilde_dev, i)) ** 3.0)
+        tables = RowTables.build(system, lift)
         assert len(calls) == distinct
+        assert tables.lift_lp.shape == times.shape
+        for i in range(times.size):
+            assert tables.lift_lp[i] == real(norm6(lift.combine(lift.T_tilde_dev, i)) ** 3.0)
 
 
 def test_collect_row_and_report_isolated():
@@ -155,7 +153,7 @@ def test_collect_row_and_report_isolated():
     basis = build_basis(ops, k=2, l=3)
     system = ModalSystem(ops, basis, law)
     dt, n = 1e-3, 30
-    cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n, truncation_level=1e30)
+    cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = zero_lift(ops, np.linspace(0, dt * n, n + 1))
     st = initialize(system, np.full(ops.n_nodes, 2.0), 0.2 * system.fields.zeta[1], cfg)
 
@@ -163,7 +161,8 @@ def test_collect_row_and_report_isolated():
     tables = RowTables.build(system, lift)
 
     def sink(i, state, rep):
-        report.append(collect_row(tables, state, i, rep))
+        theta = system.theta_nodal(state.beta) + lift.theta_tilde[i]
+        report.append(collect_row(tables, state, i, rep, theta))
 
     run(system, st, lift, cfg, on_step=sink)
     checks = report.evaluate(isolated=True, solver_tol=cfg.solver_tol)
@@ -190,7 +189,7 @@ def _parity_case(name):
         law, dt, max_iter = NortonHoff(c=1.0, p=4.0), 0.05, 4
     system = ModalSystem(ops, build_basis(ops, k=3, l=4), law)
     cfg = EvolutionConfig(
-        k=3, l=4, dt=dt, n_steps=n, truncation_level=1e30, solver_max_iter=max_iter
+        dt=dt, n_steps=n, truncation_level=1e30, solver_max_iter=max_iter
     )
     times = dt * np.arange(n + 1)
     if name == "isolated":
@@ -225,12 +224,12 @@ def test_coefficient_rows_match_full_fields(name):
         )
 
     coef_mon, field_mon = monitor(), monitor()
-    lift_lp = lift_lp_integrals(ops, lift, law.p)
     tables = RowTables.build(system, lift)
     substeps = []
 
     def on_step(i, state, rep):
-        row = collect_row(tables, state, i, rep)
+        theta = system.theta_nodal(state.beta) + lift.theta_tilde[i]
+        row = collect_row(tables, state, i, rep, theta)
         f = reconstruct_fields(system, state, lift, i)
         e_pot = potential_energy(ops, f["eps_u"], f["epsp"])
         e_thermal = thermal_energy(ops, f["theta"])
@@ -250,16 +249,18 @@ def test_coefficient_rows_match_full_fields(name):
             theta_q = system.theta_quad(state.beta) + ops.scalar_quad(lift.theta_tilde[0])
             G = law.evaluate_many(theta_q, td, y=state.y_quad)
             assert rep.dissipation == float(ops.wq @ dot6(td, G))
-            coef_mon.start(ops, e_pot, f["theta"])
-            field_mon.start(ops, e_pot, f["theta"])
+            coef_mon.start(e_pot, theta_l1(ops, theta))
+            field_mon.start(e_pot, theta_l1(ops, f["theta"]))
         else:
             substeps.append(rep.substeps)
             field_lp = ops.integrate(norm6(f["Td"]) ** law.p)
-            coef_mon.update(ops, cfg.dt, state.t, e_pot, rep.stress_lp, lift_lp(i), f["theta"])
-            field_mon.update(ops, cfg.dt, state.t, e_pot, field_lp, lift_lp(i), f["theta"])
+            lift_lp = tables.lift_lp[i]
+            coef_mon.update(cfg.dt, state.t, e_pot, rep.stress_lp, lift_lp, theta_l1(ops, theta))
+            field_mon.update(cfg.dt, state.t, e_pot, field_lp, lift_lp, theta_l1(ops, f["theta"]))
             assert coef_mon.stress_lp_sum == pytest.approx(field_mon.stress_lp_sum, rel=1e-12)
             assert coef_mon.lift_lp_sum == field_mon.lift_lp_sum
-            assert lift_lp(i) == ops.integrate(norm6(td_lift) ** law.p)
+            assert coef_mon.theta_l1_series == field_mon.theta_l1_series
+            assert lift_lp == ops.integrate(norm6(td_lift) ** law.p)
 
     run(system, state0, lift, cfg, on_step=on_step)
     assert len(substeps) == cfg.n_steps
@@ -273,8 +274,9 @@ def test_energy_uses_the_gram_matrix():
     system, state0, lift, _ = _parity_case("isolated")
     for name in ("zeta", "D_zeta"):
         getattr(system.fields, name)[0] *= 2.0
+    theta = system.theta_nodal(state0.beta) + lift.theta_tilde[0]
     row = collect_row(
-        RowTables.build(system, lift), state0, 0, initial_report(system, state0, lift)
+        RowTables.build(system, lift), state0, 0, initial_report(system, state0, lift), theta
     )
     f = reconstruct_fields(system, state0, lift, 0)
     e_pot = potential_energy(system.ops, f["eps_u"], f["epsp"])

@@ -6,7 +6,7 @@ import pytest
 from thermovisc import evolution
 from thermovisc.basis import build_basis
 from thermovisc.constitutive import BodnerPartom, Mroz, NortonHoff
-from thermovisc.errors import BadData, NonlinearSolveFailure, StateCorrupt
+from thermovisc.errors import BadConfig, BadData, NonlinearSolveFailure, StateCorrupt
 from thermovisc.evolution import (
     EvolutionConfig,
     ModalSystem,
@@ -42,7 +42,7 @@ def test_truncate_matches_definition():
 
 def test_initialize_zero_data():
     sys_ = make_system()
-    cfg = EvolutionConfig(k=2, l=3, dt=1e-3, n_steps=1)
+    cfg = EvolutionConfig(dt=1e-3, n_steps=1)
     st = initialize(sys_, np.zeros(sys_.ops.n_nodes), np.zeros((sys_.ops.wq.size, 6)), cfg)
     assert np.abs(st.gamma).max() == 0.0
     assert np.abs(st.beta).max() == 0.0
@@ -51,7 +51,7 @@ def test_initialize_zero_data():
 
 def test_initialize_reproduces_gradient_mode():
     sys_ = make_system(k=3, l=2)
-    cfg = EvolutionConfig(k=3, l=2, dt=1e-3, n_steps=1)
+    cfg = EvolutionConfig(dt=1e-3, n_steps=1)
     # eps(w_2) carries trace, so bypass the S3_d precondition to exercise
     # the raw projection identity
     epsp0 = sys_.fields.eps_w[1]
@@ -64,17 +64,19 @@ def test_initialize_reproduces_gradient_mode():
 
 def test_initialize_truncates_temperature():
     sys_ = make_system()
-    cfg = EvolutionConfig(k=2, l=3, dt=1e-3, n_steps=1, truncation_level=2.0)
     theta0 = np.full(sys_.ops.n_nodes, 5.0)
-    st = initialize(sys_, theta0, np.zeros((sys_.ops.wq.size, 6)), cfg)
-    # constant field is exactly representable: nodal max equals the level
-    theta = sys_.theta_nodal(st.beta)
-    assert np.abs(theta - 2.0).max() <= 1e-12
+    # an explicit level, and the default: the Galerkin index k = 2 of the basis
+    for level in (2.0, None):
+        cfg = EvolutionConfig(dt=1e-3, n_steps=1, truncation_level=level)
+        st = initialize(sys_, theta0, np.zeros((sys_.ops.wq.size, 6)), cfg)
+        # constant field is exactly representable: nodal max equals the level
+        theta = sys_.theta_nodal(st.beta)
+        assert np.abs(theta - 2.0).max() <= 1e-12
 
 
 def test_initialize_rejects_traced_strain():
     sys_ = make_system()
-    cfg = EvolutionConfig(k=2, l=3, dt=1e-3, n_steps=1)
+    cfg = EvolutionConfig(dt=1e-3, n_steps=1)
     bad = np.zeros((sys_.ops.wq.size, 6))
     bad[:, 0] = 1.0
     with pytest.raises(BadData):
@@ -85,7 +87,7 @@ def test_zero_law_freezes_state():
     # zero right-hand side freezes every coefficient; the temperature must
     # sit in the Neumann kernel (constant mode), else diffusion still acts
     sys_ = make_system(law=Mroz.constant(0.0))
-    cfg = EvolutionConfig(k=2, l=3, dt=1e-2, n_steps=5)
+    cfg = EvolutionConfig(dt=1e-2, n_steps=5)
     lift = zero_lift(sys_.ops, grid(1e-2, 5))
     st = make_state(0.0, [0.1, -0.2], [0.3, 0.0, -0.1], [1.0, 0.0, 0.0])
     res = run(sys_, st, lift, cfg)
@@ -102,7 +104,7 @@ def test_single_mode_exponential_decay():
     g = 1.0
     sys_ = make_system(cells=4, k=1, l=1, law=Mroz.constant(g), lam=0.7, mu=mu)
     dt, n = 1e-3, 200
-    cfg = EvolutionConfig(k=1, l=1, dt=dt, n_steps=n, truncation_level=1e30)
+    cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = zero_lift(sys_.ops, grid(dt, n))
     amp = 0.2
     st = initialize(sys_, np.ones(sys_.ops.n_nodes), amp * sys_.fields.zeta[0], cfg)
@@ -124,7 +126,7 @@ def test_single_mode_exponential_decay():
 def test_energy_identity_and_dissipativity():
     sys_ = make_system(k=2, l=4, law=NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 50
-    cfg = EvolutionConfig(k=2, l=4, dt=dt, n_steps=n, truncation_level=1e30)
+    cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = zero_lift(sys_.ops, grid(dt, n))
     rng = np.random.default_rng(0)
     st = make_state(0.0, np.zeros(2), 0.1 * rng.standard_normal(4), np.zeros(4))
@@ -148,7 +150,7 @@ def test_truncation_inactive_equivalence():
     st = make_state(0.0, np.zeros(2), [0.1, -0.05, 0.02], [0.5, 0.0, 0.0])
     out = []
     for level in (1e3, 1e30):
-        cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n, truncation_level=level)
+        cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=level)
         res = run(sys_, st, lift, cfg)
         out.append(np.concatenate([res.gamma[-1], res.delta[-1], res.beta[-1]]))
     assert np.abs(out[0] - out[1]).max() <= 1e-12
@@ -157,7 +159,7 @@ def test_truncation_inactive_equivalence():
 def test_run_deterministic():
     sys_ = make_system(law=NortonHoff(c=1.0, p=3.0))
     dt, n = 2e-3, 20
-    cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n)
+    cfg = EvolutionConfig(dt=dt, n_steps=n)
     lift = zero_lift(sys_.ops, grid(dt, n))
     st = make_state(0.0, np.zeros(2), [0.1, 0.0, -0.08], [1.0, 0.1, 0.0])
     r1 = run(sys_, st, lift, cfg)
@@ -175,7 +177,7 @@ def test_forced_run_couples_gamma():
     xy = sys_.ops.mesh.nodes
     f = np.stack([0.2 * xy[:, 1] ** 2, 0.5 + 0.8 * xy[:, 0]], axis=1)
     lift = build_lift(sys_.ops, grid(dt, n), f=(lambda t: 1.0, f))
-    cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n)
+    cfg = EvolutionConfig(dt=dt, n_steps=n)
     st = initialize(sys_, np.ones(sys_.ops.n_nodes), np.zeros((sys_.ops.wq.size, 6)), cfg)
     res = run(sys_, st, lift, cfg)
     assert np.abs(res.gamma[-1]).max() > 1e-8
@@ -194,7 +196,7 @@ def test_gamma_is_explicit_in_the_accepted_stress():
     xy = sys_.ops.mesh.nodes
     f = np.stack([0.2 * xy[:, 1] ** 2, 0.5 + 0.8 * xy[:, 0]], axis=1)
     lift = build_lift(sys_.ops, grid(dt, 1), f=(lambda t: 1.0, f))
-    cfg = EvolutionConfig(k=3, l=4, dt=dt, n_steps=1)
+    cfg = EvolutionConfig(dt=dt, n_steps=1)
     st0 = make_state(0.0, [0.01, -0.02, 0.0], [0.1, -0.05, 0.02, 0.0], [1.0, 0.1, 0.0, 0.0])
     st1, rep = step(sys_, st0, lift, 1, cfg)
     assert rep.residual <= cfg.solver_tol
@@ -212,7 +214,7 @@ def test_stiff_step_rescued_by_dt_halving():
     # composite step keeps the energy identity and reports its substeps
     sys_ = make_system(law=NortonHoff(c=1.0, p=4.0))
     cfg = EvolutionConfig(
-        k=2, l=3, dt=0.05, n_steps=4, solver_max_iter=12, truncation_level=1e30
+        dt=0.05, n_steps=4, solver_max_iter=12, truncation_level=1e30
     )
     lift = zero_lift(sys_.ops, grid(0.05, 4))
     st = make_state(0.0, np.zeros(2), [1.5, -1.0, 0.8], [1.0, 0.0, 0.0])
@@ -232,7 +234,7 @@ def test_anderson_matches_picard_on_stiff_step(monkeypatch):
     sys_ = make_system(law=NortonHoff(c=1.0, p=4.0))
     dt = 0.03
     cfg = EvolutionConfig(
-        k=2, l=3, dt=dt, n_steps=1, solver_max_iter=5000, truncation_level=1e30
+        dt=dt, n_steps=1, solver_max_iter=5000, truncation_level=1e30
     )
     lift = zero_lift(sys_.ops, grid(dt, 1))
     st = make_state(0.0, np.zeros(2), [1.5, -1.0, 0.8], [1.0, 0.0, 0.0])
@@ -253,10 +255,10 @@ def test_diverging_iterate_halves_without_warnings():
     st = make_state(0.0, np.zeros(2), [1.5, -1.0, 0.8], [1.0, 0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=1, truncation_level=1e30)
+        cfg = EvolutionConfig(dt=dt, n_steps=1, truncation_level=1e30)
         with pytest.raises(NonlinearSolveFailure, match="diverged"):
             step(sys_, st, zero_lift(sys_.ops, grid(dt, 1)), 1, cfg)
-        cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=3, truncation_level=1e30)
+        cfg = EvolutionConfig(dt=dt, n_steps=3, truncation_level=1e30)
         res = run(sys_, st, zero_lift(sys_.ops, grid(dt, 3)), cfg)
     assert res.reports[0].substeps > 1
     for rep in res.reports:
@@ -270,7 +272,7 @@ def test_non_finite_iterate_fails_before_the_law(name, value):
     calls = []
     evaluate = law.evaluate_many
     law.evaluate_many = lambda *args, **kwargs: calls.append(1) or evaluate(*args, **kwargs)
-    cfg = EvolutionConfig(k=2, l=3, dt=1e-2, n_steps=1)
+    cfg = EvolutionConfig(dt=1e-2, n_steps=1)
     st = make_state(0.0, np.zeros(2), np.zeros(3), np.zeros(3))
     getattr(st, name)[0] = value
     with pytest.raises(NonlinearSolveFailure) as err:
@@ -294,7 +296,7 @@ def test_map_tables_are_views():
 
 def test_nonlinear_failure_reports_history():
     sys_ = make_system(law=NortonHoff(c=1.0, p=4.0))
-    cfg = EvolutionConfig(k=2, l=3, dt=1e-2, n_steps=1, solver_max_iter=1, solver_tol=1e-15)
+    cfg = EvolutionConfig(dt=1e-2, n_steps=1, solver_max_iter=1, solver_tol=1e-15)
     lift = zero_lift(sys_.ops, grid(1e-2, 1))
     st = make_state(0.0, np.zeros(2), [2.0, -1.0, 0.5], np.zeros(3))
     with pytest.raises(NonlinearSolveFailure) as err:
@@ -316,7 +318,7 @@ def test_state_validation():
 def test_reconstruct_fields_contract():
     sys_ = make_system(k=2, l=3, law=NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 5
-    cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n)
+    cfg = EvolutionConfig(dt=dt, n_steps=n)
     lift = zero_lift(sys_.ops, grid(dt, n))
     st = make_state(0.0, [0.05, -0.02], [0.1, 0.0, -0.03], [1.0, 0.0, 0.1])
     res = run(sys_, st, lift, cfg)
@@ -349,7 +351,7 @@ def test_bodner_partom_hardening_advances():
     law = BodnerPartom(g0=1.0, m=1.0, gamma0=1.0, y0=1.0, y_min=0.5, y_max=2.0)
     sys_ = make_system(law=law)
     dt, n = 1e-2, 5
-    cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n)
+    cfg = EvolutionConfig(dt=dt, n_steps=n)
     lift = zero_lift(sys_.ops, grid(dt, n))
     st = initialize(sys_, np.ones(sys_.ops.n_nodes), 0.3 * sys_.fields.zeta[0], cfg)
     assert st.y_quad is not None
@@ -365,7 +367,7 @@ def test_multimode_uniform_decay_isotropic():
     mu_shear, g = 1.3, 0.7
     sys_ = make_system(cells=5, k=2, l=4, law=Mroz.constant(g), lam=0.4, mu=mu_shear)
     dt, n = 1e-3, 100
-    cfg = EvolutionConfig(k=2, l=4, dt=dt, n_steps=n, truncation_level=1e30)
+    cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = zero_lift(sys_.ops, grid(dt, n))
     delta0 = np.array([0.2, -0.1, 0.05, 0.15])
     st = make_state(0.0, np.zeros(2), delta0, [1.0, 0.0, 0.0, 0.0])
@@ -388,7 +390,7 @@ def test_anisotropic_D_keeps_energy_structure():
     basis = build_basis(ops, k=2, l=3)
     sys_ = ModalSystem(ops, basis, NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 40
-    cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n, truncation_level=1e30)
+    cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = zero_lift(ops, grid(dt, n))
     st = make_state(0.0, np.zeros(2), [0.3, -0.2, 0.1], [1.0, 0.0, 0.0])
     T0 = sys_.T_hom_quad(st.delta)
@@ -411,7 +413,7 @@ def test_coupled_scheme_first_order_in_dt():
 
     def terminal(dt):
         n = round(horizon / dt)
-        cfg = EvolutionConfig(k=4, l=4, dt=dt, n_steps=n, truncation_level=1e30)
+        cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
         lift = zero_lift(sys_.ops, grid(dt, n))
         st = initialize(
             sys_,
@@ -436,7 +438,7 @@ def test_heat_row_matches_modal_exponential():
     errs = []
     for dt in (2.5e-3, 1.25e-3):
         n = round(horizon / dt)
-        cfg = EvolutionConfig(k=1, l=4, dt=dt, n_steps=n)
+        cfg = EvolutionConfig(dt=dt, n_steps=n)
         lift = zero_lift(sys_.ops, grid(dt, n))
         st = make_state(0.0, [0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, 0.0])
         res = run(sys_, st, lift, cfg)
@@ -454,7 +456,7 @@ def test_flux_bookkeeping_through_lift():
     q = 0.7
     dt, n = 1e-3, 20
     lift = build_lift(ops, grid(dt, n), g_theta=(lambda t: 1.0, np.full(ops.n_nodes, q)))
-    cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n)
+    cfg = EvolutionConfig(dt=dt, n_steps=n)
     st = initialize(sys_, np.full(ops.n_nodes, 1.0), np.zeros((ops.wq.size, 6)), cfg)
     heats = []
     res = run(sys_, st, lift, cfg)
@@ -467,7 +469,7 @@ def test_flux_bookkeeping_through_lift():
 
 def test_zero_step_horizon():
     sys_ = make_system()
-    cfg = EvolutionConfig(k=2, l=3, dt=1e-3, n_steps=0)
+    cfg = EvolutionConfig(dt=1e-3, n_steps=0)
     lift = zero_lift(sys_.ops, grid(1e-3, 0))
     st = make_state(0.0, [0.1, 0.0], [0.2, 0.0, 0.0], [1.0, 0.0, 0.0])
     res = run(sys_, st, lift, cfg)
@@ -480,7 +482,7 @@ def test_truncated_source_bounded_pointwise():
     sys_ = make_system(k=2, l=3, law=NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 10
     level = 1e-4  # far below the active dissipation
-    cfg = EvolutionConfig(k=2, l=3, dt=dt, n_steps=n, truncation_level=level)
+    cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=level)
     lift = zero_lift(sys_.ops, grid(dt, n))
     st = make_state(0.0, np.zeros(2), [0.3, -0.2, 0.1], np.full(3, 1e-5))
     res = run(sys_, st, lift, cfg)
@@ -496,7 +498,7 @@ def test_three_dimensional_evolution():
     sys_ = ModalSystem(ops, basis, NortonHoff(c=1.0, p=3.0))
     assert np.abs(trace6(sys_.fields.zeta)).max() <= 1e-12
     dt, n = 1e-3, 20
-    cfg = EvolutionConfig(k=2, l=2, dt=dt, n_steps=n, truncation_level=1e30)
+    cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = zero_lift(ops, grid(dt, n))
     st = initialize(sys_, np.full(ops.n_nodes, 1.5), 0.1 * sys_.fields.zeta[0], cfg)
     res = run(sys_, st, lift, cfg)
@@ -508,11 +510,13 @@ def test_three_dimensional_evolution():
 
 
 def test_config_validation():
+    # the basis sizes are checked where they live, in the basis
+    ops = assemble(build_mesh(2, (1.0, 1.0), (2, 2)), D)
+    with pytest.raises(BadConfig):
+        build_basis(ops, k=0, l=1)
+    with pytest.raises(BadConfig):
+        build_basis(ops, k=1, l=0)
     with pytest.raises(BadData):
-        EvolutionConfig(k=0, l=1, dt=1e-3, n_steps=1)
+        EvolutionConfig(dt=-1e-3, n_steps=1)
     with pytest.raises(BadData):
-        EvolutionConfig(k=1, l=1, dt=-1e-3, n_steps=1)
-    with pytest.raises(BadData):
-        EvolutionConfig(k=1, l=1, dt=1e-3, n_steps=1, truncation_level=0.0)
-    cfg = EvolutionConfig(k=3, l=1, dt=1e-3, n_steps=1)
-    assert cfg.level == 3.0
+        EvolutionConfig(dt=1e-3, n_steps=1, truncation_level=0.0)
