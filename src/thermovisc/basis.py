@@ -9,6 +9,17 @@
   against (.,.)_D on the D-orthogonal complement of span{eps(w_1..k)} inside
   the nodal strain space, D-orthonormal with eigenvalues >= 1.
 
+The displacement and temperature families are the lowest eigenpairs of a
+sparse symmetric pencil, found by one helper.  Up to DENSE_CUTOFF dofs it is
+a dense LAPACK solve, complete by construction and faster there than ARPACK's
+fixed cost.  Above it, shift-invert Lanczos (ARPACK) computes a few pairs
+more than kept and a completeness certificate checks them: by Sylvester's law
+of inertia the number of negative pivots of a symmetric LDL^T of A - sigma M
+equals the number of eigenvalues below sigma, so with sigma in the gap after
+the last kept group the count must equal the number of pairs computed below
+it.  A missed pair shows as a mismatch; the solve is repeated with more
+pairs, and an uncertified basis is a SolverFailure.
+
 The complement is never given a basis.  Its eigenpairs come from block
 inverse iteration with a Rayleigh-Ritz step, where each inverse is the
 saddle-point solve of <x, .>_s = <b, .> under the k constraint functionals
@@ -36,15 +47,26 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.sparse.linalg import ArpackError, eigsh, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from . import __version__
 from .errors import BadConfig, BadData, EmptyComplement, SolverFailure
 from .mesh_fem import AssembledOperators
 from .tensor import VOIGT_PAIRS
 
-#: node counts up to which the temperature eigenproblem is solved densely
-DENSE_CUTOFF = 2600
+#: eigenproblem sizes, in the problem's own dofs, up to which the dense LAPACK
+#: solve runs; above it the certified shift-invert solve is faster
+DENSE_CUTOFF = 700
+
+#: pairs the sparse solve computes past the kept ones, to see the gap that
+#: closes the last kept group
+_EXTRA_PAIRS = 6
+
+#: sparse solves before an uncertified eigenbasis is reported as a failure
+_SPARSE_TRIES = 3
+
+#: relative gap, on the scale of the computed eigenvalues, between two groups
+_GROUP_GAP = 1e-8
 
 SIGN_CONVENTION = "first entry with |v| > 1e-8 max|v| is positive"
 
@@ -68,50 +90,133 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     return out
 
 
-def displacement_eigenbasis(ops: AssembledOperators, k: int):
-    """First k eigenpairs of K_D w = lambda M_u w on the interior dofs."""
+def _symmetric_lu(S):
+    """SuperLU of a symmetric S that orders rows and columns alike and pivots
+    on the diagonal, as an LDL^T would; meant for definite or shifted S."""
+    return splu(
+        S.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _negative_pivots(S) -> int | None:
+    """Negative eigenvalues of the symmetric S, by Sylvester's law of inertia.
+
+    With both orderings equal and every pivot on the diagonal, U = D L^T, so
+    the signs of U's diagonal are those of S's eigenvalues.  None when SuperLU
+    met a zero pivot or exchanged a row.
+    """
+    try:
+        lu = _symmetric_lu(S)
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _lowest_eigenpairs(A, M, n: int, shift: float, what: str):
+    """The n lowest eigenpairs of A x = lam M x, ascending, and how they were found.
+
+    A is sparse symmetric, M sparse symmetric positive definite (None for the
+    identity), and A - shift M is positive definite.  Up to DENSE_CUTOFF dofs,
+    or when n + _EXTRA_PAIRS is not below them, a dense LAPACK solve runs; it
+    is complete by construction.  Above it shift-invert ARPACK computes
+    _EXTRA_PAIRS more pairs than kept, from a seeded start vector.  The last
+    kept group ends at the first gap j >= n, and the inertia of A - sigma M
+    with sigma in that gap must count exactly j eigenvalues below sigma, or
+    a pair was missed.  A count that disagrees asks for more pairs; after
+    _SPARSE_TRIES solves it is a SolverFailure.  The record names the branch,
+    and for the sparse one gives sigma, the count, the kept pairs and the
+    number of solves.
+    """
+    N = A.shape[0]
+    nev = n + _EXTRA_PAIRS
+    if N <= DENSE_CUTOFF or nev >= N:
+        dense_M = None if M is None else M.toarray()
+        try:
+            vals, vecs = eigh(A.toarray(), dense_M, subset_by_index=(0, n - 1))
+        except np.linalg.LinAlgError as err:
+            raise SolverFailure(f"{what} eigensolve failed: {err}") from None
+        return vals, vecs, {"branch": "dense"}
+    B = sp.identity(N, format="csr") if M is None else M
+    try:
+        lu = _symmetric_lu(A - shift * B)
+    except RuntimeError as err:
+        raise SolverFailure(f"{what} shift-invert factorization failed: {err}") from None
+    OPinv = LinearOperator((N, N), matvec=lu.solve, dtype=float)
+    rng = np.random.default_rng(0)
+    for solve in range(1, _SPARSE_TRIES + 1):
+        try:
+            vals, vecs = eigsh(
+                A, k=nev, M=M, sigma=shift, OPinv=OPinv, v0=rng.standard_normal(N)
+            )
+        except ArpackError as err:
+            raise SolverFailure(f"{what} eigensolve failed: {err}") from None
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        gaps = np.flatnonzero(np.diff(vals[n - 1 :]) > _GROUP_GAP * np.abs(vals).max())
+        if gaps.size == 0:  # the last kept group runs past the computed pairs
+            nev = min(nev + _EXTRA_PAIRS, N - 1)
+            continue
+        j = n + int(gaps[0])
+        sigma = 0.5 * (vals[j - 1] + vals[j])
+        below = _negative_pivots(A - sigma * B)
+        if below == j:
+            how = dict(branch="sparse", sigma=float(sigma), inertia=j, kept=n, solves=solve)
+            return vals[:n], vecs[:, :n], how
+        nev = min(max(nev, below or 0) + _EXTRA_PAIRS, N - 1)
+    raise SolverFailure(
+        f"{what} eigensolve incomplete: no inertia count matched the computed "
+        f"pairs after {_SPARSE_TRIES} solves"
+    )
+
+
+def displacement_eigenbasis(ops: AssembledOperators, k: int, record: dict | None = None):
+    """First k eigenpairs of K_D w = lambda M_u w on the interior dofs.
+
+    ``record``, when given, receives how the pairs were found.
+    """
     free = ops.interior_dofs
     if not (1 <= k <= free.size):
         raise BadConfig(f"k must be in [1, {free.size}], got {k}")
-    kff = ops.K_D[free][:, free].toarray()
-    mff = ops.M_u[free][:, free].toarray()
-    try:
-        lam, vecs = eigh(kff, mff, subset_by_index=(0, k - 1))
-    except np.linalg.LinAlgError as err:
-        raise SolverFailure(f"displacement eigensolve failed: {err}") from None
+    kff = ops.K_D[free][:, free]
+    mff = ops.M_u[free][:, free]
+    lam, vecs, how = _lowest_eigenpairs(kff, mff, k, 0.0, "displacement")
     res = np.linalg.norm(kff @ vecs - mff @ vecs * lam[None, :], axis=0)
     res /= np.linalg.norm(vecs, axis=0)
     if np.any(res > _EIG_TOL):
         raise SolverFailure(f"displacement eigensolve residual {res.max():.3e} > {_EIG_TOL}")
+    if record is not None:
+        record.update(how)
     W = np.zeros((k, ops.n_dofs))
     W[:, free] = vecs.T
     return _fix_signs(W), lam
 
 
-def temperature_eigenbasis(ops: AssembledOperators, l: int):
-    """First l Neumann-Laplacian eigenpairs against the lumped mass."""
+def temperature_eigenbasis(ops: AssembledOperators, l: int, record: dict | None = None):
+    """First l Neumann-Laplacian eigenpairs against the lumped mass.
+
+    ``record``, when given, receives how the pairs were found.
+    """
     n = ops.n_nodes
     if not (1 <= l <= n):
         raise BadConfig(f"l must be in [1, {n}], got {l}")
+    # the lumped mass is diagonal: solve the congruent standard problem
     s = 1.0 / np.sqrt(ops.M_lumped)
     A = sp.diags(s) @ ops.K_theta @ sp.diags(s)
-    try:
-        if n <= DENSE_CUTOFF:
-            mu, Y = eigh(A.toarray(), subset_by_index=(0, l - 1))
-        else:
-            v0 = np.full(n, 1.0 / np.sqrt(n))
-            mu, Y = eigsh((A + sp.eye(n)).tocsc(), k=l, sigma=0.0, which="LM", v0=v0)
-            mu -= 1.0
-            order = np.argsort(mu)
-            mu, Y = mu[order], Y[:, order]
-    except (np.linalg.LinAlgError, ArpackError) as err:
-        raise SolverFailure(f"temperature eigensolve failed: {err}") from None
+    # the Neumann operator is singular, so the shift lies below mu_1 = 0
+    mu, Y, how = _lowest_eigenpairs(A, None, l, -1.0, "temperature")
     V = (Y * s[:, None]).T
     res = np.linalg.norm(
         (ops.K_theta @ V.T) - (ops.M_lumped[:, None] * V.T) * mu[None, :], axis=0
     ) / np.linalg.norm(V.T, axis=0)
     if np.any(res > _EIG_TOL):
         raise SolverFailure(f"temperature eigensolve residual {res.max():.3e} > {_EIG_TOL}")
+    if record is not None:
+        record.update(how)
     return _fix_signs(V), mu
 
 
@@ -177,14 +282,8 @@ def complement_strain_basis(
             f"complement dimension {nc} cannot host {l} modes (strain dofs {ns}, k={k})"
         )
 
-    # gram_s is SPD: symmetric ordering without pivoting, as for a Cholesky
     try:
-        lu = splu(
-            gram_s.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = _symmetric_lu(gram_s)
     except RuntimeError as err:
         raise SolverFailure(f"complement strain Gram factorization failed: {err}") from None
     SC = lu.solve(C.T)
@@ -246,11 +345,14 @@ class GalerkinBasis:
     mesh_hash: str = ""
     space: str = "deviatoric"
     sign_convention: str = SIGN_CONVENTION
+    # per family, how its eigenpairs were found (not kept by dump_basis)
+    eigensolves: dict = field(default_factory=dict, repr=False)
 
 
 def build_basis(ops: AssembledOperators, k: int, l: int, space: str = "deviatoric"):
-    W, lam_w = displacement_eigenbasis(ops, k)
-    V, mu_v = temperature_eigenbasis(ops, l)
+    solves = {"displacement": {}, "temperature": {}}
+    W, lam_w = displacement_eigenbasis(ops, k, record=solves["displacement"])
+    V, mu_v = temperature_eigenbasis(ops, l, record=solves["temperature"])
     Z, lam_z, comp = complement_strain_basis(ops, W, l, space=space)
     return GalerkinBasis(
         k=k,
@@ -264,6 +366,7 @@ def build_basis(ops: AssembledOperators, k: int, l: int, space: str = "deviatori
         comp=comp,
         mesh_hash=ops.mesh.content_hash(),
         space=space,
+        eigensolves=solves,
     )
 
 

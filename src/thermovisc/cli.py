@@ -244,6 +244,7 @@ def cmd_basis(cfg, outdir: Path, quiet=True):
         "lam_w": basis.lam_w,
         "mu_v": basis.mu_v,
         "lam_z": basis.lam_z,
+        "eigensolves": basis.eigensolves,
         "invariants": rep,
         "projection": norm,
     }

@@ -215,7 +215,7 @@ def test_cli_certify_pass_and_fail(tmp_path):
     assert rep["passed"] is False
 
 
-def test_cli_basis_artifact(tmp_path):
+def test_cli_basis_artifact(tmp_path, monkeypatch):
     cfg_path = write_cfg(tmp_path, MINIMAL)
     out = tmp_path / "basisout"
     assert main(["basis", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_OK
@@ -223,6 +223,17 @@ def test_cli_basis_artifact(tmp_path):
     rep = json.loads((out / "basis_report.json").read_text())
     assert rep["invariants"]["passed"] is True
     assert rep["projection"]["non_expansive"] is True
+    dense = {"branch": "dense"}
+    assert rep["eigensolves"] == {"displacement": dense, "temperature": dense}
+    # the sparse branch reports its shift, the inertia count and the kept pairs
+    monkeypatch.setattr(basis, "DENSE_CUTOFF", 0)
+    assert main(["basis", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_OK
+    rep = json.loads((out / "basis_report.json").read_text())
+    assert rep["invariants"]["passed"] is True
+    for family, kept in (("displacement", rep["lam_w"]), ("temperature", rep["mu_v"])):
+        solve = rep["eigensolves"][family]
+        assert solve["branch"] == "sparse" and solve["kept"] == 2
+        assert solve["inertia"] >= 2 and solve["sigma"] > kept[-1]
 
 
 def test_cli_env_override(tmp_path, monkeypatch):
@@ -554,6 +565,10 @@ def _raises(error):
     return fail
 
 
+def _unit_square(cells):
+    return assemble(build_mesh(2, (1.0, 1.0), (cells, cells)), ElasticityTensor.isotropic(1.0, 1.0))
+
+
 def _complement_solve(ops):
     W, _ = basis.displacement_eigenbasis(ops, 2)
     return basis.complement_strain_basis(ops, W, 2)
@@ -573,6 +588,12 @@ _NO_CONVERGENCE = ArpackNoConvergence("ARPACK error -1: No convergence", np.empt
          "temperature eigensolve failed"),
         ("basis.eigsh", _NO_CONVERGENCE, lambda ops: basis.temperature_eigenbasis(ops, 2),
          "temperature eigensolve failed"),
+        # the 3x3 mesh has 8 interior dofs, too few for the sparse branch
+        ("basis.eigsh", _NO_CONVERGENCE,
+         lambda ops: basis.displacement_eigenbasis(_unit_square(4), 2),
+         "displacement eigensolve failed"),
+        ("basis.splu", _SINGULAR, lambda ops: basis.displacement_eigenbasis(_unit_square(4), 2),
+         "displacement shift-invert factorization failed"),
         ("basis.cho_factor", _NOT_DEFINITE, _complement_solve,
          "complement constraint Schur factorization failed"),
         ("lifting.splu", _SINGULAR, lambda ops: lifting.solve_elastic_lift(ops),
@@ -581,13 +602,22 @@ _NO_CONVERGENCE = ArpackNoConvergence("ARPACK error -1: No convergence", np.empt
          lambda ops: lifting.solve_heat_lift(ops, np.zeros((2, 16)), np.ones(16), [0.0, 0.1]),
          "heat lift factorization failed at step 1"),
     ],
-    ids=["displacement", "temperature", "temperature_arpack", "schur", "elastic_lift", "heat_lift"],
+    ids=[
+        "displacement",
+        "temperature",
+        "temperature_arpack",
+        "displacement_arpack",
+        "displacement_shift_invert",
+        "schur",
+        "elastic_lift",
+        "heat_lift",
+    ],
 )
 def test_setup_solver_failure_names_stage(monkeypatch, target, error, solve, message):
     # a failing set-up factorization or eigensolve is a SolverFailure naming
     # the stage (exit 3), never a library exception
-    ops = assemble(build_mesh(2, (1.0, 1.0), (3, 3)), ElasticityTensor.isotropic(1.0, 1.0))
-    if target == "basis.eigsh":
+    ops = _unit_square(3)
+    if target in ("basis.eigsh", "basis.splu"):
         monkeypatch.setattr(basis, "DENSE_CUTOFF", 0)  # take the ARPACK path
     monkeypatch.setattr(f"thermovisc.{target}", _raises(error))
     with pytest.raises(SolverFailure, match=message):
