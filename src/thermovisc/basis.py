@@ -9,25 +9,23 @@
   against (.,.)_D on the D-orthogonal complement of span{eps(w_1..k)} inside
   the nodal strain space, D-orthonormal with eigenvalues >= 1.
 
-The displacement and temperature families are the lowest eigenpairs of a
-sparse symmetric pencil, found by one helper.  Up to DENSE_CUTOFF dofs it is
-a dense LAPACK solve, complete by construction and faster there than ARPACK's
-fixed cost.  Above it, shift-invert Lanczos (ARPACK) computes a few pairs
-more than kept and a completeness certificate checks them: by Sylvester's law
-of inertia the number of negative pivots of a symmetric LDL^T of A - sigma M
-equals the number of eigenvalues below sigma, so with sigma in the gap after
-the last kept group the count must equal the number of pairs computed below
-it.  A missed pair shows as a mismatch; the solve is repeated with more
-pairs, and an uncertified basis is a SolverFailure.
+All three families are the lowest eigenpairs of a sparse symmetric pencil,
+found by one helper.  Up to DENSE_CUTOFF dofs it is a dense LAPACK solve,
+complete by construction and faster there than ARPACK's fixed cost.  Above
+it, shift-invert Lanczos (ARPACK) computes a few pairs more than kept and a
+completeness certificate checks them: by Sylvester's law of inertia the
+number of negative pivots of a symmetric LDL^T of A - sigma M equals the
+number of eigenvalues below sigma, so with sigma in the gap after the last
+kept group the count must equal the number of pairs computed below it.  A
+missed pair shows as a mismatch; the solve is repeated with more pairs, and
+an uncertified basis is a SolverFailure.
 
-The complement is never given a basis.  Its eigenpairs come from block
-inverse iteration with a Rayleigh-Ritz step, where each inverse is the
-saddle-point solve of <x, .>_s = <b, .> under the k constraint functionals
-(eps(w_n), .)_D = 0, done with one sparse factorization of the smoothness
-Gram matrix and a k x k Schur complement.  Every iterate lies in the
-complement, so (zeta_m, eps(w_n))_D = 0 holds to round-off; the invariant
-report checks it as ``cross_orth_err``.  The cost is a few dozen sparse
-solves with a small block, with no dense object of the strain-space size.
+The complement lives on the kernel of its k constraint rows C, the
+functionals (eps(w_n), .)_D.  Lanczos runs on the bordered pencil
+([[A, C^T], [C, 0]], diag(M, 0)), whose finite eigenpairs are those on
+ker C, so (zeta_m, eps(w_n))_D = 0 holds to round-off (``cross_orth_err``),
+and Haynsworth's inertia additivity gives the count on ker C.
+
 The smoothness product is the H1-type surrogate
 <a,b>_s = (a,b)_D + (grad a, grad b), which makes every eigenvalue equal to
 1 + a nonnegative Rayleigh quotient.
@@ -46,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh, null_space
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from . import __version__
@@ -65,18 +63,16 @@ _EXTRA_PAIRS = 6
 #: sparse solves before an uncertified eigenbasis is reported as a failure
 _SPARSE_TRIES = 3
 
+#: ARPACK restarts before a solve fails; certified solves took at most 40, and
+#: one that cannot meet ARPACK's stop test would run ten restarts per dof
+_ARPACK_RESTARTS = 300
+
 #: relative gap, on the scale of the computed eigenvalues, between two groups
 _GROUP_GAP = 1e-8
 
 SIGN_CONVENTION = "first entry with |v| > 1e-8 max|v| is positive"
 
 _EIG_TOL = 1e-10
-
-#: sweeps of the complement block iteration before it reports failure
-COMPLEMENT_MAX_SWEEPS = 300
-
-#: relative residual at which the complement block iteration stops
-_SWEEP_TOL = 1e-12
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:
@@ -101,12 +97,14 @@ def _symmetric_lu(S):
     )
 
 
-def _negative_pivots(S) -> int | None:
-    """Negative eigenvalues of the symmetric S, by Sylvester's law of inertia.
+def _negative_pivots(S, C=None) -> int | None:
+    """Negative eigenvalues of the symmetric S (on ker C), by Sylvester's law of inertia.
 
     With both orderings equal and every pivot on the diagonal, U = D L^T, so
-    the signs of U's diagonal are those of S's eigenvalues.  None when SuperLU
-    met a zero pivot or exchanged a row.
+    the signs of U's diagonal are those of S's eigenvalues.  [[S, C^T], [C, 0]]
+    has rank C more negative eigenvalues than S on ker C, and by Haynsworth as
+    many as S and -C S^-1 C^T together.  None when SuperLU met a zero pivot or
+    exchanged a row.
     """
     try:
         lu = _symmetric_lu(S)
@@ -114,60 +112,97 @@ def _negative_pivots(S) -> int | None:
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    below = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    if C is not None:
+        below += int(np.count_nonzero(eigvalsh(-C @ lu.solve(C.T)) < 0.0)) - C.shape[0]
+    return below
 
 
-def _lowest_eigenpairs(A, M, n: int, shift: float, what: str):
-    """The n lowest eigenpairs of A x = lam M x, ascending, and how they were found.
-
-    A is sparse symmetric, M sparse symmetric positive definite (None for the
-    identity), and A - shift M is positive definite.  Up to DENSE_CUTOFF dofs,
-    or when n + _EXTRA_PAIRS is not below them, a dense LAPACK solve runs; it
-    is complete by construction.  Above it shift-invert ARPACK computes
-    _EXTRA_PAIRS more pairs than kept, from a seeded start vector.  The last
-    kept group ends at the first gap j >= n, and the inertia of A - sigma M
-    with sigma in that gap must count exactly j eigenvalues below sigma, or
-    a pair was missed.  A count that disagrees asks for more pairs; after
-    _SPARSE_TRIES solves it is a SolverFailure.  The record names the branch,
-    and for the sparse one gives sigma, the count, the kept pairs and the
-    number of solves.
-    """
+def _shift_invert_pairs(A, M, B, C, shift: float, nev: int, rng, what: str):
+    """nev eigenpairs of A x = lam M x (on ker C) nearest shift, ascending, from
+    a start vector drawn from rng; B is M or the identity.  The factors die
+    here, before any inertia count."""
     N = A.shape[0]
-    nev = n + _EXTRA_PAIRS
-    if N <= DENSE_CUTOFF or nev >= N:
-        dense_M = None if M is None else M.toarray()
-        try:
-            vals, vecs = eigh(A.toarray(), dense_M, subset_by_index=(0, n - 1))
-        except np.linalg.LinAlgError as err:
-            raise SolverFailure(f"{what} eigensolve failed: {err}") from None
-        return vals, vecs, {"branch": "dense"}
-    B = sp.identity(N, format="csr") if M is None else M
     try:
         lu = _symmetric_lu(A - shift * B)
     except RuntimeError as err:
         raise SolverFailure(f"{what} shift-invert factorization failed: {err}") from None
-    OPinv = LinearOperator((N, N), matvec=lu.solve, dtype=float)
+    if C is None:
+        op = lu.solve
+    else:
+        SC = lu.solve(C.T)
+        try:
+            schur = cho_factor(C @ SC)
+        except np.linalg.LinAlgError as err:
+            raise SolverFailure(f"{what} constraint Schur factorization failed: {err}") from None
+
+        def op(b):
+            # (A - shift M) x + C^T y = b[:N], C x = b[N:]
+            x = lu.solve(b[:N])
+            y = cho_solve(schur, C @ x - b[N:])
+            return np.concatenate([x - SC @ y, y])
+
+        # shift-invert ARPACK applies only op and the bordered M, so the
+        # bordered A enters by its shape and is never formed
+        n = N + len(C)
+        A = LinearOperator((n, n), matvec=None, dtype=float)
+        M = sp.block_diag([M, sp.csr_matrix((len(C), len(C)))], format="csr")
+    OPinv = LinearOperator(A.shape, matvec=op, dtype=float)
+    v0 = rng.standard_normal(A.shape[0])
+    try:
+        vals, vecs = eigsh(A, k=nev, M=M, sigma=shift, OPinv=OPinv, v0=v0, maxiter=_ARPACK_RESTARTS)
+    except ArpackError as err:
+        raise SolverFailure(f"{what} eigensolve failed: {err}") from None
+    order = np.argsort(vals)
+    return vals[order], vecs[:N, order]
+
+
+def _lowest_eigenpairs(A, M, n: int, shift: float, what: str, C=None, record=None):
+    """The n lowest eigenpairs of A x = lam M x on ker C, ascending.
+
+    A is sparse symmetric, M sparse symmetric positive definite (None for the
+    identity, only without C), A - shift M positive definite, and C, when
+    given, a dense block of orthonormal rows.  A dense LAPACK solve runs
+    where ARPACK cannot (n + _EXTRA_PAIRS not below dim ker C), on a basis
+    of ker C, and without C up to DENSE_CUTOFF dofs.  Otherwise ARPACK
+    computes _EXTRA_PAIRS more pairs than kept, from a seeded start vector.
+    The last kept group ends at the first gap j >= n; the inertia at sigma
+    in that gap must count j eigenvalues below it, or more pairs are asked
+    for, and after _SPARSE_TRIES solves it is a SolverFailure.  ``record``,
+    when given, receives the branch, and for the sparse one sigma, the count,
+    the kept pairs and the number of solves.
+    """
+    N = A.shape[0]
+    r = 0 if C is None else C.shape[0]
+    record = {} if record is None else record
+    nev = n + _EXTRA_PAIRS
+    if nev >= N - r or (C is None and N <= DENSE_CUTOFF):
+        dense_A = A.toarray()
+        dense_M = None if M is None else M.toarray()
+        if C is not None:
+            Q = null_space(C)
+            dense_A, dense_M = Q.T @ dense_A @ Q, Q.T @ dense_M @ Q
+        try:
+            vals, vecs = eigh(dense_A, dense_M, subset_by_index=(0, n - 1))
+        except np.linalg.LinAlgError as err:
+            raise SolverFailure(f"{what} eigensolve failed: {err}") from None
+        record.update(branch="dense")
+        return vals, (vecs if C is None else Q @ vecs)
+    B = sp.identity(N, format="csr") if M is None else M
     rng = np.random.default_rng(0)
     for solve in range(1, _SPARSE_TRIES + 1):
-        try:
-            vals, vecs = eigsh(
-                A, k=nev, M=M, sigma=shift, OPinv=OPinv, v0=rng.standard_normal(N)
-            )
-        except ArpackError as err:
-            raise SolverFailure(f"{what} eigensolve failed: {err}") from None
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _shift_invert_pairs(A, M, B, C, shift, nev, rng, what)
         gaps = np.flatnonzero(np.diff(vals[n - 1 :]) > _GROUP_GAP * np.abs(vals).max())
         if gaps.size == 0:  # the last kept group runs past the computed pairs
-            nev = min(nev + _EXTRA_PAIRS, N - 1)
+            nev = min(nev + _EXTRA_PAIRS, N - r - 1)
             continue
         j = n + int(gaps[0])
         sigma = 0.5 * (vals[j - 1] + vals[j])
-        below = _negative_pivots(A - sigma * B)
+        below = _negative_pivots(A - sigma * B, C)
         if below == j:
-            how = dict(branch="sparse", sigma=float(sigma), inertia=j, kept=n, solves=solve)
-            return vals[:n], vecs[:, :n], how
-        nev = min(max(nev, below or 0) + _EXTRA_PAIRS, N - 1)
+            record.update(branch="sparse", sigma=float(sigma), inertia=j, kept=n, solves=solve)
+            return vals[:n], vecs[:, :n]
+        nev = min(max(nev, below or 0) + _EXTRA_PAIRS, N - r - 1)
     raise SolverFailure(
         f"{what} eigensolve incomplete: no inertia count matched the computed "
         f"pairs after {_SPARSE_TRIES} solves"
@@ -184,13 +219,11 @@ def displacement_eigenbasis(ops: AssembledOperators, k: int, record: dict | None
         raise BadConfig(f"k must be in [1, {free.size}], got {k}")
     kff = ops.K_D[free][:, free]
     mff = ops.M_u[free][:, free]
-    lam, vecs, how = _lowest_eigenpairs(kff, mff, k, 0.0, "displacement")
+    lam, vecs = _lowest_eigenpairs(kff, mff, k, 0.0, "displacement", record=record)
     res = np.linalg.norm(kff @ vecs - mff @ vecs * lam[None, :], axis=0)
     res /= np.linalg.norm(vecs, axis=0)
     if np.any(res > _EIG_TOL):
         raise SolverFailure(f"displacement eigensolve residual {res.max():.3e} > {_EIG_TOL}")
-    if record is not None:
-        record.update(how)
     W = np.zeros((k, ops.n_dofs))
     W[:, free] = vecs.T
     return _fix_signs(W), lam
@@ -208,15 +241,13 @@ def temperature_eigenbasis(ops: AssembledOperators, l: int, record: dict | None 
     s = 1.0 / np.sqrt(ops.M_lumped)
     A = sp.diags(s) @ ops.K_theta @ sp.diags(s)
     # the Neumann operator is singular, so the shift lies below mu_1 = 0
-    mu, Y, how = _lowest_eigenpairs(A, None, l, -1.0, "temperature")
+    mu, Y = _lowest_eigenpairs(A, None, l, -1.0, "temperature", record=record)
     V = (Y * s[:, None]).T
     res = np.linalg.norm(
         (ops.K_theta @ V.T) - (ops.M_lumped[:, None] * V.T) * mu[None, :], axis=0
     ) / np.linalg.norm(V.T, axis=0)
     if np.any(res > _EIG_TOL):
         raise SolverFailure(f"temperature eigensolve residual {res.max():.3e} > {_EIG_TOL}")
-    if record is not None:
-        record.update(how)
     return _fix_signs(V), mu
 
 
@@ -247,14 +278,15 @@ def _node_tensor_basis(dim: int, space: str) -> np.ndarray:
 
 
 def complement_strain_basis(
-    ops: AssembledOperators, W: np.ndarray, l: int, space: str = "deviatoric"
+    ops: AssembledOperators, W: np.ndarray, l: int, space: str = "deviatoric", record=None
 ):
     """Eigenbasis of the D-orthogonal complement of span{eps(w_n)}.
 
     Returns (Z, lam_z, comp) with Z of shape (l, n_nodes * m) in node-major
-    layout and lam_z ascending with lam_z >= 1.  The iteration starts from a
+    layout and lam_z ascending with lam_z >= 1.  The solve starts from a
     fixed seed, so a rebuild is bitwise identical.  Within a degenerate
     eigenvalue group the vectors are an arbitrary orthonormal basis.
+    ``record``, when given, receives how the pairs were found.
     """
     k = W.shape[0]
     mesh = ops.mesh
@@ -282,51 +314,17 @@ def complement_strain_basis(
             f"complement dimension {nc} cannot host {l} modes (strain dofs {ns}, k={k})"
         )
 
-    try:
-        lu = _symmetric_lu(gram_s)
-    except RuntimeError as err:
-        raise SolverFailure(f"complement strain Gram factorization failed: {err}") from None
-    SC = lu.solve(C.T)
-    try:
-        schur = cho_factor(C @ SC)
-    except np.linalg.LinAlgError as err:
-        raise SolverFailure(f"complement constraint Schur factorization failed: {err}") from None
-
-    def constrained_solve(rhs):
-        # saddle-point solve of gram_s x = rhs + C^T mu, C x = 0
-        y = lu.solve(rhs)
-        return y - SC @ cho_solve(schur, C @ y)
-
-    nb = min(l + max(l, 8), nc)
-    X = constrained_solve(np.random.default_rng(0).standard_normal((ns, nb)))
-    GX = gram_D @ X
-    for sweep in range(1, COMPLEMENT_MAX_SWEEPS + 1):
-        Y = constrained_solve(GX)
-        GY = gram_D @ Y
-        SY = gram_s @ Y
-        try:
-            lam, Q = eigh(Y.T @ SY, Y.T @ GY)
-        except np.linalg.LinAlgError as err:
-            raise SolverFailure(
-                f"complement Rayleigh-Ritz eigensolve failed in sweep {sweep}: {err}"
-            ) from None
-        X, GX = Y @ Q, GY @ Q
-        # residual of the first l Ritz pairs, tested inside the complement
-        lam_z = lam[:l]
-        R = SY @ Q[:, :l] - GX[:, :l] * lam_z[None, :]
-        R -= C.T @ (C @ R)
-        res = np.linalg.norm(R, axis=0) / np.linalg.norm(X[:, :l], axis=0)
-        if res.max() <= _SWEEP_TOL:
-            break
+    lam_z, X = _lowest_eigenpairs(gram_s, gram_D, l, 0.0, "complement", C=C, record=record)
+    # residual of the pairs, tested inside the complement
+    R = gram_s @ X - (gram_D @ X) * lam_z[None, :]
+    R -= C.T @ (C @ R)
+    res = np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)
     if np.any(res > _EIG_TOL):
-        raise SolverFailure(
-            f"complement eigensolve residual {res.max():.3e} > {_EIG_TOL} "
-            f"after {sweep} sweeps"
-        )
+        raise SolverFailure(f"complement eigensolve residual {res.max():.3e} > {_EIG_TOL}")
     if lam_z[0] < 1.0 - 1e-10:
         raise SolverFailure(f"complement eigenvalue {lam_z[0]} below 1")
     comp = ComplementSpace(comp_basis=B, C=C, gram_D=gram_D, gram_s=gram_s)
-    return _fix_signs(X[:, :l].T), lam_z, comp
+    return _fix_signs(X.T), lam_z, comp
 
 
 @dataclass
@@ -350,10 +348,10 @@ class GalerkinBasis:
 
 
 def build_basis(ops: AssembledOperators, k: int, l: int, space: str = "deviatoric"):
-    solves = {"displacement": {}, "temperature": {}}
+    solves = {"displacement": {}, "temperature": {}, "complement": {}}
     W, lam_w = displacement_eigenbasis(ops, k, record=solves["displacement"])
     V, mu_v = temperature_eigenbasis(ops, l, record=solves["temperature"])
-    Z, lam_z, comp = complement_strain_basis(ops, W, l, space=space)
+    Z, lam_z, comp = complement_strain_basis(ops, W, l, space=space, record=solves["complement"])
     return GalerkinBasis(
         k=k,
         l=l,

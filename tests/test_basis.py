@@ -142,49 +142,57 @@ def test_sparse_dense_displacement_eigensolvers_agree(monkeypatch, dim, cells, k
     _modes_in_dense_eigenspaces(lam_sparse, W_sparse, lam_dense, W_dense, ops_s.M_u)
 
 
-def _dropping_eigsh(monkeypatch, calls_that_drop):
-    """ARPACK that drops the second eigenpair of the first degenerate group it
-    finds, as shift-invert Lanczos can, in its first ``calls_that_drop`` calls."""
-    real = basis_mod.eigsh
-    calls = []
+def _family_solve(ops, family):
+    """The solve of one family as ``(modes, eigenvalues) = solve(ops, n, record)``;
+    the complement's displacement modes are found first, with the dense solve."""
+    if family == "displacement":
+        return displacement_eigenbasis
+    if family == "temperature":
+        return temperature_eigenbasis
+    W, _ = displacement_eigenbasis(ops, 4)
 
-    def eigsh(A, k, **kwargs):
-        calls.append(k)
-        vals, vecs = real(A, k=k + 1, **kwargs)
-        order = np.argsort(vals)
-        if len(calls) <= calls_that_drop:
-            ties = np.flatnonzero(np.diff(vals[order]) <= 1e-8 * np.abs(vals).max())
-            order = np.delete(order, ties[0] + 1)
-        return vals[order[:k]], vecs[:, order[:k]]
+    def solve(ops, l, record=None):
+        Z, lam, _ = complement_strain_basis(ops, W, l, record=record)
+        return Z, lam
 
-    monkeypatch.setattr(basis_mod, "eigsh", eigsh)
+    return solve
+
+
+FAMILIES = ["displacement", "temperature", "complement"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_inertia_certificate_recovers_a_dropped_pair(monkeypatch, dropping_eigsh, ops, family):
+    solve = _family_solve(ops, family)
+    _, vals_ref = solve(ops, 5)
     monkeypatch.setattr(basis_mod, "DENSE_CUTOFF", 0)
-    return calls
-
-
-@pytest.mark.parametrize(
-    "solve", [displacement_eigenbasis, temperature_eigenbasis], ids=["displacement", "temperature"]
-)
-def test_inertia_certificate_recovers_a_dropped_pair(monkeypatch, ops, solve):
-    _, vals_dense = solve(ops, 5)
-    calls = _dropping_eigsh(monkeypatch, calls_that_drop=1)
+    calls = dropping_eigsh(calls_that_drop=1)
     record = {}
     _, vals = solve(ops, 5, record=record)
     # the first solve's count disagrees, the second one is certified
     assert len(calls) == 2 and record["solves"] == 2
-    assert np.abs(vals - vals_dense).max() <= 1e-10 * vals_dense[-1]
+    assert np.abs(vals - vals_ref).max() <= 1e-10 * vals_ref[-1]
 
 
-@pytest.mark.parametrize(
-    "solve, family",
-    [(displacement_eigenbasis, "displacement"), (temperature_eigenbasis, "temperature")],
-    ids=["displacement", "temperature"],
-)
-def test_inertia_certificate_refuses_an_incomplete_basis(monkeypatch, ops, solve, family):
-    calls = _dropping_eigsh(monkeypatch, calls_that_drop=10**6)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_inertia_certificate_refuses_an_incomplete_basis(monkeypatch, dropping_eigsh, ops, family):
+    solve = _family_solve(ops, family)
+    monkeypatch.setattr(basis_mod, "DENSE_CUTOFF", 0)
+    calls = dropping_eigsh(calls_that_drop=10**6)
     with pytest.raises(SolverFailure, match=f"{family} eigensolve incomplete"):
         solve(ops, 5)
     assert len(calls) == basis_mod._SPARSE_TRIES
+
+
+@pytest.mark.parametrize("sigma", [0.5, 3.0, 12.0, 40.0])
+def test_negative_pivots_on_the_constraint_kernel(basis, sigma):
+    # Haynsworth's count against the inertia of the dense bordered matrix
+    comp = basis.comp
+    S = comp.gram_s - sigma * comp.gram_D
+    r = comp.C.shape[0]
+    bordered = np.block([[S.toarray(), comp.C.T], [comp.C, np.zeros((r, r))]])
+    expected = int(np.count_nonzero(np.linalg.eigvalsh(bordered) < 0.0)) - r
+    assert basis_mod._negative_pivots(S, comp.C) == expected
 
 
 def test_sparse_branch_needs_more_dofs_than_pairs(monkeypatch):
@@ -195,6 +203,16 @@ def test_sparse_branch_needs_more_dofs_than_pairs(monkeypatch):
     record = {}
     _, lam = displacement_eigenbasis(ops_3, 2, record=record)
     assert record == {"branch": "dense"} and lam[0] > 0
+    # 27 strain dofs less 2 constraints cannot host 19 plus the extra pairs:
+    # the dense solve on a basis of the constraint kernel runs
+    ops_2 = assemble(build_mesh(2, (1.0, 1.0), (2, 2)), D)
+    W, _ = displacement_eigenbasis(ops_2, 2)
+    record = {}
+    Z, lam_z, comp = complement_strain_basis(ops_2, W, 19, record=record)
+    assert record == {"branch": "dense"} and comp.C.shape == (2, 27)
+    assert lam_z[0] >= 1.0 - 1e-10 and np.all(np.diff(lam_z) >= -1e-12)
+    assert np.abs(Z @ (comp.gram_D @ Z.T) - np.eye(19)).max() <= 1e-10
+    assert np.abs(comp.C @ Z.T).max() <= 1e-12
 
 
 def test_temperature_eigenbasis_keeps_the_lowest_modes_3d():
@@ -334,6 +352,18 @@ def test_complement_past_old_dof_cap():
     rep = basis_invariant_report(ops_c, b)
     assert rep["passed"], rep
     assert projection_norm_check(b, n_fields=200, seed=3)["non_expansive"]
+
+
+def test_complement_certified_where_single_vector_lanczos_returned_copies():
+    # 3D 7^3, k = 4, l = 16 cuts the twelvefold group at 6.02; single-vector
+    # Lanczos on the unbordered constrained operator returned copies here
+    ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (7, 7, 7)), D)
+    b = build_basis(ops_c, k=4, l=16)
+    solve = b.eigensolves["complement"]
+    assert solve["branch"] == "sparse" and solve["inertia"] == 17
+    rep = basis_invariant_report(ops_c, b)
+    assert rep["gram_Z_D_err"] <= 1e-10
+    assert rep["passed"], rep
 
 
 def test_full_space_variant(ops):

@@ -224,16 +224,30 @@ def test_cli_basis_artifact(tmp_path, monkeypatch):
     assert rep["invariants"]["passed"] is True
     assert rep["projection"]["non_expansive"] is True
     dense = {"branch": "dense"}
-    assert rep["eigensolves"] == {"displacement": dense, "temperature": dense}
+    solves = rep["eigensolves"]
+    assert solves["displacement"] == dense and solves["temperature"] == dense
     # the sparse branch reports its shift, the inertia count and the kept pairs
+    families = [("displacement", "lam_w"), ("temperature", "mu_v"), ("complement", "lam_z")]
+
+    def assert_sparse(rep, family, key):
+        solve = rep["eigensolves"][family]
+        assert solve["branch"] == "sparse" and solve["kept"] == 2
+        assert solve["inertia"] >= 2 and solve["sigma"] > rep[key][-1]
+
+    assert_sparse(rep, "complement", "lam_z")
     monkeypatch.setattr(basis, "DENSE_CUTOFF", 0)
     assert main(["basis", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_OK
     rep = json.loads((out / "basis_report.json").read_text())
     assert rep["invariants"]["passed"] is True
-    for family, kept in (("displacement", rep["lam_w"]), ("temperature", rep["mu_v"])):
-        solve = rep["eigensolves"][family]
-        assert solve["branch"] == "sparse" and solve["kept"] == 2
-        assert solve["inertia"] >= 2 and solve["sigma"] > kept[-1]
+    for family, key in families:
+        assert_sparse(rep, family, key)
+    # with more extra pairs than dofs every family, the complement on a basis
+    # of its constraint kernel, takes the dense solve
+    monkeypatch.setattr(basis, "_EXTRA_PAIRS", 10**6)
+    assert main(["basis", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_OK
+    rep = json.loads((out / "basis_report.json").read_text())
+    assert rep["invariants"]["passed"] is True
+    assert rep["eigensolves"] == {family: dense for family, _ in families}
 
 
 def test_cli_env_override(tmp_path, monkeypatch):
@@ -389,18 +403,18 @@ def test_cli_failed_run_replaces_a_stale_summary(tmp_path):
 @pytest.mark.parametrize(
     "command, artifact", [("basis", "basis_report.json"), ("converge", "converge.json")]
 )
-def test_cli_solver_failure_record(tmp_path, command, artifact):
-    # the soft-shear complement failure of run also leaves a record from
-    # basis and converge
+def test_cli_solver_failure_record(tmp_path, dropping_eigsh, command, artifact):
+    # an uncertified complement eigenbasis leaves a record from basis and
+    # converge, as a failure of run does
     payload = json.loads((REPO / "configs" / "isolated.json").read_text())
-    payload["material"]["elasticity"]["mu"] = 1e-4
     payload["discretization"].update(k=4, l=4)
     cfg_path = write_cfg(tmp_path, payload)
     out = tmp_path / "o"
+    dropping_eigsh(calls_that_drop=10**6)
     assert main([command, "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_SOLVER
     rep = json.loads((out / artifact).read_text())
     assert rep["failed"] is True and rep["checks"]["passed"] is False
-    assert "Rayleigh-Ritz" in rep["failure"]
+    assert "complement eigensolve incomplete" in rep["failure"]
     assert rep["command"] == command
     assert rep["config_hash"] == config_hash(load_config(cfg_path))
 
@@ -510,39 +524,38 @@ def test_cli_certify_thetas_validated(tmp_path, capsys, thetas):
     assert not (out / "certification.json").exists()
 
 
-def test_cli_complement_sweep_cap_exit(tmp_path, monkeypatch, capsys):
-    # a complement eigensolve that runs out of sweeps raises SolverFailure,
-    # which the CLI maps to exit 3
-    import thermovisc.basis as basis_mod
-
-    monkeypatch.setattr(basis_mod, "COMPLEMENT_MAX_SWEEPS", 1)
+def test_cli_complement_certificate_refusal_exit(tmp_path, dropping_eigsh, capsys):
+    # a complement eigenbasis the inertia count refuses raises SolverFailure,
+    # which the CLI maps to exit 3; the 4x4 mesh's W and V are dense solves,
+    # so only the complement calls ARPACK
+    calls = dropping_eigsh(calls_that_drop=10**6)
     cfg_path = write_cfg(tmp_path, MINIMAL)
     code = main(["basis", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_SOLVER
-    assert "after 1 sweeps" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "complement eigensolve incomplete" in err and "Traceback" not in err
+    assert len(calls) == basis._SPARSE_TRIES
 
 
-@pytest.mark.parametrize("mu", [1e-4, 1e-6])
-def test_cli_complement_rayleigh_ritz_failure_exit(tmp_path, capsys, mu):
-    # a soft shear modulus makes the Rayleigh-Ritz Gram matrix lose
-    # definiteness; that is a solver failure (exit 3), never a traceback
+@pytest.mark.parametrize("mu, code", [(1e-4, EXIT_OK), (1e-6, EXIT_SOLVER)])
+def test_cli_soft_shear_complement_same_exit(tmp_path, capsys, mu, code):
+    # basis and run agree on a soft shear modulus, and neither ends in a
+    # traceback; at mu = 1e-6 the absolute lam_z >= 1 bound refuses the basis
     payload = json.loads((REPO / "configs" / "isolated.json").read_text())
     payload["material"]["elasticity"]["mu"] = mu
-    payload["discretization"].update(k=4, l=4)
+    payload["discretization"].update(k=4, l=4, n_steps=5)
     cfg_path = write_cfg(tmp_path, payload)
     out = tmp_path / "o"
-    assert main(["basis", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_SOLVER
-    err = capsys.readouterr().err
-    assert "complement Rayleigh-Ritz eigensolve failed" in err
-    assert "Traceback" not in err
-    assert main(["run", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_SOLVER
+    assert main(["basis", "--config", cfg_path, "--out", str(out), "--quiet"]) == code
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--quiet"]) == code
+    assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["failed"] is True
-    assert "Rayleigh-Ritz" in summary["failure"]
+    assert summary["checks"]["passed"] is (code == EXIT_OK)
 
 
 def test_complement_factorization_failure_is_solver_failure(monkeypatch):
-    # SuperLU reports a singular strain Gram matrix with a RuntimeError
+    # SuperLU reports a singular shifted strain Gram matrix with a
+    # RuntimeError; the 3x3 mesh's 48 strain dofs take the sparse branch
     import thermovisc.basis as basis_mod
     from thermovisc.errors import SolverFailure
     from thermovisc.mesh_fem import assemble, build_mesh
@@ -554,7 +567,9 @@ def test_complement_factorization_failure_is_solver_failure(monkeypatch):
     ops = assemble(build_mesh(2, (1.0, 1.0), (3, 3)), ElasticityTensor.isotropic(1.0, 1.0))
     W, _ = basis_mod.displacement_eigenbasis(ops, 2)
     monkeypatch.setattr(basis_mod, "splu", singular)
-    with pytest.raises(SolverFailure, match="Gram factorization failed: Factor is exactly"):
+    with pytest.raises(
+        SolverFailure, match="complement shift-invert factorization failed: Factor is exactly"
+    ):
         basis_mod.complement_strain_basis(ops, W, 2)
 
 
