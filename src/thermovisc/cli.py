@@ -50,9 +50,9 @@ from .config import (
 from .constitutive import certify_assumption1
 from .diagnostics import (
     AprioriMonitor,
-    EnergyReport,
     RowTables,
     collect_row,
+    energy_checks,
     young_constants,
 )
 # the exit codes are re-exported: they are part of main's contract
@@ -155,7 +155,7 @@ def cmd_run(cfg, outdir: Path, quiet=True):
         beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume
     )
     tables = RowTables.build(system, lifted)
-    report = EnergyReport()
+    rows = []
     cadence = cfg["output"]["cadence"]
 
     with DiagnosticsWriter(outdir / "diagnostics.csv", chash) as diag:
@@ -163,7 +163,7 @@ def cmd_run(cfg, outdir: Path, quiet=True):
         def on_step(i, state, rep):
             theta = system.theta_nodal(state.beta) + lifted.theta_tilde[i]
             row = collect_row(tables, state, i, rep, theta)
-            report.append(row)
+            rows.append(row)
             diag.write(row)
             # the a-priori bound is a theorem for the homogeneous potential
             # energy (= |delta|^2/2); physical and homogeneous agree exactly
@@ -180,13 +180,12 @@ def cmd_run(cfg, outdir: Path, quiet=True):
 
         result = run(system, state0, lifted, evo, on_step=on_step)
 
-    checks = report.evaluate(isolated=is_isolated(cfg), solver_tol=evo.solver_tol)
+    checks = energy_checks(rows, isolated=is_isolated(cfg), solver_tol=evo.solver_tol)
     mon = monitor.summary()
+    first, last = rows[0], rows[-1]
     if not quiet:
-        last = report.rows[-1]
         print(f"run: {evo.n_steps} steps to t={result.final_state.t:g}")
         print(f"{'quantity':<22} {'initial':>14} {'final':>14}")
-        first = report.rows[0]
         for label, name in (
             ("potential energy", "e_pot"),
             ("thermal energy", "e_thermal"),
@@ -204,9 +203,9 @@ def cmd_run(cfg, outdir: Path, quiet=True):
         "monitor": mon,
         "terminal": {
             "t": result.final_state.t,
-            "e_pot": report.rows[-1].e_pot,
-            "e_total": report.rows[-1].e_total,
-            "theta_min": report.rows[-1].theta_min,
+            "e_pot": last.e_pot,
+            "e_total": last.e_total,
+            "theta_min": last.theta_min,
         },
     }
 
@@ -302,6 +301,15 @@ def cmd_converge(cfg, outdir: Path, quiet=True):
     }
 
 
+#: each command, the one artifact it writes and its help text
+_COMMANDS = {
+    "run": (cmd_run, "summary.json", "advance the evolution and verify the diagnostic suites"),
+    "certify": (cmd_certify, "certification.json", "certify the configured constitutive law"),
+    "basis": (cmd_basis, "basis_report.json", "build, verify and dump the Galerkin basis"),
+    "converge": (cmd_converge, "converge.json", "two-level refinement ladder"),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermovisc",
@@ -309,26 +317,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("run", "advance the evolution and verify the diagnostic suites"),
-        ("certify", "certify the configured constitutive law"),
-        ("basis", "build, verify and dump the Galerkin basis"),
-        ("converge", "two-level refinement ladder"),
-    ):
+    for name, (_, _, help_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
-
-
-#: each command and the one artifact it writes
-_COMMANDS = {
-    "run": (cmd_run, "summary.json"),
-    "certify": (cmd_certify, "certification.json"),
-    "basis": (cmd_basis, "basis_report.json"),
-    "converge": (cmd_converge, "converge.json"),
-}
 
 
 def _report(err) -> int:
@@ -338,7 +332,7 @@ def _report(err) -> int:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    command, artifact = _COMMANDS[args.command]
+    command, artifact, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
     except Failure as err:  # no config, nothing to stamp an artifact with

@@ -22,7 +22,7 @@ form whose dissipation is exactly c |Td|^p and whose growth constant is c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,8 +57,6 @@ class NortonHoff:
     def evaluate_many(self, theta, td, y=None):
         td = np.asarray(td, dtype=float)
         _check_finite(theta, td)
-        if self.p == 2.0:
-            return self.c * td
         r = norm6(td)
         return (self.c * r ** (self.p - 2.0))[..., None] * td
 
@@ -68,15 +66,14 @@ class Mroz:
 
     ``g`` must be vectorizable over numpy arrays; ``g_min``/``g_max`` are the
     declared bounds of g on its admissible range and become the certified
-    coercivity and growth constants (p = 2).  Below ``theta_min`` the modulus
-    is extended constantly, so any finite temperature is accepted.
+    coercivity and growth constants (p = 2); g must accept any finite
+    temperature (the table law extends its end values constantly).
     """
 
-    def __init__(self, g: Callable, g_min: float, g_max: float, theta_min: float | None = None):
+    def __init__(self, g: Callable, g_min: float, g_max: float):
         self.g = g
         self.g_min = float(g_min)
         self.g_max = float(g_max)
-        self.theta_min = theta_min
         self.p = 2.0
         self.C_growth = float(g_max)
         self.beta_coercivity = float(g_min)
@@ -108,25 +105,23 @@ class Mroz:
         def g(th):
             return np.interp(np.asarray(th, dtype=float), thetas, values)
 
-        return cls(g, float(values.min()), float(values.max()), theta_min=float(thetas[0]))
+        return cls(g, float(values.min()), float(values.max()))
 
     def evaluate_many(self, theta, td, y=None):
         td = np.asarray(td, dtype=float)
         theta = np.asarray(theta, dtype=float)
         _check_finite(theta, td)
-        if self.theta_min is not None:
-            theta = np.maximum(theta, self.theta_min)
         gval = np.asarray(self.g(theta), dtype=float)
         return np.broadcast_to(gval, td.shape[:-1])[..., None] * td
 
 
 class BodnerPartom:
-    """Isotropic-hardening power law G = g0 ((|Td| + beta(theta))^+ / y)^m Td/|Td|.
+    """Isotropic-hardening power law G = g0 (|Td| / y)^m Td/|Td|, temperature independent.
 
     The hardening variable y is carried per material point by the caller and
-    advanced explicitly, decoupled from the implicit stress solve.  With the
-    default beta == 0 the law is continuous at Td = 0 and certifiable with
-    p = m + 1, beta = g0 / y_max^m, C = g0 / y_min^m.
+    advanced explicitly, decoupled from the implicit stress solve.  The law
+    is continuous at Td = 0 and certifiable with p = m + 1,
+    beta = g0 / y_max^m, C = g0 / y_min^m.
     """
 
     def __init__(
@@ -139,7 +134,6 @@ class BodnerPartom:
         y0: float = 1.0,
         y_min: float = 0.5,
         y_max: float = 2.0,
-        beta_fn: Callable | None = None,
     ):
         if not (g0 > 0.0 and m >= 1.0):
             raise BadData(f"need g0 > 0 and m >= 1, got g0={g0}, m={m}")
@@ -153,7 +147,6 @@ class BodnerPartom:
         self.y0 = float(y0)
         self.y_min = float(y_min)
         self.y_max = float(y_max)
-        self.beta_fn = beta_fn
         self.p = self.m + 1.0
         try:
             self.C_growth = self.g0 / self.y_min**self.m
@@ -166,13 +159,10 @@ class BodnerPartom:
 
     def evaluate_many(self, theta, td, y=None):
         td = np.asarray(td, dtype=float)
-        theta = np.asarray(theta, dtype=float)
         _check_finite(theta, td)
         yv = np.asarray(self.y0 if y is None else y, dtype=float)
         r = norm6(td)
-        shift = 0.0 if self.beta_fn is None else np.asarray(self.beta_fn(theta), dtype=float)
-        arg = np.maximum(r + shift, 0.0) / yv
-        mag = self.g0 * arg**self.m
+        mag = self.g0 * (r / yv) ** self.m
         return (mag / np.maximum(r, _TINY))[..., None] * td
 
     def advance_y_many(self, y: np.ndarray, td_norm: np.ndarray, dt: float) -> np.ndarray:
@@ -194,7 +184,7 @@ class BodnerPartom:
 
 @dataclass
 class CertificationReport:
-    law_name: str
+    law: str
     p: float
     C_growth: float
     beta_coercivity: float
@@ -208,20 +198,7 @@ class CertificationReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "law": self.law_name,
-            "p": self.p,
-            "C_growth": self.C_growth,
-            "beta_coercivity": self.beta_coercivity,
-            "sample_count": self.sample_count,
-            "radius": self.radius,
-            "monotonicity_min": self.monotonicity_min,
-            "growth_ratio_max": self.growth_ratio_max,
-            "coercivity_ratio_min": self.coercivity_ratio_min,
-            "trace_max": self.trace_max,
-            "by_theta": {str(k): v for k, v in self.by_theta.items()},
-            "passed": self.passed,
-        }
+        return {**asdict(self), "by_theta": {str(k): v for k, v in self.by_theta.items()}}
 
 
 def _random_deviators(rng, n: int, radius: float) -> np.ndarray:
@@ -289,7 +266,7 @@ def certify_assumption1(
     beta = float(law.beta_coercivity)
     cgr = float(law.C_growth)
     report = CertificationReport(
-        law_name=law.name,
+        law=law.name,
         p=pexp,
         C_growth=cgr,
         beta_coercivity=beta,

@@ -214,7 +214,6 @@ class AprioriMonitor:
     sup_theta_l1: float = 0.0
     values: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
-    theta_l1_series: list = field(default_factory=list)
 
     def __post_init__(self):
         # the bound is a theorem for coercive laws only
@@ -229,7 +228,6 @@ class AprioriMonitor:
         self.sup_theta_l1 = theta_l1
         self.values.append(e_pot0)
         self.bounds.append(e_pot0)
-        self.theta_l1_series.append(theta_l1)
 
     def update(self, dt, t, e_pot, stress_lp, lift_lp, theta_l1):
         """Add one step: its ``StepReport.stress_lp``, its ``RowTables.lift_lp``
@@ -238,7 +236,6 @@ class AprioriMonitor:
         self.stress_lp_sum += dt * stress_lp
         self.lift_lp_sum += dt * lift_lp
         self.sup_theta_l1 = max(self.sup_theta_l1, theta_l1)
-        self.theta_l1_series.append(theta_l1)
         value = self.sup_e_pot + 0.5 * self.beta * self.stress_lp_sum
         bound = (
             self.e_pot0
@@ -267,50 +264,40 @@ class AprioriMonitor:
         }
 
 
-@dataclass
-class EnergyReport:
-    """Per-run series of every diagnostic plus the pass/fail evaluation."""
+def energy_checks(rows, isolated: bool, solver_tol: float) -> dict:
+    """Pass/fail evaluation of a run's diagnostics rows."""
 
-    rows: list = field(default_factory=list)
+    def series(name):
+        return np.array([getattr(r, name) for r in rows])
 
-    def append(self, row: DiagnosticsRow):
-        self.rows.append(row)
+    e_tot = series("e_total")
+    e_pot = series("e_pot")
+    diss = series("dissipation")
+    defect = series("energy_defect")
+    theta_min = series("theta_min")
+    eq = series("equilibrium_residual")
 
-    def series(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
-
-    def evaluate(self, isolated: bool, solver_tol: float) -> dict:
-        e_tot = self.series("e_total")
-        e_pot = self.series("e_pot")
-        diss = self.series("dissipation")
-        defect = self.series("energy_defect")
-        theta_min = self.series("theta_min")
-        ent = self.series("entropy")
-        eq = self.series("equilibrium_residual")
-
-        scale = max(abs(e_tot[0]), 1e-30)
-        checks = {
-            "dissipation_nonnegative": bool(np.min(diss) >= -1e-12),
-            "energy_defect_max": float(np.abs(defect).max()),
-            "energy_defect_ok": bool(np.abs(defect).max() <= 10.0 * solver_tol),
-            "equilibrium_residual_max": float(eq.max()),
-            "equilibrium_ok": bool(eq.max() <= max(10.0 * solver_tol, 1e-10)),
-        }
-        if isolated:
-            drift = float(np.abs(e_tot - e_tot[0]).max() / scale)
-            checks.update(
-                {
-                    "energy_drift_rel": drift,
-                    "energy_conserved": bool(drift <= 1e-6),
-                    "e_pot_nonincreasing": bool(np.max(np.diff(e_pot)) <= 1e-10)
-                    if e_pot.size > 1
-                    else True,
-                    "theta_min": float(theta_min.min()),
-                    "theta_nonnegative": bool(theta_min.min() >= -1e-12),
-                    "entropy_nondecreasing": entropy_rate_check(ent, tol=1e-8),
-                }
-            )
-        checks["passed"] = all(
-            v for k, v in checks.items() if isinstance(v, bool)
+    scale = max(abs(e_tot[0]), 1e-30)
+    checks = {
+        "dissipation_nonnegative": bool(np.min(diss) >= -1e-12),
+        "energy_defect_max": float(np.abs(defect).max()),
+        "energy_defect_ok": bool(np.abs(defect).max() <= 10.0 * solver_tol),
+        "equilibrium_residual_max": float(eq.max()),
+        "equilibrium_ok": bool(eq.max() <= max(10.0 * solver_tol, 1e-10)),
+    }
+    if isolated:
+        drift = float(np.abs(e_tot - e_tot[0]).max() / scale)
+        checks.update(
+            {
+                "energy_drift_rel": drift,
+                "energy_conserved": bool(drift <= 1e-6),
+                "e_pot_nonincreasing": bool(np.max(np.diff(e_pot)) <= 1e-10)
+                if e_pot.size > 1
+                else True,
+                "theta_min": float(theta_min.min()),
+                "theta_nonnegative": bool(theta_min.min() >= -1e-12),
+                "entropy_nondecreasing": entropy_rate_check(series("entropy"), tol=1e-8),
+            }
         )
-        return checks
+    checks["passed"] = all(v for v in checks.values() if isinstance(v, bool))
+    return checks

@@ -452,6 +452,10 @@ def run(
         raise BadData(
             f"lift sampled on {lifted.times.size} levels but the run needs {n + 1}"
         )
+    # level i of the lift must be the time i dt the step reaches
+    off = np.abs(lifted.times[: n + 1] - config.dt * np.arange(n + 1)).max()
+    if off > 1e-9 * config.dt * max(n, 1):
+        raise BadData(f"lift time grid is not dt * arange(n_steps + 1) (off by {off:.3e})")
     k, l = system.k, system.l
     gam = np.empty((n + 1, k))
     del_ = np.empty((n + 1, l))

@@ -102,11 +102,7 @@ class ElasticityTensor:
         """Isotropic D with Lame parameters: D e = 2 mu e + lam tr(e) I."""
         if not (mu > 0.0 and lam >= 0.0):
             raise BadData(f"need mu > 0 and lam >= 0, got mu={mu}, lam={lam}")
-        m = 2.0 * mu * np.eye(6) + lam * np.outer(VOIGT_TRACE, VOIGT_TRACE)
-        out = cls(m)
-        out.lam = float(lam)
-        out.mu = float(mu)
-        return out
+        return cls(2.0 * mu * np.eye(6) + lam * np.outer(VOIGT_TRACE, VOIGT_TRACE))
 
     def apply6(self, v: np.ndarray) -> np.ndarray:
         """Apply D to (..., 6) Voigt arrays."""

@@ -18,7 +18,7 @@ from thermovisc.basis import (
 )
 from thermovisc.cli import EXIT_OK, main
 from thermovisc.constitutive import Mroz, NortonHoff, certify_assumption1
-from thermovisc.diagnostics import EnergyReport, RowTables, collect_row
+from thermovisc.diagnostics import RowTables, collect_row, energy_checks
 from thermovisc.evolution import (
     EvolutionConfig,
     ModalSystem,
@@ -126,24 +126,24 @@ def isolated_run():
     epsp0 = 0.04 * system.fields.zeta[0] + 0.025 * system.fields.zeta[3]
     state0 = initialize(system, np.full(ops.n_nodes, 2.0), epsp0, cfg)
 
-    report = EnergyReport()
+    rows = []
     t0 = time.perf_counter()
     tables = RowTables.build(system, lift)
 
     def on_step(i, state, rep):
         theta = system.theta_nodal(state.beta) + lift.theta_tilde[i]
-        report.append(collect_row(tables, state, i, rep, theta))
+        rows.append(collect_row(tables, state, i, rep, theta))
 
     run(system, state0, lift, cfg, on_step=on_step)
     elapsed = time.perf_counter() - t0
-    return report, cfg, elapsed
+    return rows, cfg, elapsed
 
 
 def test_criterion_4_isolated_conservation(isolated_run):
-    report, cfg, elapsed = isolated_run
-    checks = report.evaluate(isolated=True, solver_tol=cfg.solver_tol)
-    e_pot = report.series("e_pot")
-    diss = report.series("dissipation")
+    rows, cfg, elapsed = isolated_run
+    checks = energy_checks(rows, isolated=True, solver_tol=cfg.solver_tol)
+    e_pot = np.array([r.e_pot for r in rows])
+    diss = np.array([r.dissipation for r in rows])
     ok = (
         checks["energy_drift_rel"] <= 1e-6
         and (np.max(np.diff(e_pot)) <= 1e-10)
@@ -162,8 +162,8 @@ def test_criterion_4_isolated_conservation(isolated_run):
 
 
 def test_criterion_5_energy_identity(isolated_run):
-    report, cfg, _ = isolated_run
-    defects = report.series("energy_defect")
+    rows, cfg, _ = isolated_run
+    defects = np.array([r.energy_defect for r in rows])
     worst = float(np.abs(defects).max())
     ok = worst <= 10.0 * cfg.solver_tol
     _verdict(

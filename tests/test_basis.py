@@ -97,17 +97,11 @@ def test_neumann_eigenvalue_anisotropic_box():
     assert abs(mu[2] - np.pi**2) / np.pi**2 <= 0.02
 
 
-def test_sparse_dense_eigensolvers_agree():
+def test_sparse_dense_eigensolvers_agree(monkeypatch):
     ops_small = assemble(build_mesh(2, (1.0, 1.0), (10, 10)), D)
     v_dense, mu_dense = temperature_eigenbasis(ops_small, 5)
-    import thermovisc.basis as basis_mod
-
-    old = basis_mod.DENSE_CUTOFF
-    basis_mod.DENSE_CUTOFF = 1
-    try:
-        v_sparse, mu_sparse = temperature_eigenbasis(ops_small, 5)
-    finally:
-        basis_mod.DENSE_CUTOFF = old
+    monkeypatch.setattr(basis_mod, "DENSE_CUTOFF", 1)
+    v_sparse, mu_sparse = temperature_eigenbasis(ops_small, 5)
     assert np.abs(mu_dense - mu_sparse).max() <= 1e-8
     # mu_2 = mu_3 is degenerate on a square, so compare eigenspaces: the
     # sparse mode must lie in the span of the dense pair with unit M-norm
@@ -364,6 +358,28 @@ def test_complement_certified_where_single_vector_lanczos_returned_copies():
     rep = basis_invariant_report(ops_c, b)
     assert rep["gram_Z_D_err"] <= 1e-10
     assert rep["passed"], rep
+
+
+@pytest.mark.xfail(
+    raises=SolverFailure,
+    strict=True,
+    reason="l = 60 cuts a 27-fold group that ARPACK returns incompletely (ROADMAP item 3)",
+)
+def test_complement_certified_through_a_cut_27_fold_group():
+    # 3D 5^3, k = 4: a 27-fold group at 28.5433 spans pair indices 54-80, so
+    # l = 60 cuts it.  The re-solves with l + 6, + 12 and + 18 pairs never
+    # reach its end, so the certified solve exits 3.  Asking for enough pairs
+    # is not enough: from the seeded stream, 81 and 93 pairs returned only 16
+    # and 25 of the 27 copies.  A dense solve on ker C finds every pair.
+    ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (5, 5, 5)), D)
+    W, _ = displacement_eigenbasis(ops_c, 4)
+    _, lam_z, comp = complement_strain_basis(ops_c, W, 60)
+    N = null_space(comp.C)
+    lam_d = eigh(
+        N.T @ (comp.gram_s @ N), N.T @ (comp.gram_D @ N),
+        eigvals_only=True, subset_by_index=(0, 59),
+    )
+    assert np.abs(lam_z - lam_d).max() <= 1e-10 * lam_d[-1]
 
 
 def test_full_space_variant(ops):

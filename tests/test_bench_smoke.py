@@ -3,6 +3,7 @@
 A change that breaks a workload fails here, before the benchmark runs it.
 """
 
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from thermovisc.cli import EXIT_OK, main
 
 REPO = Path(__file__).resolve().parents[1]
-WORKLOADS_PY = REPO / "bench" / "workloads.py"
+BENCH = REPO / "bench"
 
 #: spans the benchmark's tracer must record; it skips a patch point it cannot
 #: find, so a rename in the package would zero a per-layer metric silently
@@ -30,14 +31,14 @@ TRACED_SPANS = (
 )
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _workloads()
+workloads = _bench_module("workloads")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -71,3 +72,20 @@ def test_traced_child_records_every_layer(tmp_path):
     recorded = {span[0] for span in record["spans"]}
     assert set(TRACED_SPANS) <= recorded, set(TRACED_SPANS) - recorded
     assert record["counters"]["evolution.fp_iters"] > 0
+
+
+def test_every_patch_point_resolves():
+    # loading the tracer's tables patches nothing; every function, method
+    # and cli hook it wraps must exist under the name it looks up
+    spans = _bench_module("spans")
+    targets = [(module, attr) for module, attr, _ in spans.FUNCTIONS]
+    targets += [(module, f"{cls}.{attr}") for module, cls, attr, _ in spans.METHODS]
+    targets += [("thermovisc.cli", attr) for attr in ("run", "make_law", "main")]
+    missing = []
+    for module, path in targets:
+        obj = importlib.import_module(module)
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{module}.{path}")
+    assert not missing, missing

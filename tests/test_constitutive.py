@@ -104,7 +104,7 @@ def test_mroz_accepts_any_finite_theta():
     law = Mroz.table([0.0, 1.0, 2.0], [1.0, 0.8, 0.6])
     td = np.repeat(unit_dev(), 4, axis=0)
     g = law.evaluate_many(np.array([-50.0, 0.0, 1.5, 1e6]), td)
-    # constant extension below theta_min and above the table
+    # constant extension below and above the table
     assert np.allclose(g[0], g[1], atol=1e-14)
     assert np.allclose(g[1], td[0], atol=1e-14)
     assert np.allclose(g[2], 0.7 * td[0], atol=1e-14)

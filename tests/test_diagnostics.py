@@ -8,9 +8,9 @@ from thermovisc.constitutive import NortonHoff
 from thermovisc.diagnostics import (
     AprioriMonitor,
     DiagnosticsRow,
-    EnergyReport,
     RowTables,
     collect_row,
+    energy_checks,
     entropy,
     entropy_rate_check,
     potential_energy,
@@ -98,25 +98,28 @@ def test_apriori_monitor_isolated_run():
 
     mon = AprioriMonitor(beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume)
     f0 = reconstruct_fields(system, st, lift, 0)
-    mon.start(potential_energy(ops, f0["eps_u"], f0["epsp"]), theta_l1(ops, f0["theta"]))
+    l1_series = [theta_l1(ops, f0["theta"])]
+    mon.start(potential_energy(ops, f0["eps_u"], f0["epsp"]), l1_series[0])
     tables = RowTables.build(system, lift)
     state = st
     for i in range(1, n + 1):
         state, rep = step(system, state, lift, i, cfg)
         f = reconstruct_fields(system, state, lift, i)
+        l1_series.append(theta_l1(ops, f["theta"]))
         mon.update(
             dt,
             state.t,
             potential_energy(ops, f["eps_u"], f["epsp"]),
             ops.integrate(norm6(f["Td"]) ** law.p),
             tables.lift_lp[i],
-            theta_l1(ops, f["theta"]),
+            l1_series[-1],
         )
     assert mon.satisfied()
     s = mon.summary()
     assert s["sup_e_pot"] >= 0
     assert np.all(np.diff(mon.values) >= -1e-15)  # monitor value nondecreasing
-    assert np.all(np.diff(mon.theta_l1_series) >= -1e-12)  # heating only
+    assert np.all(np.diff(l1_series) >= -1e-12)  # heating only
+    assert s["sup_theta_l1"] == max(l1_series)
 
 
 def test_apriori_monitor_constant_under_zero_dynamics():
@@ -125,7 +128,6 @@ def test_apriori_monitor_constant_under_zero_dynamics():
     for i in range(1, 4):
         mon.update(0.1, 0.1 * i, 0.0, 0.0, 0.0, 1.0)
     assert np.allclose(mon.values, mon.values[0])
-    assert np.allclose(mon.theta_l1_series, 1.0)
     assert mon.satisfied()
 
 
@@ -157,22 +159,21 @@ def test_collect_row_and_report_isolated():
     lift = zero_lift(ops, np.linspace(0, dt * n, n + 1))
     st = initialize(system, np.full(ops.n_nodes, 2.0), 0.2 * system.fields.zeta[1], cfg)
 
-    report = EnergyReport()
+    rows = []
     tables = RowTables.build(system, lift)
 
     def sink(i, state, rep):
         theta = system.theta_nodal(state.beta) + lift.theta_tilde[i]
-        report.append(collect_row(tables, state, i, rep, theta))
+        rows.append(collect_row(tables, state, i, rep, theta))
 
     run(system, st, lift, cfg, on_step=sink)
-    checks = report.evaluate(isolated=True, solver_tol=cfg.solver_tol)
+    checks = energy_checks(rows, isolated=True, solver_tol=cfg.solver_tol)
     assert checks["passed"], checks
     assert checks["energy_drift_rel"] <= 1e-6
     assert checks["theta_min"] >= 1.9  # started at 2, heating only
     # row serialization covers every declared field
-    row = report.rows[0]
-    assert len(row.values()) == len(DiagnosticsRow.FIELDS)
-    assert np.isfinite(report.series("e_total")).all()
+    assert len(rows[0].values()) == len(DiagnosticsRow.FIELDS)
+    assert np.isfinite([r.e_total for r in rows]).all()
 
 
 # -- coefficient rows against the full-field oracle ---------------------------
@@ -231,6 +232,7 @@ def test_coefficient_rows_match_full_fields(name):
         theta = system.theta_nodal(state.beta) + lift.theta_tilde[i]
         row = collect_row(tables, state, i, rep, theta)
         f = reconstruct_fields(system, state, lift, i)
+        assert theta_l1(ops, theta) == theta_l1(ops, f["theta"])
         e_pot = potential_energy(ops, f["eps_u"], f["epsp"])
         e_thermal = thermal_energy(ops, f["theta"])
         assert row.e_pot == pytest.approx(e_pot, rel=1e-12, abs=0.0)
@@ -259,7 +261,7 @@ def test_coefficient_rows_match_full_fields(name):
             field_mon.update(cfg.dt, state.t, e_pot, field_lp, lift_lp, theta_l1(ops, f["theta"]))
             assert coef_mon.stress_lp_sum == pytest.approx(field_mon.stress_lp_sum, rel=1e-12)
             assert coef_mon.lift_lp_sum == field_mon.lift_lp_sum
-            assert coef_mon.theta_l1_series == field_mon.theta_l1_series
+            assert coef_mon.sup_theta_l1 == field_mon.sup_theta_l1
             assert lift_lp == ops.integrate(norm6(td_lift) ** law.p)
 
     run(system, state0, lift, cfg, on_step=on_step)

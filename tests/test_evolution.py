@@ -168,6 +168,23 @@ def test_run_deterministic():
     assert np.array_equal(r1.beta, r2.beta)
 
 
+def test_run_rejects_a_lift_on_another_time_grid():
+    # a ramped force makes level i of the lift depend on its time, so a lift
+    # sampled at 2 dt steps would run every level at the wrong time
+    sys_ = make_system(k=2, l=3, law=NortonHoff(c=1.0, p=3.0))
+    dt, n = 1e-2, 5
+    f = np.ones((sys_.ops.n_nodes, 2))
+    cfg = EvolutionConfig(dt=dt, n_steps=n)
+    st = initialize(sys_, np.ones(sys_.ops.n_nodes), np.zeros((sys_.ops.wq.size, 6)), cfg)
+    wrong = build_lift(sys_.ops, 2.0 * dt * np.arange(n + 1), f=(lambda t: t, f))
+    with pytest.raises(BadData, match="time grid") as err:
+        run(sys_, st, wrong, cfg)
+    assert err.value.exit_code == 2
+    # the same ramp on the run's own grid, with extra levels beyond it, runs
+    right = build_lift(sys_.ops, grid(dt, n + 3), f=(lambda t: t, f))
+    assert run(sys_, st, right, cfg).times.size == n + 1
+
+
 def test_forced_run_couples_gamma():
     # a volume force activates the gradient family through the lift; the
     # complement family is excited only through the pointwise nonlinearity
