@@ -4,21 +4,21 @@
   on the Dirichlet-constrained space, L2-orthonormal, D-orthogonal with
   (eps(w_i), eps(w_j))_D = lambda_i delta_ij;
 * temperature modes v_m: eigenpairs of the Neumann Laplacian against the
-  lumped mass, with the constant mode first (mu_1 = 0);
+  lumped mass, in closed form, with the constant mode first (mu_1 = 0);
 * complement strain modes zeta_m: eigenpairs of a smoothness inner product
   against (.,.)_D on the D-orthogonal complement of span{eps(w_1..k)} inside
   the nodal strain space, D-orthonormal with eigenvalues >= 1.
 
-All three families are the lowest eigenpairs of a sparse symmetric pencil,
-found by one helper.  Up to DENSE_CUTOFF dofs it is a dense LAPACK solve,
-complete by construction and faster there than ARPACK's fixed cost.  Above
-it, shift-invert Lanczos (ARPACK) computes a few pairs more than kept and a
-completeness certificate checks them: by Sylvester's law of inertia the
-number of negative pivots of a symmetric LDL^T of A - sigma M equals the
-number of eigenvalues below sigma, so with sigma in the gap after the last
-kept group the count must equal the number of pairs computed below it.  A
-missed pair shows as a mismatch; the solve is repeated with more pairs, and
-an uncertified basis is a SolverFailure.
+The other two families are the lowest eigenpairs of a sparse symmetric
+pencil, found by one helper.  Up to DENSE_CUTOFF dofs it is a dense LAPACK
+solve, complete by construction and faster there than ARPACK's fixed cost.
+Above it, shift-invert Lanczos (ARPACK) computes a few pairs more than kept
+and a completeness certificate checks them: by Sylvester's law of inertia
+the number of negative pivots of a symmetric LDL^T of A - sigma M equals
+the number of eigenvalues below sigma, so with sigma in the gap after the
+last kept group the count must equal the number of pairs computed below it.
+A missed pair shows as a mismatch; the solve is repeated with more pairs,
+and an uncertified basis is a SolverFailure.
 
 The complement lives on the kernel of its k constraint rows C, the
 functionals (eps(w_n), .)_D.  Lanczos runs on the bordered pencil
@@ -89,8 +89,10 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
 def _symmetric_lu(S):
     """SuperLU of a symmetric S that orders rows and columns alike and pivots
     on the diagonal, as an LDL^T would; meant for definite or shifted S."""
+    S = S.tocsc(copy=True)
+    S.eliminate_zeros()  # a stored zero would change the ordering, and so the factor
     return splu(
-        S.tocsc(),
+        S,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -118,13 +120,13 @@ def _negative_pivots(S, C=None) -> int | None:
     return below
 
 
-def _shift_invert_pairs(A, M, B, C, shift: float, nev: int, rng, what: str):
-    """nev eigenpairs of A x = lam M x (on ker C) nearest shift, ascending, from
-    a start vector drawn from rng; B is M or the identity.  The factors die
-    here, before any inertia count."""
+def _shift_invert_pairs(A, M, C, nev: int, rng, what: str):
+    """nev eigenpairs of A x = lam M x (on ker C) nearest 0, ascending, from a
+    start vector drawn from rng.  The factors die here, before any inertia
+    count."""
     N = A.shape[0]
     try:
-        lu = _symmetric_lu(A - shift * B)
+        lu = _symmetric_lu(A)
     except RuntimeError as err:
         raise SolverFailure(f"{what} shift-invert factorization failed: {err}") from None
     if C is None:
@@ -137,7 +139,7 @@ def _shift_invert_pairs(A, M, B, C, shift: float, nev: int, rng, what: str):
             raise SolverFailure(f"{what} constraint Schur factorization failed: {err}") from None
 
         def op(b):
-            # (A - shift M) x + C^T y = b[:N], C x = b[N:]
+            # A x + C^T y = b[:N], C x = b[N:]
             x = lu.solve(b[:N])
             y = cho_solve(schur, C @ x - b[N:])
             return np.concatenate([x - SC @ y, y])
@@ -150,18 +152,27 @@ def _shift_invert_pairs(A, M, B, C, shift: float, nev: int, rng, what: str):
     OPinv = LinearOperator(A.shape, matvec=op, dtype=float)
     v0 = rng.standard_normal(A.shape[0])
     try:
-        vals, vecs = eigsh(A, k=nev, M=M, sigma=shift, OPinv=OPinv, v0=v0, maxiter=_ARPACK_RESTARTS)
+        vals, vecs = eigsh(A, k=nev, M=M, sigma=0.0, OPinv=OPinv, v0=v0, maxiter=_ARPACK_RESTARTS)
     except ArpackError as err:
         raise SolverFailure(f"{what} eigensolve failed: {err}") from None
     order = np.argsort(vals)
     return vals[order], vecs[:N, order]
 
 
-def _lowest_eigenpairs(A, M, n: int, shift: float, what: str, C=None, record=None):
+def _check_residual(A, M, vals, X, what: str, C=None) -> None:
+    """SolverFailure unless ||A x - lam M x|| <= _EIG_TOL ||x|| on ker C for each column x of X."""
+    R = A @ X - (M @ X) * vals[None, :]
+    if C is not None:
+        R -= C.T @ (C @ R)
+    res = np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)
+    if np.any(res > _EIG_TOL):
+        raise SolverFailure(f"{what} eigensolve residual {res.max():.3e} > {_EIG_TOL}")
+
+
+def _lowest_eigenpairs(A, M, n: int, what: str, C=None, record=None):
     """The n lowest eigenpairs of A x = lam M x on ker C, ascending.
 
-    A is sparse symmetric, M sparse symmetric positive definite (None for the
-    identity, only without C), A - shift M positive definite, and C, when
+    A and M are sparse symmetric positive definite (A on ker C) and C, when
     given, a dense block of orthonormal rows.  A dense LAPACK solve runs
     where ARPACK cannot (n + _EXTRA_PAIRS not below dim ker C), on a basis
     of ker C, and without C up to DENSE_CUTOFF dofs.  Otherwise ARPACK
@@ -177,8 +188,7 @@ def _lowest_eigenpairs(A, M, n: int, shift: float, what: str, C=None, record=Non
     record = {} if record is None else record
     nev = n + _EXTRA_PAIRS
     if nev >= N - r or (C is None and N <= DENSE_CUTOFF):
-        dense_A = A.toarray()
-        dense_M = None if M is None else M.toarray()
+        dense_A, dense_M = A.toarray(), M.toarray()
         if C is not None:
             Q = null_space(C)
             dense_A, dense_M = Q.T @ dense_A @ Q, Q.T @ dense_M @ Q
@@ -186,20 +196,22 @@ def _lowest_eigenpairs(A, M, n: int, shift: float, what: str, C=None, record=Non
             vals, vecs = eigh(dense_A, dense_M, subset_by_index=(0, n - 1))
         except np.linalg.LinAlgError as err:
             raise SolverFailure(f"{what} eigensolve failed: {err}") from None
+        vecs = vecs if C is None else Q @ vecs
+        _check_residual(A, M, vals, vecs, what, C)
         record.update(branch="dense")
-        return vals, (vecs if C is None else Q @ vecs)
-    B = sp.identity(N, format="csr") if M is None else M
+        return vals, vecs
     rng = np.random.default_rng(0)
     for solve in range(1, _SPARSE_TRIES + 1):
-        vals, vecs = _shift_invert_pairs(A, M, B, C, shift, nev, rng, what)
+        vals, vecs = _shift_invert_pairs(A, M, C, nev, rng, what)
         gaps = np.flatnonzero(np.diff(vals[n - 1 :]) > _GROUP_GAP * np.abs(vals).max())
         if gaps.size == 0:  # the last kept group runs past the computed pairs
             nev = min(nev + _EXTRA_PAIRS, N - r - 1)
             continue
         j = n + int(gaps[0])
         sigma = 0.5 * (vals[j - 1] + vals[j])
-        below = _negative_pivots(A - sigma * B, C)
+        below = _negative_pivots(A - sigma * M, C)
         if below == j:
+            _check_residual(A, M, vals[:n], vecs[:, :n], what, C)
             record.update(branch="sparse", sigma=float(sigma), inertia=j, kept=n, solves=solve)
             return vals[:n], vecs[:, :n]
         nev = min(max(nev, below or 0) + _EXTRA_PAIRS, N - r - 1)
@@ -219,36 +231,40 @@ def displacement_eigenbasis(ops: AssembledOperators, k: int, record: dict | None
         raise BadConfig(f"k must be in [1, {free.size}], got {k}")
     kff = ops.K_D[free][:, free]
     mff = ops.M_u[free][:, free]
-    lam, vecs = _lowest_eigenpairs(kff, mff, k, 0.0, "displacement", record=record)
-    res = np.linalg.norm(kff @ vecs - mff @ vecs * lam[None, :], axis=0)
-    res /= np.linalg.norm(vecs, axis=0)
-    if np.any(res > _EIG_TOL):
-        raise SolverFailure(f"displacement eigensolve residual {res.max():.3e} > {_EIG_TOL}")
+    lam, vecs = _lowest_eigenpairs(kff, mff, k, "displacement", record=record)
     W = np.zeros((k, ops.n_dofs))
     W[:, free] = vecs.T
     return _fix_signs(W), lam
 
 
 def temperature_eigenbasis(ops: AssembledOperators, l: int, record: dict | None = None):
-    """First l Neumann-Laplacian eigenpairs against the lumped mass.
+    """First l Neumann-Laplacian eigenpairs against the lumped mass, in closed form.
 
-    ``record``, when given, receives how the pairs were found.
+    On the uniform box the sampled cosines cos(pi j i / n_a) diagonalize both
+    1D factors of M_lumped^-1 K_theta (DCT-I): axis a has stiffness
+    2 (1 - c) / h_a^2 and mass (2 + c) / 3 for c = cos(pi j / n_a), and a mode
+    has mu = sum_a stiff_a prod_{b != a} mass_b.  The l smallest are kept by a
+    stable sort over the modes, numbered as the nodes are; node 0 holds each
+    mode's largest entry, positive.  A residual test guards the premise.
     """
     n = ops.n_nodes
     if not (1 <= l <= n):
         raise BadConfig(f"l must be in [1, {n}], got {l}")
-    # the lumped mass is diagonal: solve the congruent standard problem
-    s = 1.0 / np.sqrt(ops.M_lumped)
-    A = sp.diags(s) @ ops.K_theta @ sp.diags(s)
-    # the Neumann operator is singular, so the shift lies below mu_1 = 0
-    mu, Y = _lowest_eigenpairs(A, None, l, -1.0, "temperature", record=record)
-    V = (Y * s[:, None]).T
-    res = np.linalg.norm(
-        (ops.K_theta @ V.T) - (ops.M_lumped[:, None] * V.T) * mu[None, :], axis=0
-    ) / np.linalg.norm(V.T, axis=0)
-    if np.any(res > _EIG_TOL):
-        raise SolverFailure(f"temperature eigensolve residual {res.max():.3e} > {_EIG_TOL}")
-    return _fix_signs(V), mu
+    mesh = ops.mesh
+    index = np.unravel_index(np.arange(n), [c + 1 for c in mesh.cells], order="F")
+    cos = [np.cos(np.pi * j / c) for j, c in zip(index, mesh.cells)]
+    stiff = [2.0 * (1.0 - c) / h**2 for c, h in zip(cos, mesh.spacing)]
+    mass = [(2.0 + c) / 3.0 for c in cos]
+    terms = [stiff[a] * np.prod(mass[:a] + mass[a + 1 :], axis=0) for a in range(mesh.dim)]
+    # summed in sorted order, so modes that permute equal axes tie exactly
+    mu = np.sort(terms, axis=0).sum(axis=0)
+    keep = np.argsort(mu, kind="stable")[:l]
+    V = np.prod([np.cos(np.pi * np.outer(j[keep], j) / c) for j, c in zip(index, mesh.cells)], 0)
+    V /= np.sqrt((V**2) @ ops.M_lumped)[:, None]
+    _check_residual(ops.K_theta, sp.diags(ops.M_lumped), mu[keep], V.T, "temperature")
+    if record is not None:
+        record.update(branch="closed_form")
+    return V, mu[keep]
 
 
 @dataclass
@@ -314,13 +330,7 @@ def complement_strain_basis(
             f"complement dimension {nc} cannot host {l} modes (strain dofs {ns}, k={k})"
         )
 
-    lam_z, X = _lowest_eigenpairs(gram_s, gram_D, l, 0.0, "complement", C=C, record=record)
-    # residual of the pairs, tested inside the complement
-    R = gram_s @ X - (gram_D @ X) * lam_z[None, :]
-    R -= C.T @ (C @ R)
-    res = np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)
-    if np.any(res > _EIG_TOL):
-        raise SolverFailure(f"complement eigensolve residual {res.max():.3e} > {_EIG_TOL}")
+    lam_z, X = _lowest_eigenpairs(gram_s, gram_D, l, "complement", C=C, record=record)
     if lam_z[0] < 1.0 - 1e-10:
         raise SolverFailure(f"complement eigenvalue {lam_z[0]} below 1")
     comp = ComplementSpace(comp_basis=B, C=C, gram_D=gram_D, gram_s=gram_s)

@@ -63,7 +63,7 @@ def _list_of(v, lo, hi=math.inf, item=_is_num):
 def _rule(msg, pred):
     """A check: None when ``pred(value, ctx)`` holds, else ``msg`` filled in from ctx.
 
-    ``ctx`` holds the mesh ``dim`` and the basis sizes ``k`` and ``l`` (inf when invalid).
+    ``ctx`` holds the mesh ``dim`` and the basis size ``l`` (inf when invalid).
     """
     return lambda v, ctx: None if pred(v, ctx) else msg.format(**ctx)
 
@@ -81,12 +81,6 @@ def _one_of(*choices):
     return _rule(
         f"must be one of {list(choices)}",
         lambda v, ctx: any(type(v) is type(c) and v == c for c in choices),
-    )
-
-
-def _index(size):
-    return _rule(
-        "expected an integer in [0, {%s})" % size, lambda v, ctx: _is_int(v) and 0 <= v < ctx[size]
     )
 
 
@@ -120,8 +114,8 @@ _THETA0 = _Variant("preset", {
 
 _EPSP0 = _Variant("preset", {
     "zero": {},
-    "complement_mode": {"index": (_index("l"), 0), "amplitude": (_NUM, 0.1)},
-    "gradient_mode": {"index": (_index("k"), 0), "amplitude": (_NUM, 0.1)},
+    "complement_mode": {"index": (_rule("expected an integer in [0, {l})", lambda v, ctx: (
+        _is_int(v) and 0 <= v < ctx["l"])), 0), "amplitude": (_NUM, 0.1)},
     "constant_deviatoric": {
         "value": (_rule("expected a numeric 6-vector", lambda v, ctx: _list_of(v, 6, 6)), REQUIRED)
     },
@@ -263,10 +257,10 @@ def validate_config(raw: dict) -> dict:
         raise ValidationError(["top level: expected an object"])
     cfg = _merge_defaults(raw, SCHEMA)
     mesh, disc = (d if isinstance(d, dict) else {} for d in (cfg["mesh"], cfg["discretization"]))
-    ctx = {"dim": 2, "k": math.inf, "l": math.inf}
+    ctx = {"dim": 2}
     if _DIM(mesh.get("dim"), ctx) is None:
         ctx["dim"] = mesh["dim"]
-    ctx.update({key: disc[key] for key in ("k", "l") if _COUNT(disc.get(key), ctx) is None})
+    ctx["l"] = disc["l"] if _COUNT(disc.get("l"), ctx) is None else math.inf
     errors = []
     _walk(errors, "", cfg, SCHEMA, ctx)
 
@@ -436,8 +430,6 @@ def make_epsp0(cfg: dict, ops, fields) -> np.ndarray:
         return np.zeros((nq, 6))
     if spec["preset"] == "complement_mode":
         return float(spec["amplitude"]) * fields.zeta[spec["index"]]
-    if spec["preset"] == "gradient_mode":
-        return float(spec["amplitude"]) * fields.eps_w[spec["index"]]
     base = dev6(np.asarray(spec["value"], dtype=float))
     return np.tile(base, (nq, 1))
 

@@ -212,7 +212,3 @@ def build_lift(
         theta_tilde=theta,
         flux_integral=flux,
     )
-
-
-def zero_lift(ops: AssembledOperators, times) -> LiftedFields:
-    return build_lift(ops, times)

@@ -25,7 +25,7 @@ from thermovisc.evolution import (
     initialize,
     run,
 )
-from thermovisc.lifting import solve_elastic_lift, solve_heat_lift, zero_lift
+from thermovisc.lifting import build_lift, solve_elastic_lift, solve_heat_lift
 from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor
 
@@ -122,7 +122,7 @@ def isolated_run():
     system = ModalSystem(ops, basis, NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 200
     cfg = EvolutionConfig(dt=dt, n_steps=n)
-    lift = zero_lift(ops, dt * np.arange(n + 1))
+    lift = build_lift(ops, dt * np.arange(n + 1))
     epsp0 = 0.04 * system.fields.zeta[0] + 0.025 * system.fields.zeta[3]
     state0 = initialize(system, np.full(ops.n_nodes, 2.0), epsp0, cfg)
 
@@ -189,7 +189,7 @@ def test_criterion_6_single_mode_decay():
     for dt in (1e-2, 5e-3, 2.5e-3):
         n = round(horizon / dt)
         cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
-        lift = zero_lift(ops, dt * np.arange(n + 1))
+        lift = build_lift(ops, dt * np.arange(n + 1))
         st = initialize(system, np.ones(ops.n_nodes), amp * system.fields.zeta[0], cfg)
         res = run(system, st, lift, cfg)
         errors.append(abs(res.delta[-1, 0] - amp * np.exp(-rate * horizon)))
@@ -280,7 +280,7 @@ def test_criterion_9_truncation():
     basis = build_basis(ops, k=6, l=6)
     system = ModalSystem(ops, basis, NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 50
-    lift = zero_lift(ops, dt * np.arange(n + 1))
+    lift = build_lift(ops, dt * np.arange(n + 1))
     epsp0 = 0.1 * system.fields.zeta[0] + 0.05 * system.fields.zeta[2]
     # keep theta0 below every tested level so only the dissipation source is
     # truncated, not the initial data

@@ -97,18 +97,6 @@ def test_neumann_eigenvalue_anisotropic_box():
     assert abs(mu[2] - np.pi**2) / np.pi**2 <= 0.02
 
 
-def test_sparse_dense_eigensolvers_agree(monkeypatch):
-    ops_small = assemble(build_mesh(2, (1.0, 1.0), (10, 10)), D)
-    v_dense, mu_dense = temperature_eigenbasis(ops_small, 5)
-    monkeypatch.setattr(basis_mod, "DENSE_CUTOFF", 1)
-    v_sparse, mu_sparse = temperature_eigenbasis(ops_small, 5)
-    assert np.abs(mu_dense - mu_sparse).max() <= 1e-8
-    # mu_2 = mu_3 is degenerate on a square, so compare eigenspaces: the
-    # sparse mode must lie in the span of the dense pair with unit M-norm
-    coeffs = v_dense[1:3] @ (ops_small.M_lumped * v_sparse[1])
-    assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-8)
-
-
 def _modes_in_dense_eigenspaces(vals, modes, dense_vals, dense_modes, M):
     # each mode lies in the eigenspace of its dense cluster with unit M-norm;
     # the dense solve has more pairs, so a cluster cut at the end is whole
@@ -117,6 +105,50 @@ def _modes_in_dense_eigenspaces(vals, modes, dense_vals, dense_modes, M):
         cluster = dense_modes[np.abs(dense_vals - lam) <= 1e-8 * dense_vals[-1]]
         coeffs = cluster @ (M @ v)
         assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-8)
+
+
+# (dim, extents, cells, l); l = 10 cuts a pair at 2D 8^2 and l = 12 a
+# sixfold group at 3D 7^3
+TEMPERATURE_CASES = [
+    (2, (1.0, 1.0), (8, 8), 10),
+    (2, (2.0, 0.5), (12, 5), 10),
+    (3, (1.0, 1.0, 1.0), (7, 7, 7), 12),
+    (3, (1.0, 1.0, 1.0), (3, 4, 5), 12),
+]
+
+
+@pytest.mark.parametrize(
+    "dim, extents, cells, l", TEMPERATURE_CASES, ids=["2d_8x8", "2d_12x5", "3d_7x7x7", "3d_3x4x5"]
+)
+def test_temperature_closed_form_matches_dense_oracle(dim, extents, cells, l):
+    ops_t = assemble(build_mesh(dim, extents, cells), D)
+    record = {}
+    V, mu = temperature_eigenbasis(ops_t, l, record=record)
+    assert record == {"branch": "closed_form"}
+    M = np.diag(ops_t.M_lumped)
+    mu_dense, V_dense = eigh(ops_t.K_theta.toarray(), M)
+    assert np.abs(mu - mu_dense[:l]).max() <= 1e-12 * mu_dense[-1]
+    _modes_in_dense_eigenspaces(mu, V, mu_dense, V_dense.T, M)
+    assert np.abs(V @ (M @ V.T) - np.eye(l)).max() <= 1e-12
+
+
+def test_temperature_groups_are_canonical():
+    # on the cube, modes whose multi-indices permute one another tie exactly
+    # and come in node order, first axis fastest
+    ops_t = assemble(build_mesh(3, (1.0, 1.0, 1.0), (7, 7, 7)), D)
+    V, mu = temperature_eigenbasis(ops_t, 20)
+    groups = [[(0, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 1, 0), (1, 0, 1), (0, 1, 1)],
+              [(1, 1, 1)], [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
+              [(2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2)],
+              [(2, 1, 1), (1, 2, 1), (1, 1, 2)]]
+    i = ops_t.mesh.nodes * 7
+    start = 0
+    for group in groups:
+        assert len(set(mu[start : start + len(group)])) == 1
+        for j in group:
+            v = np.prod(np.cos(np.pi * np.asarray(j) * i / 7), axis=1)
+            assert np.abs(V[start] - v / np.sqrt(v**2 @ ops_t.M_lumped)).max() <= 1e-12
+            start += 1
 
 
 # (dim, cells, k); the 2D spectrum opens with a pair and k = 6 cuts the pair
@@ -141,8 +173,6 @@ def _family_solve(ops, family):
     the complement's displacement modes are found first, with the dense solve."""
     if family == "displacement":
         return displacement_eigenbasis
-    if family == "temperature":
-        return temperature_eigenbasis
     W, _ = displacement_eigenbasis(ops, 4)
 
     def solve(ops, l, record=None):
@@ -152,7 +182,7 @@ def _family_solve(ops, family):
     return solve
 
 
-FAMILIES = ["displacement", "temperature", "complement"]
+FAMILIES = ["displacement", "complement"]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -210,13 +240,12 @@ def test_sparse_branch_needs_more_dofs_than_pairs(monkeypatch):
 
 
 def test_temperature_eigenbasis_keeps_the_lowest_modes_3d():
-    # 2744 nodes, above DENSE_CUTOFF: the sparse path.  The 16th Neumann
-    # eigenvalue on the unit cube at 13^3 is 47.79 (dense eigh); l = 16
-    # cuts a six-fold group there
+    # the 16th Neumann eigenvalue on the unit cube at 13^3 is 47.79 (dense
+    # eigh); l = 16 cuts a six-fold group there
     ops_13 = assemble(build_mesh(3, (1.0, 1.0, 1.0), (13, 13, 13)), D)
     record = {}
     mu = temperature_eigenbasis(ops_13, 16, record=record)[1]
-    assert record["branch"] == "sparse" and record["inertia"] == 17
+    assert record == {"branch": "closed_form"}
     assert abs(mu[15] - 47.78752062245732) <= 1e-8
 
 
@@ -338,11 +367,13 @@ def test_complement_matches_dense_oracle(dim, cells, k, l, space, splits):
 
 def test_complement_past_old_dof_cap():
     # 6075 strain dofs; the dense nullspace solver refused more than 6000.
-    # W and V take the certified sparse branch.
+    # W takes the certified sparse branch.
     ops_c = assemble(build_mesh(2, (1.0, 1.0), (44, 44)), D)
     b = build_basis(ops_c, k=12, l=12)
     assert b.Z.shape == (12, 6075)
-    assert {s["branch"] for s in b.eigensolves.values()} == {"sparse"}
+    assert {f: s["branch"] for f, s in b.eigensolves.items()} == {
+        "displacement": "sparse", "temperature": "closed_form", "complement": "sparse"
+    }
     rep = basis_invariant_report(ops_c, b)
     assert rep["passed"], rep
     assert projection_norm_check(b, n_fields=200, seed=3)["non_expansive"]

@@ -26,7 +26,7 @@ from thermovisc.evolution import (
     run,
     step,
 )
-from thermovisc.lifting import build_lift, zero_lift
+from thermovisc.lifting import build_lift
 from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor, dot6, norm6
 
@@ -93,7 +93,7 @@ def test_apriori_monitor_isolated_run():
     system = ModalSystem(ops, basis, law)
     dt, n = 1e-3, 40
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
-    lift = zero_lift(ops, np.linspace(0, dt * n, n + 1))
+    lift = build_lift(ops, np.linspace(0, dt * n, n + 1))
     st = initialize(system, np.ones(ops.n_nodes), 0.3 * system.fields.zeta[0], cfg)
 
     mon = AprioriMonitor(beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume)
@@ -156,7 +156,7 @@ def test_collect_row_and_report_isolated():
     system = ModalSystem(ops, basis, law)
     dt, n = 1e-3, 30
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
-    lift = zero_lift(ops, np.linspace(0, dt * n, n + 1))
+    lift = build_lift(ops, np.linspace(0, dt * n, n + 1))
     st = initialize(system, np.full(ops.n_nodes, 2.0), 0.2 * system.fields.zeta[1], cfg)
 
     rows = []
@@ -194,7 +194,7 @@ def _parity_case(name):
     )
     times = dt * np.arange(n + 1)
     if name == "isolated":
-        lift = zero_lift(ops, times)
+        lift = build_lift(ops, times)
     else:
         # a ramped force and a pulsing boundary displacement (two lift
         # bases) plus a pulsing heat flux

@@ -18,7 +18,7 @@ from thermovisc.evolution import (
     step,
     truncate,
 )
-from thermovisc.lifting import build_lift, zero_lift
+from thermovisc.lifting import build_lift
 from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor, dev6, trace6
 
@@ -88,7 +88,7 @@ def test_zero_law_freezes_state():
     # sit in the Neumann kernel (constant mode), else diffusion still acts
     sys_ = make_system(law=Mroz.constant(0.0))
     cfg = EvolutionConfig(dt=1e-2, n_steps=5)
-    lift = zero_lift(sys_.ops, grid(1e-2, 5))
+    lift = build_lift(sys_.ops, grid(1e-2, 5))
     st = make_state(0.0, [0.1, -0.2], [0.3, 0.0, -0.1], [1.0, 0.0, 0.0])
     res = run(sys_, st, lift, cfg)
     assert np.array_equal(res.gamma[-1], res.gamma[0])
@@ -105,7 +105,7 @@ def test_single_mode_exponential_decay():
     sys_ = make_system(cells=4, k=1, l=1, law=Mroz.constant(g), lam=0.7, mu=mu)
     dt, n = 1e-3, 200
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
-    lift = zero_lift(sys_.ops, grid(dt, n))
+    lift = build_lift(sys_.ops, grid(dt, n))
     amp = 0.2
     st = initialize(sys_, np.ones(sys_.ops.n_nodes), amp * sys_.fields.zeta[0], cfg)
     assert st.delta[0] == pytest.approx(amp, rel=1e-10)
@@ -127,7 +127,7 @@ def test_energy_identity_and_dissipativity():
     sys_ = make_system(k=2, l=4, law=NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 50
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
-    lift = zero_lift(sys_.ops, grid(dt, n))
+    lift = build_lift(sys_.ops, grid(dt, n))
     rng = np.random.default_rng(0)
     st = make_state(0.0, np.zeros(2), 0.1 * rng.standard_normal(4), np.zeros(4))
     st.beta[0] = 1.0
@@ -146,7 +146,7 @@ def test_energy_identity_and_dissipativity():
 def test_truncation_inactive_equivalence():
     sys_ = make_system(k=2, l=3, law=NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 30
-    lift = zero_lift(sys_.ops, grid(dt, n))
+    lift = build_lift(sys_.ops, grid(dt, n))
     st = make_state(0.0, np.zeros(2), [0.1, -0.05, 0.02], [0.5, 0.0, 0.0])
     out = []
     for level in (1e3, 1e30):
@@ -160,7 +160,7 @@ def test_run_deterministic():
     sys_ = make_system(law=NortonHoff(c=1.0, p=3.0))
     dt, n = 2e-3, 20
     cfg = EvolutionConfig(dt=dt, n_steps=n)
-    lift = zero_lift(sys_.ops, grid(dt, n))
+    lift = build_lift(sys_.ops, grid(dt, n))
     st = make_state(0.0, np.zeros(2), [0.1, 0.0, -0.08], [1.0, 0.1, 0.0])
     r1 = run(sys_, st, lift, cfg)
     r2 = run(sys_, st, lift, cfg)
@@ -233,7 +233,7 @@ def test_stiff_step_rescued_by_dt_halving():
     cfg = EvolutionConfig(
         dt=0.05, n_steps=4, solver_max_iter=12, truncation_level=1e30
     )
-    lift = zero_lift(sys_.ops, grid(0.05, 4))
+    lift = build_lift(sys_.ops, grid(0.05, 4))
     st = make_state(0.0, np.zeros(2), [1.5, -1.0, 0.8], [1.0, 0.0, 0.0])
     res = run(sys_, st, lift, cfg)
     assert res.reports[0].substeps > 1
@@ -253,7 +253,7 @@ def test_anderson_matches_picard_on_stiff_step(monkeypatch):
     cfg = EvolutionConfig(
         dt=dt, n_steps=1, solver_max_iter=5000, truncation_level=1e30
     )
-    lift = zero_lift(sys_.ops, grid(dt, 1))
+    lift = build_lift(sys_.ops, grid(dt, 1))
     st = make_state(0.0, np.zeros(2), [1.5, -1.0, 0.8], [1.0, 0.0, 0.0])
     anderson, rep_a = step(sys_, st, lift, 1, cfg)
     monkeypatch.setattr(evolution, "ANDERSON_DEPTH", 0)
@@ -274,9 +274,9 @@ def test_diverging_iterate_halves_without_warnings():
         warnings.simplefilter("error")
         cfg = EvolutionConfig(dt=dt, n_steps=1, truncation_level=1e30)
         with pytest.raises(NonlinearSolveFailure, match="diverged"):
-            step(sys_, st, zero_lift(sys_.ops, grid(dt, 1)), 1, cfg)
+            step(sys_, st, build_lift(sys_.ops, grid(dt, 1)), 1, cfg)
         cfg = EvolutionConfig(dt=dt, n_steps=3, truncation_level=1e30)
-        res = run(sys_, st, zero_lift(sys_.ops, grid(dt, 3)), cfg)
+        res = run(sys_, st, build_lift(sys_.ops, grid(dt, 3)), cfg)
     assert res.reports[0].substeps > 1
     for rep in res.reports:
         assert abs(rep.energy_defect) <= 10 * cfg.solver_tol
@@ -293,7 +293,7 @@ def test_non_finite_iterate_fails_before_the_law(name, value):
     st = make_state(0.0, np.zeros(2), np.zeros(3), np.zeros(3))
     getattr(st, name)[0] = value
     with pytest.raises(NonlinearSolveFailure) as err:
-        step(sys_, st, zero_lift(sys_.ops, grid(1e-2, 1)), 1, cfg)
+        step(sys_, st, build_lift(sys_.ops, grid(1e-2, 1)), 1, cfg)
     assert calls == []
     assert err.value.t == pytest.approx(1e-2)
 
@@ -314,7 +314,7 @@ def test_map_tables_are_views():
 def test_nonlinear_failure_reports_history():
     sys_ = make_system(law=NortonHoff(c=1.0, p=4.0))
     cfg = EvolutionConfig(dt=1e-2, n_steps=1, solver_max_iter=1, solver_tol=1e-15)
-    lift = zero_lift(sys_.ops, grid(1e-2, 1))
+    lift = build_lift(sys_.ops, grid(1e-2, 1))
     st = make_state(0.0, np.zeros(2), [2.0, -1.0, 0.5], np.zeros(3))
     with pytest.raises(NonlinearSolveFailure) as err:
         step(sys_, st, lift, 1, cfg)
@@ -336,7 +336,7 @@ def test_reconstruct_fields_contract():
     sys_ = make_system(k=2, l=3, law=NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 5
     cfg = EvolutionConfig(dt=dt, n_steps=n)
-    lift = zero_lift(sys_.ops, grid(dt, n))
+    lift = build_lift(sys_.ops, grid(dt, n))
     st = make_state(0.0, [0.05, -0.02], [0.1, 0.0, -0.03], [1.0, 0.0, 0.1])
     res = run(sys_, st, lift, cfg)
     fields = reconstruct_fields(sys_, res.final_state, lift, n)
@@ -369,7 +369,7 @@ def test_bodner_partom_hardening_advances():
     sys_ = make_system(law=law)
     dt, n = 1e-2, 5
     cfg = EvolutionConfig(dt=dt, n_steps=n)
-    lift = zero_lift(sys_.ops, grid(dt, n))
+    lift = build_lift(sys_.ops, grid(dt, n))
     st = initialize(sys_, np.ones(sys_.ops.n_nodes), 0.3 * sys_.fields.zeta[0], cfg)
     assert st.y_quad is not None
     res = run(sys_, st, lift, cfg)
@@ -385,7 +385,7 @@ def test_multimode_uniform_decay_isotropic():
     sys_ = make_system(cells=5, k=2, l=4, law=Mroz.constant(g), lam=0.4, mu=mu_shear)
     dt, n = 1e-3, 100
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
-    lift = zero_lift(sys_.ops, grid(dt, n))
+    lift = build_lift(sys_.ops, grid(dt, n))
     delta0 = np.array([0.2, -0.1, 0.05, 0.15])
     st = make_state(0.0, np.zeros(2), delta0, [1.0, 0.0, 0.0, 0.0])
     res = run(sys_, st, lift, cfg)
@@ -408,7 +408,7 @@ def test_anisotropic_D_keeps_energy_structure():
     sys_ = ModalSystem(ops, basis, NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 40
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
-    lift = zero_lift(ops, grid(dt, n))
+    lift = build_lift(ops, grid(dt, n))
     st = make_state(0.0, np.zeros(2), [0.3, -0.2, 0.1], [1.0, 0.0, 0.0])
     T0 = sys_.T_hom_quad(st.delta)
     assert np.abs(trace6(T0)).max() > 1e-3  # trace-carrying stress
@@ -431,7 +431,7 @@ def test_coupled_scheme_first_order_in_dt():
     def terminal(dt):
         n = round(horizon / dt)
         cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
-        lift = zero_lift(sys_.ops, grid(dt, n))
+        lift = build_lift(sys_.ops, grid(dt, n))
         st = initialize(
             sys_,
             np.full(sys_.ops.n_nodes, 2.0),
@@ -456,7 +456,7 @@ def test_heat_row_matches_modal_exponential():
     for dt in (2.5e-3, 1.25e-3):
         n = round(horizon / dt)
         cfg = EvolutionConfig(dt=dt, n_steps=n)
-        lift = zero_lift(sys_.ops, grid(dt, n))
+        lift = build_lift(sys_.ops, grid(dt, n))
         st = make_state(0.0, [0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, 0.0])
         res = run(sys_, st, lift, cfg)
         assert np.allclose(res.beta[-1, 1], 0.5 / (1 + dt * mu2) ** n, atol=1e-12)
@@ -487,7 +487,7 @@ def test_flux_bookkeeping_through_lift():
 def test_zero_step_horizon():
     sys_ = make_system()
     cfg = EvolutionConfig(dt=1e-3, n_steps=0)
-    lift = zero_lift(sys_.ops, grid(1e-3, 0))
+    lift = build_lift(sys_.ops, grid(1e-3, 0))
     st = make_state(0.0, [0.1, 0.0], [0.2, 0.0, 0.0], [1.0, 0.0, 0.0])
     res = run(sys_, st, lift, cfg)
     assert res.times.size == 1
@@ -500,7 +500,7 @@ def test_truncated_source_bounded_pointwise():
     dt, n = 1e-3, 10
     level = 1e-4  # far below the active dissipation
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=level)
-    lift = zero_lift(sys_.ops, grid(dt, n))
+    lift = build_lift(sys_.ops, grid(dt, n))
     st = make_state(0.0, np.zeros(2), [0.3, -0.2, 0.1], np.full(3, 1e-5))
     res = run(sys_, st, lift, cfg)
     volume = sys_.ops.mesh.volume
@@ -516,7 +516,7 @@ def test_three_dimensional_evolution():
     assert np.abs(trace6(sys_.fields.zeta)).max() <= 1e-12
     dt, n = 1e-3, 20
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
-    lift = zero_lift(ops, grid(dt, n))
+    lift = build_lift(ops, grid(dt, n))
     st = initialize(sys_, np.full(ops.n_nodes, 1.5), 0.1 * sys_.fields.zeta[0], cfg)
     res = run(sys_, st, lift, cfg)
     e = 0.5 * np.einsum("ni,ni->n", res.delta, res.delta)

@@ -78,7 +78,6 @@ DATA = st.fixed_dictionaries(
         "epsp0": st.one_of(
             _node("preset", "zero", index=st.integers(0, 1)),
             _node("preset", "complement_mode", index=st.integers(-1, 3), amplitude=NUM),
-            _node("preset", "gradient_mode", index=st.integers(-1, 3), amplitude=NUM),
             _node("preset", "constant_deviatoric", {"value": _vec(5, 7)}),
         ),
         "theta_tilde0": st.one_of(

@@ -11,7 +11,6 @@ from thermovisc.lifting import (
     build_lift,
     solve_elastic_lift,
     solve_heat_lift,
-    zero_lift,
 )
 from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor, dev6
@@ -153,7 +152,7 @@ def test_build_lift_and_reconstruct(ops):
 
     rng = np.random.default_rng(2)
     moving = make_state(0.0, rng.standard_normal(2), np.zeros(3), np.zeros(3))
-    zl = zero_lift(ops, times)
+    zl = build_lift(ops, times)
     assert not zl.u_tilde.any() and not zl.theta_tilde.any()
     phys = reconstruct_fields(system, moving, zl, 2)
     assert np.array_equal(phys["u"], phys["u_hom"])
