@@ -9,8 +9,8 @@
   against (.,.)_D on the D-orthogonal complement of span{eps(w_1..k)} inside
   the nodal strain space, D-orthonormal with eigenvalues >= 1.
 
-The other two families are the lowest eigenpairs of a sparse symmetric
-pencil, found by one helper.  Up to DENSE_CUTOFF dofs it is a dense LAPACK
+The displacement family is the lowest eigenpairs of a sparse symmetric
+pencil.  Up to DENSE_CUTOFF dofs it is a dense LAPACK
 solve, complete by construction and faster there than ARPACK's fixed cost.
 Above it, shift-invert Lanczos (ARPACK) computes a few pairs more than kept
 and a completeness certificate checks them: by Sylvester's law of inertia
@@ -21,10 +21,9 @@ A missed pair shows as a mismatch; the solve is repeated with more pairs,
 and an uncertified basis is a SolverFailure.
 
 The complement lives on the kernel of its k constraint rows C, the
-functionals (eps(w_n), .)_D.  Lanczos runs on the bordered pencil
-([[A, C^T], [C, 0]], diag(M, 0)), whose finite eigenpairs are those on
-ker C, so (zeta_m, eps(w_n))_D = 0 holds to round-off (``cross_orth_err``),
-and Haynsworth's inertia additivity gives the count on ker C.
+functionals (eps(w_n), .)_D.  Its pencil is a Kronecker product with known
+eigenpairs, which C changes by rank k; Haynsworth's inertia additivity counts
+and places the eigenvalues on ker C, complete by construction.
 
 The smoothness product is the H1-type surrogate
 <a,b>_s = (a,b)_D + (grad a, grad b), which makes every eigenvalue equal to
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh, null_space
+from scipy.linalg import eigh, qr
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from . import __version__
@@ -70,7 +69,7 @@ _ARPACK_RESTARTS = 300
 #: relative gap, on the scale of the computed eigenvalues, between two groups
 _GROUP_GAP = 1e-8
 
-SIGN_CONVENTION = "first entry with |v| > 1e-8 max|v| is positive"
+SIGN_CONVENTION = "W: first entry with |v| > 1e-8 max|v| is positive"
 
 _EIG_TOL = 1e-10
 
@@ -99,14 +98,12 @@ def _symmetric_lu(S):
     )
 
 
-def _negative_pivots(S, C=None) -> int | None:
-    """Negative eigenvalues of the symmetric S (on ker C), by Sylvester's law of inertia.
+def _negative_pivots(S) -> int | None:
+    """Negative eigenvalues of the symmetric S, by Sylvester's law of inertia.
 
     With both orderings equal and every pivot on the diagonal, U = D L^T, so
-    the signs of U's diagonal are those of S's eigenvalues.  [[S, C^T], [C, 0]]
-    has rank C more negative eigenvalues than S on ker C, and by Haynsworth as
-    many as S and -C S^-1 C^T together.  None when SuperLU met a zero pivot or
-    exchanged a row.
+    the signs of U's diagonal are those of S's eigenvalues.  None when SuperLU
+    met a zero pivot or exchanged a row.
     """
     try:
         lu = _symmetric_lu(S)
@@ -114,49 +111,24 @@ def _negative_pivots(S, C=None) -> int | None:
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
-    below = int(np.count_nonzero(lu.U.diagonal() < 0.0))
-    if C is not None:
-        below += int(np.count_nonzero(eigvalsh(-C @ lu.solve(C.T)) < 0.0)) - C.shape[0]
-    return below
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def _shift_invert_pairs(A, M, C, nev: int, rng, what: str):
-    """nev eigenpairs of A x = lam M x (on ker C) nearest 0, ascending, from a
-    start vector drawn from rng.  The factors die here, before any inertia
-    count."""
-    N = A.shape[0]
+def _shift_invert_pairs(A, M, nev: int, rng, what: str):
+    """nev eigenpairs of A x = lam M x nearest 0, ascending, from a start
+    vector drawn from rng.  The factor dies here, before any inertia count."""
     try:
         lu = _symmetric_lu(A)
     except RuntimeError as err:
         raise SolverFailure(f"{what} shift-invert factorization failed: {err}") from None
-    if C is None:
-        op = lu.solve
-    else:
-        SC = lu.solve(C.T)
-        try:
-            schur = cho_factor(C @ SC)
-        except np.linalg.LinAlgError as err:
-            raise SolverFailure(f"{what} constraint Schur factorization failed: {err}") from None
-
-        def op(b):
-            # A x + C^T y = b[:N], C x = b[N:]
-            x = lu.solve(b[:N])
-            y = cho_solve(schur, C @ x - b[N:])
-            return np.concatenate([x - SC @ y, y])
-
-        # shift-invert ARPACK applies only op and the bordered M, so the
-        # bordered A enters by its shape and is never formed
-        n = N + len(C)
-        A = LinearOperator((n, n), matvec=None, dtype=float)
-        M = sp.block_diag([M, sp.csr_matrix((len(C), len(C)))], format="csr")
-    OPinv = LinearOperator(A.shape, matvec=op, dtype=float)
+    OPinv = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
     v0 = rng.standard_normal(A.shape[0])
     try:
         vals, vecs = eigsh(A, k=nev, M=M, sigma=0.0, OPinv=OPinv, v0=v0, maxiter=_ARPACK_RESTARTS)
     except ArpackError as err:
         raise SolverFailure(f"{what} eigensolve failed: {err}") from None
     order = np.argsort(vals)
-    return vals[order], vecs[:N, order]
+    return vals[order], vecs[:, order]
 
 
 def _check_residual(A, M, vals, X, what: str, C=None) -> None:
@@ -169,14 +141,13 @@ def _check_residual(A, M, vals, X, what: str, C=None) -> None:
         raise SolverFailure(f"{what} eigensolve residual {res.max():.3e} > {_EIG_TOL}")
 
 
-def _lowest_eigenpairs(A, M, n: int, what: str, C=None, record=None):
-    """The n lowest eigenpairs of A x = lam M x on ker C, ascending.
+def _lowest_eigenpairs(A, M, n: int, what: str, record=None):
+    """The n lowest eigenpairs of A x = lam M x, ascending.
 
-    A and M are sparse symmetric positive definite (A on ker C) and C, when
-    given, a dense block of orthonormal rows.  A dense LAPACK solve runs
-    where ARPACK cannot (n + _EXTRA_PAIRS not below dim ker C), on a basis
-    of ker C, and without C up to DENSE_CUTOFF dofs.  Otherwise ARPACK
-    computes _EXTRA_PAIRS more pairs than kept, from a seeded start vector.
+    A and M are sparse symmetric positive definite.  A dense LAPACK solve
+    runs up to DENSE_CUTOFF dofs and where ARPACK cannot (n + _EXTRA_PAIRS
+    not below the dofs).  Otherwise ARPACK computes _EXTRA_PAIRS more pairs
+    than kept, from a seeded start vector.
     The last kept group ends at the first gap j >= n; the inertia at sigma
     in that gap must count j eigenvalues below it, or more pairs are asked
     for, and after _SPARSE_TRIES solves it is a SolverFailure.  ``record``,
@@ -184,37 +155,31 @@ def _lowest_eigenpairs(A, M, n: int, what: str, C=None, record=None):
     the kept pairs and the number of solves.
     """
     N = A.shape[0]
-    r = 0 if C is None else C.shape[0]
     record = {} if record is None else record
     nev = n + _EXTRA_PAIRS
-    if nev >= N - r or (C is None and N <= DENSE_CUTOFF):
-        dense_A, dense_M = A.toarray(), M.toarray()
-        if C is not None:
-            Q = null_space(C)
-            dense_A, dense_M = Q.T @ dense_A @ Q, Q.T @ dense_M @ Q
+    if nev >= N or N <= DENSE_CUTOFF:
         try:
-            vals, vecs = eigh(dense_A, dense_M, subset_by_index=(0, n - 1))
+            vals, vecs = eigh(A.toarray(), M.toarray(), subset_by_index=(0, n - 1))
         except np.linalg.LinAlgError as err:
             raise SolverFailure(f"{what} eigensolve failed: {err}") from None
-        vecs = vecs if C is None else Q @ vecs
-        _check_residual(A, M, vals, vecs, what, C)
+        _check_residual(A, M, vals, vecs, what)
         record.update(branch="dense")
         return vals, vecs
     rng = np.random.default_rng(0)
     for solve in range(1, _SPARSE_TRIES + 1):
-        vals, vecs = _shift_invert_pairs(A, M, C, nev, rng, what)
+        vals, vecs = _shift_invert_pairs(A, M, nev, rng, what)
         gaps = np.flatnonzero(np.diff(vals[n - 1 :]) > _GROUP_GAP * np.abs(vals).max())
         if gaps.size == 0:  # the last kept group runs past the computed pairs
-            nev = min(nev + _EXTRA_PAIRS, N - r - 1)
+            nev = min(nev + _EXTRA_PAIRS, N - 1)
             continue
         j = n + int(gaps[0])
         sigma = 0.5 * (vals[j - 1] + vals[j])
-        below = _negative_pivots(A - sigma * M, C)
+        below = _negative_pivots(A - sigma * M)
         if below == j:
-            _check_residual(A, M, vals[:n], vecs[:, :n], what, C)
+            _check_residual(A, M, vals[:n], vecs[:, :n], what)
             record.update(branch="sparse", sigma=float(sigma), inertia=j, kept=n, solves=solve)
             return vals[:n], vecs[:, :n]
-        nev = min(max(nev, below or 0) + _EXTRA_PAIRS, N - r - 1)
+        nev = min(max(nev, below or 0) + _EXTRA_PAIRS, N - 1)
     raise SolverFailure(
         f"{what} eigensolve incomplete: no inertia count matched the computed "
         f"pairs after {_SPARSE_TRIES} solves"
@@ -237,29 +202,43 @@ def displacement_eigenbasis(ops: AssembledOperators, k: int, record: dict | None
     return _fix_signs(W), lam
 
 
+def _cosine_modes(mesh):
+    """Per axis: the 1D Q1 stiffness 2 (1 - c) / h^2, mass (2 + c) / 3 and h sum' cos^2 of the
+    product modes prod_a cos(pi j_a i_a / n_a) (DCT-I), c = cos(pi j_a / n_a)."""
+    index = np.unravel_index(np.arange(mesh.n_nodes), [c + 1 for c in mesh.cells], order="F")
+    cos = [np.cos(np.pi * j / c) for j, c in zip(index, mesh.cells)]
+    stiff = [2.0 * (1.0 - c) / h**2 for c, h in zip(cos, mesh.spacing)]
+    norm = [h * np.where(j % c, c / 2, c) for h, j, c in zip(mesh.spacing, index, mesh.cells)]
+    return stiff, [(2.0 + c) / 3.0 for c in cos], norm
+
+
+def _cosine_transform(mesh, X):
+    """Phi X over axis 1, Phi[j, i] = prod_a cos(pi j_a i_a / n_a) (symmetric), axis by axis."""
+    Y = X.reshape(X.shape[:1] + tuple(c + 1 for c in reversed(mesh.cells)) + X.shape[2:])
+    for a, c in enumerate(mesh.cells):  # node ids run first axis fastest
+        T = np.cos(np.pi * np.outer(np.arange(c + 1), np.arange(c + 1)) / c)
+        Y = np.moveaxis(np.tensordot(T, Y, (1, mesh.dim - a)), 0, mesh.dim - a)
+    return Y.reshape(X.shape)
+
+
 def temperature_eigenbasis(ops: AssembledOperators, l: int, record: dict | None = None):
     """First l Neumann-Laplacian eigenpairs against the lumped mass, in closed form.
 
-    On the uniform box the sampled cosines cos(pi j i / n_a) diagonalize both
-    1D factors of M_lumped^-1 K_theta (DCT-I): axis a has stiffness
-    2 (1 - c) / h_a^2 and mass (2 + c) / 3 for c = cos(pi j / n_a), and a mode
-    has mu = sum_a stiff_a prod_{b != a} mass_b.  The l smallest are kept by a
-    stable sort over the modes, numbered as the nodes are; node 0 holds each
-    mode's largest entry, positive.  A residual test guards the premise.
+    The product modes diagonalize M_lumped^-1 K_theta (``_cosine_modes``): a
+    mode has mu = sum_a stiff_a prod_{b != a} mass_b.  The l smallest are kept
+    by a stable sort over the modes, numbered as the nodes are; node 0 holds
+    each mode's largest entry, positive.  A residual test guards the premise.
     """
     n = ops.n_nodes
     if not (1 <= l <= n):
         raise BadConfig(f"l must be in [1, {n}], got {l}")
     mesh = ops.mesh
-    index = np.unravel_index(np.arange(n), [c + 1 for c in mesh.cells], order="F")
-    cos = [np.cos(np.pi * j / c) for j, c in zip(index, mesh.cells)]
-    stiff = [2.0 * (1.0 - c) / h**2 for c, h in zip(cos, mesh.spacing)]
-    mass = [(2.0 + c) / 3.0 for c in cos]
+    stiff, mass, _ = _cosine_modes(mesh)
     terms = [stiff[a] * np.prod(mass[:a] + mass[a + 1 :], axis=0) for a in range(mesh.dim)]
     # summed in sorted order, so modes that permute equal axes tie exactly
     mu = np.sort(terms, axis=0).sum(axis=0)
     keep = np.argsort(mu, kind="stable")[:l]
-    V = np.prod([np.cos(np.pi * np.outer(j[keep], j) / c) for j, c in zip(index, mesh.cells)], 0)
+    V = _cosine_transform(mesh, (keep[:, None] == np.arange(n)).astype(float))
     V /= np.sqrt((V**2) @ ops.M_lumped)[:, None]
     _check_residual(ops.K_theta, sp.diags(ops.M_lumped), mu[keep], V.T, "temperature")
     if record is not None:
@@ -293,48 +272,109 @@ def _node_tensor_basis(dim: int, space: str) -> np.ndarray:
     return np.stack(diagonal + shear, axis=1)
 
 
+def _secular_signs(x, lam, cols) -> int:
+    """#{F > 0} - len(F) for F = cols (lam - x)^-1 cols^T.  With #{lam < x} it counts the
+    eigenvalues of diag(lam) on ker cols below x (Haynsworth's inertia additivity)."""
+    return int(np.sum(np.linalg.eigvalsh((cols / (lam - x)) @ cols.T) > 0)) - len(cols)
+
+
+def _kernel_eigenpairs(lam, cols, l: int):
+    """The l lowest eigenpairs of diag(lam) on ker cols and the count at the gap after
+    the last kept group.  Per group (values within _GROUP_GAP), in order: directions
+    coupled below sqrt(eps) of the largest coupling are deflated (unit vectors
+    orthogonalized against the rest), the count of roots at the group is its limit from
+    either side, and each root below is bisected; its vectors are (lam - x)^-1 cols^T z."""
+    srt = lam[order := np.argsort(lam, kind="stable")]
+    starts = np.flatnonzero(np.r_[True, np.diff(srt) > _GROUP_GAP * srt[1:]])
+    lam, cols, poles = lam.copy(), cols.copy(), np.ones(len(lam), dtype=int)
+    lam[order] = np.repeat(srt[starts], np.diff(np.r_[starts, len(lam)]))  # a group ties exactly
+    tol = np.sqrt(np.finfo(float).eps) * np.abs(cols).max()
+
+    def bisect(lo, c_lo, hi, c_hi):
+        if c_hi > c_lo and lo < (mid := 0.5 * (lo + hi)) < hi and hi - lo > 4e-16 * hi:
+            c = min(max(np.sum(poles[lam < mid]) + _secular_signs(mid, lam, cols), c_lo), c_hi)
+            bisect(lo, c_lo, mid, c)
+            bisect(mid, c, hi, c_hi)
+        elif c_hi > c_lo and poles[(lam == lo) | (lam == hi)].any():  # no division by the gap
+            raise SolverFailure(f"complement eigenvalue within round-off of the pole {hi}")
+        elif c_hi > c_lo and roots and lo - roots[-1][0] <= _GROUP_GAP * lo:
+            roots[-1][1] += c_hi - c_lo
+        elif c_hi > c_lo:
+            roots.append([hi if lo in lam else lo, c_hi - c_lo])
+
+    vals, vecs, pole, c_pole = [], [], srt[0] - 1.0, 0
+    for s, e in zip(starts, np.r_[starts[1:], len(lam)]):
+        idx, p = np.sort(order[s:e]), srt[s]
+        U, sv, Vt = np.linalg.svd(cols[:, idx])
+        r = int(np.sum(sv > tol))
+        cols[:, idx] = cols[:, idx] @ Vt[:r].T @ Vt[:r]
+        poles[idx] = np.arange(e - s) < r
+        roots, rest = [], lam != p
+        c_p = np.sum(poles[lam < p]) + _secular_signs(p, lam[rest], U[:, r:].T @ cols[:, rest])
+        bisect(pole, c_pole, p, c_p)
+        for x, mult in roots:
+            w, z = np.linalg.eigh((cols / (lam - x)) @ cols.T)
+            y = (cols.T @ z[:, np.argsort(np.abs(w))[:mult]]) / (lam - x)[:, None]
+            vals, vecs = vals + [x] * mult, vecs + list(qr(y, mode="economic")[0].T)
+        Q = qr(np.hstack([Vt[:r].T, np.eye(e - s)]))[0][:, r:]
+        vals, vecs = vals + [p] * (e - s - r), vecs + [np.bincount(idx, q, len(lam)) for q in Q.T]
+        pole, c_pole = p, c_p
+        if (gaps := np.flatnonzero(np.diff(vals[l - 1 :]) > _GROUP_GAP * np.array(vals[l:]))).size:
+            break
+    j = l + int(gaps[0]) if gaps.size else len(vals)
+    sigma = 0.5 * (vals[j - 1] + vals[j]) if gaps.size else np.inf
+    if (inertia := int(np.sum(lam < sigma)) + _secular_signs(sigma, lam, cols)) != j:
+        raise SolverFailure(f"complement eigensolve incomplete: count {inertia}, pairs {j}")
+    return np.array(vals[:l]), np.array(vecs[:l]), inertia
+
+
 def complement_strain_basis(
     ops: AssembledOperators, W: np.ndarray, l: int, space: str = "deviatoric", record=None
 ):
     """Eigenbasis of the D-orthogonal complement of span{eps(w_n)}.
 
     Returns (Z, lam_z, comp) with Z of shape (l, n_nodes * m) in node-major
-    layout and lam_z ascending with lam_z >= 1.  The solve starts from a
-    fixed seed, so a rebuild is bitwise identical.  Within a degenerate
-    eigenvalue group the vectors are an arbitrary orthonormal basis.
-    ``record``, when given, receives how the pairs were found.
+    layout and lam_z ascending with lam_z >= 1.  As gram_D = M_theta x Dblk and
+    gram_s = gram_D + K_theta x I, a product mode times an eigenvector of Dblk
+    (eigenvalue d) has eigenvalue 1 + nu / d; the constraint rows cut this
+    spectrum and a residual test guards the premise.  A cut group keeps its
+    modes whatever l is; ``record`` receives how the pairs were found.
     """
-    k = W.shape[0]
     mesh = ops.mesh
     B = _node_tensor_basis(mesh.dim, space)
-    m = B.shape[1]
-    n = ops.n_nodes
+    n, m = ops.n_nodes, B.shape[1]
     ns = n * m
 
     gram_D, gram_s = ops.strain_gram(B)
 
     # constraint functionals (eps(w_n), .)_D on the nodal strain space
     P = ops.scalar_interp_matrix()
-    C = np.empty((k, ns))
-    for i in range(k):
-        dw = ops.D.apply6(ops.strain_quad(W[i]))
-        C[i] = (P.T @ (ops.wq[:, None] * (dw @ B))).ravel()
+    C = np.stack([(P.T @ (ops.wq[:, None] * (ops.D.apply6(ops.strain_quad(w)) @ B))).ravel()
+                  for w in W])
     # orthonormal rows with the same kernel: C C^T = I, and functionals that
     # are dependent on the nodal space are dropped rather than factored
     _, sv, Vt = np.linalg.svd(C, full_matrices=False)
     C = Vt[: int(np.sum(sv > sv[0] * max(C.shape) * np.finfo(float).eps))]
 
-    nc = ns - C.shape[0]
-    if nc < 1 or l > nc:
-        raise EmptyComplement(
-            f"complement dimension {nc} cannot host {l} modes (strain dofs {ns}, k={k})"
-        )
+    if (nc := ns - len(C)) < 1 or l > nc:
+        raise EmptyComplement(f"complement dimension {nc} cannot host {l} modes "
+                              f"(strain dofs {ns}, k={len(W)})")
 
-    lam_z, X = _lowest_eigenpairs(gram_s, gram_D, l, "complement", C=C, record=record)
+    stiff, mass, norm = _cosine_modes(mesh)
+    nu = np.sort([a / b for a, b in zip(stiff, mass)], axis=0).sum(axis=0)
+    d, R = eigh(B.T @ ops.D.voigt @ B)
+    # D-orthonormal modal dofs (mode, eigenvector of Dblk), node-major
+    scale = 1.0 / np.sqrt(np.outer(np.prod([a * b for a, b in zip(norm, mass)], 0), d)).ravel()
+    modal = (_cosine_transform(mesh, C.reshape(-1, n, m)) @ R).reshape(-1, ns) * scale
+    lam_z, Y, inertia = _kernel_eigenpairs((1.0 + nu[:, None] / d).ravel(), modal, l)
+    X = _cosine_transform(mesh, (Y * scale).reshape(l, n, m) @ R.T).reshape(l, ns)
+    Z = np.linalg.solve(np.linalg.cholesky(X @ (gram_D @ X.T)), X)
+    _check_residual(gram_s, gram_D, lam_z, Z.T, "complement", C)
     if lam_z[0] < 1.0 - 1e-10:
         raise SolverFailure(f"complement eigenvalue {lam_z[0]} below 1")
-    comp = ComplementSpace(comp_basis=B, C=C, gram_D=gram_D, gram_s=gram_s)
-    return _fix_signs(X.T), lam_z, comp
+    if record is not None:
+        record.update(branch="closed_form", inertia=inertia, kept=l)
+    return Z, lam_z, ComplementSpace(comp_basis=B, C=C, gram_D=gram_D, gram_s=gram_s)
 
 
 @dataclass

@@ -168,31 +168,16 @@ def test_sparse_dense_displacement_eigensolvers_agree(monkeypatch, dim, cells, k
     _modes_in_dense_eigenspaces(lam_sparse, W_sparse, lam_dense, W_dense, ops_s.M_u)
 
 
-def _family_solve(ops, family):
-    """The solve of one family as ``(modes, eigenvalues) = solve(ops, n, record)``;
-    the complement's displacement modes are found first, with the dense solve."""
-    if family == "displacement":
-        return displacement_eigenbasis
-    W, _ = displacement_eigenbasis(ops, 4)
-
-    def solve(ops, l, record=None):
-        Z, lam, _ = complement_strain_basis(ops, W, l, record=record)
-        return Z, lam
-
-    return solve
-
-
-FAMILIES = ["displacement", "complement"]
+FAMILIES = ["displacement"]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_inertia_certificate_recovers_a_dropped_pair(monkeypatch, dropping_eigsh, ops, family):
-    solve = _family_solve(ops, family)
-    _, vals_ref = solve(ops, 5)
+    _, vals_ref = displacement_eigenbasis(ops, 5)
     monkeypatch.setattr(basis_mod, "DENSE_CUTOFF", 0)
     calls = dropping_eigsh(calls_that_drop=1)
     record = {}
-    _, vals = solve(ops, 5, record=record)
+    _, vals = displacement_eigenbasis(ops, 5, record=record)
     # the first solve's count disagrees, the second one is certified
     assert len(calls) == 2 and record["solves"] == 2
     assert np.abs(vals - vals_ref).max() <= 1e-10 * vals_ref[-1]
@@ -200,23 +185,26 @@ def test_inertia_certificate_recovers_a_dropped_pair(monkeypatch, dropping_eigsh
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_inertia_certificate_refuses_an_incomplete_basis(monkeypatch, dropping_eigsh, ops, family):
-    solve = _family_solve(ops, family)
     monkeypatch.setattr(basis_mod, "DENSE_CUTOFF", 0)
     calls = dropping_eigsh(calls_that_drop=10**6)
     with pytest.raises(SolverFailure, match=f"{family} eigensolve incomplete"):
-        solve(ops, 5)
+        displacement_eigenbasis(ops, 5)
     assert len(calls) == basis_mod._SPARSE_TRIES
 
 
 @pytest.mark.parametrize("sigma", [0.5, 3.0, 12.0, 40.0])
 def test_negative_pivots_on_the_constraint_kernel(basis, sigma):
-    # Haynsworth's count against the inertia of the dense bordered matrix
+    # the complement's Haynsworth count below sigma on ker C, taken in the
+    # D-orthonormal eigenvectors of the unconstrained pencil, against the
+    # inertia of the dense bordered matrix
     comp = basis.comp
     S = comp.gram_s - sigma * comp.gram_D
     r = comp.C.shape[0]
     bordered = np.block([[S.toarray(), comp.C.T], [comp.C, np.zeros((r, r))]])
     expected = int(np.count_nonzero(np.linalg.eigvalsh(bordered) < 0.0)) - r
-    assert basis_mod._negative_pivots(S, comp.C) == expected
+    lam, X = eigh(comp.gram_s.toarray(), comp.gram_D.toarray())
+    below = np.sum(lam < sigma) + basis_mod._secular_signs(sigma, lam, comp.C @ X)
+    assert below == expected
 
 
 def test_sparse_branch_needs_more_dofs_than_pairs(monkeypatch):
@@ -227,13 +215,14 @@ def test_sparse_branch_needs_more_dofs_than_pairs(monkeypatch):
     record = {}
     _, lam = displacement_eigenbasis(ops_3, 2, record=record)
     assert record == {"branch": "dense"} and lam[0] > 0
-    # 27 strain dofs less 2 constraints cannot host 19 plus the extra pairs:
-    # the dense solve on a basis of the constraint kernel runs
+    # the complement on the same kind of tiny mesh: 27 strain dofs less 2
+    # constraints host 19 modes
     ops_2 = assemble(build_mesh(2, (1.0, 1.0), (2, 2)), D)
     W, _ = displacement_eigenbasis(ops_2, 2)
     record = {}
     Z, lam_z, comp = complement_strain_basis(ops_2, W, 19, record=record)
-    assert record == {"branch": "dense"} and comp.C.shape == (2, 27)
+    assert record == {"branch": "closed_form", "inertia": 22, "kept": 19}
+    assert comp.C.shape == (2, 27)
     assert lam_z[0] >= 1.0 - 1e-10 and np.all(np.diff(lam_z) >= -1e-12)
     assert np.abs(Z @ (comp.gram_D @ Z.T) - np.eye(19)).max() <= 1e-10
     assert np.abs(comp.C @ Z.T).max() <= 1e-12
@@ -342,6 +331,8 @@ ORACLE_CASES = [
     (2, 6, 5, 2, "deviatoric", True),
     # the cut at 8 splits the twelvefold 6.4 cluster
     (3, 3, 4, 8, "deviatoric", True),
+    # the cut at 50 splits a cluster that runs to pair 74
+    (3, 6, 10, 50, "deviatoric", True),
 ]
 
 
@@ -349,7 +340,7 @@ ORACLE_CASES = [
 def test_complement_matches_dense_oracle(dim, cells, k, l, space, splits):
     ops_c = assemble(build_mesh(dim, (1.0,) * dim, (cells,) * dim), D)
     b = build_basis(ops_c, k=k, l=l, space=space)
-    lam_d, Z_d, gram_D = _dense_complement_oracle(ops_c, b, l + 16)
+    lam_d, Z_d, gram_D = _dense_complement_oracle(ops_c, b, l + 32)
     assert np.abs(b.lam_z - lam_d[:l]).max() <= 1e-10
     if dim == 3:
         assert np.abs(b.lam_z[:5] - 1.0).max() <= 1e-10
@@ -372,7 +363,7 @@ def test_complement_past_old_dof_cap():
     b = build_basis(ops_c, k=12, l=12)
     assert b.Z.shape == (12, 6075)
     assert {f: s["branch"] for f, s in b.eigensolves.items()} == {
-        "displacement": "sparse", "temperature": "closed_form", "complement": "sparse"
+        "displacement": "sparse", "temperature": "closed_form", "complement": "closed_form"
     }
     rep = basis_invariant_report(ops_c, b)
     assert rep["passed"], rep
@@ -384,33 +375,68 @@ def test_complement_certified_where_single_vector_lanczos_returned_copies():
     # Lanczos on the unbordered constrained operator returned copies here
     ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (7, 7, 7)), D)
     b = build_basis(ops_c, k=4, l=16)
-    solve = b.eigensolves["complement"]
-    assert solve["branch"] == "sparse" and solve["inertia"] == 17
+    assert b.eigensolves["complement"] == {"branch": "closed_form", "inertia": 17, "kept": 16}
     rep = basis_invariant_report(ops_c, b)
     assert rep["gram_Z_D_err"] <= 1e-10
     assert rep["passed"], rep
 
 
-@pytest.mark.xfail(
-    raises=SolverFailure,
-    strict=True,
-    reason="l = 60 cuts a 27-fold group that ARPACK returns incompletely (ROADMAP item 3)",
-)
 def test_complement_certified_through_a_cut_27_fold_group():
     # 3D 5^3, k = 4: a 27-fold group at 28.5433 spans pair indices 54-80, so
-    # l = 60 cuts it.  The re-solves with l + 6, + 12 and + 18 pairs never
-    # reach its end, so the certified solve exits 3.  Asking for enough pairs
-    # is not enough: from the seeded stream, 81 and 93 pairs returned only 16
-    # and 25 of the 27 copies.  A dense solve on ker C finds every pair.
+    # l = 60 cuts it.  ARPACK on the bordered pencil returned only some of
+    # its copies and the certified solve exited 3; a dense solve on ker C
+    # finds every pair.
     ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (5, 5, 5)), D)
     W, _ = displacement_eigenbasis(ops_c, 4)
-    _, lam_z, comp = complement_strain_basis(ops_c, W, 60)
+    record = {}
+    _, lam_z, comp = complement_strain_basis(ops_c, W, 60, record=record)
+    assert record == {"branch": "closed_form", "inertia": 81, "kept": 60}
     N = null_space(comp.C)
     lam_d = eigh(
         N.T @ (comp.gram_s @ N), N.T @ (comp.gram_D @ N),
         eigvals_only=True, subset_by_index=(0, 59),
     )
     assert np.abs(lam_z - lam_d).max() <= 1e-10 * lam_d[-1]
+
+
+def test_complement_cut_group_keeps_its_modes_whatever_l():
+    # 3D 7^3, k = 12: the twelvefold group at 6.018 spans pair indices 5-16,
+    # so l = 12 cuts it and l = 17 keeps it whole.  The first 12 modes, and so
+    # the complement_mode initial data, do not depend on l.
+    ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (7, 7, 7)), D)
+    W, _ = displacement_eigenbasis(ops_c, 12)
+    Z12, lam12, _ = complement_strain_basis(ops_c, W, 12)
+    Z17, lam17, _ = complement_strain_basis(ops_c, W, 17)
+    assert abs(lam12[5] - 6.018) <= 1e-3 and np.ptp(lam17[5:]) <= 1e-12
+    assert np.abs(Z12 - Z17[:12]).max() <= 1e-12
+    assert np.array_equal(lam12, lam17[:12])
+
+
+def test_complement_runs_no_iterative_solver(monkeypatch):
+    # the complement is closed form: neither ARPACK nor a sparse factor runs
+    # (W at 3D 7^3 has 648 interior dofs, below DENSE_CUTOFF)
+    ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (7, 7, 7)), D)
+    monkeypatch.setattr(basis_mod, "eigsh", _refuse)
+    monkeypatch.setattr(basis_mod, "splu", _refuse)
+    b = build_basis(ops_c, k=12, l=12)
+    assert b.eigensolves["complement"]["branch"] == "closed_form"
+    assert basis_invariant_report(ops_c, b)["passed"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the complement called an iterative solver")
+
+
+def test_complement_under_soft_shear():
+    # 3D 8^3 with mu = 1e-4: the lambda = 1 group sits 4 decades below the
+    # next, where ARPACK on the bordered pencil stalled (exit 3)
+    soft = ElasticityTensor.isotropic(lam=1.0, mu=1e-4)
+    ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (8, 8, 8)), soft)
+    b = build_basis(ops_c, k=4, l=4)
+    assert np.array_equal(b.lam_z[:4], np.ones(4))
+    rep = basis_invariant_report(ops_c, b)
+    assert rep["passed"], rep
+    assert projection_norm_check(b, n_fields=200, seed=3)["non_expansive"]
 
 
 def test_full_space_variant(ops):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from thermovisc import basis, lifting
@@ -17,7 +18,7 @@ from thermovisc.config import (
     validate_config,
 )
 from thermovisc.errors import ParseError, SolverFailure, ValidationError
-from thermovisc.mesh_fem import assemble, build_mesh
+from thermovisc.mesh_fem import AssembledOperators, assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor
 
 REPO = Path(__file__).resolve().parents[1]
@@ -226,29 +227,27 @@ def test_cli_basis_artifact(tmp_path, monkeypatch):
     dense, closed_form = {"branch": "dense"}, {"branch": "closed_form"}
     solves = rep["eigensolves"]
     assert solves["displacement"] == dense and solves["temperature"] == closed_form
+    # the complement reports the count at the gap after its last kept group
+    # (the two lambda = 1 modes of a 3-fold group) and the kept pairs
+    complement = {"branch": "closed_form", "inertia": 3, "kept": 2}
+    assert solves["complement"] == complement
     # the sparse branch reports its shift, the inertia count and the kept pairs
-    families = [("displacement", "lam_w"), ("complement", "lam_z")]
-
-    def assert_sparse(rep, family, key):
-        solve = rep["eigensolves"][family]
-        assert solve["branch"] == "sparse" and solve["kept"] == 2
-        assert solve["inertia"] >= 2 and solve["sigma"] > rep[key][-1]
-
-    assert_sparse(rep, "complement", "lam_z")
     monkeypatch.setattr(basis, "DENSE_CUTOFF", 0)
     assert main(["basis", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_OK
     rep = json.loads((out / "basis_report.json").read_text())
     assert rep["invariants"]["passed"] is True
-    for family, key in families:
-        assert_sparse(rep, family, key)
-    assert rep["eigensolves"]["temperature"] == closed_form
-    # with more extra pairs than dofs both solved families, the complement on
-    # a basis of its constraint kernel, take the dense solve
+    solve = rep["eigensolves"]["displacement"]
+    assert solve["branch"] == "sparse" and solve["kept"] == 2
+    assert solve["inertia"] >= 2 and solve["sigma"] > rep["lam_w"][-1]
+    assert rep["eigensolves"]["complement"] == complement
+    # with more extra pairs than dofs W takes the dense solve
     monkeypatch.setattr(basis, "_EXTRA_PAIRS", 10**6)
     assert main(["basis", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_OK
     rep = json.loads((out / "basis_report.json").read_text())
     assert rep["invariants"]["passed"] is True
-    assert rep["eigensolves"] == {"temperature": closed_form, **{f: dense for f, _ in families}}
+    assert rep["eigensolves"] == {
+        "displacement": dense, "temperature": closed_form, "complement": complement
+    }
 
 
 def test_cli_env_override(tmp_path, monkeypatch):
@@ -414,9 +413,11 @@ def test_cli_failed_run_replaces_a_stale_summary(tmp_path):
     "command, artifact", [("basis", "basis_report.json"), ("converge", "converge.json")]
 )
 def test_cli_solver_failure_record(tmp_path, dropping_eigsh, command, artifact):
-    # an uncertified complement eigenbasis leaves a record from basis and
-    # converge, as a failure of run does
+    # an uncertified displacement eigenbasis leaves a record from basis and
+    # converge, as a failure of run does; 2D 20^2 has 722 interior dofs, so
+    # W takes the sparse branch
     payload = json.loads((REPO / "configs" / "isolated.json").read_text())
+    payload["mesh"]["cells"] = [20, 20]
     payload["discretization"].update(k=4, l=4)
     cfg_path = write_cfg(tmp_path, payload)
     out = tmp_path / "o"
@@ -424,7 +425,7 @@ def test_cli_solver_failure_record(tmp_path, dropping_eigsh, command, artifact):
     assert main([command, "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_SOLVER
     rep = json.loads((out / artifact).read_text())
     assert rep["failed"] is True and rep["checks"]["passed"] is False
-    assert "complement eigensolve incomplete" in rep["failure"]
+    assert "displacement eigensolve incomplete" in rep["failure"]
     assert rep["command"] == command
     assert rep["config_hash"] == config_hash(load_config(cfg_path))
 
@@ -534,23 +535,29 @@ def test_cli_certify_thetas_validated(tmp_path, capsys, thetas):
     assert not (out / "certification.json").exists()
 
 
-def test_cli_complement_certificate_refusal_exit(tmp_path, dropping_eigsh, capsys):
-    # a complement eigenbasis the inertia count refuses raises SolverFailure,
-    # which the CLI maps to exit 3; the 4x4 mesh's W and V are dense solves,
-    # so only the complement calls ARPACK
-    calls = dropping_eigsh(calls_that_drop=10**6)
+def test_cli_complement_certificate_refusal_exit(tmp_path, monkeypatch, capsys):
+    # a complement pencil off the closed form's premise fails its residual
+    # guard, a SolverFailure that the CLI maps to exit 3
+    real = AssembledOperators.strain_gram
+
+    def off_premise(self, comp_basis):
+        gram_D, gram_s = real(self, comp_basis)
+        bump = sp.csr_matrix(([0.01], ([0], [0])), shape=gram_s.shape)
+        return gram_D, gram_s + bump
+
+    monkeypatch.setattr(AssembledOperators, "strain_gram", off_premise)
     cfg_path = write_cfg(tmp_path, MINIMAL)
     code = main(["basis", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_SOLVER
     err = capsys.readouterr().err
-    assert "complement eigensolve incomplete" in err and "Traceback" not in err
-    assert len(calls) == basis._SPARSE_TRIES
+    assert "complement eigensolve residual" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("mu, code", [(1e-4, EXIT_OK), (1e-6, EXIT_SOLVER)])
+@pytest.mark.parametrize("mu, code", [(1e-4, EXIT_OK), (1e-6, EXIT_OK)])
 def test_cli_soft_shear_complement_same_exit(tmp_path, capsys, mu, code):
     # basis and run agree on a soft shear modulus, and neither ends in a
-    # traceback; at mu = 1e-6 the absolute lam_z >= 1 bound refuses the basis
+    # traceback; at mu = 1e-6 the lambda = 1 modes are exact, so the absolute
+    # lam_z >= 1 bound holds
     payload = json.loads((REPO / "configs" / "isolated.json").read_text())
     payload["material"]["elasticity"]["mu"] = mu
     payload["discretization"].update(k=4, l=4, n_steps=5)
@@ -561,26 +568,6 @@ def test_cli_soft_shear_complement_same_exit(tmp_path, capsys, mu, code):
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"]["passed"] is (code == EXIT_OK)
-
-
-def test_complement_factorization_failure_is_solver_failure(monkeypatch):
-    # SuperLU reports a singular shifted strain Gram matrix with a
-    # RuntimeError; the 3x3 mesh's 48 strain dofs take the sparse branch
-    import thermovisc.basis as basis_mod
-    from thermovisc.errors import SolverFailure
-    from thermovisc.mesh_fem import assemble, build_mesh
-    from thermovisc.tensor import ElasticityTensor
-
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    ops = assemble(build_mesh(2, (1.0, 1.0), (3, 3)), ElasticityTensor.isotropic(1.0, 1.0))
-    W, _ = basis_mod.displacement_eigenbasis(ops, 2)
-    monkeypatch.setattr(basis_mod, "splu", singular)
-    with pytest.raises(
-        SolverFailure, match="complement shift-invert factorization failed: Factor is exactly"
-    ):
-        basis_mod.complement_strain_basis(ops, W, 2)
 
 
 def _raises(error):
@@ -600,8 +587,10 @@ def _temperature_off_premise(ops):
     return basis.temperature_eigenbasis(ops, 2)
 
 
-def _complement_solve(ops):
+def _complement_off_premise(ops):
+    # one perturbed stiffness entry breaks the Kronecker pencil's premise
     W, _ = basis.displacement_eigenbasis(ops, 2)
+    ops.K_theta[4, 4] *= 1.01
     return basis.complement_strain_basis(ops, W, 2)
 
 
@@ -622,8 +611,7 @@ _NO_CONVERGENCE = ArpackNoConvergence("ARPACK error -1: No convergence", np.empt
          "displacement eigensolve failed"),
         ("basis.splu", _SINGULAR, lambda ops: basis.displacement_eigenbasis(_unit_square(4), 2),
          "displacement shift-invert factorization failed"),
-        ("basis.cho_factor", _NOT_DEFINITE, _complement_solve,
-         "complement constraint Schur factorization failed"),
+        (None, None, _complement_off_premise, "complement eigensolve residual"),
         ("lifting.splu", _SINGULAR, lambda ops: lifting.solve_elastic_lift(ops),
          "elastic lift factorization failed"),
         ("lifting.splu", _SINGULAR,
@@ -635,7 +623,7 @@ _NO_CONVERGENCE = ArpackNoConvergence("ARPACK error -1: No convergence", np.empt
         "temperature",
         "displacement_arpack",
         "displacement_shift_invert",
-        "schur",
+        "complement",
         "elastic_lift",
         "heat_lift",
     ],
