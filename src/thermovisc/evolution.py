@@ -16,7 +16,12 @@ the temperature depend only on (delta, beta), so the unknowns of the
 nonlinear algebraic system x = F(x) are x = (delta, beta); it is solved by
 Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of depth
 ``ANDERSON_DEPTH`` on the fixed-point map F, which is a contraction for
-small dt thanks to the monotonicity of the law.  gamma is then explicit:
+small dt thanks to the monotonicity of the law.  ``run`` starts each solve
+from the Lagrange polynomial of degree d <= 2 through the newest d + 1 accepted
+levels (t_i, x_i), substeps of a dt halving included, with d the degree that
+best predicted the newest level from those before it (Hairer & Wanner, Solving
+ODEs II, IV.8); its first step, ``step`` and a non-finite guess start from the
+state.  Once x is accepted, gamma is explicit:
 gamma(new) = gamma(old) + dt (G, D eps(w_n)) / lam_n with the law value G
 of the accepted map evaluation.
 Whenever the max-norm residual grows, the mixing history is dropped and a
@@ -47,7 +52,9 @@ carries the integral |T^d|^p of its stress deviator for the monitor.
 
 from __future__ import annotations
 
+import collections
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,12 +164,13 @@ class ModalSystem:
     def epsp_trace(self, gamma, delta) -> np.ndarray:
         return gamma @ self.tr_eps_w + delta @ self.tr_zeta
 
-    def T_hom_quad(self, delta) -> np.ndarray:
-        return -np.einsum("m,mqi->qi", delta, self.fields.D_zeta)
+    def stress(self, delta) -> np.ndarray:
+        """S = sum_m delta_m D zeta_m = -T_hom at the Gauss points."""
+        return (delta @ self.D_zeta_rows).reshape(-1, 6)
 
-    def stress_dev(self, delta, Ttd_q) -> np.ndarray:
-        """Physical stress deviator at the Gauss points from the lift's ``Ttd_q``."""
-        return Ttd_q - dev6((delta @ self.D_zeta_rows).reshape(-1, 6))
+    def stress_dev(self, S, Ttd_q) -> np.ndarray:
+        """Physical stress deviator at the Gauss points from S and the lift's ``Ttd_q``."""
+        return Ttd_q - dev6(S)
 
     def theta_nodal(self, beta) -> np.ndarray:
         return beta @ self.fields.v_nodal
@@ -219,13 +227,14 @@ def _lift_slices(system: ModalSystem, lifted: LiftedFields, step_index: int):
 
 
 def _law_terms(system, delta, beta, theta_t_q, Ttd_q, y, diverged=None):
-    """Td, G and Td : G at the Gauss points; raises ``diverged()`` on a non-finite input to G."""
-    Td = system.stress_dev(delta, Ttd_q)
+    """Td, G, Td : G and S = stress(delta); raises ``diverged()`` on a non-finite input to G."""
+    S = system.stress(delta)
+    Td = system.stress_dev(S, Ttd_q)
     theta_q = system.theta_quad(beta) + theta_t_q
     if diverged is not None and not (np.isfinite(Td).all() and np.isfinite(theta_q).all()):
         raise diverged()
     G = system.law.evaluate_many(theta_q, Td, y=y)
-    return Td, G, dot6(Td, G)
+    return Td, G, dot6(Td, G), S
 
 
 def initial_report(system: ModalSystem, state: SimState, lifted: LiftedFields) -> StepReport:
@@ -233,7 +242,7 @@ def initial_report(system: ModalSystem, state: SimState, lifted: LiftedFields) -
     # a law value past the float range is written as inf or nan, not warned
     # about; a step from this state fails on it (exit 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        Td, _, diss = _law_terms(
+        Td, _, diss, _ = _law_terms(
             system, state.delta, state.beta, *_lift_slices(system, lifted, 0), state.y_quad
         )
         return StepReport(
@@ -262,13 +271,37 @@ def step(
 ANDERSON_DEPTH = 5
 
 
-def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
-    """Implicit-Euler advance against fixed lift slices over an interval dt."""
+def _lagrange_weights(ts, t):
+    """Weights of the values at the times ts in their interpolating polynomial at t."""
+    return [math.prod((t - tm) / (tj - tm) for tm in ts if tm != tj) for tj in ts]
+
+
+def _start_iterate(levels, t):
+    """Start at time t: the polynomial through the newest d + 1 accepted levels (t_i, x_i).
+
+    d is the degree whose polynomial through the d + 1 levels before the newest
+    predicts the newest best (max-norm, ties to the lower d).  The newest level,
+    the state, is the start when d = 0 or the guess is not finite.
+    """
+    ts = [ti for ti, _ in levels]
+    X = np.array([x for _, x in levels])
+    n = len(ts) - 1
+    W = np.zeros((n, n))  # row d predicts level n from the d + 1 levels before it
+    for d in range(n):
+        W[d, n - d - 1 :] = _lagrange_weights(ts[n - d - 1 : n], ts[n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        errs = np.abs(W @ X[:n] - X[n]).max(axis=1).tolist()
+        d = min(range(n), key=errs.__getitem__, default=0)  # a nan error never wins
+        guess = np.array(_lagrange_weights(ts[n - d :], t)) @ X[n - d :]
+    return guess if d > 0 and np.isfinite(guess).all() else levels[-1][1]
+
+
+def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig, x_start=None):
+    """Implicit-Euler advance against fixed lift slices over dt from ``x_start`` (or the state)."""
     law = system.law
     wq = system.wq
     wq_col = wq[:, None]
     v_quad = system.fields.v_quad
-    nq = wq.size
     level = _truncation_level(system, config)
     t_new = state.t + dt
 
@@ -282,16 +315,16 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
         return NonlinearSolveFailure(message, history, t_new)
 
     def apply_map(xv):
-        Td, G, diss = _law_terms(system, xv[:l], xv[l:], theta_t_q, Ttd_q, state.y_quad, diverged)
+        Td, G, diss, S = _law_terms(system, xv[:l], xv[l:], theta_t_q, Ttd_q, state.y_quad, diverged)
         wG = (wq_col * G).ravel()
         pz = system.D_zeta_rows @ wG
         src = truncate(np.maximum(diss, 0.0), level)
         out = np.concatenate(
             [delta0 + dt * pz, (beta0 + dt * (v_quad @ (wq * src))) / heat_den]
         )
-        return out, (Td, diss, src, pz, wG)
+        return out, (Td, diss, src, pz, wG, S)
 
-    x = np.concatenate([delta0, beta0])
+    x = np.concatenate([delta0, beta0]) if x_start is None else x_start
     eta = 1.0
     r_prev = np.inf
     dx, dg = [], []  # Anderson history: differences of iterates and of residuals
@@ -335,7 +368,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
     except FloatingPointError as err:
         raise diverged(f" ({err})") from None
 
-    Td, diss, src, pz, wG = aux
+    Td, diss, src, pz, wG, S = aux
     gamma1 = gamma0 + dt * (system.D_eps_w_rows @ wG) / system.lam
     delta1 = x[:l].copy()
     beta1 = x[l:].copy()
@@ -347,8 +380,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig):
     defect = e_new - e_old - dt * float(delta_bar @ pz)
 
     # (wq T, eps(w_n)) of the accepted stress; its sign does not matter here
-    T_q = (delta1 @ system.D_zeta_rows).reshape(nq, 6)
-    eq_res = float(np.abs(system.eps_w_rows @ (wq_col * T_q).ravel()).max())
+    eq_res = float(np.abs(system.eps_w_rows @ (wq_col * S).ravel()).max())
     dissipation = float(wq @ diss)
     source_integral = float(wq @ src)
     trace_sup = float(np.abs(system.epsp_trace(gamma1, delta1)).max())
@@ -401,21 +433,24 @@ def _merge_reports(a: StepReport, b: StepReport, dt_a: float, dt_b: float) -> St
     )
 
 
-def _step_adaptive(system, state, lifted, step_index, config: EvolutionConfig):
+def _step_adaptive(system, state, lifted, step_index, config: EvolutionConfig, levels):
     """One grid step with residual-based dt halving on solver stalls.
 
     Substeps interpolate the lift slices linearly between the two enclosing
     grid samples; the composite report carries summed defects and
     time-averaged rates, so the per-step identities remain exact.  Level i-1
-    is formed only when the step halves.
+    is formed only when the step halves.  Each solve starts from
+    ``_start_iterate(levels)``; every accepted (sub)level is appended to
+    ``levels``, whose newest entry is the state.
     """
     end = _lift_slices(system, lifted, step_index)
     start = functools.cache(lambda: _lift_slices(system, lifted, step_index - 1))
 
     def attempt(st, s0, s1, depth):
         slices = end if s1 == 1.0 else [(1.0 - s1) * a + s1 * b for a, b in zip(start(), end)]
+        dt = (s1 - s0) * config.dt
         try:
-            return _advance(system, st, *slices, (s1 - s0) * config.dt, config)
+            st, rep = _advance(system, st, *slices, dt, config, _start_iterate(levels, st.t + dt))
         except NonlinearSolveFailure:
             if depth >= MAX_HALVINGS:
                 raise
@@ -425,6 +460,8 @@ def _step_adaptive(system, state, lifted, step_index, config: EvolutionConfig):
             return st_end, _merge_reports(
                 rep_a, rep_b, (mid - s0) * config.dt, (s1 - mid) * config.dt
             )
+        levels.append((st.t, np.concatenate([st.delta, st.beta])))
+        return st, rep
 
     return attempt(state, 0.0, 1.0, 0)
 
@@ -463,10 +500,13 @@ def run(
     gam[0], del_[0], bet[0] = state0.gamma, state0.delta, state0.beta
     reports = []
     state = state0
+    # accepted levels (t, (delta, beta)) for the starting iterates: four fit a
+    # quadratic and score it against the newest
+    levels = collections.deque([(state.t, np.concatenate([state.delta, state.beta]))], maxlen=4)
     if on_step is not None:
         on_step(0, state, initial_report(system, state, lifted))
     for i in range(1, n + 1):
-        state, rep = _step_adaptive(system, state, lifted, i, config)
+        state, rep = _step_adaptive(system, state, lifted, i, config, levels)
         gam[i], del_[i], bet[i] = state.gamma, state.delta, state.beta
         reports.append(rep)
         if on_step is not None:

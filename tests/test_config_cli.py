@@ -128,10 +128,12 @@ def test_cli_run_and_determinism(tmp_path):
 
 
 def test_cli_diagnostics_report_substeps(tmp_path):
-    # an iteration cap below what a full step needs forces dt halving, which
-    # diagnostics.csv shows in its substeps column
+    # a sustained force keeps every step stiff, and an iteration cap below
+    # what a full step needs forces dt halving, which diagnostics.csv shows
+    # in its substeps column
     payload = copy.deepcopy(MINIMAL)
     payload["discretization"].update(dt=1e-2, solver_max_iter=3)
+    payload["data"]["f"] = {"preset": "polynomial", "value": [2.0, 2.0]}
     cfg_path = write_cfg(tmp_path, payload)
     out = tmp_path / "o"
     assert main(["run", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_OK
