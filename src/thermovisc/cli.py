@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .basis import (
+    basis_fields,
     basis_invariant_report,
     build_basis,
     dump_basis,
@@ -57,6 +58,7 @@ from .diagnostics import (
 )
 # the exit codes are re-exported: they are part of main's contract
 from .errors import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, Failure  # noqa: F401
+from .errors import InvariantError
 from .evolution import (
     EvolutionConfig,
     ModalSystem,
@@ -97,9 +99,12 @@ def _build_basis(cfg, ops):
 
 
 def prepare_run(cfg, ops):
-    """Modal system, evolution config, lift and initial state of one run."""
+    """Modal system, evolution config, lift and initial state of one run, on a
+    basis that passes its invariant report."""
     mesh = ops.mesh
     system = ModalSystem(ops, _build_basis(cfg, ops), make_law(cfg))
+    if failed := basis_invariant_report(ops, system.basis, system.fields)["failed"]:
+        raise InvariantError(f"basis invariants failed: {', '.join(failed)}")
     disc = cfg["discretization"]
     evo = EvolutionConfig(**{f.name: disc[f.name] for f in dataclasses.fields(EvolutionConfig)})
     lifted = build_lift(
@@ -231,7 +236,7 @@ def cmd_basis(cfg, outdir: Path, quiet=True):
     """Build, check and dump the Galerkin basis."""
     ops = build_operators(cfg)
     basis = _build_basis(cfg, ops)
-    rep = basis_invariant_report(ops, basis)
+    rep = basis_invariant_report(ops, basis, basis_fields(ops, basis))
     norm = projection_norm_check(basis, n_fields=1000, seed=cfg["seed"])
     dump_basis(outdir / "basis.npz", basis)
     ok = rep["passed"] and norm["non_expansive"]

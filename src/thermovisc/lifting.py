@@ -82,11 +82,11 @@ def solve_elastic_lift(ops: AssembledOperators, f_nodal=None, g_boundary=None):
     rhs = ops.M_u @ f_nodal.ravel() - ops.K_D @ g_lift.ravel()
     free = ops.interior_dofs
     u = g_lift.ravel().copy()
-    if free.size:
-        with np.errstate(over="ignore"):
-            scale = np.linalg.norm(rhs[free])
-        if not np.isfinite(scale):
-            raise BadData("elastic lift data leaves the float range")
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(rhs[free])
+    if not np.isfinite(scale):
+        raise BadData("elastic lift data leaves the float range")
+    if scale > 0:  # a zero datum, or no interior, has the zero correction
         try:
             lu = splu(ops.K_D[free][:, free].tocsc())
         except RuntimeError as err:

@@ -285,14 +285,14 @@ class AssembledOperators:
 
     def strain_gram(self, comp_basis: np.ndarray):
         """Gram matrices of the nodal strain space spanned by the per-node
-        tensor directions ``comp_basis`` (6, m): the (.,.)_D inner product and
-        the H1-type smoothness product (D part plus componentwise gradients).
+        tensor directions ``comp_basis`` (6, m): the (.,.)_D inner product,
+        M_theta x Dblk with Dblk = B^T D B, and the H1-type smoothness product
+        <a,b>_s = (a,b)_D + (grad a, grad b)_D, (M_theta + K_theta) x Dblk.
         Node-major dof layout, component fastest."""
         B = np.asarray(comp_basis, dtype=float)
         dblk = B.T @ self.D.voigt @ B
         gram_D = sp.kron(self.M_theta, dblk, format="csr")
-        gram_s = gram_D + sp.kron(self.K_theta, np.eye(B.shape[1]), format="csr")
-        return gram_D, gram_s
+        return gram_D, sp.kron(self.M_theta + self.K_theta, dblk, format="csr")
 
     def integrate(self, fq: np.ndarray) -> float:
         return float(np.dot(self.wq, np.asarray(fq)))

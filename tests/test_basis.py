@@ -284,7 +284,7 @@ def test_projection_non_expansive(basis):
 
 
 def test_invariant_report(ops, basis):
-    rep = basis_invariant_report(ops, basis)
+    rep = basis_invariant_report(ops, basis, basis_fields(ops, basis))
     assert rep["passed"], rep
 
 
@@ -352,7 +352,7 @@ def test_complement_matches_dense_oracle(dim, cells, k, l, space, splits):
         assert np.abs(lam_d[-1] - lam) > 1e-8, "oracle too short for the cluster"
         rest = z - cluster.T @ (cluster @ (gram_D @ z))
         assert np.sqrt(rest @ (gram_D @ rest)) <= 1e-8
-    rep = basis_invariant_report(ops_c, b)
+    rep = basis_invariant_report(ops_c, b, basis_fields(ops_c, b))
     assert rep["passed"], rep
 
 
@@ -365,24 +365,24 @@ def test_complement_past_old_dof_cap():
     assert {f: s["branch"] for f, s in b.eigensolves.items()} == {
         "displacement": "sparse", "temperature": "closed_form", "complement": "closed_form"
     }
-    rep = basis_invariant_report(ops_c, b)
+    rep = basis_invariant_report(ops_c, b, basis_fields(ops_c, b))
     assert rep["passed"], rep
     assert projection_norm_check(b, n_fields=200, seed=3)["non_expansive"]
 
 
 def test_complement_certified_where_single_vector_lanczos_returned_copies():
-    # 3D 7^3, k = 4, l = 16 cuts the twelvefold group at 6.02; single-vector
+    # 3D 7^3, k = 4, l = 16 cuts the twelvefold group at 11.04; single-vector
     # Lanczos on the unbordered constrained operator returned copies here
     ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (7, 7, 7)), D)
     b = build_basis(ops_c, k=4, l=16)
     assert b.eigensolves["complement"] == {"branch": "closed_form", "inertia": 17, "kept": 16}
-    rep = basis_invariant_report(ops_c, b)
+    rep = basis_invariant_report(ops_c, b, basis_fields(ops_c, b))
     assert rep["gram_Z_D_err"] <= 1e-10
     assert rep["passed"], rep
 
 
 def test_complement_certified_through_a_cut_27_fold_group():
-    # 3D 5^3, k = 4: a 27-fold group at 28.5433 spans pair indices 54-80, so
+    # 3D 5^3, k = 4: a 27-fold group at 56.0866 spans pair indices 54-80, so
     # l = 60 cuts it.  ARPACK on the bordered pencil returned only some of
     # its copies and the certified solve exited 3; a dense solve on ker C
     # finds every pair.
@@ -400,14 +400,14 @@ def test_complement_certified_through_a_cut_27_fold_group():
 
 
 def test_complement_cut_group_keeps_its_modes_whatever_l():
-    # 3D 7^3, k = 12: the twelvefold group at 6.018 spans pair indices 5-16,
+    # 3D 7^3, k = 12: the twelvefold group at 11.036 spans pair indices 5-16,
     # so l = 12 cuts it and l = 17 keeps it whole.  The first 12 modes, and so
     # the complement_mode initial data, do not depend on l.
     ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (7, 7, 7)), D)
     W, _ = displacement_eigenbasis(ops_c, 12)
     Z12, lam12, _ = complement_strain_basis(ops_c, W, 12)
     Z17, lam17, _ = complement_strain_basis(ops_c, W, 17)
-    assert abs(lam12[5] - 6.018) <= 1e-3 and np.ptp(lam17[5:]) <= 1e-12
+    assert abs(lam12[5] - 11.036) <= 1e-3 and np.ptp(lam17[5:]) <= 1e-12
     assert np.abs(Z12 - Z17[:12]).max() <= 1e-12
     assert np.array_equal(lam12, lam17[:12])
 
@@ -420,7 +420,7 @@ def test_complement_runs_no_iterative_solver(monkeypatch):
     monkeypatch.setattr(basis_mod, "splu", _refuse)
     b = build_basis(ops_c, k=12, l=12)
     assert b.eigensolves["complement"]["branch"] == "closed_form"
-    assert basis_invariant_report(ops_c, b)["passed"]
+    assert basis_invariant_report(ops_c, b, basis_fields(ops_c, b))["passed"]
 
 
 def _refuse(*args, **kwargs):
@@ -434,12 +434,12 @@ def test_complement_under_soft_shear():
     ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (8, 8, 8)), soft)
     b = build_basis(ops_c, k=4, l=4)
     assert np.array_equal(b.lam_z[:4], np.ones(4))
-    rep = basis_invariant_report(ops_c, b)
+    rep = basis_invariant_report(ops_c, b, basis_fields(ops_c, b))
     assert rep["passed"], rep
     assert projection_norm_check(b, n_fields=200, seed=3)["non_expansive"]
 
 
 def test_full_space_variant(ops):
     b = build_basis(ops, k=3, l=4, space="full")
-    rep = basis_invariant_report(ops, b)
+    rep = basis_invariant_report(ops, b, basis_fields(ops, b))
     assert rep["passed"], rep

@@ -614,7 +614,8 @@ _NO_CONVERGENCE = ArpackNoConvergence("ARPACK error -1: No convergence", np.empt
         ("basis.splu", _SINGULAR, lambda ops: basis.displacement_eigenbasis(_unit_square(4), 2),
          "displacement shift-invert factorization failed"),
         (None, None, _complement_off_premise, "complement eigensolve residual"),
-        ("lifting.splu", _SINGULAR, lambda ops: lifting.solve_elastic_lift(ops),
+        # a zero datum needs no factorization, so the lift gets a force
+        ("lifting.splu", _SINGULAR, lambda ops: lifting.solve_elastic_lift(ops, np.ones((16, 2))),
          "elastic lift factorization failed"),
         ("lifting.splu", _SINGULAR,
          lambda ops: lifting.solve_heat_lift(ops, np.zeros((2, 16)), np.ones(16), [0.0, 0.1]),
@@ -644,8 +645,11 @@ def test_setup_solver_failure_names_stage(monkeypatch, target, error, solve, mes
 
 def test_cli_run_lift_factorization_failure_exit(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lifting, "splu", _raises(_SINGULAR))
+    # a zero datum needs no factorization, so the run gets a force
+    payload = copy.deepcopy(MINIMAL)
+    payload["data"]["f"] = {"preset": "polynomial", "value": [2.0, 2.0]}
     out = tmp_path / "o"
-    code = main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--out", str(out), "--quiet"])
+    code = main(["run", "--config", write_cfg(tmp_path, payload), "--out", str(out), "--quiet"])
     assert code == EXIT_SOLVER
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())

@@ -7,6 +7,7 @@ documented exit codes (0 ok, 2 config, 3 solver, 4 invariant), and never in a
 traceback.  Once the config has loaded (the output directory exists), the
 command's artifact is this config's record: a raised failure leaves a failure
 record, and ``run``'s ``summary.json`` passes exactly when the exit code is 0.
+Where ``basis`` fails on a set-up, ``run`` fails with the same code and line.
 The data and law draws mix valid keys and values with malformed ones.
 """
 
@@ -19,7 +20,7 @@ from pathlib import Path
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from thermovisc.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from thermovisc.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, main
 from thermovisc.config import config_hash, validate_config
 
 NUM = st.one_of(st.integers(-2, 4), st.floats(-3.0, 3.0))
@@ -137,7 +138,7 @@ DISCRETIZATION = st.fixed_dictionaries(
 ARTIFACTS = {"run": "summary.json", "basis": "basis_report.json"}
 
 
-def _check_exit_code_contract(command, payload):
+def _exit_and_stderr(command, payload):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "o"
@@ -145,9 +146,14 @@ def _check_exit_code_contract(command, payload):
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
         record = json.loads((out / ARTIFACTS[command]).read_text()) if out.exists() else None
+    return code, err.getvalue(), record
+
+
+def _check_exit_code_contract(command, payload):
+    code, err, record = _exit_and_stderr(command, payload)
     event(f"{command} exit {code}")
     assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if record is not None:
         assert record["config_hash"] == config_hash(validate_config(payload))
         if code in (EXIT_CONFIG, EXIT_SOLVER):
@@ -171,11 +177,8 @@ def test_run_exit_code_contract(data, law):
     _check_exit_code_contract("run", payload)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(command=st.sampled_from(sorted(ARTIFACTS)), mesh=MESH, elasticity=ELASTICITY,
-       disc=DISCRETIZATION)
-def test_setup_exit_code_contract(command, mesh, elasticity, disc):
-    payload = {
+def _setup_payload(mesh, elasticity, disc):
+    return {
         "mesh": mesh,
         "material": {"elasticity": elasticity},
         # the data of configs/isolated.json: a relaxing complement mode
@@ -186,4 +189,30 @@ def test_setup_exit_code_contract(command, mesh, elasticity, disc):
         "discretization": disc,
         "output": {"cadence": 10},
     }
-    _check_exit_code_contract(command, payload)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(ARTIFACTS)), mesh=MESH, elasticity=ELASTICITY,
+       disc=DISCRETIZATION)
+def test_setup_exit_code_contract(command, mesh, elasticity, disc):
+    _check_exit_code_contract(command, _setup_payload(mesh, elasticity, disc))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(mesh=MESH, elasticity=ELASTICITY, disc=DISCRETIZATION)
+def test_run_refuses_every_basis_that_basis_refuses(mesh, elasticity, disc):
+    # run and basis share one set-up and one basis contract: where basis
+    # fails, run fails with the same exit code and the same stderr line; a
+    # basis whose invariant report fails makes run name the failed invariants
+    payload = _setup_payload(mesh, elasticity, disc)
+    code, err, record = _exit_and_stderr("basis", payload)
+    event(f"basis exit {code}")
+    if code == EXIT_OK:
+        return
+    run_code, run_err, _ = _exit_and_stderr("run", payload)
+    assert run_code == code
+    if code == EXIT_INVARIANT and "failed" not in record:  # basis wrote its report
+        failed = ", ".join(record["invariants"]["failed"])
+        assert run_err == f"invariant violation: basis invariants failed: {failed}\n"
+    else:
+        assert run_err == err
