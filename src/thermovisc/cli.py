@@ -70,11 +70,9 @@ from .lifting import build_lift
 from .mesh_fem import assemble, build_mesh
 from .runio import (
     DiagnosticsWriter,
+    SnapshotWriter,
     cell_average,
-    write_cells_csv,
-    write_nodes_csv,
     write_summary,
-    write_vtk,
 )
 
 ENV_OUT = "THERMOVISC_OUT"
@@ -120,35 +118,6 @@ def prepare_run(cfg, ops):
     return system, evo, lifted, state0
 
 
-def _snapshot(cfg, outdir, chash, system, fields, step_index):
-    mesh = system.ops.mesh
-    stem = f"snapshot_{step_index:06d}"
-    theta = fields["theta"]
-    u = fields["u"].reshape(mesh.n_nodes, mesh.dim)
-    epsp_cells = cell_average(system.ops, fields["epsp"])
-    stress_cells = cell_average(system.ops, fields["T"])
-    if "csv" in cfg["output"]["formats"]:
-        cols = {"theta": theta}
-        for c in range(mesh.dim):
-            cols[f"u{c}"] = u[:, c]
-        write_nodes_csv(outdir / f"{stem}_nodes.csv", mesh, cols, chash)
-        write_cells_csv(
-            outdir / f"{stem}_cells.csv",
-            mesh,
-            {"epsp": epsp_cells, "stress": stress_cells},
-            chash,
-        )
-    if "vtk" in cfg["output"]["formats"]:
-        write_vtk(
-            outdir / f"{stem}.vtk",
-            mesh,
-            point_scalars={"theta": theta},
-            point_vectors={"displacement": u},
-            cell_tensors={"epsp": epsp_cells, "stress": stress_cells},
-            config_hash=chash,
-        )
-
-
 def cmd_run(cfg, outdir: Path, quiet=True):
     """Advance the evolution, stream the diagnostics and check them."""
     chash = config_hash(cfg)
@@ -162,6 +131,8 @@ def cmd_run(cfg, outdir: Path, quiet=True):
     tables = RowTables.build(system, lifted)
     rows = []
     cadence = cfg["output"]["cadence"]
+    formats = cfg["output"]["formats"]
+    snapshots = SnapshotWriter(outdir, ops.mesh, formats, chash)
 
     with DiagnosticsWriter(outdir / "diagnostics.csv", chash) as diag:
 
@@ -179,9 +150,14 @@ def cmd_run(cfg, outdir: Path, quiet=True):
                 monitor.start(e_hom, theta_l1)
             else:
                 monitor.update(evo.dt, state.t, e_hom, rep.stress_lp, tables.lift_lp[i], theta_l1)
-            if i % cadence == 0 or i == evo.n_steps:
+            if formats and (i % cadence == 0 or i == evo.n_steps):
                 fields = reconstruct_fields(system, state, lifted, i)
-                _snapshot(cfg, outdir, chash, system, fields, i)
+                snapshots.write(
+                    i,
+                    fields["theta"],
+                    fields["u"],
+                    {"epsp": cell_average(ops, fields["epsp"]), "stress": cell_average(ops, fields["T"])},
+                )
 
         result = run(system, state0, lifted, evo, on_step=on_step)
 
