@@ -13,24 +13,36 @@ T = -sum_m delta_m D zeta_m.
 
 One step advances (gamma, delta, beta) by implicit Euler.  The stress and
 the temperature depend only on (delta, beta), so the unknowns of the
-nonlinear algebraic system x = F(x) are x = (delta, beta); it is solved by
-Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of depth
-``ANDERSON_DEPTH`` on the fixed-point map F, which is a contraction for
-small dt thanks to the monotonicity of the law.  ``run`` starts each solve
+nonlinear algebraic system x = F(x) are x = (delta, beta).  The law is
+monotone, so the delta half of F - x is minus the gradient of a strictly
+convex incremental potential, with the SPD Jacobian I + dt K (Ortiz &
+Stainier, CMAME 171, 1999).  The system is solved by a chord-Newton
+iteration on delta: each step solves (I + dt K) s = F_delta(x) - delta with a
+tangent K formed from the law's own stress and dissipation at one map
+evaluation, while beta takes the map's explicit heat update F_beta(x).
+``run`` keeps K for the whole run and re-forms the inverse of I + dt K only
+when dt changes; K itself is re-formed at the current iterate when a chord
+step contracts the max-norm delta residual by less than
+``CHORD_CONTRACTION`` or fails to decrease it.  A step along a fresh K that
+does not decrease the residual is halved down to ``MIN_STEP``; past that,
+the solve continues with damped Picard steps x + eta (F(x) - x), eta halved
+whenever the residual grows, so the worst case is the plain damped
+fixed-point iteration.  A solve converges when the max-norm residual of the
+full map is at most ``solver_tol``; each map evaluation, line-search trials
+included, counts as one iteration.  ``run`` starts each solve
 from the Lagrange polynomial of degree d <= 2 through the newest d + 1 accepted
 levels (t_i, x_i), substeps of a dt halving included, with d the degree that
 best predicted the newest level from those before it (Hairer & Wanner, Solving
 ODEs II, IV.8); its first step, ``step`` and a non-finite guess start from the
-state.  Once x is accepted, gamma is explicit:
+state, and ``step`` and a direct ``_advance`` form their own K.  Once x is
+accepted, gamma is explicit:
 gamma(new) = gamma(old) + dt (G, D eps(w_n)) / lam_n with the law value G
-of the accepted map evaluation.
-Whenever the max-norm residual grows, the mixing history is dropped and a
-damped Picard step x + eta (F(x) - x) with halved eta is taken, so the worst
-case is the plain damped fixed-point iteration.  F is evaluated with BLAS
+of the accepted map evaluation.  F is evaluated with BLAS
 matrix-vector products over 2-D views of the Gauss-point mode tables.  An
 iterate whose stress or temperature is non-finite fails the solve before it
 reaches the law, and so does a floating-point overflow anywhere in F.  Steps
-too stiff for the iteration, or whose iterates diverge, are split by
+whose solve does not converge within ``solver_max_iter`` evaluations, or
+whose iterates diverge, are split by
 residual-based dt halving with the lift interpolated linearly between grid
 samples.  The heat row is diagonal in the eigenbasis:
 beta_m <- (beta_m + dt s_m)/(1 + dt mu_m) with the truncated, sign-clipped
@@ -64,7 +76,7 @@ from .constitutive import BodnerPartom
 from .errors import BadData, NonlinearSolveFailure, StateCorrupt
 from .lifting import LiftedFields
 from .mesh_fem import AssembledOperators
-from .tensor import dev6, dot6, norm6, trace6
+from .tensor import dev6, dev6_inplace, dot6, norm6, trace6
 
 
 def truncate(x, level: float):
@@ -169,8 +181,11 @@ class ModalSystem:
         return (delta @ self.D_zeta_rows).reshape(-1, 6)
 
     def stress_dev(self, S, Ttd_q) -> np.ndarray:
-        """Physical stress deviator at the Gauss points from S and the lift's ``Ttd_q``."""
-        return Ttd_q - dev6(S)
+        """Physical stress deviator at the Gauss points from S and the lift's ``Ttd_q``.
+
+        The deviator is taken in place: S is overwritten and returned.
+        """
+        return np.subtract(Ttd_q, dev6_inplace(S), out=S)
 
     def theta_nodal(self, beta) -> np.ndarray:
         return beta @ self.fields.v_nodal
@@ -227,14 +242,13 @@ def _lift_slices(system: ModalSystem, lifted: LiftedFields, step_index: int):
 
 
 def _law_terms(system, delta, beta, theta_t_q, Ttd_q, y, diverged=None):
-    """Td, G, Td : G and S = stress(delta); raises ``diverged()`` on a non-finite input to G."""
-    S = system.stress(delta)
-    Td = system.stress_dev(S, Ttd_q)
+    """Td, G and Td : G; raises ``diverged()`` on a non-finite input to G."""
+    Td = system.stress_dev(system.stress(delta), Ttd_q)
     theta_q = system.theta_quad(beta) + theta_t_q
     if diverged is not None and not (np.isfinite(Td).all() and np.isfinite(theta_q).all()):
         raise diverged()
     G = system.law.evaluate_many(theta_q, Td, y=y)
-    return Td, G, dot6(Td, G), S
+    return Td, G, dot6(Td, G)
 
 
 def initial_report(system: ModalSystem, state: SimState, lifted: LiftedFields) -> StepReport:
@@ -242,7 +256,7 @@ def initial_report(system: ModalSystem, state: SimState, lifted: LiftedFields) -
     # a law value past the float range is written as inf or nan, not warned
     # about; a step from this state fails on it (exit 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        Td, _, diss, _ = _law_terms(
+        Td, _, diss = _law_terms(
             system, state.delta, state.beta, *_lift_slices(system, lifted, 0), state.y_quad
         )
         return StepReport(
@@ -265,10 +279,6 @@ def step(
     ``step_index`` is the index of the *target* time level on the lift grid.
     """
     return _advance(system, state, *_lift_slices(system, lifted, step_index), config.dt, config)
-
-
-#: columns of Anderson mixing history; 0 gives the plain damped Picard iteration
-ANDERSON_DEPTH = 5
 
 
 def _lagrange_weights(ts, t):
@@ -296,68 +306,160 @@ def _start_iterate(levels, t):
     return guess if d > 0 and np.isfinite(guess).all() else levels[-1][1]
 
 
-def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig, x_start=None):
-    """Implicit-Euler advance against fixed lift slices over dt from ``x_start`` (or the state)."""
+def _implicit_map(system, state, theta_t_q, Ttd_q, dt, level, x, diverged=None):
+    """The implicit-Euler map F of x = (delta, beta) against fixed lift slices.
+
+    Returns F(x) and (Td, diss, src, pz, wG, dissipation) of the evaluation:
+    the stress deviator, G : Td, the truncated source, the delta rate, the
+    weighted law values and the integral of G : Td.  ``diverged`` is raised on
+    a non-finite input to the law and on a dissipation past the float range
+    (``einsum`` overflows without a floating-point error).
+    """
+    l = system.l
+    Td, G, diss = _law_terms(system, x[:l], x[l:], theta_t_q, Ttd_q, state.y_quad, diverged)
+    dissipation = float(system.wq @ diss)
+    if diverged is not None and not math.isfinite(dissipation):
+        raise diverged(" (the dissipation leaves the float range)")
+    G *= system.wq[:, None]
+    wG = G.ravel()
+    pz = system.D_zeta_rows @ wG
+    src = np.clip(diss, 0.0, level)
+    heat = system.fields.v_quad @ (system.wq * src)
+    fx = np.concatenate(
+        [state.delta + dt * pz, (state.beta + dt * heat) / (1.0 + dt * system.mu)]
+    )
+    return fx, (Td, diss, src, pz, wG, dissipation)
+
+
+#: entries of one (l, points, 6) block of the mode table while K is formed;
+#: blocks this small leave the run's peak RSS where it was
+_TANGENT_BLOCK = 1 << 12
+
+
+def _delta_tangent(system, Td, diss) -> np.ndarray:
+    """K = sum_q w_q B_q^T A_q B_q, the law's tangent in delta (dF_delta/ddelta = -dt K).
+
+    B = dev(D zeta) and A_q = dG/dTd at the evaluation with deviator ``Td``
+    and dissipation ``diss`` = G : Td.  Every shipped law is radial and
+    homogeneous of degree p - 1 in Td (Bodner-Partom with y frozen), so
+    A_q = s_q (I + (p - 2) n_q n_q^T) with s_q = (G : Td)_q / r_q^2 and
+    n_q = Td_q / r_q, r_q = |Td_q|; s_q = 0 where r_q = 0.  For Mroz the
+    temperature coupling is left out, and K is only a chord.  K is built in
+    blocks of quadrature points, so no (l, NQ, 6) temporary is formed.
+    """
+    l = system.l
+    r2 = dot6(Td, Td)
+    pos = r2 > 0.0
+    ws = np.divide(system.wq * diss, r2, out=np.zeros_like(r2), where=pos)
+    # the rank-one part w_q s_q (p - 2) (B_q n_q)(B_q n_q)^T, with n_q = Td_q / r_q
+    wn = np.divide((system.law.p - 2.0) * ws, r2, out=np.zeros_like(r2), where=pos)
+    K = np.zeros((l, l))
+    n_block = max(1, _TANGENT_BLOCK // (6 * l))
+    for a in range(0, r2.size, n_block):
+        B = dev6_inplace(system.fields.D_zeta[:, a : a + n_block].copy())
+        c = np.einsum("mqi,qi->mq", B, Td[a : a + n_block])
+        wB = B * ws[a : a + n_block, None]
+        K += B.reshape(l, -1) @ wB.reshape(l, -1).T + (c * wn[a : a + n_block]) @ c.T
+    return K
+
+
+class ChordTangent:
+    """The delta tangent K of one solve or of a whole run, with the inverse of I + dt K.
+
+    K does not depend on dt; the inverse is re-formed only when K or dt changes.
+    """
+
+    def __init__(self):
+        self.K = None
+        self._dt = None
+        self._J_inv = None
+
+    def form(self, system, Td, diss):
+        self.K = _delta_tangent(system, Td, diss)
+        self._J_inv = None
+
+    def solve(self, dt, g):
+        """The chord step (I + dt K)^-1 g."""
+        if self._J_inv is None or dt != self._dt:
+            self._J_inv = np.linalg.inv(np.eye(len(self.K)) + dt * self.K)
+            self._dt = dt
+        return self._J_inv @ g
+
+
+#: a chord step that leaves more than this share of the delta residual re-forms K
+CHORD_CONTRACTION = 0.1
+#: shortest line-search step along a fresh tangent before the damped Picard step
+MIN_STEP = 1.0 / 16.0
+
+
+def _advance(
+    system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig, x_start=None, tangent=None
+):
+    """Implicit-Euler advance against fixed lift slices over dt from ``x_start`` (or the state).
+
+    ``tangent`` is the run's ``ChordTangent``; without one the solve forms its own.
+    """
     law = system.law
     wq = system.wq
-    wq_col = wq[:, None]
-    v_quad = system.fields.v_quad
     level = _truncation_level(system, config)
+    tol = config.solver_tol
     t_new = state.t + dt
 
-    gamma0, delta0, beta0 = state.gamma, state.delta, state.beta
+    gamma0, delta0 = state.gamma, state.delta
     l = system.l
-    heat_den = 1.0 + dt * system.mu
+    tangent = ChordTangent() if tangent is None else tangent
     history = []
 
     def diverged(why=""):
         message = f"implicit step diverged at t={t_new:.6g}{why}"
         return NonlinearSolveFailure(message, history, t_new)
 
-    def apply_map(xv):
-        Td, G, diss, S = _law_terms(system, xv[:l], xv[l:], theta_t_q, Ttd_q, state.y_quad, diverged)
-        wG = (wq_col * G).ravel()
-        pz = system.D_zeta_rows @ wG
-        src = truncate(np.maximum(diss, 0.0), level)
-        out = np.concatenate(
-            [delta0 + dt * pz, (beta0 + dt * (v_quad @ (wq * src))) / heat_den]
-        )
-        return out, (Td, diss, src, pz, wG, S)
-
-    x = np.concatenate([delta0, beta0]) if x_start is None else x_start
-    eta = 1.0
-    r_prev = np.inf
-    dx, dg = [], []  # Anderson history: differences of iterates and of residuals
-    x_old = g_old = None
+    x = np.concatenate([delta0, state.beta]) if x_start is None else x_start
+    # the newest accepted iterate: x, F(x) - x, its delta residual, its evaluation
+    xb = gb = aux_b = None
+    rb = np.inf
+    fresh = False  # K was formed at the accepted iterate
+    lam = 1.0  # line-search step along K
+    eta, r_prev = None, np.inf  # damped Picard, once the fresh tangent fails
     try:
         # an overflow inside the map is a diverging iterate, not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(config.solver_max_iter):
-                fx, aux = apply_map(x)
+                fx, aux = _implicit_map(system, state, theta_t_q, Ttd_q, dt, level, x, diverged)
                 g = fx - x
                 r = float(np.abs(g).max())
                 history.append(r)
                 if not np.isfinite(r):
                     raise diverged()
-                if r <= config.solver_tol:
+                if r <= tol:
                     break
-                if r > r_prev:
-                    # safeguard: forget the secants, damped Picard with halved eta
-                    eta = max(eta / 2.0, 1.0 / 1024.0)
-                    dx.clear()
-                    dg.clear()
-                elif ANDERSON_DEPTH > 0 and g_old is not None:
-                    dx.append(x - x_old)
-                    dg.append(g - g_old)
-                    if len(dx) > ANDERSON_DEPTH:
-                        del dx[0], dg[0]
-                x_old, g_old, r_prev = x, g, r
-                if dg:
-                    DX, DG = np.array(dx).T, np.array(dg).T
-                    coef = np.linalg.lstsq(DG, g, rcond=None)[0]
-                    x = x + eta * g - (DX + eta * DG) @ coef
-                else:
+                if eta is not None:
+                    if r > r_prev:
+                        eta = max(eta / 2.0, 1.0 / 1024.0)
+                    r_prev = r
                     x = x + eta * g
+                    continue
+                rd = float(np.abs(g[:l]).max())
+                if rd < rb or rd <= tol:
+                    if rd > max(CHORD_CONTRACTION * rb, tol):
+                        tangent.K = None  # a weak contraction: re-form K here
+                    xb, gb, rb, aux_b, fresh, lam = x, g, rd, aux, False, 1.0
+                elif not fresh:
+                    tangent.K = None  # the chord step failed: re-form K, full step
+                    lam = 1.0
+                elif lam > MIN_STEP:
+                    lam /= 2.0  # backtrack along the fresh tangent
+                else:
+                    # K is no descent direction here: damped Picard from the
+                    # accepted iterate on, eta halved whenever the residual grows
+                    eta = 0.5
+                    x = xb + eta * gb
+                    continue
+                if tangent.K is None:
+                    tangent.form(system, aux_b[0], aux_b[1])
+                    fresh = True
+                # beta takes the map's explicit heat update
+                x = np.concatenate([xb[:l] + lam * tangent.solve(dt, gb[:l]), xb[l:] + gb[l:]])
             else:
                 raise NonlinearSolveFailure(
                     f"implicit step did not converge in {config.solver_max_iter} iterations "
@@ -368,7 +470,7 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig, x_sta
     except FloatingPointError as err:
         raise diverged(f" ({err})") from None
 
-    Td, diss, src, pz, wG, S = aux
+    Td, diss, src, pz, wG, dissipation = aux
     gamma1 = gamma0 + dt * (system.D_eps_w_rows @ wG) / system.lam
     delta1 = x[:l].copy()
     beta1 = x[l:].copy()
@@ -380,8 +482,8 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig, x_sta
     defect = e_new - e_old - dt * float(delta_bar @ pz)
 
     # (wq T, eps(w_n)) of the accepted stress; its sign does not matter here
-    eq_res = float(np.abs(system.eps_w_rows @ (wq_col * S).ravel()).max())
-    dissipation = float(wq @ diss)
+    S = system.stress(delta1)
+    eq_res = float(np.abs(system.eps_w_rows @ (wq[:, None] * S).ravel()).max())
     source_integral = float(wq @ src)
     trace_sup = float(np.abs(system.epsp_trace(gamma1, delta1)).max())
 
@@ -402,8 +504,8 @@ def _advance(system, state, theta_t_q, Ttd_q, dt, config: EvolutionConfig, x_sta
         equilibrium_residual=eq_res,
         epsp_trace_sup=trace_sup,
         stress_lp=system.ops.integrate(norm6(Td) ** law.p),
-        clip_fraction=float(np.mean(diss < 0.0)),
-        trunc_fraction=float(np.mean(np.abs(diss) > level)),
+        clip_fraction=float(np.count_nonzero(diss < 0.0) / diss.size),
+        trunc_fraction=float(np.count_nonzero(np.abs(diss) > level) / diss.size),
         substeps=1,
     )
     return new_state, report
@@ -433,15 +535,16 @@ def _merge_reports(a: StepReport, b: StepReport, dt_a: float, dt_b: float) -> St
     )
 
 
-def _step_adaptive(system, state, lifted, step_index, config: EvolutionConfig, levels):
+def _step_adaptive(system, state, lifted, step_index, config: EvolutionConfig, levels, tangent):
     """One grid step with residual-based dt halving on solver stalls.
 
     Substeps interpolate the lift slices linearly between the two enclosing
     grid samples; the composite report carries summed defects and
     time-averaged rates, so the per-step identities remain exact.  Level i-1
     is formed only when the step halves.  Each solve starts from
-    ``_start_iterate(levels)``; every accepted (sub)level is appended to
-    ``levels``, whose newest entry is the state.
+    ``_start_iterate(levels)`` and steps with the run's ``tangent``; every
+    accepted (sub)level is appended to ``levels``, whose newest entry is the
+    state.
     """
     end = _lift_slices(system, lifted, step_index)
     start = functools.cache(lambda: _lift_slices(system, lifted, step_index - 1))
@@ -450,7 +553,8 @@ def _step_adaptive(system, state, lifted, step_index, config: EvolutionConfig, l
         slices = end if s1 == 1.0 else [(1.0 - s1) * a + s1 * b for a, b in zip(start(), end)]
         dt = (s1 - s0) * config.dt
         try:
-            st, rep = _advance(system, st, *slices, dt, config, _start_iterate(levels, st.t + dt))
+            x0 = _start_iterate(levels, st.t + dt)
+            st, rep = _advance(system, st, *slices, dt, config, x0, tangent)
         except NonlinearSolveFailure:
             if depth >= MAX_HALVINGS:
                 raise
@@ -503,10 +607,11 @@ def run(
     # accepted levels (t, (delta, beta)) for the starting iterates: four fit a
     # quadratic and score it against the newest
     levels = collections.deque([(state.t, np.concatenate([state.delta, state.beta]))], maxlen=4)
+    tangent = ChordTangent()  # formed in the first solve, re-formed only when a chord step stalls
     if on_step is not None:
         on_step(0, state, initial_report(system, state, lifted))
     for i in range(1, n + 1):
-        state, rep = _step_adaptive(system, state, lifted, i, config, levels)
+        state, rep = _step_adaptive(system, state, lifted, i, config, levels, tangent)
         gam[i], del_[i], bet[i] = state.gamma, state.delta, state.beta
         reports.append(rep)
         if on_step is not None:

@@ -40,13 +40,16 @@ def trace6(v: np.ndarray) -> np.ndarray:
 
 def dev6(v: np.ndarray) -> np.ndarray:
     """Deviatoric part of (..., 6) Voigt arrays."""
-    v = np.asarray(v, dtype=float)
-    out = v.copy()
+    return dev6_inplace(np.array(v, dtype=float))
+
+
+def dev6_inplace(v: np.ndarray) -> np.ndarray:
+    """Overwrite the float (..., 6) Voigt array ``v`` with its deviatoric part; returns v."""
     m = trace6(v) / 3.0
-    out[..., 0] -= m
-    out[..., 1] -= m
-    out[..., 2] -= m
-    return out
+    v[..., 0] -= m
+    v[..., 1] -= m
+    v[..., 2] -= m
+    return v
 
 
 def norm6(v: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from thermovisc.cli import EXIT_OK, main
+from thermovisc.evolution import EvolutionConfig
 
 SCALES = [1e-6, 1e-3, 1.0, 1e6, 1e11]
 
@@ -97,6 +98,13 @@ def test_scaled_norton_hoff_run_reproduces_the_unit_run(tmp_path):
         # the thermodynamic checks pass on every rung
         assert summary["checks"]["passed"] is True, (s, code, summary.get("failure"))
         got = _columns(out)
+        assert np.array_equal(got["solver_iters"], unit["solver_iters"]), s
         for name, ref in unit.items():
             scale = np.abs(ref).max() or 1.0
-            assert np.abs(got[name] - ref).max() <= 1e-12 * scale, (s, name)
+            diff = np.abs(got[name] - ref)
+            if name == "solver_residual":
+                # a Newton step can land the residual on the round-off floor,
+                # where the scalings differ; such rows need only stay there
+                floor = 1e-6 * EvolutionConfig.solver_tol
+                diff = diff[(got[name] > floor) | (ref > floor)]
+            assert diff.max(initial=0.0) <= 1e-12 * scale, (s, name)
