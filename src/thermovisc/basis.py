@@ -51,7 +51,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 from . import __version__
 from .errors import BadConfig, BadData, EmptyComplement, SolverFailure
 from .mesh_fem import AssembledOperators
-from .tensor import VOIGT_PAIRS
+from .tensor import DEVIATORIC_BASIS, VOIGT_PAIRS, ElasticityTensor
 
 #: eigenproblem sizes, in the problem's own dofs, up to which the dense LAPACK
 #: solve runs; above it the certified shift-invert solve is faster
@@ -265,12 +265,8 @@ class ComplementSpace:
 def _node_tensor_basis(dim: int, space: str) -> np.ndarray:
     # plane strain keeps every diagonal slot; a shear slot a_ij needs j < dim
     shear = [np.eye(6)[:, slot] for slot, i, j in VOIGT_PAIRS if i != j and j < dim]
-    s2, s6 = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(6.0)
     if space == "deviatoric":
-        diagonal = [
-            np.array([s2, -s2, 0.0, 0.0, 0.0, 0.0]),
-            np.array([s6, s6, -2.0 * s6, 0.0, 0.0, 0.0]),
-        ]
+        diagonal = list(DEVIATORIC_BASIS[:, :2].T)  # the two traceless diagonals
     elif space == "full":
         diagonal = [np.eye(6)[:, slot] for slot, i, j in VOIGT_PAIRS if i == j]
     else:
@@ -424,14 +420,26 @@ def build_basis(ops: AssembledOperators, k: int, l: int, space: str = "deviatori
 
 @dataclass
 class BasisFields:
-    """Basis functions evaluated at the Gauss points."""
+    """Basis functions evaluated at the Gauss points.
+
+    ``D_eps_w`` and ``D_zeta`` are formed on each read and never stored: only
+    the set-up reads them, and the step works on their deviators in the frame
+    (``evolution.ModalSystem``).
+    """
 
     eps_w: np.ndarray  # (k, NQ, 6)
-    D_eps_w: np.ndarray
     zeta: np.ndarray  # (l, NQ, 6)
-    D_zeta: np.ndarray
     v_quad: np.ndarray  # (l, NQ)
     v_nodal: np.ndarray  # (l, n)
+    D: ElasticityTensor = field(repr=False)
+
+    @property
+    def D_eps_w(self) -> np.ndarray:
+        return self.D.apply6(self.eps_w)
+
+    @property
+    def D_zeta(self) -> np.ndarray:
+        return self.D.apply6(self.zeta)
 
 
 def basis_fields(ops: AssembledOperators, basis: GalerkinBasis) -> BasisFields:
@@ -441,19 +449,12 @@ def basis_fields(ops: AssembledOperators, basis: GalerkinBasis) -> BasisFields:
     m = B.shape[1]
     zeta = np.stack([(P @ z.reshape(-1, m)) @ B.T for z in basis.Z])
     v_quad = np.stack([P @ v for v in basis.V])
-    return BasisFields(
-        eps_w=eps_w,
-        D_eps_w=ops.D.apply6(eps_w),
-        zeta=zeta,
-        D_zeta=ops.D.apply6(zeta),
-        v_quad=v_quad,
-        v_nodal=basis.V,
-    )
+    return BasisFields(eps_w=eps_w, zeta=zeta, v_quad=v_quad, v_nodal=basis.V, D=ops.D)
 
 
 def project_complement(ops: AssembledOperators, fields: BasisFields, field_quad: np.ndarray):
     """Coefficients (field, zeta_i)_D of a quadrature strain field."""
-    return np.einsum("q,qi,mqi->m", ops.wq, np.asarray(field_quad), fields.D_zeta)
+    return np.einsum("q,qi,mqi->m", ops.wq, ops.D.apply6(field_quad), fields.zeta)
 
 
 def projection_norm_check(basis: GalerkinBasis, n_fields: int = 1000, seed: int = 0):
@@ -492,8 +493,13 @@ def basis_invariant_report(ops: AssembledOperators, basis: GalerkinBasis, f: Bas
     w = np.repeat(ops.wq, 6)
     lam_w, mu_v, v1, eps_w = basis.lam_w, basis.mu_v, basis.V[0], f.eps_w.reshape(k, -1)
     gram_w = basis.W @ (ops.M_u @ basis.W.T)
-    gram_w_D = (f.D_eps_w.reshape(k, -1) * w) @ eps_w.T
-    D_zeta = f.D_zeta.reshape(l, -1) * w  # one weighted table at a time
+    # each D table is formed on read and weighted in place, one at a time
+    D_eps_w = f.D_eps_w.reshape(k, -1)
+    D_eps_w *= w
+    gram_w_D = D_eps_w @ eps_w.T
+    del D_eps_w
+    D_zeta = f.D_zeta.reshape(l, -1)
+    D_zeta *= w
     report = {
         "gram_W_L2_err": float(np.abs(gram_w - np.eye(k)).max()),
         "gram_W_D_err": float(np.abs(gram_w_D - np.diag(lam_w)).max() / lam_w.max()),

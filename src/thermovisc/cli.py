@@ -74,6 +74,7 @@ from .runio import (
     cell_average,
     write_summary,
 )
+from .tensor import FRAME_RTOL, frame_loss
 
 ENV_OUT = "THERMOVISC_OUT"
 
@@ -98,8 +99,13 @@ def _build_basis(cfg, ops):
 
 def prepare_run(cfg, ops):
     """Modal system, evolution config, lift and initial state of one run, on a
-    basis that passes its invariant report."""
+    basis that passes its invariant report and a deviator frame that keeps
+    every direction its tables use."""
     mesh = ops.mesh
+    if (loss := frame_loss(ops.D, mesh.dim, ops.frame)) > FRAME_RTOL:
+        raise InvariantError(
+            f"the deviator frame leaves out {loss:.3e} of a stress direction the tables use"
+        )
     system = ModalSystem(ops, _build_basis(cfg, ops), make_law(cfg))
     if failed := basis_invariant_report(ops, system.basis, system.fields)["failed"]:
         raise InvariantError(f"basis invariants failed: {', '.join(failed)}")

@@ -1,9 +1,14 @@
 """Temperature-dependent monotone constitutive laws for the inelastic strain rate.
 
 Each law maps (theta, Td) to a traceless strain rate, evaluated on arrays by
-``evaluate_many(theta, td, y=None)`` with (n,) temperatures and (n, 6)
+``evaluate_many(theta, td, y=None)`` with (n,) temperatures and (n, m)
 deviators; ``y`` is the hardening field of a hardening law and is ignored by
-the others.  Each law declares the constants of its monotonicity / growth /
+the others.  The deviators are given in orthonormal coordinates: weighted
+Voigt 6-vectors, or the m coordinates of the step's deviator frame
+(``tensor.deviator_frame``), and the value comes back in the same
+coordinates.  A law must therefore be isotropic, G(th, R Td) = R G(th, Td)
+for every orthogonal change of coordinates R; every law here depends on Td
+only through |Td| and Td itself.  Each law declares the constants of its monotonicity / growth /
 coercivity certificate:
 
     monotonicity   (G(th,T1) - G(th,T2)) : (T1 - T2) >= 0

@@ -37,12 +37,19 @@ ODEs II, IV.8); its first step, ``step`` and a non-finite guess start from the
 state, and ``step`` and a direct ``_advance`` form their own K.  Once x is
 accepted, gamma is explicit:
 gamma(new) = gamma(old) + dt (G, D eps(w_n)) / lam_n with the law value G
-of the accepted map evaluation.  F is evaluated with BLAS
-matrix-vector products over 2-D views of the Gauss-point mode tables.  An
-iterate whose stress or temperature is non-finite fails the solve before it
-reaches the law, and so does a floating-point overflow anywhere in F.  Steps
-whose solve does not converge within ``solver_max_iter`` evaluations, or
-whose iterates diverge, are split by
+of the accepted map evaluation.  The law couples the fields only through
+the stress deviator, so F works in the deviator frame Q of the operators
+(``tensor.deviator_frame``; m = 3 coordinates in plane strain with isotropic
+D, 5 in 3D): dev(D zeta_m) Q, dev(D eps(w_n)) Q and the lift's deviator are
+stored as (rows, NQ*m) tables, and F is evaluated with BLAS matrix-vector
+products over them.  The step's equilibrium residual is |E delta| with the
+(k, l) matrix E = (eps(w_n), D zeta_m), formed once.  An iterate whose
+stress or temperature is non-finite fails the solve before it reaches the
+law, and so does a floating-point overflow in F at a solve's first
+evaluation or in a damped Picard step; an overflow at a chord trial re-forms
+K and backtracks, as a trial that does not decrease the residual does.
+Steps whose solve does not converge within ``solver_max_iter`` evaluations,
+or whose iterates diverge, are split by
 residual-based dt halving with the lift interpolated linearly between grid
 samples.  The heat row is diagonal in the eigenbasis:
 beta_m <- (beta_m + dt s_m)/(1 + dt mu_m) with the truncated, sign-clipped
@@ -76,7 +83,7 @@ from .constitutive import BodnerPartom
 from .errors import BadData, NonlinearSolveFailure, StateCorrupt
 from .lifting import LiftedFields
 from .mesh_fem import AssembledOperators
-from .tensor import dev6, dev6_inplace, dot6, norm6, trace6
+from .tensor import VOIGT_TRACE, dev6, dot6, norm6, trace6
 
 
 def truncate(x, level: float):
@@ -145,7 +152,15 @@ class StepReport:
 
 
 class ModalSystem:
-    """Precomputed Gauss-point mode tables binding mesh, basis and law."""
+    """Precomputed Gauss-point mode tables binding mesh, basis and law.
+
+    The step reads the mode tables only in the deviator frame Q = ``ops.frame``
+    (6, m): ``D_zeta_frame`` (l, NQ*m) holds dev(D zeta_m) Q and
+    ``D_eps_w_frame`` (k, NQ*m) holds dev(D eps(w_n)) Q, row by row, for BLAS
+    matrix-vector products.  ``E`` (k, l) is (eps(w_n), D zeta_m) in the
+    quadrature, so E delta is the equilibrium residual of the homogeneous
+    stress against each w_n.
+    """
 
     def __init__(self, ops: AssembledOperators, basis: GalerkinBasis, law):
         self.ops = ops
@@ -157,14 +172,17 @@ class ModalSystem:
         self.wq = ops.wq
         self.k = basis.k
         self.l = basis.l
-        # (modes, NQ*6) views of the C-contiguous (modes, NQ, 6) tables, for
-        # BLAS matrix-vector products in the fixed-point map; never copies
-        self.D_eps_w_rows = self.fields.D_eps_w.reshape(self.k, -1)
-        self.D_zeta_rows = self.fields.D_zeta.reshape(self.l, -1)
-        self.eps_w_rows = self.fields.eps_w.reshape(self.k, -1)
+        self.m = ops.frame.shape[1]
+        # (D x) Q = x (D^T Q): each table is formed in the frame directly
+        DQ = ops.D.voigt.T @ ops.frame
+        self.D_zeta_frame = (self.fields.zeta @ DQ).reshape(self.l, -1)
+        self.D_eps_w_frame = (self.fields.eps_w @ DQ).reshape(self.k, -1)
+        wD_zeta = self.fields.D_zeta  # formed on read, so weighted in place
+        wD_zeta *= self.wq[:, None]
+        self.E = self.fields.eps_w.reshape(self.k, -1) @ wD_zeta.reshape(self.l, -1).T
         # tr eps(w_n) and tr zeta_m at the Gauss points: the trace of eps_p
-        self.tr_eps_w = self.fields.eps_w[..., :3].sum(axis=-1)
-        self.tr_zeta = self.fields.zeta[..., :3].sum(axis=-1)
+        self.tr_eps_w = self.fields.eps_w @ VOIGT_TRACE
+        self.tr_zeta = self.fields.zeta @ VOIGT_TRACE
 
     # -- field reconstruction at Gauss points --------------------------------
 
@@ -176,16 +194,11 @@ class ModalSystem:
     def epsp_trace(self, gamma, delta) -> np.ndarray:
         return gamma @ self.tr_eps_w + delta @ self.tr_zeta
 
-    def stress(self, delta) -> np.ndarray:
-        """S = sum_m delta_m D zeta_m = -T_hom at the Gauss points."""
-        return (delta @ self.D_zeta_rows).reshape(-1, 6)
-
-    def stress_dev(self, S, Ttd_q) -> np.ndarray:
-        """Physical stress deviator at the Gauss points from S and the lift's ``Ttd_q``.
-
-        The deviator is taken in place: S is overwritten and returned.
-        """
-        return np.subtract(Ttd_q, dev6_inplace(S), out=S)
+    def stress_dev(self, delta, Ttd_q) -> np.ndarray:
+        """Frame coordinates (NQ, m) of the physical stress deviator
+        T~^d - dev(sum_m delta_m D zeta_m), from the lift's ``Ttd_q`` (NQ, m)."""
+        Td = delta @ self.D_zeta_frame
+        return np.subtract(Ttd_q.ravel(), Td, out=Td).reshape(-1, self.m)
 
     def theta_nodal(self, beta) -> np.ndarray:
         return beta @ self.fields.v_nodal
@@ -226,7 +239,7 @@ def initialize(
     f = system.fields
     theta_tr = truncate(theta0, _truncation_level(system, config))
     beta = np.einsum("mn,n,n->m", f.v_nodal, ops.M_lumped, theta_tr)
-    gamma = np.einsum("q,qi,nqi->n", ops.wq, epsp0, f.D_eps_w) / system.lam
+    gamma = np.einsum("q,qi,nqi->n", ops.wq, ops.D.apply6(epsp0), f.eps_w) / system.lam
     delta = project_complement(ops, f, epsp0)
     y_quad = None
     if isinstance(system.law, BodnerPartom):
@@ -242,8 +255,12 @@ def _lift_slices(system: ModalSystem, lifted: LiftedFields, step_index: int):
 
 
 def _law_terms(system, delta, beta, theta_t_q, Ttd_q, y, diverged=None):
-    """Td, G and Td : G; raises ``diverged()`` on a non-finite input to G."""
-    Td = system.stress_dev(system.stress(delta), Ttd_q)
+    """Td, G (frame coordinates) and Td : G; raises ``diverged()`` on a non-finite input to G.
+
+    The law sees Td in the orthonormal frame; every shipped law is isotropic,
+    so G is the frame coordinates of its value at the Voigt deviator.
+    """
+    Td = system.stress_dev(delta, Ttd_q)
     theta_q = system.theta_quad(beta) + theta_t_q
     if diverged is not None and not (np.isfinite(Td).all() and np.isfinite(theta_q).all()):
         raise diverged()
@@ -310,19 +327,20 @@ def _implicit_map(system, state, theta_t_q, Ttd_q, dt, level, x, diverged=None):
     """The implicit-Euler map F of x = (delta, beta) against fixed lift slices.
 
     Returns F(x) and (Td, diss, src, pz, wG, dissipation) of the evaluation:
-    the stress deviator, G : Td, the truncated source, the delta rate, the
-    weighted law values and the integral of G : Td.  ``diverged`` is raised on
-    a non-finite input to the law and on a dissipation past the float range
-    (``einsum`` overflows without a floating-point error).
+    the stress deviator and the weighted law values in the frame, G : Td, the
+    truncated source, the delta rate and the integral of G : Td.  ``diverged``
+    is raised on a non-finite input to the law; a dissipation past the float
+    range, which ``einsum`` computes without a floating-point error, raises
+    FloatingPointError like any other overflow in F.
     """
     l = system.l
     Td, G, diss = _law_terms(system, x[:l], x[l:], theta_t_q, Ttd_q, state.y_quad, diverged)
     dissipation = float(system.wq @ diss)
-    if diverged is not None and not math.isfinite(dissipation):
-        raise diverged(" (the dissipation leaves the float range)")
+    if not math.isfinite(dissipation):
+        raise FloatingPointError("the dissipation leaves the float range")
     G *= system.wq[:, None]
     wG = G.ravel()
-    pz = system.D_zeta_rows @ wG
+    pz = system.D_zeta_frame @ wG
     src = np.clip(diss, 0.0, level)
     heat = system.fields.v_quad @ (system.wq * src)
     fx = np.concatenate(
@@ -331,32 +349,33 @@ def _implicit_map(system, state, theta_t_q, Ttd_q, dt, level, x, diverged=None):
     return fx, (Td, diss, src, pz, wG, dissipation)
 
 
-#: entries of one (l, points, 6) block of the mode table while K is formed;
-#: blocks this small leave the run's peak RSS where it was
+#: entries of one (l, points, m) block of the weighted mode table while K is
+#: formed; blocks this small leave the run's peak RSS where it was
 _TANGENT_BLOCK = 1 << 12
 
 
 def _delta_tangent(system, Td, diss) -> np.ndarray:
     """K = sum_q w_q B_q^T A_q B_q, the law's tangent in delta (dF_delta/ddelta = -dt K).
 
-    B = dev(D zeta) and A_q = dG/dTd at the evaluation with deviator ``Td``
-    and dissipation ``diss`` = G : Td.  Every shipped law is radial and
+    B = dev(D zeta) in the frame and A_q = dG/dTd at the evaluation with frame
+    deviator ``Td`` and dissipation ``diss`` = G : Td.  Every shipped law is radial and
     homogeneous of degree p - 1 in Td (Bodner-Partom with y frozen), so
     A_q = s_q (I + (p - 2) n_q n_q^T) with s_q = (G : Td)_q / r_q^2 and
     n_q = Td_q / r_q, r_q = |Td_q|; s_q = 0 where r_q = 0.  For Mroz the
     temperature coupling is left out, and K is only a chord.  K is built in
-    blocks of quadrature points, so no (l, NQ, 6) temporary is formed.
+    blocks of quadrature points, so no weighted (l, NQ, m) temporary is formed.
     """
-    l = system.l
+    l, m = system.l, system.m
     r2 = dot6(Td, Td)
     pos = r2 > 0.0
     ws = np.divide(system.wq * diss, r2, out=np.zeros_like(r2), where=pos)
     # the rank-one part w_q s_q (p - 2) (B_q n_q)(B_q n_q)^T, with n_q = Td_q / r_q
     wn = np.divide((system.law.p - 2.0) * ws, r2, out=np.zeros_like(r2), where=pos)
     K = np.zeros((l, l))
-    n_block = max(1, _TANGENT_BLOCK // (6 * l))
+    B_all = system.D_zeta_frame.reshape(l, -1, m)
+    n_block = max(1, _TANGENT_BLOCK // (m * l))
     for a in range(0, r2.size, n_block):
-        B = dev6_inplace(system.fields.D_zeta[:, a : a + n_block].copy())
+        B = B_all[:, a : a + n_block]
         c = np.einsum("mqi,qi->mq", B, Td[a : a + n_block])
         wB = B * ws[a : a + n_block, None]
         K += B.reshape(l, -1) @ wB.reshape(l, -1).T + (c * wn[a : a + n_block]) @ c.T
@@ -425,12 +444,20 @@ def _advance(
         # an overflow inside the map is a diverging iterate, not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(config.solver_max_iter):
-                fx, aux = _implicit_map(system, state, theta_t_q, Ttd_q, dt, level, x, diverged)
-                g = fx - x
-                r = float(np.abs(g).max())
+                try:
+                    fx, aux = _implicit_map(system, state, theta_t_q, Ttd_q, dt, level, x, diverged)
+                    g = fx - x
+                    r = float(np.abs(g).max())
+                    if not math.isfinite(r):
+                        raise FloatingPointError("the residual leaves the float range")
+                    rd = float(np.abs(g[:l]).max())
+                except FloatingPointError:
+                    if xb is None or eta is not None:
+                        raise
+                    # an overflow at a chord trial: re-form K and backtrack, as
+                    # for a trial that does not decrease the residual
+                    r = rd = math.inf
                 history.append(r)
-                if not np.isfinite(r):
-                    raise diverged()
                 if r <= tol:
                     break
                 if eta is not None:
@@ -439,7 +466,6 @@ def _advance(
                     r_prev = r
                     x = x + eta * g
                     continue
-                rd = float(np.abs(g[:l]).max())
                 if rd < rb or rd <= tol:
                     if rd > max(CHORD_CONTRACTION * rb, tol):
                         tangent.K = None  # a weak contraction: re-form K here
@@ -471,7 +497,7 @@ def _advance(
         raise diverged(f" ({err})") from None
 
     Td, diss, src, pz, wG, dissipation = aux
-    gamma1 = gamma0 + dt * (system.D_eps_w_rows @ wG) / system.lam
+    gamma1 = gamma0 + dt * (system.D_eps_w_frame @ wG) / system.lam
     delta1 = x[:l].copy()
     beta1 = x[l:].copy()
 
@@ -482,8 +508,7 @@ def _advance(
     defect = e_new - e_old - dt * float(delta_bar @ pz)
 
     # (wq T, eps(w_n)) of the accepted stress; its sign does not matter here
-    S = system.stress(delta1)
-    eq_res = float(np.abs(system.eps_w_rows @ (wq[:, None] * S).ravel()).max())
+    eq_res = float(np.abs(system.E @ delta1).max())
     source_integral = float(wq @ src)
     trace_sup = float(np.abs(system.epsp_trace(gamma1, delta1)).max())
 

@@ -12,7 +12,9 @@ interpolated where they are read).  Subtracting the lifted fields turns the
 physical problem into one with homogeneous boundary conditions;
 ``evolution.reconstruct_fields`` undoes the split for the snapshots, and the
 diagnostics rows see the lift only through its time factors, base fields and
-heat content (``diagnostics.RowTables``).
+heat content (``diagnostics.RowTables``).  The lift's stress deviator is
+stored in the deviator frame of the operators (``tensor.deviator_frame``), the
+coordinates the step works in.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from scipy.sparse.linalg import splu
 
 from .errors import BadData, DimensionMismatch, SolverFailure
 from .mesh_fem import AssembledOperators
-from .tensor import dev6
 
 
 @dataclass
@@ -36,8 +37,8 @@ class LiftedFields:
     factors: np.ndarray = field(repr=False)  # (nt, n_bases): c_b(t_i)
     u_tilde: np.ndarray = field(repr=False)  # (n_bases, ndof)
     eps_u_tilde: np.ndarray = field(repr=False)  # (n_bases, NQ, 6)
-    T_tilde: np.ndarray = field(repr=False)
-    T_tilde_dev: np.ndarray = field(repr=False)
+    T_tilde: np.ndarray = field(repr=False)  # (n_bases, NQ, 6): D eps(u~_b)
+    T_tilde_dev: np.ndarray = field(repr=False)  # (n_bases, NQ, m): dev T~_b in ops.frame
     theta_tilde: np.ndarray = field(repr=False)  # (nt, n)
     flux_integral: np.ndarray = field(repr=False)  # int g_theta ds per sample
 
@@ -208,7 +209,7 @@ def build_lift(
         u_tilde=u_b,
         eps_u_tilde=eps_b,
         T_tilde=T_b,
-        T_tilde_dev=dev6(T_b),
+        T_tilde_dev=T_b @ ops.frame,  # the frame is traceless: T Q = dev(T) Q
         theta_tilde=theta,
         flux_integral=flux,
     )

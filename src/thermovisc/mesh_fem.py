@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BadConfig, DimensionMismatch
-from .tensor import SQRT2, VOIGT_PAIRS, ElasticityTensor
+from .tensor import SQRT2, VOIGT_PAIRS, ElasticityTensor, deviator_frame
 
 _GAUSS1D = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 
@@ -168,6 +168,8 @@ class AssembledOperators:
         self.mesh = mesh
         self.D = D
         dim = mesh.dim
+        # (6, m) orthonormal coordinates of every stress deviator the step forms
+        self.frame = deviator_frame(D, dim)
         nnc = mesh.conn.shape[1]
         N_ref, dN_ref = _reference_element(dim)
         h = np.asarray(mesh.spacing)

@@ -11,6 +11,11 @@ makes the modal projections exact without extra bookkeeping.
 
 2D (plane strain) fields simply carry zeros in the out-of-plane shear slots;
 the algebra is identical in 2D and 3D.
+
+The step needs only stress deviators, which ``deviator_frame`` expresses in
+m orthonormal coordinates (m = 3 in plane strain with isotropic D, 5 in 3D).
+The frame is orthonormal, so dot products and norms of the coordinates equal
+those of the Voigt deviators, and ``dot6`` and ``norm6`` serve both.
 """
 
 from __future__ import annotations
@@ -27,9 +32,30 @@ VOIGT_TRACE = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 #: (slot, i, j): the Voigt slot of the tensor entry a_ij, i <= j
 VOIGT_PAIRS = ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, 1), (4, 0, 2), (5, 1, 2))
 
+_S2, _S6 = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(6.0)
+
+#: orthonormal columns (6, 5) spanning the deviatoric tensors: two traceless
+#: diagonals (each sums to zero exactly) and the three shear slots
+DEVIATORIC_BASIS = np.array([
+    [_S2, _S6, 0.0, 0.0, 0.0],
+    [-_S2, _S6, 0.0, 0.0, 0.0],
+    [0.0, -2.0 * _S6, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0],
+])
+
+#: singular values of dev(D S) below this share of the largest leave the frame
+FRAME_RANK_RTOL = 1e-12
+
+#: largest part of a stress direction that a deviator frame may leave out,
+#: relative to the largest entry of D (``frame_loss``)
+FRAME_RTOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
-# array helpers: the hot paths work on (..., 6) weighted-Voigt arrays
+# array helpers on (..., 6) weighted-Voigt arrays; norm6 and dot6 also take
+# the step's (..., m) frame coordinates
 # ---------------------------------------------------------------------------
 
 def trace6(v: np.ndarray) -> np.ndarray:
@@ -53,13 +79,13 @@ def dev6_inplace(v: np.ndarray) -> np.ndarray:
 
 
 def norm6(v: np.ndarray) -> np.ndarray:
-    """Frobenius norm of (..., 6) Voigt arrays."""
+    """Frobenius norm of (..., 6) Voigt arrays or of (..., m) frame coordinates."""
     v = np.asarray(v)
     return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
 def dot6(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Double contraction A:B of (..., 6) Voigt arrays."""
+    """Double contraction A:B of (..., 6) Voigt arrays or of (..., m) frame coordinates."""
     return np.einsum("...i,...i->...", np.asarray(a), np.asarray(b))
 
 
@@ -114,3 +140,35 @@ class ElasticityTensor:
     def inner6(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pointwise D-weighted contraction (D a):b for (..., 6) arrays."""
         return dot6(self.apply6(a), b)
+
+
+def strain_slots(dim: int) -> list:
+    """Voigt slots a strain field of a ``dim``-dimensional mesh occupies: every
+    diagonal slot (plane strain keeps a33 for the inelastic strain) and the
+    shear slots a_ij with j < dim."""
+    return [slot for slot, i, j in VOIGT_PAIRS if i == j or j < dim]
+
+
+def deviator_frame(D: ElasticityTensor, dim: int) -> np.ndarray:
+    """Orthonormal columns Q (6, m) spanning dev(D e) over the strain slots e of
+    a ``dim``-dimensional mesh.
+
+    Every stress deviator the step forms is such a dev(D e), so it equals
+    (X Q) Q^T, and X Q = dev(X) Q holds for any X because Q is traceless.
+    Q = DEVIATORIC_BASIS U, with U the left singular vectors of the deviatoric
+    coordinates of D over the slots whose singular values exceed
+    ``FRAME_RANK_RTOL`` of the largest: m = 3 in plane strain with isotropic
+    D, 5 in 3D, and up to 4 in plane strain when D couples the strain slots
+    into an out-of-plane shear.
+    """
+    coords = DEVIATORIC_BASIS.T @ D.voigt[:, strain_slots(dim)]
+    U, s, _ = np.linalg.svd(coords)
+    return DEVIATORIC_BASIS @ U[:, : int(np.count_nonzero(s > FRAME_RANK_RTOL * s[0]))]
+
+
+def frame_loss(D: ElasticityTensor, dim: int, Q: np.ndarray) -> float:
+    """Largest entry of dev(D e) - dev(D e) Q Q^T over the strain slots e of a
+    ``dim``-dimensional mesh, relative to max |D|.  Every table the step reads
+    in the frame Q is D applied to strains on these slots."""
+    X = dev6(D.voigt[:, strain_slots(dim)].T)
+    return float(np.abs(X - X @ Q @ Q.T).max() / np.abs(D.voigt).max())

@@ -8,7 +8,7 @@ from thermovisc.constitutive import (
     certify_assumption1,
 )
 from thermovisc.errors import CertificationFailure, DomainExit, NonFiniteInput
-from thermovisc.tensor import dev6, dot6, norm6
+from thermovisc.tensor import ElasticityTensor, deviator_frame, dev6, dot6, norm6
 
 
 def unit_dev(scale=1.0):
@@ -25,6 +25,35 @@ ALL_LAWS = [
     Mroz.lorentz(amplitude=1.0, offset=0.5),
     BodnerPartom(g0=1.0, m=2.0),
 ]
+
+
+FRAME_LAWS = [
+    NortonHoff(c=1.5, p=2.0),
+    NortonHoff(c=1.5, p=3.0),
+    NortonHoff(c=1.5, p=4.0),
+    BodnerPartom(g0=1.2, m=2.0),
+    Mroz.constant(0.8),
+    Mroz.lorentz(amplitude=2.0, offset=0.5),
+    Mroz.table([0.0, 1.0, 3.0], [2.0, 0.5, 1.0]),
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("law", FRAME_LAWS, ids=lambda l: l.name)
+def test_law_commutes_with_the_deviator_frame(law, dim):
+    # the step evaluates each law on frame coordinates C of the Voigt
+    # deviators C Q^T; an isotropic law gives the coordinates of its value
+    Q = deviator_frame(ElasticityTensor.isotropic(1.0, 1.0), dim)
+    rng = np.random.default_rng(dim)
+    n = 300
+    coords = rng.standard_normal((n, Q.shape[1])) * rng.uniform(0.0, 3.0, (n, 1))
+    coords[0] = 0.0
+    theta = rng.uniform(-1.0, 4.0, n)
+    y = rng.uniform(law.y_min, law.y_max, n) if isinstance(law, BodnerPartom) else None
+    in_frame = law.evaluate_many(theta, coords, y=y)
+    voigt = law.evaluate_many(theta, coords @ Q.T, y=y)
+    assert in_frame.shape == coords.shape
+    assert np.abs(voigt @ Q - in_frame).max() <= 1e-14 * np.abs(in_frame).max()
 
 
 def test_mroz_unit_modulus_is_identity():
