@@ -50,7 +50,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from . import __version__
 from .errors import BadConfig, BadData, EmptyComplement, SolverFailure
-from .mesh_fem import AssembledOperators
+from .mesh_fem import AssembledOperators, neumann_modes
 from .tensor import DEVIATORIC_BASIS, VOIGT_PAIRS, ElasticityTensor
 
 #: eigenproblem sizes, in the problem's own dofs, up to which the dense LAPACK
@@ -208,43 +208,21 @@ def displacement_eigenbasis(ops: AssembledOperators, k: int, record: dict | None
     return _fix_signs(W), lam
 
 
-def _cosine_modes(mesh):
-    """Per axis: the 1D Q1 stiffness 2 (1 - c) / h^2, mass (2 + c) / 3 and h sum' cos^2 of the
-    product modes prod_a cos(pi j_a i_a / n_a) (DCT-I), c = cos(pi j_a / n_a)."""
-    index = np.unravel_index(np.arange(mesh.n_nodes), [c + 1 for c in mesh.cells], order="F")
-    cos = [np.cos(np.pi * j / c) for j, c in zip(index, mesh.cells)]
-    stiff = [2.0 * (1.0 - c) / h**2 for c, h in zip(cos, mesh.spacing)]
-    norm = [h * np.where(j % c, c / 2, c) for h, j, c in zip(mesh.spacing, index, mesh.cells)]
-    return stiff, [(2.0 + c) / 3.0 for c in cos], norm
-
-
-def _cosine_transform(mesh, X):
-    """Phi X over axis 1, Phi[j, i] = prod_a cos(pi j_a i_a / n_a) (symmetric), axis by axis."""
-    Y = X.reshape(X.shape[:1] + tuple(c + 1 for c in reversed(mesh.cells)) + X.shape[2:])
-    for a, c in enumerate(mesh.cells):  # node ids run first axis fastest
-        T = np.cos(np.pi * np.outer(np.arange(c + 1), np.arange(c + 1)) / c)
-        Y = np.moveaxis(np.tensordot(T, Y, (1, mesh.dim - a)), 0, mesh.dim - a)
-    return Y.reshape(X.shape)
-
-
 def temperature_eigenbasis(ops: AssembledOperators, l: int, record: dict | None = None):
     """First l Neumann-Laplacian eigenpairs against the lumped mass, in closed form.
 
-    The product modes diagonalize M_lumped^-1 K_theta (``_cosine_modes``): a
-    mode has mu = sum_a stiff_a prod_{b != a} mass_b.  The l smallest are kept
-    by a stable sort over the modes, numbered as the nodes are; node 0 holds
-    each mode's largest entry, positive.  A residual test guards the premise.
+    The product modes diagonalize M_lumped^-1 K_theta (``mesh_fem.NeumannModes``).
+    The l smallest are kept by a stable sort over the modes, numbered as the
+    nodes are; node 0 holds each mode's largest entry, positive.  A residual
+    test guards the premise.
     """
     n = ops.n_nodes
     if not (1 <= l <= n):
         raise BadConfig(f"l must be in [1, {n}], got {l}")
-    mesh = ops.mesh
-    stiff, mass, _ = _cosine_modes(mesh)
-    terms = [stiff[a] * np.prod(mass[:a] + mass[a + 1 :], axis=0) for a in range(mesh.dim)]
-    # summed in sorted order, so modes that permute equal axes tie exactly
-    mu = np.sort(terms, axis=0).sum(axis=0)
+    modes = neumann_modes(ops.mesh)
+    mu = modes.mu
     keep = np.argsort(mu, kind="stable")[:l]
-    V = _cosine_transform(mesh, (keep[:, None] == np.arange(n)).astype(float))
+    V = modes.transform((keep[:, None] == np.arange(n)).astype(float))
     V /= np.sqrt((V**2) @ ops.M_lumped)[:, None]
     _check_residual(ops.K_theta, sp.diags(ops.M_lumped), mu[keep], V.T, "temperature")
     if record is not None:
@@ -362,14 +340,15 @@ def complement_strain_basis(
         raise EmptyComplement(f"complement dimension {nc} cannot host {l} modes "
                               f"(strain dofs {ns}, k={len(W)})")
 
-    stiff, mass, norm = _cosine_modes(mesh)
-    nu = np.sort([a / b for a, b in zip(stiff, mass)], axis=0).sum(axis=0)
+    modes = neumann_modes(mesh)
+    nu = np.sort([a / b for a, b in zip(modes.stiff, modes.mass)], axis=0).sum(axis=0)
     d, R = eigh(B.T @ ops.D.voigt @ B)
     # D-orthonormal modal dofs (mode, eigenvector of Dblk), node-major
-    scale = 1.0 / np.sqrt(np.outer(np.prod([a * b for a, b in zip(norm, mass)], 0), d)).ravel()
-    modal = (_cosine_transform(mesh, C.reshape(-1, n, m)) @ R).reshape(-1, ns) * scale
+    norm = np.prod([a * b for a, b in zip(modes.norm, modes.mass)], 0)  # M_theta-norms
+    scale = 1.0 / np.sqrt(np.outer(norm, d)).ravel()
+    modal = (modes.transform(C.reshape(-1, n, m)) @ R).reshape(-1, ns) * scale
     lam_z, Y, inertia = _kernel_eigenpairs(np.repeat(1.0 + nu, m), modal, l)
-    X = _cosine_transform(mesh, (Y * scale).reshape(l, n, m) @ R.T).reshape(l, ns)
+    X = modes.transform((Y * scale).reshape(l, n, m) @ R.T).reshape(l, ns)
     Z = np.linalg.solve(np.linalg.cholesky(X @ (gram_D @ X.T)), X)
     _check_residual(gram_s, gram_D, lam_z, Z.T, "complement", C)
     if record is not None:

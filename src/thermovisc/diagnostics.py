@@ -124,15 +124,21 @@ class RowTables:
         zeta_rows = system.fields.zeta.reshape(system.l, -1)
         nb = lifted.T_tilde.shape[0]
         w_T_lift = (wq * lifted.T_tilde).reshape(nb, -1)  # wq D eps(u~_b)
-        # T~^d(t_i) depends on i only through the row factors[i], so each
-        # distinct row is integrated once; a static lift needs one integral
-        _, first, row_of = np.unique(
-            lifted.factors, axis=0, return_index=True, return_inverse=True
+        # T~^d(t_i) depends on i only through the row factors[i], and
+        # |s T~^d|^p = |s|^p |T~^d|^p, so rows with one direction share one
+        # integral: the first such row's, which keeps its bits (a static lift's)
+        c, p = lifted.factors, system.law.p
+        s = c[np.arange(len(c)), np.argmax(c != 0.0, axis=1)]  # 0 for a zero row
+        live = np.flatnonzero(s)
+        _, first, group = np.unique(
+            c[live] / s[live, None], axis=0, return_index=True, return_inverse=True
         )
-        lift_lp = np.array([
-            ops.integrate(norm6(lifted.combine(lifted.T_tilde_dev, i)) ** system.law.p)
-            for i in first
+        rep, group = live[first], group.ravel()  # group is (n, 1) under NumPy 2.0.0
+        lp = np.array([
+            ops.integrate(norm6(lifted.combine(lifted.T_tilde_dev, i)) ** p) for i in rep
         ])
+        lift_lp = np.zeros(len(c))
+        lift_lp[live] = np.abs(s[live] / s[rep[group]]) ** p * lp[group]
         return cls(
             system=system,
             lifted=lifted,
@@ -141,7 +147,7 @@ class RowTables:
             gram_lift=lifted.eps_u_tilde.reshape(nb, -1) @ w_T_lift.T,
             heat_modes=system.fields.v_nodal @ ops.M_lumped,
             heat_lift=lifted.theta_tilde @ ops.M_lumped,
-            lift_lp=lift_lp[row_of.ravel()],  # row_of is (nt, 1) under NumPy 2.0.0
+            lift_lp=lift_lp,
         )
 
     def potential_energy(self, delta, factors) -> float:

@@ -6,10 +6,15 @@ boundary values plus a homogeneous correction.  Every datum has the form
 factor(t) * base and the system is linear, so it is solved once per base
 field and scaled in time: the lift at time level i is sum_b c_b(t_i) base_b.
 The heat lift advances the sourceless heat equation with the prescribed
-Neumann flux by implicit Euler on the lumped-mass scheme; its nodal
-trajectory is stored on the time grid (a level's Gauss-point values are
-interpolated where they are read).  Subtracting the lifted fields turns the
-physical problem into one with homogeneous boundary conditions;
+Neumann flux by implicit Euler on the lumped-mass scheme.  On the uniform box
+the products of sampled cosines diagonalize that scheme
+(``mesh_fem.NeumannModes``, the modes of the temperature basis), so each step
+is a scalar update per mode and nothing is factored; a residual test of every
+step in the assembled operators guards that premise (fast diagonalization,
+Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Its nodal trajectory is stored
+on the time grid (a level's Gauss-point values are interpolated where they
+are read).  Subtracting the lifted fields turns the physical problem into one
+with homogeneous boundary conditions;
 ``evolution.reconstruct_fields`` undoes the split for the snapshots, and the
 diagnostics rows see the lift only through its time factors, base fields and
 heat content (``diagnostics.RowTables``).  The lift's stress deviator is
@@ -22,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import BadData, DimensionMismatch, SolverFailure
-from .mesh_fem import AssembledOperators
+from .mesh_fem import AssembledOperators, neumann_modes
 
 
 @dataclass
@@ -100,6 +104,11 @@ def solve_elastic_lift(ops: AssembledOperators, f_nodal=None, g_boundary=None):
     return u, eps_q, ops.D.apply6(eps_q)
 
 
+#: entries of one (levels, nodes) block of the heat lift's transforms and
+#: residuals; blocks this small keep the temporaries well below the trajectory
+_HEAT_BLOCK = 1 << 15
+
+
 def solve_heat_lift(ops: AssembledOperators, g_flux, theta0, times):
     """Implicit-Euler trajectory of the sourceless Neumann heat lift.
 
@@ -107,6 +116,14 @@ def solve_heat_lift(ops: AssembledOperators, g_flux, theta0, times):
     ``theta0`` the auxiliary initial field.  Lumped mass keeps the scheme
     positivity preserving and makes the zero-flux heat content exactly
     conserved.
+
+    Each step solves (M_lumped + dt K_theta) theta' = M_lumped theta + dt B g'
+    in closed form: the cosine modes of ``mesh_fem.NeumannModes`` diagonalize
+    the pencil, so with theta = Phi c a step is the scalar update
+    c' = (c + dt Phi(B g') / N) / (1 + dt mu) per mode.  Loads and levels are
+    transformed in blocks of about _HEAT_BLOCK entries.  Every step's residual
+    in the assembled operators is checked, which also guards the premise
+    (uniform box): a step that misses it is a SolverFailure.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
@@ -121,32 +138,37 @@ def solve_heat_lift(ops: AssembledOperators, g_flux, theta0, times):
     if not (np.isfinite(theta0).all() and np.isfinite(g_flux).all()):
         raise BadData("heat lift data has non-finite entries")
 
+    modes = neumann_modes(ops.mesh)
+    M = ops.M_lumped
     out = np.empty((times.size, n))
     out[0] = theta0
-    # one factorization per distinct step: a uniform grid built as dt * arange
-    # still has steps that differ in the last bit
-    lus = {}
-    for i in range(times.size - 1):
-        dt = float(times[i + 1] - times[i])
-        lu = lus.get(dt)
-        if lu is None:
-            try:
-                lu = lus[dt] = splu((sp.diags(ops.M_lumped) + dt * ops.K_theta).tocsc())
-            except RuntimeError as err:
-                raise SolverFailure(
-                    f"heat lift factorization failed at step {i + 1}: {err}"
-                ) from None
-        b = ops.M_lumped * out[i] + dt * (ops.B_boundary @ g_flux[i + 1])
-        with np.errstate(over="ignore"):
-            scale = np.linalg.norm(b)
-        if not np.isfinite(scale):
-            raise BadData(f"heat lift data leaves the float range at step {i + 1}")
-        out[i + 1] = lu.solve(b)
-        res = np.linalg.norm(
-            ops.M_lumped * out[i + 1] + dt * (ops.K_theta @ out[i + 1]) - b
-        )
-        if res > 1e-12 * max(scale, 1.0):
-            raise SolverFailure(f"heat lift residual {res:.3e} at step {i + 1}")
+    dts = np.diff(times)[:, None]
+    levels = max(1, _HEAT_BLOCK // n)
+    # data past the float range show as a non-finite |b| at their step
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = modes.transform((M * theta0)[None])[0] / modes.N
+        for a in range(1, times.size, levels):
+            e = min(a + levels, times.size)
+            dt = dts[a - 1 : e - 1]
+            load = dt * (ops.B_boundary @ g_flux[a:e].T).T  # dt B g_{i+1}
+            coef = modes.transform(load) / modes.N
+            for j in range(e - a):  # coef[j] becomes c_{a+j}
+                coef[j] += c
+                coef[j] /= 1.0 + dt[j] * modes.mu
+                c = coef[j]
+            out[a:e] = modes.transform(coef)
+            b = load  # in place: b = M theta_i + dt B g_{i+1}, then the residual
+            b += M * out[a - 1 : e - 1]
+            scale = np.linalg.norm(b, axis=1)
+            b -= M * out[a:e]
+            b -= dt * (ops.K_theta @ out[a:e].T).T
+            res = np.linalg.norm(b, axis=1)
+            bad = ~np.isfinite(scale) | ~(res <= 1e-12 * np.maximum(scale, 1.0))
+            if bad.any():
+                j = int(np.argmax(bad))
+                if not np.isfinite(scale[j]):
+                    raise BadData(f"heat lift data leaves the float range at step {a + j}")
+                raise SolverFailure(f"heat lift residual {res[j]:.3e} at step {a + j}")
     return out
 
 

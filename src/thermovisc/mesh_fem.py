@@ -18,6 +18,7 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import sha256
 from itertools import combinations
 from math import prod
@@ -135,6 +136,65 @@ def build_mesh(dim: int, extents, cells) -> BoxMesh:
         boundary_faces=faces,
         boundary_mask=boundary,
         spacing=spacing,
+    )
+
+
+@dataclass(frozen=True)
+class NeumannModes:
+    """The products of sampled cosines phi_j(i) = prod_a cos(pi j_a i_a / n_a) (DCT-I) on
+    a box's node grid, mode j numbered as the nodes are.
+
+    Per axis a, with c = cos(pi j_a / n_a), the 1D Q1 stiffness and consistent
+    mass act on the mode's factor as ``stiff`` = 2 (1 - c) / h^2 and ``mass`` =
+    (2 + c) / 3 times the 1D lumped mass, and the factor's lumped norm is
+    ``norm`` = h sum' cos^2.  So every mode is an eigenvector of
+    M_lumped^-1 K_theta with eigenvalue ``mu`` = sum_a stiff_a prod_{b != a} mass_b,
+    and phi_j^T M_lumped phi_k = ``N``_j delta_jk with N = prod_a norm_a.
+
+    ``mu`` and ``N`` are formed on first read and the cosine tables on each
+    transform, so the complement, which reads neither, keeps no more arrays
+    alive through its set-up than it needs: kept ones raised the peak RSS of a
+    3D 7^3 run by about 0.5 MB.
+    """
+
+    cells: tuple
+    stiff: tuple = field(repr=False)  # per axis, (n,) over the modes
+    mass: tuple = field(repr=False)
+    norm: tuple = field(repr=False)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """(n,) eigenvalues of M_lumped^-1 K_theta."""
+        terms = [s * np.prod(self.mass[:a] + self.mass[a + 1 :], axis=0)
+                 for a, s in enumerate(self.stiff)]
+        # summed in sorted order, so modes that permute equal axes tie exactly
+        return np.sort(terms, axis=0).sum(axis=0)
+
+    @cached_property
+    def N(self) -> np.ndarray:
+        """(n,) lumped M-norms phi_j^T M_lumped phi_j."""
+        return np.prod(self.norm, axis=0)
+
+    def transform(self, X: np.ndarray) -> np.ndarray:
+        """Phi X over axis 1 of X, Phi[j, i] = phi_j(i) (symmetric), axis by axis."""
+        dim = len(self.cells)
+        Y = X.reshape(X.shape[:1] + tuple(c + 1 for c in reversed(self.cells)) + X.shape[2:])
+        for a, c in enumerate(self.cells):  # node ids run first axis fastest
+            T = np.cos(np.pi * np.outer(np.arange(c + 1), np.arange(c + 1)) / c)
+            Y = np.moveaxis(np.tensordot(T, Y, (1, dim - a)), 0, dim - a)
+        return Y.reshape(X.shape)
+
+
+def neumann_modes(mesh: BoxMesh) -> NeumannModes:
+    """The closed-form eigenpairs of the lumped-mass Neumann Laplacian on ``mesh``."""
+    index = np.unravel_index(np.arange(mesh.n_nodes), [c + 1 for c in mesh.cells], order="F")
+    cos = [np.cos(np.pi * j / c) for j, c in zip(index, mesh.cells)]
+    return NeumannModes(
+        cells=mesh.cells,
+        stiff=tuple(2.0 * (1.0 - c) / h**2 for c, h in zip(cos, mesh.spacing)),
+        mass=tuple((2.0 + c) / 3.0 for c in cos),
+        norm=tuple(h * np.where(j % c, c / 2, c)
+                   for h, j, c in zip(mesh.spacing, index, mesh.cells)),
     )
 
 
@@ -262,16 +322,22 @@ class AssembledOperators:
         return (values[self.mesh.conn] @ self.N_ref.T).ravel()
 
     def strain_quad(self, u_flat: np.ndarray) -> np.ndarray:
-        """Symmetric displacement gradient at Gauss points in Voigt form."""
-        dim = self.mesh.dim
+        """Symmetric displacement gradient at Gauss points in Voigt form.
+
+        The gradient is summed corner by corner, each term a broadcast product
+        over all cells at once.
+        """
+        dim, conn = self.mesh.dim, self.mesh.conn
         u = np.asarray(u_flat, dtype=float).reshape(self.n_nodes, dim)
-        grad = np.einsum("qja,eac->eqjc", self.dNdx_ref, u[self.mesh.conn])
-        nq = grad.shape[0] * grad.shape[1]
-        g = grad.reshape(nq, dim, dim)
-        out = np.zeros((nq, 6))
+        dN = self.dNdx_ref[..., None, None]
+        g = dN[:, :, 0] * u[conn[:, 0]]  # g[q, j, e, c] = d u_c / d x_j in cell e
+        for a in range(1, conn.shape[1]):
+            g += dN[:, :, a] * u[conn[:, a]]
+        out = np.zeros((self.wq.size, 6))
         for slot, i, j in VOIGT_PAIRS:
             if j < dim:
-                out[:, slot] = g[:, i, i] if i == j else (g[:, i, j] + g[:, j, i]) / SQRT2
+                gij = g[:, i, :, i] if i == j else (g[:, i, :, j] + g[:, j, :, i]) / SQRT2
+                out[:, slot] = gij.T.ravel()  # Gauss points run fastest within a cell
         return out
 
     def scalar_interp_matrix(self) -> sp.csr_matrix:

@@ -596,6 +596,12 @@ def _complement_off_premise(ops):
     return basis.complement_strain_basis(ops, W, 2)
 
 
+def _heat_lift_off_premise(ops):
+    # one perturbed stiffness entry takes the heat operator off its cosine modes
+    ops.K_theta[4, 4] *= 1.01
+    return lifting.solve_heat_lift(ops, np.zeros((2, 16)), np.ones(16), [0.0, 0.1])
+
+
 _SINGULAR = RuntimeError("Factor is exactly singular")
 _NOT_DEFINITE = np.linalg.LinAlgError("not positive definite")
 _NO_CONVERGENCE = ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), None)
@@ -617,9 +623,7 @@ _NO_CONVERGENCE = ArpackNoConvergence("ARPACK error -1: No convergence", np.empt
         # a zero datum needs no factorization, so the lift gets a force
         ("lifting.splu", _SINGULAR, lambda ops: lifting.solve_elastic_lift(ops, np.ones((16, 2))),
          "elastic lift factorization failed"),
-        ("lifting.splu", _SINGULAR,
-         lambda ops: lifting.solve_heat_lift(ops, np.zeros((2, 16)), np.ones(16), [0.0, 0.1]),
-         "heat lift factorization failed at step 1"),
+        (None, None, _heat_lift_off_premise, r"heat lift residual \S+ at step 1$"),
     ],
     ids=[
         "displacement",
@@ -655,6 +659,31 @@ def test_cli_run_lift_factorization_failure_exit(tmp_path, monkeypatch, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["failed"] is True
     assert "elastic lift factorization failed" in summary["failure"]
+
+
+def test_cli_run_heat_lift_off_premise_exit(tmp_path, monkeypatch, capsys):
+    # the heat lift's residual test guards its closed form: a heat operator
+    # perturbed after the basis is built is a solver failure (exit 3)
+    import thermovisc.cli as cli
+
+    real = cli.build_lift
+
+    def off_premise(ops, *args, **kwargs):
+        ops.K_theta[4, 4] *= 1.01
+        return real(ops, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_lift", off_premise)
+    payload = copy.deepcopy(MINIMAL)
+    payload["data"]["g_theta"] = {"preset": "constant", "value": 0.5}
+    out = tmp_path / "o"
+    code = main(["run", "--config", write_cfg(tmp_path, payload), "--out", str(out), "--quiet"])
+    assert code == EXIT_SOLVER
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] is True
+    assert summary["checks"]["passed"] is False
+    assert "heat lift residual" in summary["failure"]
+    assert summary["failure"].endswith("at step 1")
 
 
 @pytest.mark.parametrize("k, l", [(50, 2), (1, 50)])

@@ -131,22 +131,33 @@ def test_apriori_monitor_constant_under_zero_dynamics():
     assert mon.satisfied()
 
 
-def test_lift_integrated_once_per_distinct_factor_row(monkeypatch):
+def test_lift_integrated_once_per_factor_direction(monkeypatch):
+    # |s T~^d|^p = |s|^p |T~^d|^p: a row s c of the lift's factors reuses the
+    # integral of the first row c of its direction, and a zero row needs none;
+    # a row that integrates itself keeps the direct integral's bits
     ops = assemble(build_mesh(2, (1.0, 1.0), (3, 3)), ElasticityTensor.isotropic(1.0, 1.0))
     system = ModalSystem(ops, build_basis(ops, k=1, l=1), NortonHoff(c=1.0, p=3.0))
     times = np.linspace(0.0, 0.1, 6)
     f = np.ones((ops.n_nodes, 2))
+    g = 0.1 * ops.mesh.nodes
     calls = []
     real = ops.integrate
     monkeypatch.setattr(ops, "integrate", lambda fq: calls.append(1) or real(fq))
-    for factor, distinct in ((lambda t: 1.0, 1), (lambda t: min(t, 0.05), 4)):
-        lift = build_lift(ops, times, f=(factor, f))
+    cases = [
+        ({"f": (lambda t: 1.0, f)}, 1, 0.0),  # static
+        ({"f": (lambda t: min(t, 0.05), f)}, 1, 1e-14),
+        ({"f": (lambda t: -t, f), "g": (lambda t: 2.0 * t, g)}, 1, 1e-14),
+        ({"f": (lambda t: t, f), "g": (lambda t: t * t, g)}, 5, 0.0),  # no shared direction
+    ]
+    for data, directions, rtol in cases:
+        lift = build_lift(ops, times, **data)
         calls.clear()
         tables = RowTables.build(system, lift)
-        assert len(calls) == distinct
+        assert len(calls) == directions
         assert tables.lift_lp.shape == times.shape
         for i in range(times.size):
-            assert tables.lift_lp[i] == real(norm6(lift.combine(lift.T_tilde_dev, i)) ** 3.0)
+            direct = real(norm6(lift.combine(lift.T_tilde_dev, i)) ** 3.0)
+            assert abs(tables.lift_lp[i] - direct) <= rtol * direct
 
 
 def test_collect_row_and_report_isolated():

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import thermovisc.lifting as lifting
 from thermovisc.basis import build_basis
@@ -128,6 +132,69 @@ def test_heat_lift_validates_grid(ops):
             np.zeros(ops.n_nodes),
             np.array([0.0, 0.0]),
         )
+
+
+def _implicit_euler_reference(ops, g_flux, theta0, times):
+    # one LU solve of the lumped scheme per step
+    out = [theta0]
+    for i, dt in enumerate(np.diff(times)):
+        lu = splu((sp.diags(ops.M_lumped) + dt * ops.K_theta).tocsc())
+        out.append(lu.solve(ops.M_lumped * out[-1] + dt * (ops.B_boundary @ g_flux[i + 1])))
+    return np.array(out)
+
+
+BOXES = {
+    "2d": (2, (1.3, 0.7), (5, 3)),
+    "3d": (3, (0.9, 1.4, 0.6), (3, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("box", sorted(BOXES))
+@pytest.mark.parametrize("block", [None, 50])
+def test_heat_lift_closed_form_matches_implicit_euler(monkeypatch, box, block):
+    # the cosine-mode update is the lumped implicit-Euler step, on unequal
+    # extents and a non-uniform grid; a small block spreads the levels over
+    # many transform blocks
+    if block is not None:
+        monkeypatch.setattr(lifting, "_HEAT_BLOCK", block)
+    dim, extents, cells = BOXES[box]
+    ops = assemble(build_mesh(dim, extents, cells), D)
+    rng = np.random.default_rng(3)
+    times = np.cumsum(np.r_[0.0, rng.uniform(0.2, 2.0, 29)]) * 1e-2
+    g_flux = rng.standard_normal((times.size, ops.n_nodes))
+    theta0 = rng.standard_normal(ops.n_nodes)
+    out = solve_heat_lift(ops, g_flux, theta0, times)
+    ref = _implicit_euler_reference(ops, g_flux, theta0, times)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("block", [None, 50])
+def test_heat_lift_overflow_names_its_step(ops, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(lifting, "_HEAT_BLOCK", block)
+    times = np.linspace(0.0, 0.1, 9)
+    g_flux = np.zeros((times.size, ops.n_nodes))
+    g_flux[5] = 1e308
+    with pytest.raises(BadData, match="heat lift data leaves the float range at step 5$"):
+        solve_heat_lift(ops, g_flux, np.ones(ops.n_nodes), times)
+
+
+@pytest.mark.parametrize("cells", [24, 64])
+def test_heat_lift_temporaries_stay_below_the_trajectory(cells):
+    # the transforms run in blocks sized by entries, so the temporaries stay a
+    # fraction of the trajectory whatever the mesh
+    ops = assemble(build_mesh(2, (1.0, 1.0), (cells, cells)), D)
+    rng = np.random.default_rng(4)
+    times = 1e-3 * np.arange(201)
+    g_flux = rng.standard_normal((times.size, ops.n_nodes))
+    theta0 = rng.standard_normal(ops.n_nodes)
+    tracemalloc.start()
+    try:
+        out = solve_heat_lift(ops, g_flux, theta0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes + 2**20
 
 
 def test_build_lift_and_reconstruct(ops):

@@ -6,7 +6,7 @@ from thermovisc.constitutive import Mroz
 from thermovisc.errors import BadConfig, DimensionMismatch
 from thermovisc.evolution import EvolutionConfig, ModalSystem, initialize
 from thermovisc.mesh_fem import assemble, build_mesh
-from thermovisc.tensor import ElasticityTensor
+from thermovisc.tensor import ElasticityTensor, voigt_to_matrix
 
 D = ElasticityTensor.isotropic(lam=1.0, mu=1.0)
 
@@ -190,6 +190,20 @@ def test_strain_quad_affine_exact(ops2d):
     eq = ops2d.strain_quad(u)
     expect = np.array([0.3, -0.2, 0.0, 0.2 / np.sqrt(2.0), 0.0, 0.0])
     assert np.max(np.abs(eq - expect)) <= 1e-13
+
+
+@pytest.mark.parametrize("fix", ["ops2d", "ops3d"])
+def test_strain_quad_matches_the_corner_sum(fix, request):
+    # the one-product gradient against the gradient summed corner by corner
+    ops = request.getfixturevalue(fix)
+    dim, conn = ops.mesh.dim, ops.mesh.conn
+    u = np.random.default_rng(2).standard_normal(ops.n_dofs)
+    grad = np.einsum("qja,eac->eqjc", ops.dNdx_ref, u.reshape(-1, dim)[conn]).reshape(-1, dim, dim)
+    sym = voigt_to_matrix(ops.strain_quad(u))
+    assert np.abs(sym[:, :dim, :dim] - (grad + grad.transpose(0, 2, 1)) / 2).max() <= (
+        1e-14 * np.abs(grad).max()
+    )
+    assert not sym[:, dim:, :].any() and not sym[:, :, dim:].any()
 
 
 def test_scalar_quad_partition_of_unity(ops3d):
