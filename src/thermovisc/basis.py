@@ -25,6 +25,10 @@ functionals (eps(w_n), .)_D.  Its pencil is a Kronecker product with known
 eigenpairs, which C changes by rank k; Haynsworth's inertia additivity counts
 and places the eigenvalues on ker C, complete by construction.
 
+``basis_fields`` evaluates the families at the Gauss points and pairs them
+under D once: the step, the diagnostics rows and ``basis_invariant_report``
+all read its E = (eps(w_n), zeta_m)_D and Gram matrix (zeta_m, zeta_n)_D.
+
 The smoothness product is the H1-type surrogate
 <a,b>_s = (a,b)_D + (grad a, grad b)_D, which makes every eigenvalue equal to
 1 + a nonnegative Rayleigh quotient, whatever the units of D.  So is every
@@ -117,23 +121,6 @@ def _negative_pivots(S) -> int | None:
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def _shift_invert_pairs(A, M, nev: int, rng, what: str):
-    """nev eigenpairs of A x = lam M x nearest 0, ascending, from a start
-    vector drawn from rng.  The factor dies here, before any inertia count."""
-    try:
-        lu = _symmetric_lu(A)
-    except RuntimeError as err:
-        raise SolverFailure(f"{what} shift-invert factorization failed: {err}") from None
-    OPinv = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-    v0 = rng.standard_normal(A.shape[0])
-    try:
-        vals, vecs = eigsh(A, k=nev, M=M, sigma=0.0, OPinv=OPinv, v0=v0, maxiter=_ARPACK_RESTARTS)
-    except ArpackError as err:
-        raise SolverFailure(f"{what} eigensolve failed: {err}") from None
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
-
-
 def _check_residual(A, M, vals, X, what: str, C=None) -> None:
     """SolverFailure unless each column x of X has the normwise backward error
     ||A x - lam M x|| / ((||A|| + |lam| ||M||) ||x||) <= _EIG_TOL on ker C, with the
@@ -147,13 +134,13 @@ def _check_residual(A, M, vals, X, what: str, C=None) -> None:
         raise SolverFailure(f"{what} eigensolve residual {res.max():.3e} > {_EIG_TOL}")
 
 
-def _lowest_eigenpairs(A, M, n: int, what: str, record=None):
-    """The n lowest eigenpairs of A x = lam M x, ascending.
+def _lowest_eigenpairs(A, M, n: int, record=None):
+    """The n lowest eigenpairs of the displacement pencil A x = lam M x, ascending.
 
     A and M are sparse symmetric positive definite.  A dense LAPACK solve
     runs up to DENSE_CUTOFF dofs and where ARPACK cannot (n + _EXTRA_PAIRS
     not below the dofs).  Otherwise ARPACK computes _EXTRA_PAIRS more pairs
-    than kept, from a seeded start vector.
+    than kept, from a seeded start vector, on one factor of A per call.
     The last kept group ends at the first gap j >= n; the inertia at sigma
     in that gap must count j eigenvalues below it, or more pairs are asked
     for, and after _SPARSE_TRIES solves it is a SolverFailure.  ``record``,
@@ -167,13 +154,24 @@ def _lowest_eigenpairs(A, M, n: int, what: str, record=None):
         try:
             vals, vecs = eigh(A.toarray(), M.toarray(), subset_by_index=(0, n - 1))
         except np.linalg.LinAlgError as err:
-            raise SolverFailure(f"{what} eigensolve failed: {err}") from None
-        _check_residual(A, M, vals, vecs, what)
+            raise SolverFailure(f"displacement eigensolve failed: {err}") from None
+        _check_residual(A, M, vals, vecs, "displacement")
         record.update(branch="dense")
         return vals, vecs
+    try:
+        lu = _symmetric_lu(A)
+    except RuntimeError as err:
+        raise SolverFailure(f"displacement shift-invert factorization failed: {err}") from None
+    OPinv = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
     rng = np.random.default_rng(0)
     for solve in range(1, _SPARSE_TRIES + 1):
-        vals, vecs = _shift_invert_pairs(A, M, nev, rng, what)
+        try:
+            vals, vecs = eigsh(A, k=nev, M=M, sigma=0.0, OPinv=OPinv, v0=rng.standard_normal(N),
+                               maxiter=_ARPACK_RESTARTS)
+        except ArpackError as err:
+            raise SolverFailure(f"displacement eigensolve failed: {err}") from None
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
         gaps = np.flatnonzero(np.diff(vals[n - 1 :]) > _GROUP_GAP * np.abs(vals).max())
         if gaps.size == 0:  # the last kept group runs past the computed pairs
             nev = min(nev + _EXTRA_PAIRS, N - 1)
@@ -182,12 +180,12 @@ def _lowest_eigenpairs(A, M, n: int, what: str, record=None):
         sigma = 0.5 * (vals[j - 1] + vals[j])
         below = _negative_pivots(A - sigma * M)
         if below == j:
-            _check_residual(A, M, vals[:n], vecs[:, :n], what)
+            _check_residual(A, M, vals[:n], vecs[:, :n], "displacement")
             record.update(branch="sparse", sigma=float(sigma), inertia=j, kept=n, solves=solve)
             return vals[:n], vecs[:, :n]
         nev = min(max(nev, below or 0) + _EXTRA_PAIRS, N - 1)
     raise SolverFailure(
-        f"{what} eigensolve incomplete: no inertia count matched the computed "
+        "displacement eigensolve incomplete: no inertia count matched the computed "
         f"pairs after {_SPARSE_TRIES} solves"
     )
 
@@ -202,7 +200,7 @@ def displacement_eigenbasis(ops: AssembledOperators, k: int, record: dict | None
         raise BadConfig(f"k must be in [1, {free.size}], got {k}")
     kff = ops.K_D[free][:, free]
     mff = ops.M_u[free][:, free]
-    lam, vecs = _lowest_eigenpairs(kff, mff, k, "displacement", record=record)
+    lam, vecs = _lowest_eigenpairs(kff, mff, k, record=record)
     W = np.zeros((k, ops.n_dofs))
     W[:, free] = vecs.T
     return _fix_signs(W), lam
@@ -399,17 +397,19 @@ def build_basis(ops: AssembledOperators, k: int, l: int, space: str = "deviatori
 
 @dataclass
 class BasisFields:
-    """Basis functions evaluated at the Gauss points.
+    """Basis functions evaluated at the Gauss points, with their D-pairings
+    ``E`` and ``gram_zeta``, the only ones the run reads.
 
-    ``D_eps_w`` and ``D_zeta`` are formed on each read and never stored: only
-    the set-up reads them, and the step works on their deviators in the frame
-    (``evolution.ModalSystem``).
+    ``D_eps_w`` and ``D_zeta`` are formed on each read and never stored: the
+    step works on their deviators in the frame (``evolution.ModalSystem``).
     """
 
     eps_w: np.ndarray  # (k, NQ, 6)
     zeta: np.ndarray  # (l, NQ, 6)
     v_quad: np.ndarray  # (l, NQ)
     v_nodal: np.ndarray  # (l, n)
+    E: np.ndarray  # (k, l): (eps(w_n), zeta_m)_D
+    gram_zeta: np.ndarray  # (l, l): (zeta_m, zeta_n)_D
     D: ElasticityTensor = field(repr=False)
 
     @property
@@ -428,12 +428,12 @@ def basis_fields(ops: AssembledOperators, basis: GalerkinBasis) -> BasisFields:
     m = B.shape[1]
     zeta = np.stack([(P @ z.reshape(-1, m)) @ B.T for z in basis.Z])
     v_quad = np.stack([P @ v for v in basis.V])
-    return BasisFields(eps_w=eps_w, zeta=zeta, v_quad=v_quad, v_nodal=basis.V, D=ops.D)
-
-
-def project_complement(ops: AssembledOperators, fields: BasisFields, field_quad: np.ndarray):
-    """Coefficients (field, zeta_i)_D of a quadrature strain field."""
-    return np.einsum("q,qi,mqi->m", ops.wq, ops.D.apply6(field_quad), fields.zeta)
+    wD_zeta = ops.D.apply6(zeta)  # the run's one weighted D zeta; it dies here
+    wD_zeta *= ops.wq[:, None]
+    E = eps_w.reshape(basis.k, -1) @ wD_zeta.reshape(basis.l, -1).T
+    gram_zeta = np.array([zeta.reshape(basis.l, -1) @ dz.ravel() for dz in wD_zeta])
+    return BasisFields(eps_w=eps_w, zeta=zeta, v_quad=v_quad, v_nodal=basis.V, E=E,
+                       gram_zeta=gram_zeta, D=ops.D)
 
 
 def projection_norm_check(basis: GalerkinBasis, n_fields: int = 1000, seed: int = 0):
@@ -465,28 +465,24 @@ def projection_norm_check(basis: GalerkinBasis, n_fields: int = 1000, seed: int 
 
 def basis_invariant_report(ops: AssembledOperators, basis: GalerkinBasis, f: BasisFields) -> dict:
     """Every orthogonality contract the basis promises, checked on its Gauss-point
-    fields ``f``, each error relative to its scale: the W Gram error to max lam_w,
+    fields ``f`` and on the pairings ``f.E`` and ``f.gram_zeta`` the run reads,
+    each error relative to its scale: the W Gram error to max lam_w,
     (zeta_m, eps(w_n))_D to |eps(w_n)|_D, mu_1 to max mu_v and v_1's spread to
     max|v_1|.  ``failed`` names the invariants that miss their bound."""
     k, l = basis.k, basis.l
-    w = np.repeat(ops.wq, 6)
-    lam_w, mu_v, v1, eps_w = basis.lam_w, basis.mu_v, basis.V[0], f.eps_w.reshape(k, -1)
+    lam_w, mu_v, v1 = basis.lam_w, basis.mu_v, basis.V[0]
     gram_w = basis.W @ (ops.M_u @ basis.W.T)
-    # each D table is formed on read and weighted in place, one at a time
-    D_eps_w = f.D_eps_w.reshape(k, -1)
-    D_eps_w *= w
-    gram_w_D = D_eps_w @ eps_w.T
-    del D_eps_w
-    D_zeta = f.D_zeta.reshape(l, -1)
-    D_zeta *= w
+    D_eps_w = f.D_eps_w.reshape(k, -1)  # formed on read, so weighted in place
+    D_eps_w *= np.repeat(ops.wq, 6)
+    gram_w_D = D_eps_w @ f.eps_w.reshape(k, -1).T
     report = {
         "gram_W_L2_err": float(np.abs(gram_w - np.eye(k)).max()),
         "gram_W_D_err": float(np.abs(gram_w_D - np.diag(lam_w)).max() / lam_w.max()),
         "lam_w_min": float(lam_w[0]),
         "mu_1": float(abs(mu_v[0]) / (np.abs(mu_v).max() or 1.0)),
         "v1_const_err": float(np.abs(v1 - v1.mean()).max() / np.abs(v1).max()),
-        "gram_Z_D_err": float(np.abs(D_zeta @ f.zeta.reshape(l, -1).T - np.eye(l)).max()),
-        "cross_orth_err": float(np.abs((D_zeta @ eps_w.T) / np.sqrt(lam_w)).max()),
+        "gram_Z_D_err": float(np.abs(f.gram_zeta - np.eye(l)).max()),
+        "cross_orth_err": float(np.abs(f.E.T / np.sqrt(lam_w)).max()),
         "lam_z_min": float(basis.lam_z[0]),
         "lam_w_ascending": bool(np.all(np.diff(lam_w) >= 0)),
         "mu_v_ascending": bool(np.all(np.diff(mu_v) >= 0)),

@@ -102,8 +102,8 @@ class RowTables:
     With e = eps(u~)(t) - sum_m delta_m zeta_m (u = sum_n gamma_n w_n, so the
     gamma parts of eps(u) and eps_p cancel), the potential energy is the quadratic form
     1/2 delta.Z delta - delta.P c + 1/2 c.G c in delta and the lift time
-    factors c; Z is the Gram matrix itself, so the value does not rely on
-    the zeta family being D-orthonormal.
+    factors c; Z is the Gram matrix ``BasisFields.gram_zeta`` itself, so the
+    value does not rely on the zeta family being D-orthonormal.
     """
 
     system: object = field(repr=False)  # the evolution.ModalSystem the tables belong to
@@ -142,7 +142,7 @@ class RowTables:
         return cls(
             system=system,
             lifted=lifted,
-            gram_zeta=np.array([zeta_rows @ (wq * dz).ravel() for dz in system.fields.D_zeta]),
+            gram_zeta=system.fields.gram_zeta,
             cross=zeta_rows @ w_T_lift.T,
             gram_lift=lifted.eps_u_tilde.reshape(nb, -1) @ w_T_lift.T,
             heat_modes=system.fields.v_nodal @ ops.M_lumped,

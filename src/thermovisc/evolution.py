@@ -43,9 +43,9 @@ the stress deviator, so F works in the deviator frame Q of the operators
 D, 5 in 3D): dev(D zeta_m) Q, dev(D eps(w_n)) Q and the lift's deviator are
 stored as (rows, NQ*m) tables, and F is evaluated with BLAS matrix-vector
 products over them.  The step's equilibrium residual is |E delta| with the
-(k, l) matrix E = (eps(w_n), D zeta_m), formed once.  An iterate whose
-stress or temperature is non-finite fails the solve before it reaches the
-law, and so does a floating-point overflow in F at a solve's first
+(k, l) matrix E = (eps(w_n), zeta_m)_D of the basis fields.  An iterate
+whose stress or temperature is non-finite fails the solve at the law's
+finiteness test, and so does a floating-point overflow in F at a solve's first
 evaluation or in a damped Picard step; an overflow at a chord trial re-forms
 K and backtracks, as a trial that does not decrease the residual does.
 Steps whose solve does not converge within ``solver_max_iter`` evaluations,
@@ -78,9 +78,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisFields, GalerkinBasis, basis_fields, project_complement
+from .basis import BasisFields, GalerkinBasis, basis_fields
 from .constitutive import BodnerPartom
-from .errors import BadData, NonlinearSolveFailure, StateCorrupt
+from .errors import BadData, NonFiniteInput, NonlinearSolveFailure, StateCorrupt
 from .lifting import LiftedFields
 from .mesh_fem import AssembledOperators
 from .tensor import VOIGT_TRACE, dev6, dot6, norm6, trace6
@@ -157,9 +157,9 @@ class ModalSystem:
     The step reads the mode tables only in the deviator frame Q = ``ops.frame``
     (6, m): ``D_zeta_frame`` (l, NQ*m) holds dev(D zeta_m) Q and
     ``D_eps_w_frame`` (k, NQ*m) holds dev(D eps(w_n)) Q, row by row, for BLAS
-    matrix-vector products.  ``E`` (k, l) is (eps(w_n), D zeta_m) in the
-    quadrature, so E delta is the equilibrium residual of the homogeneous
-    stress against each w_n.
+    matrix-vector products.  ``E`` (k, l) is the fields' (eps(w_n), zeta_m)_D,
+    so E delta is the equilibrium residual of the homogeneous stress against
+    each w_n.  ``project`` gives the coefficients of a strain field.
     """
 
     def __init__(self, ops: AssembledOperators, basis: GalerkinBasis, law):
@@ -177,12 +177,17 @@ class ModalSystem:
         DQ = ops.D.voigt.T @ ops.frame
         self.D_zeta_frame = (self.fields.zeta @ DQ).reshape(self.l, -1)
         self.D_eps_w_frame = (self.fields.eps_w @ DQ).reshape(self.k, -1)
-        wD_zeta = self.fields.D_zeta  # formed on read, so weighted in place
-        wD_zeta *= self.wq[:, None]
-        self.E = self.fields.eps_w.reshape(self.k, -1) @ wD_zeta.reshape(self.l, -1).T
+        self.E = self.fields.E
         # tr eps(w_n) and tr zeta_m at the Gauss points: the trace of eps_p
         self.tr_eps_w = self.fields.eps_w @ VOIGT_TRACE
         self.tr_zeta = self.fields.zeta @ VOIGT_TRACE
+
+    def project(self, field_quad):
+        """(gamma, delta) of a quadrature strain field from its D-pairings with eps(w) and zeta."""
+        D_field = self.ops.D.apply6(field_quad)
+        gamma = np.einsum("q,qi,nqi->n", self.wq, D_field, self.fields.eps_w) / self.lam
+        delta = np.einsum("q,qi,mqi->m", self.wq, D_field, self.fields.zeta)
+        return gamma, delta
 
     # -- field reconstruction at Gauss points --------------------------------
 
@@ -213,13 +218,11 @@ class ModalSystem:
         return np.einsum("n,nqi->qi", gamma, self.fields.eps_w)
 
 
-def initialize(
-    system: ModalSystem, theta0_nodal, epsp0_quad, config: EvolutionConfig, validate=True
-) -> SimState:
+def initialize(system: ModalSystem, theta0_nodal, epsp0_quad, config: EvolutionConfig) -> SimState:
     """Project the (truncated) initial data onto the Galerkin families.
 
-    ``validate=False`` skips the tracelessness precondition on the initial
-    inelastic strain; the projection itself is defined for any strain field.
+    The initial inelastic strain must be traceless; ``ModalSystem.project``
+    is defined for any strain field.
     """
     ops = system.ops
     theta0 = np.asarray(theta0_nodal, dtype=float)
@@ -233,14 +236,12 @@ def initialize(
     if not np.isfinite(energy):
         raise BadData("initial inelastic strain energy leaves the float range")
     tr = np.abs(trace6(epsp0)).max()
-    if validate and tr > 1e-10 * max(1.0, float(norm6(epsp0).max())):
+    if tr > 1e-10 * max(1.0, float(norm6(epsp0).max())):
         raise BadData(f"initial inelastic strain has trace {tr:.3e}")
 
-    f = system.fields
     theta_tr = truncate(theta0, _truncation_level(system, config))
-    beta = np.einsum("mn,n,n->m", f.v_nodal, ops.M_lumped, theta_tr)
-    gamma = np.einsum("q,qi,nqi->n", ops.wq, ops.D.apply6(epsp0), f.eps_w) / system.lam
-    delta = project_complement(ops, f, epsp0)
+    beta = np.einsum("mn,n,n->m", system.fields.v_nodal, ops.M_lumped, theta_tr)
+    gamma, delta = system.project(epsp0)
     y_quad = None
     if isinstance(system.law, BodnerPartom):
         y_quad = np.full(ops.wq.size, system.law.y0)
@@ -262,9 +263,12 @@ def _law_terms(system, delta, beta, theta_t_q, Ttd_q, y, diverged=None):
     """
     Td = system.stress_dev(delta, Ttd_q)
     theta_q = system.theta_quad(beta) + theta_t_q
-    if diverged is not None and not (np.isfinite(Td).all() and np.isfinite(theta_q).all()):
-        raise diverged()
-    G = system.law.evaluate_many(theta_q, Td, y=y)
+    try:
+        G = system.law.evaluate_many(theta_q, Td, y=y)
+    except NonFiniteInput:
+        if diverged is None:
+            raise
+        raise diverged() from None
     return Td, G, dot6(Td, G)
 
 

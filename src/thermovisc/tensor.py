@@ -66,11 +66,7 @@ def trace6(v: np.ndarray) -> np.ndarray:
 
 def dev6(v: np.ndarray) -> np.ndarray:
     """Deviatoric part of (..., 6) Voigt arrays."""
-    return dev6_inplace(np.array(v, dtype=float))
-
-
-def dev6_inplace(v: np.ndarray) -> np.ndarray:
-    """Overwrite the float (..., 6) Voigt array ``v`` with its deviatoric part; returns v."""
+    v = np.array(v, dtype=float)
     m = trace6(v) / 3.0
     v[..., 0] -= m
     v[..., 1] -= m

@@ -11,11 +11,12 @@ from thermovisc.basis import (
     displacement_eigenbasis,
     dump_basis,
     load_basis,
-    project_complement,
     projection_norm_check,
     temperature_eigenbasis,
 )
+from thermovisc.constitutive import Mroz
 from thermovisc.errors import BadConfig, BadData, EmptyComplement, SolverFailure
+from thermovisc.evolution import ModalSystem
 from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor, trace6
 
@@ -183,6 +184,22 @@ def test_inertia_certificate_recovers_a_dropped_pair(monkeypatch, dropping_eigsh
     assert np.abs(vals - vals_ref).max() <= 1e-10 * vals_ref[-1]
 
 
+def test_sparse_displacement_solve_factors_the_stiffness_once(monkeypatch, dropping_eigsh, ops):
+    # both ARPACK solves (the first drops a pair) share one factor of the
+    # interior K_D; every other factorization is an inertia count
+    free = ops.interior_dofs
+    kff = ops.K_D[free][:, free]
+    monkeypatch.setattr(basis_mod, "DENSE_CUTOFF", 0)
+    calls = dropping_eigsh(calls_that_drop=1)
+    factored = []
+    real = basis_mod._symmetric_lu
+    monkeypatch.setattr(basis_mod, "_symmetric_lu", lambda S: factored.append(S) or real(S))
+    record = {}
+    displacement_eigenbasis(ops, 5, record=record)
+    assert len(calls) == 2 and record["solves"] == 2
+    assert [abs(S - kff).max() == 0.0 for S in factored] == [True, False, False]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_inertia_certificate_refuses_an_incomplete_basis(monkeypatch, dropping_eigsh, ops, family):
     monkeypatch.setattr(basis_mod, "DENSE_CUTOFF", 0)
@@ -264,16 +281,16 @@ def test_complement_empty(ops):
 
 
 def test_project_complement_reproduces_mode(ops, basis):
-    f = basis_fields(ops, basis)
-    coeff = project_complement(ops, f, f.zeta[2])
+    system = ModalSystem(ops, basis, Mroz.constant(1.0))
+    _, coeff = system.project(system.fields.zeta[2])
     expect = np.zeros(basis.l)
     expect[2] = 1.0
     assert np.abs(coeff - expect).max() <= 1e-10
 
 
 def test_project_complement_orthogonal_field(ops, basis):
-    f = basis_fields(ops, basis)
-    coeff = project_complement(ops, f, f.eps_w[0])
+    system = ModalSystem(ops, basis, Mroz.constant(1.0))
+    _, coeff = system.project(system.fields.eps_w[0])
     assert np.abs(coeff).max() <= 1e-10
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,7 +9,16 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from thermovisc import basis, lifting
-from thermovisc.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, main
+from thermovisc.basis import basis_invariant_report
+from thermovisc.cli import (
+    EXIT_CONFIG,
+    EXIT_INVARIANT,
+    EXIT_OK,
+    EXIT_SOLVER,
+    build_operators,
+    main,
+    prepare_run,
+)
 from thermovisc.config import (
     config_hash,
     is_isolated,
@@ -17,6 +27,7 @@ from thermovisc.config import (
     make_law,
     validate_config,
 )
+from thermovisc.diagnostics import RowTables
 from thermovisc.errors import ParseError, SolverFailure, ValidationError
 from thermovisc.mesh_fem import AssembledOperators, assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor
@@ -854,3 +865,31 @@ def test_cli_converge_small(tmp_path):
     assert len(totals) == 2
     assert code == EXIT_OK, rep
     assert totals[0] > totals[1]
+
+
+def test_zeta_is_paired_under_D_once_per_run_setup(monkeypatch):
+    # basis_fields forms the weighted D zeta once; the step's E, the rows'
+    # Gram matrix and the invariant report all read its products
+    seen = []
+    real = ElasticityTensor.apply6
+    monkeypatch.setattr(ElasticityTensor, "apply6", lambda D, v: seen.append(v) or real(D, v))
+    cfg = validate_config(MINIMAL)
+    ops = build_operators(cfg)
+    system, _, lifted, _ = prepare_run(cfg, ops)
+    RowTables.build(system, lifted)
+    assert sum(v is system.fields.zeta for v in seen) == 1
+
+
+def test_run_and_invariant_report_read_the_fields_pairings():
+    cfg = validate_config(MINIMAL)
+    ops = build_operators(cfg)
+    system, _, lifted, _ = prepare_run(cfg, ops)
+    assert RowTables.build(system, lifted).gram_zeta is system.fields.gram_zeta
+    assert system.E is system.fields.E
+    assert basis_invariant_report(ops, system.basis, system.fields)["passed"]
+    # the report checks the arrays the run reads, not a re-computation
+    for name, check in (("gram_zeta", "gram_Z_D_err"), ("E", "cross_orth_err")):
+        perturbed = getattr(system.fields, name).copy()
+        perturbed[0, 0] += 1e-6
+        fields = dataclasses.replace(system.fields, **{name: perturbed})
+        assert basis_invariant_report(ops, system.basis, fields)["failed"] == [check]

@@ -189,8 +189,9 @@ def test_collect_row_and_report_isolated():
 
 # -- coefficient rows against the full-field oracle ---------------------------
 
-def _parity_case(name):
-    """(system, initial state, lift, config) of one parity scenario."""
+def _parity_case(name, zeta0_scale=1.0):
+    """(system, initial state, lift, config) of one parity scenario; the first
+    complement mode is scaled by ``zeta0_scale`` before the fields are formed."""
     ops = assemble(build_mesh(2, (1.0, 1.0), (5, 4)), ElasticityTensor.isotropic(1.0, 1.0))
     n = 12
     if name == "isolated":
@@ -199,7 +200,9 @@ def _parity_case(name):
         law, dt, max_iter = NortonHoff(c=1.0, p=3.0), 2e-3, 200
     else:  # halving: an iteration cap below what a full step needs
         law, dt, max_iter = NortonHoff(c=1.0, p=4.0), 0.05, 4
-    system = ModalSystem(ops, build_basis(ops, k=3, l=4), law)
+    basis = build_basis(ops, k=3, l=4)
+    basis.Z[0] *= zeta0_scale
+    system = ModalSystem(ops, basis, law)
     cfg = EvolutionConfig(
         dt=dt, n_steps=n, truncation_level=1e30, solver_max_iter=max_iter
     )
@@ -284,9 +287,7 @@ def test_coefficient_rows_match_full_fields(name):
 def test_energy_uses_the_gram_matrix():
     # a zeta family that is not D-orthonormal: the row must still equal the
     # full-field energy, where |delta|^2/2 would not
-    system, state0, lift, _ = _parity_case("isolated")
-    for name in ("zeta", "D_zeta"):
-        getattr(system.fields, name)[0] *= 2.0
+    system, state0, lift, _ = _parity_case("isolated", zeta0_scale=2.0)
     theta = system.theta_nodal(state0.beta) + lift.theta_tilde[0]
     row = collect_row(
         RowTables.build(system, lift), state0, 0, initial_report(system, state0, lift), theta

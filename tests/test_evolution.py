@@ -8,11 +8,18 @@ from thermovisc import cli, evolution
 from thermovisc.basis import BasisFields, build_basis
 from thermovisc.cli import main
 from thermovisc.constitutive import BodnerPartom, Mroz, NortonHoff
-from thermovisc.errors import BadConfig, BadData, NonlinearSolveFailure, StateCorrupt
+from thermovisc.errors import (
+    BadConfig,
+    BadData,
+    NonFiniteInput,
+    NonlinearSolveFailure,
+    StateCorrupt,
+)
 from thermovisc.evolution import (
     EvolutionConfig,
     ModalSystem,
     SimState,
+    initial_report,
     initialize,
     make_state,
     reconstruct_fields,
@@ -53,15 +60,26 @@ def test_initialize_zero_data():
 
 def test_initialize_reproduces_gradient_mode():
     sys_ = make_system(k=3, l=2)
-    cfg = EvolutionConfig(dt=1e-3, n_steps=1)
-    # eps(w_2) carries trace, so bypass the S3_d precondition to exercise
-    # the raw projection identity
+    # eps(w_2) carries trace, which initialize refuses, so the projection
+    # initialize performs is called directly to exercise its raw identity
     epsp0 = sys_.fields.eps_w[1]
-    st = initialize(sys_, np.zeros(sys_.ops.n_nodes), epsp0, cfg, validate=False)
-    assert np.abs(st.gamma - [0.0, 1.0, 0.0]).max() <= 1e-10
-    assert np.abs(st.delta).max() <= 1e-10
+    gamma, delta = sys_.project(epsp0)
+    assert np.abs(gamma - [0.0, 1.0, 0.0]).max() <= 1e-10
+    assert np.abs(delta).max() <= 1e-10
     # the displacement is slaved to gamma: u = sum_n gamma_n w_n = w_2
-    assert np.abs(sys_.u_nodal(st.gamma) - sys_.basis.W[1]).max() <= 1e-10
+    assert np.abs(sys_.u_nodal(gamma) - sys_.basis.W[1]).max() <= 1e-10
+
+
+def test_initialize_always_refuses_a_strain_with_trace():
+    sys_ = make_system(k=3, l=2)
+    cfg = EvolutionConfig(dt=1e-3, n_steps=1)
+    epsp0 = sys_.fields.eps_w[1]
+    assert np.abs(trace6(epsp0)).max() > 1e-3
+    with pytest.raises(BadData, match="initial inelastic strain has trace"):
+        initialize(sys_, np.zeros(sys_.ops.n_nodes), epsp0, cfg)
+    # the check has no off switch
+    with pytest.raises(TypeError):
+        initialize(sys_, np.zeros(sys_.ops.n_nodes), epsp0, cfg, validate=False)
 
 
 def test_initialize_truncates_temperature():
@@ -561,18 +579,42 @@ def test_overflowing_chord_trial_reforms_the_tangent(monkeypatch):
 
 @pytest.mark.parametrize("name, value", [("delta", np.inf), ("delta", np.nan), ("beta", np.inf)])
 def test_non_finite_iterate_fails_before_the_law(name, value):
+    # the law's own finiteness test is the only one: a non-finite iterate is
+    # refused there, or by an earlier floating-point error, before the law
+    # computes a value, and the solve fails as a diverged step
     law = NortonHoff(c=1.0, p=3.0)
     sys_ = make_system(law=law)
     calls = []
     evaluate = law.evaluate_many
-    law.evaluate_many = lambda *args, **kwargs: calls.append(1) or evaluate(*args, **kwargs)
+
+    def spy(*args, **kwargs):
+        try:
+            G = evaluate(*args, **kwargs)
+        except NonFiniteInput:
+            calls.append("refused")
+            raise
+        calls.append("evaluated")
+        return G
+
+    law.evaluate_many = spy
     cfg = EvolutionConfig(dt=1e-2, n_steps=1)
     st = make_state(0.0, np.zeros(2), np.zeros(3), np.zeros(3))
     getattr(st, name)[0] = value
-    with pytest.raises(NonlinearSolveFailure) as err:
+    with pytest.raises(NonlinearSolveFailure, match="implicit step diverged") as err:
         step(sys_, st, build_lift(sys_.ops, grid(1e-2, 1)), 1, cfg)
-    assert calls == []
+    assert calls in ([], ["refused"])
     assert err.value.t == pytest.approx(1e-2)
+
+
+@pytest.mark.parametrize("name", ["delta", "beta"])
+def test_initial_report_raises_the_laws_non_finite_input(name):
+    # level 0 has no step to fail, so the law's error is not turned into a
+    # diverged step
+    sys_ = make_system(law=NortonHoff(c=1.0, p=3.0))
+    st = make_state(0.0, np.zeros(2), np.zeros(3), np.zeros(3))
+    getattr(st, name)[0] = np.nan
+    with pytest.raises(NonFiniteInput):
+        initial_report(sys_, st, build_lift(sys_.ops, grid(1e-2, 1)))
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 from thermovisc.basis import build_basis
 from thermovisc.constitutive import Mroz
 from thermovisc.errors import BadConfig, DimensionMismatch
-from thermovisc.evolution import EvolutionConfig, ModalSystem, initialize
+from thermovisc.evolution import ModalSystem
 from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor, voigt_to_matrix
 
@@ -223,13 +223,8 @@ def test_interp_matrix_matches_direct(ops2d):
 
 # -- projections -------------------------------------------------------------
 # The (.,.)_D Galerkin projection of an inelastic strain field onto the modal
-# strain families {eps(w_n)} and {zeta_i} is the one initialize performs.
-
-
-def _project(system, epsp_quad):
-    cfg = EvolutionConfig(dt=1e-3, n_steps=1)
-    st = initialize(system, np.zeros(system.ops.n_nodes), epsp_quad, cfg, validate=False)
-    return st.gamma, st.delta
+# strain families {eps(w_n)} and {zeta_i} is the one initialize performs,
+# ModalSystem.project.
 
 
 @pytest.fixture(scope="module")
@@ -239,18 +234,18 @@ def system2d(ops2d):
 
 def test_project_field_in_span(system2d):
     c, d = np.array([0.5, -1.0, 2.0]), np.array([0.3, -0.7])
-    gamma, delta = _project(system2d, system2d.epsp_quad(c, d))
+    gamma, delta = system2d.project(system2d.epsp_quad(c, d))
     assert np.allclose(gamma, c, atol=1e-10)
     assert np.allclose(delta, d, atol=1e-10)
 
 
 def test_project_zero_and_idempotent(system2d):
     nq = system2d.ops.wq.size
-    gamma, delta = _project(system2d, np.zeros((nq, 6)))
+    gamma, delta = system2d.project(np.zeros((nq, 6)))
     assert np.allclose(gamma, 0.0, atol=1e-14) and np.allclose(delta, 0.0, atol=1e-14)
     rng = np.random.default_rng(4)
-    g1, d1 = _project(system2d, rng.standard_normal((nq, 6)))
-    g2, d2 = _project(system2d, system2d.epsp_quad(g1, d1))
+    g1, d1 = system2d.project(rng.standard_normal((nq, 6)))
+    g2, d2 = system2d.project(system2d.epsp_quad(g1, d1))
     assert np.allclose(g1, g2, atol=1e-10)
     assert np.allclose(d1, d2, atol=1e-10)
 
