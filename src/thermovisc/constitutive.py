@@ -1,15 +1,22 @@
 """Temperature-dependent monotone constitutive laws for the inelastic strain rate.
 
-Each law maps (theta, Td) to a traceless strain rate, evaluated on arrays by
-``evaluate_many(theta, td, y=None)`` with (n,) temperatures and (n, m)
-deviators; ``y`` is the hardening field of a hardening law and is ignored by
-the others.  The deviators are given in orthonormal coordinates: weighted
-Voigt 6-vectors, or the m coordinates of the step's deviator frame
-(``tensor.deviator_frame``), and the value comes back in the same
-coordinates.  A law must therefore be isotropic, G(th, R Td) = R G(th, Td)
-for every orthogonal change of coordinates R; every law here depends on Td
-only through |Td| and Td itself.  Each law declares the constants of its monotonicity / growth /
-coercivity certificate:
+Every law here is radial: its strain rate is
+
+    G(theta, Td) = phi(theta, |Td|, y) Td,
+
+a scalar factor phi times the stress deviator.  The contract is that factor:
+``evaluate_many(theta, r2, y=None)`` takes (n,) temperatures and the (n,)
+squared norms r2 = |Td|^2 and returns phi at the points; ``y`` is the
+hardening field of a hardening law and is ignored by the others.  A law
+refuses a non-finite theta or r2 (``NonFiniteInput``) before it computes a
+value, and a non-finite Td gives a non-finite r2.  ``vector_rate`` forms the
+vector rate phi Td from a law, at weighted Voigt 6-vectors or at the m
+coordinates of the step's deviator frame (``tensor.deviator_frame``); a
+radial law is isotropic, G(th, R Td) = R G(th, Td) for every orthogonal
+change of coordinates R, so both give the same tensor.  The step never
+forms G itself: it reduces r2 once per evaluation and reads phi.  Each law
+declares the constants of its monotonicity / growth / coercivity
+certificate:
 
     monotonicity   (G(th,T1) - G(th,T2)) : (T1 - T2) >= 0
     growth         |G(th,Td)| <= C (1 + |Td|)^(p-1)
@@ -38,11 +45,17 @@ from .tensor import dev6, dot6, norm6, trace6
 _TINY = 1e-300
 
 
-def _check_finite(theta, td):
-    if not np.all(np.isfinite(theta)):
+def _check_finite(theta, r2):
+    if not np.isfinite(theta).all():
         raise NonFiniteInput("temperature is NaN or infinite")
-    if not np.all(np.isfinite(td)):
+    if not np.isfinite(r2).all():
         raise NonFiniteInput("stress deviator is NaN or infinite")
+
+
+def vector_rate(law, theta, td, y=None) -> np.ndarray:
+    """The strain rate G = phi(theta, |td|^2, y) td of a radial law at (n, m) deviators."""
+    td = np.asarray(td, dtype=float)
+    return law.evaluate_many(theta, dot6(td, td), y=y)[..., None] * td
 
 
 class NortonHoff:
@@ -59,11 +72,10 @@ class NortonHoff:
         self.beta_coercivity = float(c)
         self.name = f"norton_hoff(c={c}, p={p})"
 
-    def evaluate_many(self, theta, td, y=None):
-        td = np.asarray(td, dtype=float)
-        _check_finite(theta, td)
-        r = norm6(td)
-        return (self.c * r ** (self.p - 2.0))[..., None] * td
+    def evaluate_many(self, theta, r2, y=None):
+        """phi = c |Td|^(p-2) at the squared norms ``r2``."""
+        _check_finite(theta, r2)
+        return self.c * r2 ** (0.5 * self.p - 1.0)
 
 
 class Mroz:
@@ -112,12 +124,11 @@ class Mroz:
 
         return cls(g, float(values.min()), float(values.max()))
 
-    def evaluate_many(self, theta, td, y=None):
-        td = np.asarray(td, dtype=float)
+    def evaluate_many(self, theta, r2, y=None):
+        """phi = g(theta) at the points of ``r2``."""
         theta = np.asarray(theta, dtype=float)
-        _check_finite(theta, td)
-        gval = np.asarray(self.g(theta), dtype=float)
-        return np.broadcast_to(gval, td.shape[:-1])[..., None] * td
+        _check_finite(theta, r2)
+        return np.broadcast_to(np.asarray(self.g(theta), dtype=float), np.shape(r2))
 
 
 class BodnerPartom:
@@ -162,13 +173,11 @@ class BodnerPartom:
             raise BadData(f"g0 / y^m leaves the float range for g0={g0}, m={m}")
         self.name = f"bodner_partom(g0={g0}, m={m})"
 
-    def evaluate_many(self, theta, td, y=None):
-        td = np.asarray(td, dtype=float)
-        _check_finite(theta, td)
-        yv = np.asarray(self.y0 if y is None else y, dtype=float)
-        r = norm6(td)
-        mag = self.g0 * (r / yv) ** self.m
-        return (mag / np.maximum(r, _TINY))[..., None] * td
+    def evaluate_many(self, theta, r2, y=None):
+        """phi = g0 (|Td| / y)^m / |Td| at the squared norms ``r2`` (y0 without ``y``)."""
+        _check_finite(theta, r2)
+        r = np.sqrt(r2)
+        return self.g0 * (r / (self.y0 if y is None else y)) ** self.m / np.maximum(r, _TINY)
 
     def advance_y_many(self, y: np.ndarray, td_norm: np.ndarray, dt: float) -> np.ndarray:
         """Vectorized explicit hardening update on quadrature-point arrays."""
@@ -237,8 +246,8 @@ def certify_assumption1(
     anchors = np.asarray(theta_values, dtype=float)
     theta[: anchors.size] = anchors
 
-    g1 = law.evaluate_many(theta, t1)
-    g2 = law.evaluate_many(theta, t2)
+    g1 = vector_rate(law, theta, t1)
+    g2 = vector_rate(law, theta, t2)
 
     mono = dot6(g1 - g2, t1 - t2)
     i_mono = int(np.argmin(mono))
@@ -261,7 +270,7 @@ def certify_assumption1(
     by_theta = {}
     for ta in theta_values:
         th = np.full(n, float(ta))
-        ga = law.evaluate_many(th, t1)
+        ga = vector_rate(law, th, t1)
         ca = dot6(ga, t1)[mask] / r1[mask] ** pexp
         by_theta[float(ta)] = {
             "growth_ratio_max": float(np.max(norm6(ga) / (1.0 + r1) ** (pexp - 1.0))),

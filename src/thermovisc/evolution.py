@@ -18,8 +18,9 @@ monotone, so the delta half of F - x is minus the gradient of a strictly
 convex incremental potential, with the SPD Jacobian I + dt K (Ortiz &
 Stainier, CMAME 171, 1999).  The system is solved by a chord-Newton
 iteration on delta: each step solves (I + dt K) s = F_delta(x) - delta with a
-tangent K formed from the law's own stress and dissipation at one map
-evaluation, while beta takes the map's explicit heat update F_beta(x).
+tangent K formed from the stress deviator, |T^d|^2 and the law's radial
+factor at one map evaluation, while beta takes the map's explicit heat
+update F_beta(x).
 ``run`` keeps K for the whole run and re-forms the inverse of I + dt K only
 when dt changes; K itself is re-formed at the current iterate when a chord
 step contracts the max-norm delta residual by less than
@@ -31,11 +32,23 @@ fixed-point iteration.  A solve converges when the max-norm residual of the
 full map is at most ``solver_tol``; each map evaluation, line-search trials
 included, counts as one iteration.  ``run`` starts each solve
 from the Lagrange polynomial of degree d <= 2 through the newest d + 1 accepted
-levels (t_i, x_i), substeps of a dt halving included, with d the degree that
+levels (s_i, x_i), substeps of a dt halving included, with d the degree that
 best predicted the newest level from those before it (Hairer & Wanner, Solving
 ODEs II, IV.8); its first step, ``step`` and a non-finite guess start from the
-state, and ``step`` and a direct ``_advance`` form their own K.  Once x is
-accepted, gamma is explicit:
+state, and ``step`` and a direct ``_advance`` form their own K.  The run keeps
+each accepted level at its grid position s_i, in units of dt: the step
+index plus the substep's dyadic fraction, both exact in binary.  The
+weights depend only on the positions relative to the newest level, so they
+are formed once per pattern of positions and cached on those exact offsets.
+
+Each map evaluation is one pass over the Gauss points.  The law is radial,
+G = phi(theta, |T^d|, y) T^d (``constitutive``), so F reduces r2 = |T^d|^2
+once, as one BLAS product over the m frame columns, and asks the law only
+for phi at (theta, r2).  The dissipation G : T^d is phi r2, and the weighted
+rate (w phi) T^d goes straight into the D zeta product.  The accepted
+evaluation carries T^d, r2 and phi, and the tangent, the step report's
+integral |T^d|^p and Bodner-Partom's hardening update read them; none of
+them forms |T^d| or calls the law again.  Once x is accepted, gamma is explicit:
 gamma(new) = gamma(old) + dt (G, D eps(w_n)) / lam_n with the law value G
 of the accepted map evaluation.  The law couples the fields only through
 the stress deviator, so F works in the deviator frame Q of the operators
@@ -45,7 +58,7 @@ stored as (rows, NQ*m) tables, and F is evaluated with BLAS matrix-vector
 products over them.  The step's equilibrium residual is |E delta| with the
 (k, l) matrix E = (eps(w_n), zeta_m)_D of the basis fields.  An iterate
 whose stress or temperature is non-finite fails the solve at the law's
-finiteness test, and so does a floating-point overflow in F at a solve's first
+finiteness test on theta and r2, and so does a floating-point overflow in F at a solve's first
 evaluation or in a damped Picard step; an overflow at a chord trial re-forms
 K and backtracks, as a trial that does not decrease the residual does.
 Steps whose solve does not converge within ``solver_max_iter`` evaluations,
@@ -75,6 +88,7 @@ import collections
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +97,7 @@ from .constitutive import BodnerPartom
 from .errors import BadData, NonFiniteInput, NonlinearSolveFailure, StateCorrupt
 from .lifting import LiftedFields
 from .mesh_fem import AssembledOperators
-from .tensor import VOIGT_TRACE, dev6, dot6, norm6, trace6
+from .tensor import VOIGT_TRACE, dev6, norm6, trace6
 
 
 def truncate(x, level: float):
@@ -127,9 +141,9 @@ class SimState:
 
     def validate(self):
         for name in ("beta", "gamma", "delta"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise StateCorrupt(f"non-finite coefficients in {name}")
-        if self.y_quad is not None and not np.all(np.isfinite(self.y_quad)):
+        if self.y_quad is not None and not np.isfinite(self.y_quad).all():
             raise StateCorrupt("non-finite hardening field")
 
 
@@ -173,6 +187,7 @@ class ModalSystem:
         self.k = basis.k
         self.l = basis.l
         self.m = ops.frame.shape[1]
+        self.frame_ones = np.ones(self.m)  # sums the m frame columns in one BLAS product
         # (D x) Q = x (D^T Q): each table is formed in the frame directly
         DQ = ops.D.voigt.T @ ops.frame
         self.D_zeta_frame = (self.fields.zeta @ DQ).reshape(self.l, -1)
@@ -255,21 +270,32 @@ def _lift_slices(system: ModalSystem, lifted: LiftedFields, step_index: int):
     )
 
 
-def _law_terms(system, delta, beta, theta_t_q, Ttd_q, y, diverged=None):
-    """Td, G (frame coordinates) and Td : G; raises ``diverged()`` on a non-finite input to G.
+def _radial_terms(system, delta, beta, theta_t_q, Ttd_q, y, diverged=None):
+    """Td (frame coordinates), r2 = |Td|^2 and the law's radial factor phi at (delta, beta).
 
-    The law sees Td in the orthonormal frame; every shipped law is isotropic,
-    so G is the frame coordinates of its value at the Voigt deviator.
+    r2 is one BLAS product over the m frame columns; it is the law's only
+    view of Td.  ``diverged()`` is raised in place of the law's
+    ``NonFiniteInput`` when given.  A finite Td and theta whose r2 leaves the
+    float range raise FloatingPointError like any other overflow in F, also
+    where the product itself sets no floating-point error.
     """
     Td = system.stress_dev(delta, Ttd_q)
+    r2 = np.square(Td) @ system.frame_ones
     theta_q = system.theta_quad(beta) + theta_t_q
     try:
-        G = system.law.evaluate_many(theta_q, Td, y=y)
+        phi = system.law.evaluate_many(theta_q, r2, y=y)
     except NonFiniteInput:
+        if np.isfinite(Td).all() and np.isfinite(theta_q).all():
+            raise FloatingPointError("|T^d|^2 leaves the float range") from None
         if diverged is None:
             raise
         raise diverged() from None
-    return Td, G, dot6(Td, G)
+    return Td, r2, phi
+
+
+def _stress_lp(system, r2) -> float:
+    """The integral of |Td|^p over the domain, from r2 = |Td|^2 at the Gauss points."""
+    return system.ops.integrate(r2 ** (0.5 * system.law.p))
 
 
 def initial_report(system: ModalSystem, state: SimState, lifted: LiftedFields) -> StepReport:
@@ -277,14 +303,19 @@ def initial_report(system: ModalSystem, state: SimState, lifted: LiftedFields) -
     # a law value past the float range is written as inf or nan, not warned
     # about; a step from this state fails on it (exit 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        Td, _, diss = _law_terms(
-            system, state.delta, state.beta, *_lift_slices(system, lifted, 0), state.y_quad
-        )
+        try:
+            _, r2, phi = _radial_terms(
+                system, state.delta, state.beta, *_lift_slices(system, lifted, 0), state.y_quad
+            )
+            dissipation = float(system.wq @ (phi * r2))
+            stress_lp = _stress_lp(system, r2)
+        except FloatingPointError:  # |Td|^2 leaves the float range
+            dissipation = stress_lp = math.inf
         return StepReport(
             t=state.t,
-            dissipation=float(system.wq @ diss),
+            dissipation=dissipation,
             epsp_trace_sup=float(np.abs(system.epsp_trace(state.gamma, state.delta)).max()),
-            stress_lp=system.ops.integrate(norm6(Td) ** system.law.p),
+            stress_lp=stress_lp,
         )
 
 
@@ -307,50 +338,85 @@ def _lagrange_weights(ts, t):
     return [math.prod((t - tm) / (tj - tm) for tm in ts if tm != tj) for tj in ts]
 
 
+@functools.lru_cache(maxsize=256)
+def _start_weights(offsets, target):
+    """The predictor rows and the start weights of one pattern of accepted levels.
+
+    ``offsets`` are the levels' positions minus the newest one's, oldest
+    first, and ``target`` is the start's.  Row d of the (n, n) predictor gives
+    the newest level from the d + 1 levels before it; entry d of the list
+    weighs the newest d + 1 levels at the target.  The cache hands the same
+    arrays to every caller, so they are read-only.
+    """
+    n = len(offsets) - 1
+    W = np.zeros((n, n))
+    for d in range(n):
+        W[d, n - d - 1 :] = _lagrange_weights(offsets[n - d - 1 : n], offsets[n])
+    weights = tuple(np.array(_lagrange_weights(offsets[n - d :], target)) for d in range(n))
+    for a in (W, *weights):
+        a.flags.writeable = False
+    return W, weights
+
+
 def _start_iterate(levels, t):
-    """Start at time t: the polynomial through the newest d + 1 accepted levels (t_i, x_i).
+    """Start at position t: the polynomial through the newest d + 1 accepted levels (t_i, x_i).
 
     d is the degree whose polynomial through the d + 1 levels before the newest
     predicts the newest best (max-norm, ties to the lower d).  The newest level,
-    the state, is the start when d = 0 or the guess is not finite.
+    the state, is the start when d = 0 or the guess is not finite.  The
+    weights depend only on the positions relative to the newest, so a run
+    that keeps its levels at exact grid positions forms them once per pattern.
     """
-    ts = [ti for ti, _ in levels]
+    n = len(levels) - 1
+    if n < 2:  # one or two levels: degree 0 is the only one scored
+        return levels[-1][1]
+    newest = levels[-1][0]
+    W, weights = _start_weights(tuple(ti - newest for ti, _ in levels), t - newest)
     X = np.array([x for _, x in levels])
-    n = len(ts) - 1
-    W = np.zeros((n, n))  # row d predicts level n from the d + 1 levels before it
-    for d in range(n):
-        W[d, n - d - 1 :] = _lagrange_weights(ts[n - d - 1 : n], ts[n])
     with np.errstate(over="ignore", invalid="ignore"):
         errs = np.abs(W @ X[:n] - X[n]).max(axis=1).tolist()
-        d = min(range(n), key=errs.__getitem__, default=0)  # a nan error never wins
-        guess = np.array(_lagrange_weights(ts[n - d :], t)) @ X[n - d :]
+        d = min(range(n), key=errs.__getitem__)  # a nan error never wins
+        guess = weights[d] @ X[n - d :]
     return guess if d > 0 and np.isfinite(guess).all() else levels[-1][1]
+
+
+class _Evaluation(NamedTuple):
+    """One evaluation of the implicit map, as the solve, the tangent and the step report read it."""
+
+    Td: np.ndarray  # (NQ, m) stress deviator in the frame
+    r2: np.ndarray  # (NQ,) |Td|^2
+    phi: np.ndarray  # (NQ,) the law's radial factor
+    diss: np.ndarray  # (NQ,) G : Td = phi r2
+    src: np.ndarray  # (NQ,) the truncated, sign-clipped source
+    pz: np.ndarray  # (l,) the delta rate
+    wG: np.ndarray  # (NQ*m,) the weighted law value (w phi) Td
+    dissipation: float  # the integral of G : Td
 
 
 def _implicit_map(system, state, theta_t_q, Ttd_q, dt, level, x, diverged=None):
     """The implicit-Euler map F of x = (delta, beta) against fixed lift slices.
 
-    Returns F(x) and (Td, diss, src, pz, wG, dissipation) of the evaluation:
-    the stress deviator and the weighted law values in the frame, G : Td, the
-    truncated source, the delta rate and the integral of G : Td.  ``diverged``
-    is raised on a non-finite input to the law; a dissipation past the float
-    range, which ``einsum`` computes without a floating-point error, raises
-    FloatingPointError like any other overflow in F.
+    Returns F(x) and its ``_Evaluation``.  One pass: |Td|^2 is reduced once,
+    the law gives its radial factor phi, the dissipation is phi |Td|^2 and the
+    weighted rate (w phi) Td goes straight into the D zeta product.
+    ``diverged`` is raised on a non-finite input to the law; a dissipation
+    whose integral leaves the float range, which BLAS computes without a
+    floating-point error, raises FloatingPointError like any other overflow in F.
     """
     l = system.l
-    Td, G, diss = _law_terms(system, x[:l], x[l:], theta_t_q, Ttd_q, state.y_quad, diverged)
+    Td, r2, phi = _radial_terms(system, x[:l], x[l:], theta_t_q, Ttd_q, state.y_quad, diverged)
+    diss = phi * r2
     dissipation = float(system.wq @ diss)
     if not math.isfinite(dissipation):
         raise FloatingPointError("the dissipation leaves the float range")
-    G *= system.wq[:, None]
-    wG = G.ravel()
+    wG = ((system.wq * phi)[:, None] * Td).ravel()
     pz = system.D_zeta_frame @ wG
     src = np.clip(diss, 0.0, level)
     heat = system.fields.v_quad @ (system.wq * src)
     fx = np.concatenate(
         [state.delta + dt * pz, (state.beta + dt * heat) / (1.0 + dt * system.mu)]
     )
-    return fx, (Td, diss, src, pz, wG, dissipation)
+    return fx, _Evaluation(Td, r2, phi, diss, src, pz, wG, dissipation)
 
 
 #: entries of one (l, points, m) block of the weighted mode table while K is
@@ -358,23 +424,22 @@ def _implicit_map(system, state, theta_t_q, Ttd_q, dt, level, x, diverged=None):
 _TANGENT_BLOCK = 1 << 12
 
 
-def _delta_tangent(system, Td, diss) -> np.ndarray:
+def _delta_tangent(system, Td, r2, phi) -> np.ndarray:
     """K = sum_q w_q B_q^T A_q B_q, the law's tangent in delta (dF_delta/ddelta = -dt K).
 
     B = dev(D zeta) in the frame and A_q = dG/dTd at the evaluation with frame
-    deviator ``Td`` and dissipation ``diss`` = G : Td.  Every shipped law is radial and
-    homogeneous of degree p - 1 in Td (Bodner-Partom with y frozen), so
-    A_q = s_q (I + (p - 2) n_q n_q^T) with s_q = (G : Td)_q / r_q^2 and
-    n_q = Td_q / r_q, r_q = |Td_q|; s_q = 0 where r_q = 0.  For Mroz the
-    temperature coupling is left out, and K is only a chord.  K is built in
-    blocks of quadrature points, so no weighted (l, NQ, m) temporary is formed.
+    deviator ``Td``, r2 = |Td|^2 and radial factor ``phi``.  Every shipped law
+    is radial, G = phi Td, and homogeneous of degree p - 1 in Td (Bodner-Partom
+    with y frozen), so A_q = s_q (I + (p - 2) n_q n_q^T) with s_q = phi_q and
+    n_q = Td_q / r_q, r_q = |Td_q|; the rank-one part is left out where
+    r_q = 0.  For Mroz the temperature coupling is left out, and K is only a
+    chord.  K is built in blocks of quadrature points, so no weighted
+    (l, NQ, m) temporary is formed.
     """
     l, m = system.l, system.m
-    r2 = dot6(Td, Td)
-    pos = r2 > 0.0
-    ws = np.divide(system.wq * diss, r2, out=np.zeros_like(r2), where=pos)
+    ws = system.wq * phi
     # the rank-one part w_q s_q (p - 2) (B_q n_q)(B_q n_q)^T, with n_q = Td_q / r_q
-    wn = np.divide((system.law.p - 2.0) * ws, r2, out=np.zeros_like(r2), where=pos)
+    wn = np.divide((system.law.p - 2.0) * ws, r2, out=np.zeros_like(r2), where=r2 > 0.0)
     K = np.zeros((l, l))
     B_all = system.D_zeta_frame.reshape(l, -1, m)
     n_block = max(1, _TANGENT_BLOCK // (m * l))
@@ -397,8 +462,9 @@ class ChordTangent:
         self._dt = None
         self._J_inv = None
 
-    def form(self, system, Td, diss):
-        self.K = _delta_tangent(system, Td, diss)
+    def form(self, system, ev: _Evaluation):
+        """K at the map evaluation ``ev``."""
+        self.K = _delta_tangent(system, ev.Td, ev.r2, ev.phi)
         self._J_inv = None
 
     def solve(self, dt, g):
@@ -486,7 +552,7 @@ def _advance(
                     x = xb + eta * gb
                     continue
                 if tangent.K is None:
-                    tangent.form(system, aux_b[0], aux_b[1])
+                    tangent.form(system, aux_b)
                     fresh = True
                 # beta takes the map's explicit heat update
                 x = np.concatenate([xb[:l] + lam * tangent.solve(dt, gb[:l]), xb[l:] + gb[l:]])
@@ -500,8 +566,8 @@ def _advance(
     except FloatingPointError as err:
         raise diverged(f" ({err})") from None
 
-    Td, diss, src, pz, wG, dissipation = aux
-    gamma1 = gamma0 + dt * (system.D_eps_w_frame @ wG) / system.lam
+    # the accepted evaluation carries everything the report reads
+    gamma1 = gamma0 + dt * (system.D_eps_w_frame @ aux.wG) / system.lam
     delta1 = x[:l].copy()
     beta1 = x[l:].copy()
 
@@ -509,16 +575,16 @@ def _advance(
     e_old = 0.5 * float(delta0 @ delta0)
     e_new = 0.5 * float(delta1 @ delta1)
     delta_bar = 0.5 * (delta0 + delta1)
-    defect = e_new - e_old - dt * float(delta_bar @ pz)
+    defect = e_new - e_old - dt * float(delta_bar @ aux.pz)
 
     # (wq T, eps(w_n)) of the accepted stress; its sign does not matter here
     eq_res = float(np.abs(system.E @ delta1).max())
-    source_integral = float(wq @ src)
+    source_integral = float(wq @ aux.src)
     trace_sup = float(np.abs(system.epsp_trace(gamma1, delta1)).max())
 
     y1 = state.y_quad
     if y1 is not None:
-        y1 = law.advance_y_many(state.y_quad, norm6(Td), dt)
+        y1 = law.advance_y_many(state.y_quad, np.sqrt(aux.r2), dt)
 
     new_state = SimState(t=t_new, beta=beta1, gamma=gamma1, delta=delta1, y_quad=y1)
     new_state.validate()
@@ -528,13 +594,13 @@ def _advance(
         iters=len(history),
         residual=history[-1],
         energy_defect=defect,
-        dissipation=dissipation,
+        dissipation=aux.dissipation,
         source_integral=source_integral,
         equilibrium_residual=eq_res,
         epsp_trace_sup=trace_sup,
-        stress_lp=system.ops.integrate(norm6(Td) ** law.p),
-        clip_fraction=float(np.count_nonzero(diss < 0.0) / diss.size),
-        trunc_fraction=float(np.count_nonzero(np.abs(diss) > level) / diss.size),
+        stress_lp=_stress_lp(system, aux.r2),
+        clip_fraction=float(np.count_nonzero(aux.diss < 0.0) / aux.diss.size),
+        trunc_fraction=float(np.count_nonzero(np.abs(aux.diss) > level) / aux.diss.size),
         substeps=1,
     )
     return new_state, report
@@ -572,31 +638,39 @@ def _step_adaptive(system, state, lifted, step_index, config: EvolutionConfig, l
     time-averaged rates, so the per-step identities remain exact.  Level i-1
     is formed only when the step halves.  Each solve starts from
     ``_start_iterate(levels)`` and steps with the run's ``tangent``; every
-    accepted (sub)level is appended to ``levels``, whose newest entry is the
-    state.
+    accepted (sub)level is appended to ``levels`` at its grid position
+    i - 1 + s, with s the substep's dyadic end fraction (both exact in
+    binary), and the newest entry is the state.
     """
     end = _lift_slices(system, lifted, step_index)
-    start = functools.cache(lambda: _lift_slices(system, lifted, step_index - 1))
+    base = step_index - 1.0
 
-    def attempt(st, s0, s1, depth):
-        slices = end if s1 == 1.0 else [(1.0 - s1) * a + s1 * b for a, b in zip(start(), end)]
+    def attempt(st, s0, s1, depth, start=None):
+        slices = end if s1 == 1.0 else [(1.0 - s1) * a + s1 * b for a, b in zip(start, end)]
         dt = (s1 - s0) * config.dt
         try:
-            x0 = _start_iterate(levels, st.t + dt)
+            x0 = _start_iterate(levels, base + s1)
             st, rep = _advance(system, st, *slices, dt, config, x0, tangent)
         except NonlinearSolveFailure:
             if depth >= MAX_HALVINGS:
                 raise
+            if start is None:
+                start = _lift_slices(system, lifted, step_index - 1)
             mid = 0.5 * (s0 + s1)
-            st_mid, rep_a = attempt(st, s0, mid, depth + 1)
-            st_end, rep_b = attempt(st_mid, mid, s1, depth + 1)
+            st_mid, rep_a = attempt(st, s0, mid, depth + 1, start)
+            st_end, rep_b = attempt(st_mid, mid, s1, depth + 1, start)
             return st_end, _merge_reports(
                 rep_a, rep_b, (mid - s0) * config.dt, (s1 - mid) * config.dt
             )
-        levels.append((st.t, np.concatenate([st.delta, st.beta])))
+        levels.append((base + s1, np.concatenate([st.delta, st.beta])))
         return st, rep
 
-    return attempt(state, 0.0, 1.0, 0)
+    try:
+        return attempt(state, 0.0, 1.0, 0)
+    finally:
+        # attempt refers to itself; breaking that cycle frees this step's
+        # slices now, not at a later garbage collection (peak RSS)
+        del attempt
 
 
 @dataclass
@@ -633,9 +707,9 @@ def run(
     gam[0], del_[0], bet[0] = state0.gamma, state0.delta, state0.beta
     reports = []
     state = state0
-    # accepted levels (t, (delta, beta)) for the starting iterates: four fit a
-    # quadratic and score it against the newest
-    levels = collections.deque([(state.t, np.concatenate([state.delta, state.beta]))], maxlen=4)
+    # accepted levels (grid position, (delta, beta)) for the starting iterates:
+    # four fit a quadratic and score it against the newest
+    levels = collections.deque([(0.0, np.concatenate([state.delta, state.beta]))], maxlen=4)
     tangent = ChordTangent()  # formed in the first solve, re-formed only when a chord step stalls
     if on_step is not None:
         on_step(0, state, initial_report(system, state, lifted))

@@ -222,8 +222,8 @@ def build_lift(
             [np.zeros(n) if g_theta is None else g_theta[0](t) * g_theta[1] for t in times]
         )
         theta = solve_heat_lift(ops, g_flux, theta0, times) if nt > 1 else theta0[None, :]
-        ones = np.ones(n)
-        flux = np.array([ones @ (ops.B_boundary @ g_flux[i]) for i in range(nt)])
+        # int g ds = 1 . (B g) = g . (B^T 1): one product for every level
+        flux = g_flux @ (ops.B_boundary.T @ np.ones(n))
 
     return LiftedFields(
         times=times,

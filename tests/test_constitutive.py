@@ -6,6 +6,7 @@ from thermovisc.constitutive import (
     Mroz,
     NortonHoff,
     certify_assumption1,
+    vector_rate,
 )
 from thermovisc.errors import CertificationFailure, DomainExit, NonFiniteInput
 from thermovisc.tensor import ElasticityTensor, deviator_frame, dev6, dot6, norm6
@@ -50,30 +51,76 @@ def test_law_commutes_with_the_deviator_frame(law, dim):
     coords[0] = 0.0
     theta = rng.uniform(-1.0, 4.0, n)
     y = rng.uniform(law.y_min, law.y_max, n) if isinstance(law, BodnerPartom) else None
-    in_frame = law.evaluate_many(theta, coords, y=y)
-    voigt = law.evaluate_many(theta, coords @ Q.T, y=y)
+    in_frame = vector_rate(law, theta, coords, y=y)
+    voigt = vector_rate(law, theta, coords @ Q.T, y=y)
     assert in_frame.shape == coords.shape
     assert np.abs(voigt @ Q - in_frame).max() <= 1e-14 * np.abs(in_frame).max()
+
+
+def _closed_form(law, theta, td, y):
+    """G written out law by law, from |td| and td."""
+    r = norm6(td)[:, None]
+    if isinstance(law, NortonHoff):
+        return law.c * r ** (law.p - 2.0) * td
+    if isinstance(law, Mroz):
+        return law.g(theta)[:, None] * td
+    return law.g0 * (r / y[:, None]) ** law.m * td / np.maximum(r, 1e-300)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("law", FRAME_LAWS, ids=lambda l: l.name)
+def test_vector_rate_is_the_closed_formula(law, dim):
+    # each law states only its radial factor phi; phi Td is the law's formula
+    m = 3 if dim == 2 else 5
+    rng = np.random.default_rng(10 + dim)
+    n = 400
+    td = rng.standard_normal((n, m)) * rng.uniform(0.0, 4.0, (n, 1))
+    td[0] = 0.0
+    theta = rng.uniform(-1.0, 4.0, n)
+    y = rng.uniform(0.5, 2.0, n)
+    got = vector_rate(law, theta, td, y=y)
+    ref = _closed_form(law, theta, td, y)
+    assert got.shape == td.shape and not got[0].any()
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    phi = law.evaluate_many(theta, dot6(td, td), y=y)
+    assert phi.shape == (n,)
+    assert np.array_equal(phi[:, None] * td, got)
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.name)
+def test_radial_factor_refuses_a_non_finite_norm(law):
+    # the contract's finiteness test is on theta and r2 = |Td|^2
+    for r2 in (np.inf, np.nan):
+        with pytest.raises(NonFiniteInput, match="stress deviator"):
+            law.evaluate_many(np.zeros(2), np.array([1.0, r2]))
+    with pytest.raises(NonFiniteInput, match="temperature"):
+        law.evaluate_many(np.array([0.0, np.nan]), np.ones(2))
+
+
+def test_bodner_partom_factor_defaults_to_y0():
+    law = BodnerPartom(g0=1.2, m=2.0, y0=1.5)
+    r2 = np.array([0.0, 0.25, 4.0])
+    assert np.array_equal(law.evaluate_many(np.zeros(3), r2), law.evaluate_many(np.zeros(3), r2, y=1.5))
 
 
 def test_mroz_unit_modulus_is_identity():
     law = Mroz.constant(1.0)
     rng = np.random.default_rng(0)
     td = dev6(rng.standard_normal((50, 6)))
-    assert np.allclose(law.evaluate_many(np.zeros(50), td), td, atol=1e-14)
+    assert np.allclose(vector_rate(law, np.zeros(50), td), td, atol=1e-14)
 
 
 def test_norton_hoff_p2_is_identity():
     law = NortonHoff(c=1.0, p=2.0)
     rng = np.random.default_rng(1)
     td = dev6(rng.standard_normal((50, 6)))
-    assert np.allclose(law.evaluate_many(np.zeros(50), td), td, atol=1e-14)
+    assert np.allclose(vector_rate(law, np.zeros(50), td), td, atol=1e-14)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.name)
 def test_zero_maps_to_zero(law):
     # direct-evaluation oracle: every implemented law vanishes at Td = 0
-    g = law.evaluate_many(np.array([1.0, -2.0, 50.0]), np.zeros((3, 6)))
+    g = vector_rate(law, np.array([1.0, -2.0, 50.0]), np.zeros((3, 6)))
     assert g.shape == (3, 6)
     assert np.abs(g).max() == pytest.approx(0.0, abs=1e-15)
 
@@ -82,14 +129,14 @@ def test_zero_maps_to_zero(law):
 def test_output_traceless(law):
     rng = np.random.default_rng(2)
     td = dev6(rng.standard_normal((200, 6)))
-    g = law.evaluate_many(np.full(200, 3.0), td)
+    g = vector_rate(law, np.full(200, 3.0), td)
     tr = np.abs(g[:, 0] + g[:, 1] + g[:, 2])
     assert np.max(tr / np.maximum(1.0, norm6(g))) <= 1e-14
 
 
 def dissipation(law, theta, td):
     """Pointwise mechanical dissipation Td : G(theta, Td)."""
-    return dot6(td, law.evaluate_many(np.full(len(td), theta), td))
+    return dot6(td, vector_rate(law, np.full(len(td), theta), td))
 
 
 def test_dissipation_values():
@@ -109,7 +156,7 @@ def test_dissipation_meets_coercivity_bound():
     rng = np.random.default_rng(3)
     td = dev6(rng.standard_normal((500, 6)))
     for law in ALL_LAWS:
-        g = law.evaluate_many(np.full(500, 5.0), td)
+        g = vector_rate(law, np.full(500, 5.0), td)
         diss = np.einsum("ij,ij->i", td, g)
         assert np.all(diss >= law.beta_coercivity * norm6(td) ** law.p - 1e-12)
 
@@ -117,22 +164,22 @@ def test_dissipation_meets_coercivity_bound():
 def test_non_finite_inputs_rejected():
     law = NortonHoff(c=1.0, p=3.0)
     with pytest.raises(NonFiniteInput):
-        law.evaluate_many(np.array([np.nan]), unit_dev())
+        vector_rate(law, np.array([np.nan]), unit_dev())
     with pytest.raises(NonFiniteInput):
-        law.evaluate_many(np.array([np.inf]), unit_dev())
+        vector_rate(law, np.array([np.inf]), unit_dev())
     bad = unit_dev()
     bad[0, 3] = np.nan
     with pytest.raises(NonFiniteInput):
-        law.evaluate_many(np.array([0.0]), bad)
+        vector_rate(law, np.array([0.0]), bad)
     for other in (Mroz.constant(1.0), BodnerPartom()):
         with pytest.raises(NonFiniteInput):
-            other.evaluate_many(np.array([0.0]), bad)
+            vector_rate(other, np.array([0.0]), bad)
 
 
 def test_mroz_accepts_any_finite_theta():
     law = Mroz.table([0.0, 1.0, 2.0], [1.0, 0.8, 0.6])
     td = np.repeat(unit_dev(), 4, axis=0)
-    g = law.evaluate_many(np.array([-50.0, 0.0, 1.5, 1e6]), td)
+    g = vector_rate(law, np.array([-50.0, 0.0, 1.5, 1e6]), td)
     # constant extension below and above the table
     assert np.allclose(g[0], g[1], atol=1e-14)
     assert np.allclose(g[1], td[0], atol=1e-14)

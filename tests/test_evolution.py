@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from thermovisc import cli, evolution
 from thermovisc.basis import BasisFields, build_basis
 from thermovisc.cli import main
-from thermovisc.constitutive import BodnerPartom, Mroz, NortonHoff
+from thermovisc.constitutive import BodnerPartom, Mroz, NortonHoff, vector_rate
 from thermovisc.errors import (
     BadConfig,
     BadData,
@@ -29,7 +30,7 @@ from thermovisc.evolution import (
 )
 from thermovisc.lifting import LiftedFields, build_lift
 from thermovisc.mesh_fem import assemble, build_mesh
-from thermovisc.tensor import ElasticityTensor, dev6, trace6
+from thermovisc.tensor import ElasticityTensor, dev6, dot6, trace6
 
 D = ElasticityTensor.isotropic(lam=1.0, mu=1.0)
 
@@ -239,7 +240,7 @@ def test_gamma_is_explicit_in_the_accepted_stress():
     assert rep.residual <= cfg.solver_tol
     theta_t_q, Ttd_q = evolution._lift_slices(sys_, lift, 1)
     Td = sys_.stress_dev(st1.delta, Ttd_q)
-    G = sys_.law.evaluate_many(st1.beta @ sys_.fields.v_quad + theta_t_q, Td)
+    G = vector_rate(sys_.law, st1.beta @ sys_.fields.v_quad + theta_t_q, Td)
     expect = sys_.D_eps_w_frame @ (sys_.wq[:, None] * G).ravel()
     got = (st1.gamma - st0.gamma) * sys_.lam / dt
     assert np.abs(expect).max() > 1e-3
@@ -281,7 +282,7 @@ def test_chord_solve_matches_picard_on_stiff_step():
     x = np.concatenate([st.delta, st.beta])
     eta, r_prev, iters = 1.0, np.inf, 0
     while iters < cfg.solver_max_iter:
-        fx, (_, _, _, _, wG, _) = evolution._implicit_map(sys_, st, *slices, dt, 1e30, x)
+        fx, ev = evolution._implicit_map(sys_, st, *slices, dt, 1e30, x)
         iters += 1
         r = np.abs(fx - x).max()
         if r <= cfg.solver_tol:
@@ -292,7 +293,7 @@ def test_chord_solve_matches_picard_on_stiff_step():
         x = x + eta * (fx - x)
     assert r <= cfg.solver_tol
     picard = {
-        "gamma": st.gamma + dt * (sys_.D_eps_w_frame @ wG) / sys_.lam,
+        "gamma": st.gamma + dt * (sys_.D_eps_w_frame @ ev.wG) / sys_.lam,
         "delta": x[: sys_.l],
         "beta": x[sys_.l :],
     }
@@ -355,8 +356,8 @@ def test_delta_tangent_matches_the_map_jacobian(law):
     def delta_map(xv):
         return evolution._implicit_map(sys_, st, *slices, dt, 1e30, xv)
 
-    _, (Td, diss, *_) = delta_map(x)
-    dtK = dt * evolution._delta_tangent(sys_, Td, diss)
+    _, ev = delta_map(x)
+    dtK = dt * evolution._delta_tangent(sys_, ev.Td, ev.r2, ev.phi)
     h = 1e-6
     jac = np.empty((4, 4))
     for j in range(4):
@@ -365,6 +366,91 @@ def test_delta_tangent_matches_the_map_jacobian(law):
         jac[:, j] = (delta_map(x + e)[0][:4] - delta_map(x - e)[0][:4]) / (2.0 * h)
     # dF_delta / ddelta = -dt K
     assert np.abs(dtK + jac).max() <= 1e-6 * np.abs(dtK).max()
+
+
+ONE_PASS_LAWS = [
+    NortonHoff(c=1.5, p=2.0),
+    NortonHoff(c=1.5, p=3.0),
+    NortonHoff(c=1.5, p=4.0),
+    BodnerPartom(g0=1.2, m=2.0),
+    Mroz.constant(0.8),
+    Mroz.lorentz(amplitude=2.0, offset=0.5),
+    Mroz.table([0.0, 1.0, 3.0], [2.0, 0.5, 1.0]),
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("law", ONE_PASS_LAWS, ids=lambda l: l.name)
+def test_one_pass_map_matches_the_vector_law(law, dim):
+    # the map reduces |Td|^2 once and reads the law's radial factor; F and
+    # what its evaluation carries match the vector rate G = phi Td and G : Td
+    # formed point by point, at a random iterate under a force with a
+    # spread-out temperature (and hardening field)
+    cells = (4, 4) if dim == 2 else (2, 2, 2)
+    ops = assemble(build_mesh(dim, (1.0,) * dim, cells), D)
+    sys_ = ModalSystem(ops, build_basis(ops, k=2, l=4), law)
+    rng = np.random.default_rng(dim)
+    dt = 0.1
+    lift = build_lift(ops, grid(dt, 1), f=(lambda t: 1.0, rng.standard_normal((ops.n_nodes, dim))))
+    y = rng.uniform(law.y_min, law.y_max, sys_.wq.size) if isinstance(law, BodnerPartom) else None
+    st = make_state(0.0, np.zeros(2), 0.3 * rng.standard_normal(4), rng.standard_normal(4), y)
+    x = np.concatenate([st.delta, st.beta]) + 0.1 * rng.standard_normal(8)
+    theta_t_q, Ttd_q = evolution._lift_slices(sys_, lift, 1)
+
+    Td = sys_.stress_dev(x[:4], Ttd_q)
+    G = vector_rate(law, sys_.theta_quad(x[4:]) + theta_t_q, Td, y=y)
+    diss = dot6(Td, G)
+    level = float(np.quantile(diss, 0.7))  # the truncation is active
+    wG = (sys_.wq[:, None] * G).ravel()
+    src = np.clip(diss, 0.0, level)
+    heat = sys_.fields.v_quad @ (sys_.wq * src)
+    F = np.concatenate(
+        [st.delta + dt * (sys_.D_zeta_frame @ wG), (st.beta + dt * heat) / (1.0 + dt * sys_.mu)]
+    )
+    fx, ev = evolution._implicit_map(sys_, st, theta_t_q, Ttd_q, dt, level, x)
+
+    def close(got, ref):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    assert src.max() == level < diss.max()
+    close(fx, F)
+    close(ev.diss, diss)
+    close(ev.src, src)
+    close(ev.wG, wG)
+    close(ev.r2, dot6(Td, Td))
+    assert ev.dissipation == pytest.approx(float(sys_.wq @ diss), rel=1e-14, abs=0.0)
+
+
+def test_law_is_evaluated_once_per_map_evaluation(monkeypatch):
+    # one law call per map evaluation plus level 0's report: the tangent and
+    # the step report read the accepted evaluation's r2 and phi
+    law = NortonHoff(c=1.0, p=3.0)
+    sys_ = make_system(law=law)
+    dt, n = 0.05, 8
+    xy = sys_.ops.mesh.nodes
+    f = np.stack([0.2 * xy[:, 1] ** 2, 0.5 + 0.8 * xy[:, 0]], axis=1)
+    lift = build_lift(sys_.ops, grid(dt, n), f=(lambda t: 1.0 + 20.0 * t, f))
+    st = make_state(0.0, np.zeros(2), [0.3, -0.2, 0.1], [1.0, 0.2, 0.0])
+    calls, during_tangent = [], []
+    evaluate = law.evaluate_many
+    tangent = evolution._delta_tangent
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    def counted_tangent(*args):
+        before = len(calls)
+        K = tangent(*args)
+        during_tangent.append(len(calls) - before)
+        return K
+
+    law.evaluate_many = spy
+    monkeypatch.setattr(evolution, "_delta_tangent", counted_tangent)
+    res = run(sys_, st, lift, EvolutionConfig(dt=dt, n_steps=n), on_step=lambda *a: None)
+    assert all(rep.substeps == 1 for rep in res.reports)
+    assert during_tangent and not any(during_tangent)
+    assert len(calls) == sum(rep.iters for rep in res.reports) + 1
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
@@ -448,6 +534,77 @@ def test_extrapolated_start_reaches_the_same_fixed_point():
         assert np.abs(diff).max() <= 1e-10
     assert rep_x.iters < rep_s.iters, (rep_x.iters, rep_s.iters)
     assert abs(rep_x.energy_defect) <= 10 * cfg.solver_tol
+
+
+def test_start_weights_are_formed_once_per_level_pattern():
+    # a uniform run keeps its levels at grid positions 0, 1, 2, ...: steps 1
+    # and 2 see one and two levels, whose only degree is 0, and the three-
+    # and four-level patterns are each formed once
+    sys_ = make_system(law=NortonHoff(c=1.0, p=3.0))
+    dt, n = 1e-2, 20
+    st = make_state(0.0, [0.01, -0.02], [0.3, -0.1, 0.1], [1.0, 0.2, 0.0])
+    evolution._start_weights.cache_clear()
+    res = run(sys_, st, build_lift(sys_.ops, grid(dt, n)), EvolutionConfig(dt=dt, n_steps=n))
+    assert all(rep.substeps == 1 for rep in res.reports)
+    info = evolution._start_weights.cache_info()
+    assert info.misses == 2
+    assert info.hits == n - 4
+
+
+def _start_on_times(levels, t):
+    """The extrapolated start formed on absolute times, one Lagrange weight vector at a time."""
+    ts = [ti for ti, _ in levels]
+    X = np.array([x for _, x in levels])
+    n = len(ts) - 1
+    errs = [
+        np.abs(evolution._lagrange_weights(ts[n - d - 1 : n], ts[n]) @ X[n - d - 1 : n] - X[n]).max()
+        for d in range(n)
+    ]
+    d = int(np.argmin(errs))
+    return d, np.array(evolution._lagrange_weights(ts[n - d :], t)) @ X[n - d :]
+
+
+def test_halved_step_positions_give_the_start_of_the_times():
+    # after a halved step the levels sit at grid positions 3, 4, 4.5, 4.75;
+    # the start at position 5 is the one the Lagrange weights give on the
+    # accumulated times of those levels
+    dt = 0.3
+    times = [0.9]
+    for h in (dt, dt / 2, dt / 4):
+        times.append(times[-1] + h)
+    positions = [3.0, 4.0, 4.5, 4.75]
+
+    def x(t):
+        return np.array([np.sin(3.0 * t), np.exp(-t), 1e3 * t**3, -2.0])
+
+    d, ref = _start_on_times([(t, x(t)) for t in times], times[-1] + dt / 4)
+    assert d > 0
+    got = evolution._start_iterate([(p, x(t)) for p, t in zip(positions, times)], 5.0)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_run_keeps_its_levels_at_exact_grid_positions(monkeypatch):
+    # a stiff run whose first step halves: every level and every start is at
+    # the step index plus a dyadic substep fraction, exact in binary
+    sys_ = make_system(law=NortonHoff(c=1.0, p=4.0))
+    cfg = EvolutionConfig(dt=0.05, n_steps=4, solver_max_iter=12, truncation_level=1e30)
+    st = make_state(0.0, np.zeros(2), [1.5, -1.0, 0.8], [1.0, 0.0, 0.0])
+    seen = []
+    start_iterate = evolution._start_iterate
+
+    def spy(levels, t):
+        seen.append(([p for p, _ in levels], t))
+        return start_iterate(levels, t)
+
+    monkeypatch.setattr(evolution, "_start_iterate", spy)
+    res = run(sys_, st, build_lift(sys_.ops, grid(0.05, 4)), cfg)
+    assert res.reports[0].substeps > 1
+    assert seen[0] == ([0.0], 1.0)  # the full first step, before it halves
+    assert seen[1] == ([0.0], 0.5)
+    for positions, t in seen:
+        for p in positions + [t]:
+            assert (p * 2**8).is_integer() and 0.0 <= p <= cfg.n_steps
+        assert t > positions[-1]
 
 
 def _stiff_creep(tmp_path, monkeypatch, c, dt):
@@ -615,6 +772,26 @@ def test_initial_report_raises_the_laws_non_finite_input(name):
     getattr(st, name)[0] = np.nan
     with pytest.raises(NonFiniteInput):
         initial_report(sys_, st, build_lift(sys_.ops, grid(1e-2, 1)))
+
+
+def test_finite_deviator_whose_norm_overflows_is_an_overflow(monkeypatch):
+    # entries of 1e154 square to finite values whose sum over the frame
+    # columns leaves the float range: that is an overflow in F, not a
+    # non-finite input, so a step fails as diverged with the overflow's
+    # reason and level 0's report is written as inf, as for a law value past
+    # the float range
+    sys_ = make_system(law=NortonHoff(c=1.0, p=3.0))
+    huge = np.full((sys_.wq.size, sys_.m), 1e154)
+    monkeypatch.setattr(sys_, "stress_dev", lambda delta, Ttd_q: huge)
+    st = make_state(0.0, np.zeros(2), np.zeros(3), np.zeros(3))
+    lift = build_lift(sys_.ops, grid(1e-2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = initial_report(sys_, st, lift)
+        # the overflow's reason follows the message; a refused input has none
+        with pytest.raises(NonlinearSolveFailure, match=r"diverged at t=0\.01 \(\w"):
+            step(sys_, st, lift, 1, EvolutionConfig(dt=1e-2, n_steps=1))
+    assert rep.dissipation == math.inf and rep.stress_lp == math.inf
 
 
 @pytest.mark.parametrize(

@@ -302,3 +302,20 @@ def test_time_factor_must_be_finite(ops):
     f = np.ones((ops.n_nodes, 2))
     with pytest.raises(BadData):
         build_lift(ops, np.linspace(0.0, 1.0, 3), f=(lambda t: np.inf if t > 0 else 1.0, f))
+
+
+@pytest.mark.parametrize("box", sorted(BOXES))
+def test_flux_integral_matches_the_per_level_products(box):
+    # build_lift forms every level's boundary flux integral in one product
+    # with B^T 1; the per-level sums 1 . (B g_i) agree to round-off
+    dim, extents, cells = BOXES[box]
+    ops = assemble(build_mesh(dim, extents, cells), D)
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 0.2, 41)
+    base = rng.standard_normal(ops.n_nodes)
+    lifted = build_lift(ops, times, g_theta=(lambda t: np.cos(30.0 * t) + 0.3, base))
+    ones = np.ones(ops.n_nodes)
+    per_level = [ones @ (ops.B_boundary @ ((np.cos(30.0 * t) + 0.3) * base)) for t in times]
+    ref = np.array(per_level)
+    assert np.abs(ref).min() > 0.0
+    assert np.abs(lifted.flux_integral - ref).max() <= 1e-14 * np.abs(ref).max()
