@@ -20,6 +20,10 @@ last kept group the count must equal the number of pairs computed below it.
 A missed pair shows as a mismatch; the solve is repeated with more pairs,
 and an uncertified basis is a SolverFailure.
 
+``build_basis`` forms the strains eps(w_n) at the Gauss points once, right
+after W, and both their readers take that one table: the complement's
+constraint rows and ``basis_fields``.
+
 The complement lives on the kernel of its k constraint rows C, the
 functionals (eps(w_n), .)_D.  Its pencil is a Kronecker product with known
 eigenpairs, which C changes by rank k; Haynsworth's inertia additivity counts
@@ -53,7 +57,7 @@ from scipy.linalg import eigh, qr
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from . import __version__
-from .errors import BadConfig, BadData, EmptyComplement, SolverFailure
+from .errors import BadConfig, EmptyComplement, SolverFailure
 from .mesh_fem import AssembledOperators, neumann_modes
 from .tensor import DEVIATORIC_BASIS, VOIGT_PAIRS, ElasticityTensor
 
@@ -233,9 +237,9 @@ class ComplementSpace:
     """Nodal strain space bookkeeping for the complement eigenproblem."""
 
     comp_basis: np.ndarray  # (6, m) orthonormal per-node tensor directions
-    C: np.ndarray | None = field(default=None, repr=False)  # orthonormal constraint rows
-    gram_D: sp.csr_matrix | None = field(default=None, repr=False)
-    gram_s: sp.csr_matrix | None = field(default=None, repr=False)
+    C: np.ndarray = field(repr=False)  # orthonormal constraint rows
+    gram_D: sp.csr_matrix = field(repr=False)
+    gram_s: sp.csr_matrix = field(repr=False)
 
 
 def _node_tensor_basis(dim: int, space: str) -> np.ndarray:
@@ -307,9 +311,10 @@ def _kernel_eigenpairs(lam, cols, l: int):
 
 
 def complement_strain_basis(
-    ops: AssembledOperators, W: np.ndarray, l: int, space: str = "deviatoric", record=None
+    ops: AssembledOperators, eps_w: np.ndarray, l: int, space: str = "deviatoric", record=None
 ):
-    """Eigenbasis of the D-orthogonal complement of span{eps(w_n)}.
+    """Eigenbasis of the D-orthogonal complement of span{eps(w_n)}, given the
+    (k, NQ, 6) strains eps_w of the displacement modes at the Gauss points.
 
     Returns (Z, lam_z, comp) with Z of shape (l, n_nodes * m) in node-major
     layout and lam_z ascending with lam_z >= 1.  As gram_D = M_theta x Dblk and
@@ -325,10 +330,12 @@ def complement_strain_basis(
 
     gram_D, gram_s = ops.strain_gram(B)
 
-    # constraint functionals (eps(w_n), .)_D on the nodal strain space
+    # constraint functionals (eps(w_n), .)_D on the nodal strain space, all k at once
+    k = len(eps_w)
+    wDB = ops.D.apply6(eps_w) @ B
+    wDB *= ops.wq[:, None]
     P = ops.scalar_interp_matrix()
-    C = np.stack([(P.T @ (ops.wq[:, None] * (ops.D.apply6(ops.strain_quad(w)) @ B))).ravel()
-                  for w in W])
+    C = (P.T @ np.hstack(wDB)).reshape(n, k, m).swapaxes(0, 1).reshape(k, ns)
     # orthonormal rows with the same kernel: C C^T = I, and functionals that
     # are dependent on the nodal space are dropped rather than factored
     _, sv, Vt = np.linalg.svd(C, full_matrices=False)
@@ -336,7 +343,7 @@ def complement_strain_basis(
 
     if (nc := ns - len(C)) < 1 or l > nc:
         raise EmptyComplement(f"complement dimension {nc} cannot host {l} modes "
-                              f"(strain dofs {ns}, k={len(W)})")
+                              f"(strain dofs {ns}, k={k})")
 
     modes = neumann_modes(mesh)
     nu = np.sort([a / b for a, b in zip(modes.stiff, modes.mass)], axis=0).sum(axis=0)
@@ -356,34 +363,41 @@ def complement_strain_basis(
 
 @dataclass
 class GalerkinBasis:
-    """The assembled two-level basis with its eigenvalues and conventions."""
+    """The assembled two-level basis with its eigenvalues and conventions.
+
+    ``eps_w`` and ``eigensolves`` are derived in ``build_basis``, the only
+    maker of a basis; ``dump_basis`` writes neither.
+    """
 
     k: int
     l: int
     W: np.ndarray = field(repr=False)
     lam_w: np.ndarray = field(repr=False)
+    eps_w: np.ndarray = field(repr=False)  # (k, NQ, 6): eps(w_n) at the Gauss points
     V: np.ndarray = field(repr=False)
     mu_v: np.ndarray = field(repr=False)
     Z: np.ndarray = field(repr=False)
     lam_z: np.ndarray = field(repr=False)
     comp: ComplementSpace = field(repr=False)
-    mesh_hash: str = ""
-    space: str = "deviatoric"
-    sign_convention: str = SIGN_CONVENTION
-    # per family, how its eigenpairs were found (not kept by dump_basis)
-    eigensolves: dict = field(default_factory=dict, repr=False)
+    mesh_hash: str
+    space: str
+    # per family, how its eigenpairs were found
+    eigensolves: dict = field(repr=False)
 
 
 def build_basis(ops: AssembledOperators, k: int, l: int, space: str = "deviatoric"):
     solves = {"displacement": {}, "temperature": {}, "complement": {}}
     W, lam_w = displacement_eigenbasis(ops, k, record=solves["displacement"])
+    eps_w = np.stack([ops.strain_quad(w) for w in W])
     V, mu_v = temperature_eigenbasis(ops, l, record=solves["temperature"])
-    Z, lam_z, comp = complement_strain_basis(ops, W, l, space=space, record=solves["complement"])
+    Z, lam_z, comp = complement_strain_basis(ops, eps_w, l, space=space,
+                                             record=solves["complement"])
     return GalerkinBasis(
         k=k,
         l=l,
         W=W,
         lam_w=lam_w,
+        eps_w=eps_w,
         V=V,
         mu_v=mu_v,
         Z=Z,
@@ -422,7 +436,7 @@ class BasisFields:
 
 
 def basis_fields(ops: AssembledOperators, basis: GalerkinBasis) -> BasisFields:
-    eps_w = np.stack([ops.strain_quad(w) for w in basis.W])
+    eps_w = basis.eps_w
     P = ops.scalar_interp_matrix()
     B = basis.comp.comp_basis
     m = B.shape[1]
@@ -443,8 +457,6 @@ def projection_norm_check(basis: GalerkinBasis, n_fields: int = 1000, seed: int 
     which the projector is defined; reports the worst norm ratio.
     """
     comp = basis.comp
-    if comp.C is None:
-        raise BadData("basis was loaded without its complement space; rebuild to check")
     rng = np.random.default_rng(seed)
     C, S, G, Z = comp.C, comp.gram_s, comp.gram_D, basis.Z
     # C has orthonormal rows, so R - C^T (C C^T)^-1 C R is R - C^T C R
@@ -505,7 +517,7 @@ def dump_basis(path, basis: GalerkinBasis) -> None:
         "k": basis.k,
         "l": basis.l,
         "space": basis.space,
-        "sign_convention": basis.sign_convention,
+        "sign_convention": SIGN_CONVENTION,
         "version": __version__,
     }
     np.savez_compressed(
@@ -519,27 +531,3 @@ def dump_basis(path, basis: GalerkinBasis) -> None:
         comp_basis=basis.comp.comp_basis,
         meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
     )
-
-
-def load_basis(path, expected_mesh_hash: str | None = None) -> GalerkinBasis:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if expected_mesh_hash is not None and meta["mesh_hash"] != expected_mesh_hash:
-            raise BadData(
-                f"basis was built for mesh {meta['mesh_hash']}, expected {expected_mesh_hash}"
-            )
-        comp = ComplementSpace(comp_basis=data["comp_basis"])
-        return GalerkinBasis(
-            k=int(meta["k"]),
-            l=int(meta["l"]),
-            W=data["W"],
-            lam_w=data["lam_w"],
-            V=data["V"],
-            mu_v=data["mu_v"],
-            Z=data["Z"],
-            lam_z=data["lam_z"],
-            comp=comp,
-            mesh_hash=meta["mesh_hash"],
-            space=meta["space"],
-            sign_convention=meta["sign_convention"],
-        )

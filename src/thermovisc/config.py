@@ -264,8 +264,12 @@ def validate_config(raw: dict) -> dict:
     errors = []
     _walk(errors, "", cfg, SCHEMA, ctx)
 
+    # the user's own keys: the merge has already filled n_steps
+    given = raw.get("discretization")
     horizon, dt = disc.pop("horizon", None), disc.get("dt")
-    if _POS(horizon, ctx) is None and _POS(dt, ctx) is None:
+    if horizon is not None and isinstance(given, dict) and "n_steps" in given:
+        errors.append("discretization: n_steps and horizon both given; give one of them")
+    elif _POS(horizon, ctx) is None and _POS(dt, ctx) is None:
         n = horizon / dt
         if not math.isfinite(n) or abs(round(n) * dt - horizon) > 1e-9 * max(horizon, 1.0):
             errors.append(

@@ -46,10 +46,6 @@ def thermal_energy(ops: AssembledOperators, theta_nodal) -> float:
     return float(ops.M_lumped @ np.asarray(theta_nodal))
 
 
-def total_energy(ops: AssembledOperators, eps_u_quad, epsp_quad, theta_nodal) -> float:
-    return thermal_energy(ops, theta_nodal) + potential_energy(ops, eps_u_quad, epsp_quad)
-
-
 def entropy(ops: AssembledOperators, theta_nodal) -> float:
     """Lumped quadrature of ln(theta); NaN when any nodal value is <= 0."""
     theta = np.asarray(theta_nodal)

@@ -760,14 +760,3 @@ def reconstruct_fields(
         "theta": theta_phys,
         "theta_quad": system.theta_quad(state.beta) + ops.scalar_quad(theta_tilde),
     }
-
-
-def make_state(t, gamma, delta, beta, y_quad=None) -> SimState:
-    """Assemble a state from raw coefficient vectors."""
-    return SimState(
-        t=float(t),
-        beta=np.array(beta, dtype=float),
-        gamma=np.array(gamma, dtype=float),
-        delta=np.array(delta, dtype=float),
-        y_quad=y_quad,
-    )

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import sha256
-from itertools import combinations
-from math import prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,11 +84,6 @@ class BoxMesh:
     @property
     def volume(self) -> float:
         return float(np.prod(self.extents))
-
-    @property
-    def boundary_measure(self) -> float:
-        # the faces come in pairs, one pair per choice of dim - 1 axes
-        return 2.0 * sum(prod(axes) for axes in combinations(self.extents, self.dim - 1))
 
     def content_hash(self) -> str:
         key = f"dim={self.dim};extents={tuple(self.extents)};cells={tuple(self.cells)}"

@@ -85,16 +85,6 @@ def dot6(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", np.asarray(a), np.asarray(b))
 
 
-def voigt_to_matrix(v: np.ndarray) -> np.ndarray:
-    """(..., 6) Voigt arrays as (..., 3, 3) symmetric matrices."""
-    v = np.asarray(v, dtype=float)
-    s = 1.0 / SQRT2
-    a11, a22, a33 = v[..., 0], v[..., 1], v[..., 2]
-    a12, a13, a23 = s * v[..., 3], s * v[..., 4], s * v[..., 5]
-    rows = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-
 # ---------------------------------------------------------------------------
 # elasticity map D
 # ---------------------------------------------------------------------------

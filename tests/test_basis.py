@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh, null_space
 
 import thermovisc.basis as basis_mod
+from thermovisc import __version__
 from thermovisc.basis import (
     basis_fields,
     basis_invariant_report,
@@ -10,15 +13,16 @@ from thermovisc.basis import (
     complement_strain_basis,
     displacement_eigenbasis,
     dump_basis,
-    load_basis,
     projection_norm_check,
     temperature_eigenbasis,
 )
 from thermovisc.constitutive import Mroz
-from thermovisc.errors import BadConfig, BadData, EmptyComplement, SolverFailure
+from thermovisc.errors import BadConfig, EmptyComplement, SolverFailure
 from thermovisc.evolution import ModalSystem
 from thermovisc.mesh_fem import assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor, trace6
+
+from helpers import mode_strains
 
 D = ElasticityTensor.isotropic(lam=1.0, mu=1.0)
 
@@ -237,7 +241,7 @@ def test_sparse_branch_needs_more_dofs_than_pairs(monkeypatch):
     ops_2 = assemble(build_mesh(2, (1.0, 1.0), (2, 2)), D)
     W, _ = displacement_eigenbasis(ops_2, 2)
     record = {}
-    Z, lam_z, comp = complement_strain_basis(ops_2, W, 19, record=record)
+    Z, lam_z, comp = complement_strain_basis(ops_2, mode_strains(ops_2, W), 19, record=record)
     assert record == {"branch": "closed_form", "inertia": 22, "kept": 19}
     assert comp.C.shape == (2, 27)
     assert lam_z[0] >= 1.0 - 1e-10 and np.all(np.diff(lam_z) >= -1e-12)
@@ -277,7 +281,7 @@ def test_complement_modes_traceless(ops, basis):
 def test_complement_empty(ops):
     W, _ = displacement_eigenbasis(ops, 2)
     with pytest.raises(EmptyComplement):
-        complement_strain_basis(ops, W, l=10**6)
+        complement_strain_basis(ops, mode_strains(ops, W), l=10**6)
 
 
 def test_project_complement_reproduces_mode(ops, basis):
@@ -314,16 +318,20 @@ def test_deterministic_rebuild(ops):
 
 
 def test_dump_load_round_trip(tmp_path, ops, basis):
+    # basis.npz is a record for inspection: the kept arrays and a provenance
+    # header, read here with plain numpy; the derived eps_w is not written
     path = tmp_path / "basis.npz"
     dump_basis(path, basis)
-    loaded = load_basis(path, expected_mesh_hash=ops.mesh.content_hash())
-    assert np.array_equal(loaded.W, basis.W)
-    assert np.array_equal(loaded.Z, basis.Z)
-    assert loaded.k == basis.k and loaded.l == basis.l
-    with pytest.raises(BadData):
-        load_basis(path, expected_mesh_hash="deadbeef")
-    with pytest.raises(BadData):
-        projection_norm_check(loaded)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["V", "W", "Z", "comp_basis", "lam_w", "lam_z", "meta",
+                                      "mu_v"]
+        for name in ("W", "lam_w", "V", "mu_v", "Z", "lam_z"):
+            assert np.array_equal(data[name], getattr(basis, name))
+        assert np.array_equal(data["comp_basis"], basis.comp.comp_basis)
+        meta = json.loads(bytes(data["meta"]).decode())
+    assert meta == {"mesh_hash": ops.mesh.content_hash(), "k": basis.k, "l": basis.l,
+                    "space": basis.space, "sign_convention": basis_mod.SIGN_CONVENTION,
+                    "version": __version__}
 
 
 def _dense_complement_oracle(ops, basis, n_pairs):
@@ -406,7 +414,7 @@ def test_complement_certified_through_a_cut_27_fold_group():
     ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (5, 5, 5)), D)
     W, _ = displacement_eigenbasis(ops_c, 4)
     record = {}
-    _, lam_z, comp = complement_strain_basis(ops_c, W, 60, record=record)
+    _, lam_z, comp = complement_strain_basis(ops_c, mode_strains(ops_c, W), 60, record=record)
     assert record == {"branch": "closed_form", "inertia": 81, "kept": 60}
     N = null_space(comp.C)
     lam_d = eigh(
@@ -421,9 +429,9 @@ def test_complement_cut_group_keeps_its_modes_whatever_l():
     # so l = 12 cuts it and l = 17 keeps it whole.  The first 12 modes, and so
     # the complement_mode initial data, do not depend on l.
     ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (7, 7, 7)), D)
-    W, _ = displacement_eigenbasis(ops_c, 12)
-    Z12, lam12, _ = complement_strain_basis(ops_c, W, 12)
-    Z17, lam17, _ = complement_strain_basis(ops_c, W, 17)
+    eps_w = mode_strains(ops_c, displacement_eigenbasis(ops_c, 12)[0])
+    Z12, lam12, _ = complement_strain_basis(ops_c, eps_w, 12)
+    Z17, lam17, _ = complement_strain_basis(ops_c, eps_w, 17)
     assert abs(lam12[5] - 11.036) <= 1e-3 and np.ptp(lam17[5:]) <= 1e-12
     assert np.abs(Z12 - Z17[:12]).max() <= 1e-12
     assert np.array_equal(lam12, lam17[:12])

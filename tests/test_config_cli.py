@@ -32,6 +32,8 @@ from thermovisc.errors import ParseError, SolverFailure, ValidationError
 from thermovisc.mesh_fem import AssembledOperators, assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor
 
+from helpers import mode_strains
+
 REPO = Path(__file__).resolve().parents[1]
 
 MINIMAL = {
@@ -92,6 +94,17 @@ def test_horizon_translates_to_steps():
     assert cfg["discretization"]["n_steps"] == 10
     with pytest.raises(ValidationError):
         validate_config({"discretization": {"dt": 3e-3, "horizon": 0.01}})
+
+
+def test_horizon_and_n_steps_together_are_a_config_error(tmp_path, capsys):
+    # neither key silently overrides the other
+    payload = copy.deepcopy(MINIMAL)
+    payload["discretization"].update(dt=0.1, n_steps=7, horizon=1.0)
+    out = tmp_path / "o"
+    code = main(["run", "--config", write_cfg(tmp_path, payload), "--out", str(out), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "discretization: n_steps and horizon both given" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_config_hash_stable_under_key_order():
@@ -604,7 +617,7 @@ def _complement_off_premise(ops):
     # one perturbed stiffness entry breaks the Kronecker pencil's premise
     W, _ = basis.displacement_eigenbasis(ops, 2)
     ops.K_theta[4, 4] *= 1.01
-    return basis.complement_strain_basis(ops, W, 2)
+    return basis.complement_strain_basis(ops, mode_strains(ops, W), 2)
 
 
 def _heat_lift_off_premise(ops):
@@ -893,3 +906,19 @@ def test_run_and_invariant_report_read_the_fields_pairings():
         perturbed[0, 0] += 1e-6
         fields = dataclasses.replace(system.fields, **{name: perturbed})
         assert basis_invariant_report(ops, system.basis, fields)["failed"] == [check]
+
+
+def test_mode_strains_are_formed_once_per_run_setup(monkeypatch):
+    # build_basis forms eps(w_n) once for the complement's constraint rows and
+    # the basis fields; every other strain_quad of the set-up is a lift solve's
+    strains, lifts = [], []
+    real_quad, real_lift = AssembledOperators.strain_quad, lifting.solve_elastic_lift
+    monkeypatch.setattr(AssembledOperators, "strain_quad",
+                        lambda ops, u: strains.append(u) or real_quad(ops, u))
+    monkeypatch.setattr(lifting, "solve_elastic_lift",
+                        lambda *a, **kw: lifts.append(a) or real_lift(*a, **kw))
+    cfg = load_config(REPO / "configs" / "forced.json")
+    system, *_ = prepare_run(cfg, build_operators(cfg))
+    assert len(lifts) == 1
+    assert len(strains) == system.basis.k + len(lifts)
+    assert system.fields.eps_w is system.basis.eps_w

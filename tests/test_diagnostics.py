@@ -15,7 +15,6 @@ from thermovisc.diagnostics import (
     entropy_rate_check,
     potential_energy,
     thermal_energy,
-    total_energy,
 )
 from thermovisc.evolution import (
     EvolutionConfig,
@@ -60,10 +59,10 @@ def test_total_and_thermal_energy(ops):
     nq = ops.wq.size
     z = np.zeros((nq, 6))
     zero_theta = np.zeros(ops.n_nodes)
-    assert total_energy(ops, z, z, zero_theta) == 0.0
+    assert thermal_energy(ops, zero_theta) + potential_energy(ops, z, z) == 0.0
     const = np.full(ops.n_nodes, 2.5)
     assert thermal_energy(ops, const) == pytest.approx(2.5, rel=1e-12)
-    assert total_energy(ops, z, z, const) == pytest.approx(2.5, rel=1e-12)
+    assert thermal_energy(ops, const) + potential_energy(ops, z, z) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_entropy_values(ops):

@@ -6,7 +6,9 @@ from thermovisc.constitutive import Mroz
 from thermovisc.errors import BadConfig, DimensionMismatch
 from thermovisc.evolution import ModalSystem
 from thermovisc.mesh_fem import assemble, build_mesh
-from thermovisc.tensor import ElasticityTensor, voigt_to_matrix
+from thermovisc.tensor import ElasticityTensor
+
+from helpers import boundary_measure, voigt_to_matrix
 
 D = ElasticityTensor.isotropic(lam=1.0, mu=1.0)
 
@@ -132,7 +134,7 @@ def test_boundary_mass_total(fix, request):
     ops = request.getfixturevalue(fix)
     ones = np.ones(ops.n_nodes)
     assert ones @ (ops.B_boundary @ ones) == pytest.approx(
-        ops.mesh.boundary_measure, rel=1e-12
+        boundary_measure(ops.mesh), rel=1e-12
     )
 
 

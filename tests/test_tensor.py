@@ -10,8 +10,9 @@ from thermovisc.tensor import (
     dot6,
     norm6,
     trace6,
-    voigt_to_matrix,
 )
+
+from helpers import voigt_to_matrix
 
 
 def random_sym(rng, n):
