@@ -29,9 +29,11 @@ functionals (eps(w_n), .)_D.  Its pencil is a Kronecker product with known
 eigenpairs, which C changes by rank k; Haynsworth's inertia additivity counts
 and places the eigenvalues on ker C, complete by construction.
 
-``basis_fields`` evaluates the families at the Gauss points and pairs them
-under D once: the step, the diagnostics rows and ``basis_invariant_report``
-all read its E = (eps(w_n), zeta_m)_D and Gram matrix (zeta_m, zeta_n)_D.
+Once Z is known, ``build_basis`` calls ``basis_fields`` once: it evaluates
+zeta_m and v_m at the Gauss points and pairs them under D, and the basis keeps
+those tables.  The step, the diagnostics rows and ``basis_invariant_report``
+all read the basis's E = (eps(w_n), zeta_m)_D and Gram matrix
+(zeta_m, zeta_n)_D.
 
 The smoothness product is the H1-type surrogate
 <a,b>_s = (a,b)_D + (grad a, grad b)_D, which makes every eigenvalue equal to
@@ -57,9 +59,9 @@ from scipy.linalg import eigh, qr
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from . import __version__
-from .errors import BadConfig, EmptyComplement, SolverFailure
+from .errors import BadConfig, BadData, EmptyComplement, SolverFailure
 from .mesh_fem import AssembledOperators, neumann_modes
-from .tensor import DEVIATORIC_BASIS, VOIGT_PAIRS, ElasticityTensor
+from .tensor import DEVIATORIC_BASIS, VOIGT_PAIRS
 
 #: eigenproblem sizes, in the problem's own dofs, up to which the dense LAPACK
 #: solve runs; above it the certified shift-invert solve is faster
@@ -250,7 +252,7 @@ def _node_tensor_basis(dim: int, space: str) -> np.ndarray:
     elif space == "full":
         diagonal = [np.eye(6)[:, slot] for slot, i, j in VOIGT_PAIRS if i == j]
     else:
-        raise ValueError(f"unknown strain space {space!r}")
+        raise BadData(f"unknown strain space {space!r}")
     return np.stack(diagonal + shear, axis=1)
 
 
@@ -365,8 +367,9 @@ def complement_strain_basis(
 class GalerkinBasis:
     """The assembled two-level basis with its eigenvalues and conventions.
 
-    ``eps_w`` and ``eigensolves`` are derived in ``build_basis``, the only
-    maker of a basis; ``dump_basis`` writes neither.
+    The Gauss-point tables ``eps_w``, ``zeta`` and ``v_quad``, the D-pairings
+    ``E`` and ``gram_zeta``, and ``eigensolves`` are derived in ``build_basis``,
+    the only maker of a basis; ``dump_basis`` writes none of them.
     """
 
     k: int
@@ -379,6 +382,10 @@ class GalerkinBasis:
     Z: np.ndarray = field(repr=False)
     lam_z: np.ndarray = field(repr=False)
     comp: ComplementSpace = field(repr=False)
+    zeta: np.ndarray = field(repr=False)  # (l, NQ, 6): zeta_m at the Gauss points
+    v_quad: np.ndarray = field(repr=False)  # (l, NQ): v_m at the Gauss points
+    E: np.ndarray = field(repr=False)  # (k, l): (eps(w_n), zeta_m)_D
+    gram_zeta: np.ndarray = field(repr=False)  # (l, l): (zeta_m, zeta_n)_D
     mesh_hash: str
     space: str
     # per family, how its eigenpairs were found
@@ -392,6 +399,7 @@ def build_basis(ops: AssembledOperators, k: int, l: int, space: str = "deviatori
     V, mu_v = temperature_eigenbasis(ops, l, record=solves["temperature"])
     Z, lam_z, comp = complement_strain_basis(ops, eps_w, l, space=space,
                                              record=solves["complement"])
+    zeta, v_quad, E, gram_zeta = basis_fields(ops, eps_w, V, Z, comp.comp_basis)
     return GalerkinBasis(
         k=k,
         l=l,
@@ -403,51 +411,30 @@ def build_basis(ops: AssembledOperators, k: int, l: int, space: str = "deviatori
         Z=Z,
         lam_z=lam_z,
         comp=comp,
+        zeta=zeta,
+        v_quad=v_quad,
+        E=E,
+        gram_zeta=gram_zeta,
         mesh_hash=ops.mesh.content_hash(),
         space=space,
         eigensolves=solves,
     )
 
 
-@dataclass
-class BasisFields:
-    """Basis functions evaluated at the Gauss points, with their D-pairings
-    ``E`` and ``gram_zeta``, the only ones the run reads.
-
-    ``D_eps_w`` and ``D_zeta`` are formed on each read and never stored: the
-    step works on their deviators in the frame (``evolution.ModalSystem``).
-    """
-
-    eps_w: np.ndarray  # (k, NQ, 6)
-    zeta: np.ndarray  # (l, NQ, 6)
-    v_quad: np.ndarray  # (l, NQ)
-    v_nodal: np.ndarray  # (l, n)
-    E: np.ndarray  # (k, l): (eps(w_n), zeta_m)_D
-    gram_zeta: np.ndarray  # (l, l): (zeta_m, zeta_n)_D
-    D: ElasticityTensor = field(repr=False)
-
-    @property
-    def D_eps_w(self) -> np.ndarray:
-        return self.D.apply6(self.eps_w)
-
-    @property
-    def D_zeta(self) -> np.ndarray:
-        return self.D.apply6(self.zeta)
-
-
-def basis_fields(ops: AssembledOperators, basis: GalerkinBasis) -> BasisFields:
-    eps_w = basis.eps_w
+def basis_fields(ops: AssembledOperators, eps_w, V, Z, comp_basis):
+    """(zeta, v_quad, E, gram_zeta): the complement modes Z (node-major in the
+    directions ``comp_basis``) and the temperature modes V at the Gauss points,
+    and the D-pairings E = (eps(w_n), zeta_m)_D and (zeta_m, zeta_n)_D."""
     P = ops.scalar_interp_matrix()
-    B = basis.comp.comp_basis
-    m = B.shape[1]
-    zeta = np.stack([(P @ z.reshape(-1, m)) @ B.T for z in basis.Z])
-    v_quad = np.stack([P @ v for v in basis.V])
-    wD_zeta = ops.D.apply6(zeta)  # the run's one weighted D zeta; it dies here
+    m = comp_basis.shape[1]
+    zeta = np.stack([(P @ z.reshape(-1, m)) @ comp_basis.T for z in Z])
+    v_quad = np.stack([P @ v for v in V])
+    wD_zeta = ops.D.apply6(zeta)  # the one weighted D zeta; it dies here
     wD_zeta *= ops.wq[:, None]
-    E = eps_w.reshape(basis.k, -1) @ wD_zeta.reshape(basis.l, -1).T
-    gram_zeta = np.array([zeta.reshape(basis.l, -1) @ dz.ravel() for dz in wD_zeta])
-    return BasisFields(eps_w=eps_w, zeta=zeta, v_quad=v_quad, v_nodal=basis.V, E=E,
-                       gram_zeta=gram_zeta, D=ops.D)
+    l = len(Z)
+    E = eps_w.reshape(len(eps_w), -1) @ wD_zeta.reshape(l, -1).T
+    gram_zeta = np.array([zeta.reshape(l, -1) @ dz.ravel() for dz in wD_zeta])
+    return zeta, v_quad, E, gram_zeta
 
 
 def projection_norm_check(basis: GalerkinBasis, n_fields: int = 1000, seed: int = 0):
@@ -475,26 +462,26 @@ def projection_norm_check(basis: GalerkinBasis, n_fields: int = 1000, seed: int 
     }
 
 
-def basis_invariant_report(ops: AssembledOperators, basis: GalerkinBasis, f: BasisFields) -> dict:
+def basis_invariant_report(ops: AssembledOperators, basis: GalerkinBasis) -> dict:
     """Every orthogonality contract the basis promises, checked on its Gauss-point
-    fields ``f`` and on the pairings ``f.E`` and ``f.gram_zeta`` the run reads,
+    tables and on the pairings ``basis.E`` and ``basis.gram_zeta`` the run reads,
     each error relative to its scale: the W Gram error to max lam_w,
     (zeta_m, eps(w_n))_D to |eps(w_n)|_D, mu_1 to max mu_v and v_1's spread to
     max|v_1|.  ``failed`` names the invariants that miss their bound."""
     k, l = basis.k, basis.l
     lam_w, mu_v, v1 = basis.lam_w, basis.mu_v, basis.V[0]
     gram_w = basis.W @ (ops.M_u @ basis.W.T)
-    D_eps_w = f.D_eps_w.reshape(k, -1)  # formed on read, so weighted in place
+    D_eps_w = ops.D.apply6(basis.eps_w).reshape(k, -1)  # a fresh table, weighted in place
     D_eps_w *= np.repeat(ops.wq, 6)
-    gram_w_D = D_eps_w @ f.eps_w.reshape(k, -1).T
+    gram_w_D = D_eps_w @ basis.eps_w.reshape(k, -1).T
     report = {
         "gram_W_L2_err": float(np.abs(gram_w - np.eye(k)).max()),
         "gram_W_D_err": float(np.abs(gram_w_D - np.diag(lam_w)).max() / lam_w.max()),
         "lam_w_min": float(lam_w[0]),
         "mu_1": float(abs(mu_v[0]) / (np.abs(mu_v).max() or 1.0)),
         "v1_const_err": float(np.abs(v1 - v1.mean()).max() / np.abs(v1).max()),
-        "gram_Z_D_err": float(np.abs(f.gram_zeta - np.eye(l)).max()),
-        "cross_orth_err": float(np.abs(f.E.T / np.sqrt(lam_w)).max()),
+        "gram_Z_D_err": float(np.abs(basis.gram_zeta - np.eye(l)).max()),
+        "cross_orth_err": float(np.abs(basis.E.T / np.sqrt(lam_w)).max()),
         "lam_z_min": float(basis.lam_z[0]),
         "lam_w_ascending": bool(np.all(np.diff(lam_w) >= 0)),
         "mu_v_ascending": bool(np.all(np.diff(mu_v) >= 0)),

@@ -27,13 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import (
-    basis_fields,
-    basis_invariant_report,
-    build_basis,
-    dump_basis,
-    projection_norm_check,
-)
+from .basis import basis_invariant_report, build_basis, dump_basis, projection_norm_check
 from .config import (
     canonical_json,
     config_hash,
@@ -107,7 +101,7 @@ def prepare_run(cfg, ops):
             f"the deviator frame leaves out {loss:.3e} of a stress direction the tables use"
         )
     system = ModalSystem(ops, _build_basis(cfg, ops), make_law(cfg))
-    if failed := basis_invariant_report(ops, system.basis, system.fields)["failed"]:
+    if failed := basis_invariant_report(ops, system.basis)["failed"]:
         raise InvariantError(f"basis invariants failed: {', '.join(failed)}")
     disc = cfg["discretization"]
     evo = EvolutionConfig(**{f.name: disc[f.name] for f in dataclasses.fields(EvolutionConfig)})
@@ -120,7 +114,7 @@ def prepare_run(cfg, ops):
         theta_tilde0=make_theta_tilde0(cfg, mesh),
     )
     theta0_hom = make_theta0(cfg, mesh) - lifted.theta_tilde[0]
-    state0 = initialize(system, theta0_hom, make_epsp0(cfg, ops, system.fields), evo)
+    state0 = initialize(system, theta0_hom, make_epsp0(cfg, ops, system.basis), evo)
     return system, evo, lifted, state0
 
 
@@ -218,7 +212,7 @@ def cmd_basis(cfg, outdir: Path, quiet=True):
     """Build, check and dump the Galerkin basis."""
     ops = build_operators(cfg)
     basis = _build_basis(cfg, ops)
-    rep = basis_invariant_report(ops, basis, basis_fields(ops, basis))
+    rep = basis_invariant_report(ops, basis)
     norm = projection_norm_check(basis, n_fields=1000, seed=cfg["seed"])
     dump_basis(outdir / "basis.npz", basis)
     ok = rep["passed"] and norm["non_expansive"]

@@ -427,13 +427,13 @@ def make_theta_tilde0(cfg: dict, mesh) -> np.ndarray:
     return np.full(mesh.n_nodes, float(spec["value"]))
 
 
-def make_epsp0(cfg: dict, ops, fields) -> np.ndarray:
+def make_epsp0(cfg: dict, ops, basis) -> np.ndarray:
     spec = _filled(cfg["data"]["epsp0"], _EPSP0)
     nq = ops.wq.size
     if spec["preset"] == "zero":
         return np.zeros((nq, 6))
     if spec["preset"] == "complement_mode":
-        return float(spec["amplitude"]) * fields.zeta[spec["index"]]
+        return float(spec["amplitude"]) * basis.zeta[spec["index"]]
     base = dev6(np.asarray(spec["value"], dtype=float))
     return np.tile(base, (nq, 1))
 

@@ -182,7 +182,7 @@ class BodnerPartom:
     def advance_y_many(self, y: np.ndarray, td_norm: np.ndarray, dt: float) -> np.ndarray:
         """Vectorized explicit hardening update on quadrature-point arrays."""
         if not (dt > 0.0):
-            raise ValueError(f"dt must be positive, got {dt}")
+            raise BadData(f"dt must be positive, got {dt}")
         # an overflow here is a domain exit, reported below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             rate = self.gamma0 * self.g0 * (td_norm / y) ** self.m * td_norm - self.A * self.delta0
@@ -236,7 +236,7 @@ def certify_assumption1(
     monotonicity >= -1e-12, growth ratio <= C, coercivity ratio >= beta(1-1e-9).
     """
     if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+        raise BadData(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     n = int(sample_count)
 

@@ -98,13 +98,12 @@ class RowTables:
     With e = eps(u~)(t) - sum_m delta_m zeta_m (u = sum_n gamma_n w_n, so the
     gamma parts of eps(u) and eps_p cancel), the potential energy is the quadratic form
     1/2 delta.Z delta - delta.P c + 1/2 c.G c in delta and the lift time
-    factors c; Z is the Gram matrix ``BasisFields.gram_zeta`` itself, so the
-    value does not rely on the zeta family being D-orthonormal.
+    factors c; Z is the basis's Gram matrix ``GalerkinBasis.gram_zeta`` itself,
+    so the value does not rely on the zeta family being D-orthonormal.
     """
 
     system: object = field(repr=False)  # the evolution.ModalSystem the tables belong to
     lifted: LiftedFields = field(repr=False)  # and its lift
-    gram_zeta: np.ndarray  # Z (l, l): (zeta_m, zeta_n)_D
     cross: np.ndarray  # P (l, n_bases): (zeta_m, eps(u~_b))_D
     gram_lift: np.ndarray  # G (n_bases, n_bases): (eps(u~_b), eps(u~_b'))_D
     heat_modes: np.ndarray  # (l,): M_lumped . v_m
@@ -117,7 +116,7 @@ class RowTables:
         # of a (modes, NQ, 6) table is made
         ops = system.ops
         wq = ops.wq[:, None]
-        zeta_rows = system.fields.zeta.reshape(system.l, -1)
+        zeta_rows = system.basis.zeta.reshape(system.l, -1)
         nb = lifted.T_tilde.shape[0]
         w_T_lift = (wq * lifted.T_tilde).reshape(nb, -1)  # wq D eps(u~_b)
         # T~^d(t_i) depends on i only through the row factors[i], and
@@ -138,17 +137,16 @@ class RowTables:
         return cls(
             system=system,
             lifted=lifted,
-            gram_zeta=system.fields.gram_zeta,
             cross=zeta_rows @ w_T_lift.T,
             gram_lift=lifted.eps_u_tilde.reshape(nb, -1) @ w_T_lift.T,
-            heat_modes=system.fields.v_nodal @ ops.M_lumped,
+            heat_modes=system.basis.V @ ops.M_lumped,
             heat_lift=lifted.theta_tilde @ ops.M_lumped,
             lift_lp=lift_lp,
         )
 
     def potential_energy(self, delta, factors) -> float:
         return (
-            0.5 * float(delta @ self.gram_zeta @ delta)
+            0.5 * float(delta @ self.system.basis.gram_zeta @ delta)
             - float(delta @ self.cross @ factors)
             + 0.5 * float(factors @ self.gram_lift @ factors)
         )

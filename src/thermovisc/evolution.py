@@ -56,7 +56,7 @@ the stress deviator, so F works in the deviator frame Q of the operators
 D, 5 in 3D): dev(D zeta_m) Q, dev(D eps(w_n)) Q and the lift's deviator are
 stored as (rows, NQ*m) tables, and F is evaluated with BLAS matrix-vector
 products over them.  The step's equilibrium residual is |E delta| with the
-(k, l) matrix E = (eps(w_n), zeta_m)_D of the basis fields.  An iterate
+(k, l) matrix E = (eps(w_n), zeta_m)_D that ``build_basis`` forms.  An iterate
 whose stress or temperature is non-finite fails the solve at the law's
 finiteness test on theta and r2, and so does a floating-point overflow in F at a solve's first
 evaluation or in a damped Picard step; an overflow at a chord trial re-forms
@@ -87,12 +87,13 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisFields, GalerkinBasis, basis_fields
+from .basis import GalerkinBasis
 from .constitutive import BodnerPartom
 from .errors import BadData, NonFiniteInput, NonlinearSolveFailure, StateCorrupt
 from .lifting import LiftedFields
@@ -116,12 +117,20 @@ class EvolutionConfig:
     solver_max_iter: int = 200
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise BadData(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 0:
-            raise BadData(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.truncation_level is not None and self.truncation_level <= 0.0:
+        if not (0.0 < self.dt < math.inf):
+            raise BadData(f"dt must be positive and finite, got {self.dt}")
+        if not _is_count(self.n_steps, 0):
+            raise BadData(f"n_steps must be an integer >= 0, got {self.n_steps!r}")
+        if self.truncation_level is not None and not (self.truncation_level > 0.0):
             raise BadData(f"truncation level must be positive, got {self.truncation_level}")
+        if not (0.0 < self.solver_tol < math.inf):
+            raise BadData(f"solver_tol must be positive and finite, got {self.solver_tol}")
+        if not _is_count(self.solver_max_iter, 1):
+            raise BadData(f"solver_max_iter must be an integer >= 1, got {self.solver_max_iter!r}")
+
+
+def _is_count(value, lo: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= lo
 
 
 def _truncation_level(system, config: EvolutionConfig) -> float:
@@ -171,16 +180,17 @@ class ModalSystem:
     The step reads the mode tables only in the deviator frame Q = ``ops.frame``
     (6, m): ``D_zeta_frame`` (l, NQ*m) holds dev(D zeta_m) Q and
     ``D_eps_w_frame`` (k, NQ*m) holds dev(D eps(w_n)) Q, row by row, for BLAS
-    matrix-vector products.  ``E`` (k, l) is the fields' (eps(w_n), zeta_m)_D,
-    so E delta is the equilibrium residual of the homogeneous stress against
-    each w_n.  ``project`` gives the coefficients of a strain field.
+    matrix-vector products.  Every other Gauss-point table is read from
+    ``basis``, which ``build_basis`` filled; its ``E`` (k, l) =
+    (eps(w_n), zeta_m)_D gives E delta, the equilibrium residual of the
+    homogeneous stress against each w_n.  ``project`` gives the coefficients
+    of a strain field.
     """
 
     def __init__(self, ops: AssembledOperators, basis: GalerkinBasis, law):
         self.ops = ops
         self.basis = basis
         self.law = law
-        self.fields: BasisFields = basis_fields(ops, basis)
         self.lam = basis.lam_w
         self.mu = basis.mu_v
         self.wq = ops.wq
@@ -190,25 +200,24 @@ class ModalSystem:
         self.frame_ones = np.ones(self.m)  # sums the m frame columns in one BLAS product
         # (D x) Q = x (D^T Q): each table is formed in the frame directly
         DQ = ops.D.voigt.T @ ops.frame
-        self.D_zeta_frame = (self.fields.zeta @ DQ).reshape(self.l, -1)
-        self.D_eps_w_frame = (self.fields.eps_w @ DQ).reshape(self.k, -1)
-        self.E = self.fields.E
+        self.D_zeta_frame = (basis.zeta @ DQ).reshape(self.l, -1)
+        self.D_eps_w_frame = (basis.eps_w @ DQ).reshape(self.k, -1)
         # tr eps(w_n) and tr zeta_m at the Gauss points: the trace of eps_p
-        self.tr_eps_w = self.fields.eps_w @ VOIGT_TRACE
-        self.tr_zeta = self.fields.zeta @ VOIGT_TRACE
+        self.tr_eps_w = basis.eps_w @ VOIGT_TRACE
+        self.tr_zeta = basis.zeta @ VOIGT_TRACE
 
     def project(self, field_quad):
         """(gamma, delta) of a quadrature strain field from its D-pairings with eps(w) and zeta."""
         D_field = self.ops.D.apply6(field_quad)
-        gamma = np.einsum("q,qi,nqi->n", self.wq, D_field, self.fields.eps_w) / self.lam
-        delta = np.einsum("q,qi,mqi->m", self.wq, D_field, self.fields.zeta)
+        gamma = np.einsum("q,qi,nqi->n", self.wq, D_field, self.basis.eps_w) / self.lam
+        delta = np.einsum("q,qi,mqi->m", self.wq, D_field, self.basis.zeta)
         return gamma, delta
 
     # -- field reconstruction at Gauss points --------------------------------
 
     def epsp_quad(self, gamma, delta) -> np.ndarray:
-        return np.einsum("n,nqi->qi", gamma, self.fields.eps_w) + np.einsum(
-            "m,mqi->qi", delta, self.fields.zeta
+        return np.einsum("n,nqi->qi", gamma, self.basis.eps_w) + np.einsum(
+            "m,mqi->qi", delta, self.basis.zeta
         )
 
     def epsp_trace(self, gamma, delta) -> np.ndarray:
@@ -221,16 +230,16 @@ class ModalSystem:
         return np.subtract(Ttd_q.ravel(), Td, out=Td).reshape(-1, self.m)
 
     def theta_nodal(self, beta) -> np.ndarray:
-        return beta @ self.fields.v_nodal
+        return beta @ self.basis.V
 
     def theta_quad(self, beta) -> np.ndarray:
-        return beta @ self.fields.v_quad
+        return beta @ self.basis.v_quad
 
     def u_nodal(self, gamma) -> np.ndarray:
         return gamma @ self.basis.W
 
     def eps_u_quad(self, gamma) -> np.ndarray:
-        return np.einsum("n,nqi->qi", gamma, self.fields.eps_w)
+        return np.einsum("n,nqi->qi", gamma, self.basis.eps_w)
 
 
 def initialize(system: ModalSystem, theta0_nodal, epsp0_quad, config: EvolutionConfig) -> SimState:
@@ -255,7 +264,7 @@ def initialize(system: ModalSystem, theta0_nodal, epsp0_quad, config: EvolutionC
         raise BadData(f"initial inelastic strain has trace {tr:.3e}")
 
     theta_tr = truncate(theta0, _truncation_level(system, config))
-    beta = np.einsum("mn,n,n->m", system.fields.v_nodal, ops.M_lumped, theta_tr)
+    beta = np.einsum("mn,n,n->m", system.basis.V, ops.M_lumped, theta_tr)
     gamma, delta = system.project(epsp0)
     y_quad = None
     if isinstance(system.law, BodnerPartom):
@@ -412,7 +421,7 @@ def _implicit_map(system, state, theta_t_q, Ttd_q, dt, level, x, diverged=None):
     wG = ((system.wq * phi)[:, None] * Td).ravel()
     pz = system.D_zeta_frame @ wG
     src = np.clip(diss, 0.0, level)
-    heat = system.fields.v_quad @ (system.wq * src)
+    heat = system.basis.v_quad @ (system.wq * src)
     fx = np.concatenate(
         [state.delta + dt * pz, (state.beta + dt * heat) / (1.0 + dt * system.mu)]
     )
@@ -578,7 +587,7 @@ def _advance(
     defect = e_new - e_old - dt * float(delta_bar @ aux.pz)
 
     # (wq T, eps(w_n)) of the accepted stress; its sign does not matter here
-    eq_res = float(np.abs(system.E @ delta1).max())
+    eq_res = float(np.abs(system.basis.E @ delta1).max())
     source_integral = float(wq @ aux.src)
     trace_sup = float(np.abs(system.epsp_trace(gamma1, delta1)).max())
 

@@ -10,12 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from thermovisc.basis import (
-    basis_fields,
-    build_basis,
-    projection_norm_check,
-    temperature_eigenbasis,
-)
+from thermovisc.basis import build_basis, projection_norm_check, temperature_eigenbasis
 from thermovisc.cli import EXIT_OK, main
 from thermovisc.constitutive import Mroz, NortonHoff, certify_assumption1
 from thermovisc.diagnostics import RowTables, collect_row, energy_checks
@@ -68,15 +63,14 @@ def test_criterion_2_basis_suite():
     t0 = time.perf_counter()
     ops = assemble(build_mesh(2, (1.0, 1.0), (16, 16)), D_UNIT)
     basis = build_basis(ops, k=12, l=12)
-    f = basis_fields(ops, basis)
 
     gram_l2 = basis.W @ (ops.M_u @ basis.W.T)
     err_l2 = np.abs(gram_l2 - np.eye(12)).max()
-    gram_d = np.einsum("q,nqi,mqi->nm", ops.wq, f.D_eps_w, f.eps_w)
+    gram_d = np.einsum("q,nqi,mqi->nm", ops.wq, ops.D.apply6(basis.eps_w), basis.eps_w)
     err_d = np.abs(gram_d - np.diag(basis.lam_w)).max()
     mu1 = abs(basis.mu_v[0])
     v1_err = np.abs(basis.V[0] - basis.V[0].mean()).max()
-    cross = np.abs(np.einsum("q,mqi,nqi->mn", ops.wq, f.D_zeta, f.eps_w)).max()
+    cross = np.abs(np.einsum("q,mqi,nqi->mn", ops.wq, ops.D.apply6(basis.zeta), basis.eps_w)).max()
     norm_rep = projection_norm_check(basis, n_fields=1000, seed=3)
     elapsed = time.perf_counter() - t0
 
@@ -125,7 +119,7 @@ def isolated_run():
     dt, n = 1e-3, 200
     cfg = EvolutionConfig(dt=dt, n_steps=n)
     lift = build_lift(ops, dt * np.arange(n + 1))
-    epsp0 = 0.04 * system.fields.zeta[0] + 0.025 * system.fields.zeta[3]
+    epsp0 = 0.04 * system.basis.zeta[0] + 0.025 * system.basis.zeta[3]
     state0 = initialize(system, np.full(ops.n_nodes, 2.0), epsp0, cfg)
 
     rows = []
@@ -192,7 +186,7 @@ def test_criterion_6_single_mode_decay():
         n = round(horizon / dt)
         cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
         lift = build_lift(ops, dt * np.arange(n + 1))
-        st = initialize(system, np.ones(ops.n_nodes), amp * system.fields.zeta[0], cfg)
+        st = initialize(system, np.ones(ops.n_nodes), amp * system.basis.zeta[0], cfg)
         res = run(system, st, lift, cfg)
         errors.append(abs(res.delta[-1, 0] - amp * np.exp(-rate * horizon)))
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
@@ -283,7 +277,7 @@ def test_criterion_9_truncation():
     system = ModalSystem(ops, basis, NortonHoff(c=1.0, p=3.0))
     dt, n = 1e-3, 50
     lift = build_lift(ops, dt * np.arange(n + 1))
-    epsp0 = 0.1 * system.fields.zeta[0] + 0.05 * system.fields.zeta[2]
+    epsp0 = 0.1 * system.basis.zeta[0] + 0.05 * system.basis.zeta[2]
     # keep theta0 below every tested level so only the dissipation source is
     # truncated, not the initial data
     theta0 = np.full(ops.n_nodes, 0.01)
@@ -310,7 +304,7 @@ def test_criterion_9_truncation():
     assert all(r.trunc_fraction == 0.0 for r in res_k.reports)
 
     # pointwise dissipation ceiling of the untruncated run
-    td0 = -np.einsum("m,mqi->qi", res_inf.delta[0], system.fields.D_zeta)
+    td0 = -np.einsum("m,mqi->qi", res_inf.delta[0], system.ops.D.apply6(system.basis.zeta))
     d_max = float((np.linalg.norm(td0, axis=1) ** 3).max())
     deltas = []
     for frac in (0.2, 0.4, 0.8):

@@ -7,7 +7,6 @@ from scipy.linalg import eigh, null_space
 import thermovisc.basis as basis_mod
 from thermovisc import __version__
 from thermovisc.basis import (
-    basis_fields,
     basis_invariant_report,
     build_basis,
     complement_strain_basis,
@@ -43,8 +42,7 @@ def test_displacement_modes_orthonormal(ops, basis):
 
 
 def test_displacement_modes_D_orthogonal(ops, basis):
-    f = basis_fields(ops, basis)
-    gram = np.einsum("q,nqi,mqi->nm", ops.wq, f.D_eps_w, f.eps_w)
+    gram = np.einsum("q,nqi,mqi->nm", ops.wq, ops.D.apply6(basis.eps_w), basis.eps_w)
     assert np.abs(gram - np.diag(basis.lam_w)).max() <= 1e-9
 
 
@@ -260,22 +258,19 @@ def test_temperature_eigenbasis_keeps_the_lowest_modes_3d():
 
 
 def test_complement_orthogonality(ops, basis):
-    f = basis_fields(ops, basis)
-    cross = np.einsum("q,mqi,nqi->mn", ops.wq, f.D_zeta, f.eps_w)
+    cross = np.einsum("q,mqi,nqi->mn", ops.wq, ops.D.apply6(basis.zeta), basis.eps_w)
     assert np.abs(cross).max() <= 1e-10
 
 
 def test_complement_orthonormal_and_eigenvalues(ops, basis):
-    f = basis_fields(ops, basis)
-    gram = np.einsum("q,mqi,nqi->mn", ops.wq, f.D_zeta, f.zeta)
+    gram = np.einsum("q,mqi,nqi->mn", ops.wq, ops.D.apply6(basis.zeta), basis.zeta)
     assert np.abs(gram - np.eye(basis.l)).max() <= 1e-10
     assert basis.lam_z[0] >= 1.0 - 1e-10
     assert np.all(np.diff(basis.lam_z) >= -1e-12)
 
 
 def test_complement_modes_traceless(ops, basis):
-    f = basis_fields(ops, basis)
-    assert np.abs(trace6(f.zeta)).max() <= 1e-12
+    assert np.abs(trace6(basis.zeta)).max() <= 1e-12
 
 
 def test_complement_empty(ops):
@@ -286,7 +281,7 @@ def test_complement_empty(ops):
 
 def test_project_complement_reproduces_mode(ops, basis):
     system = ModalSystem(ops, basis, Mroz.constant(1.0))
-    _, coeff = system.project(system.fields.zeta[2])
+    _, coeff = system.project(system.basis.zeta[2])
     expect = np.zeros(basis.l)
     expect[2] = 1.0
     assert np.abs(coeff - expect).max() <= 1e-10
@@ -294,7 +289,7 @@ def test_project_complement_reproduces_mode(ops, basis):
 
 def test_project_complement_orthogonal_field(ops, basis):
     system = ModalSystem(ops, basis, Mroz.constant(1.0))
-    _, coeff = system.project(system.fields.eps_w[0])
+    _, coeff = system.project(system.basis.eps_w[0])
     assert np.abs(coeff).max() <= 1e-10
 
 
@@ -305,7 +300,7 @@ def test_projection_non_expansive(basis):
 
 
 def test_invariant_report(ops, basis):
-    rep = basis_invariant_report(ops, basis, basis_fields(ops, basis))
+    rep = basis_invariant_report(ops, basis)
     assert rep["passed"], rep
 
 
@@ -336,10 +331,9 @@ def test_dump_load_round_trip(tmp_path, ops, basis):
 
 def _dense_complement_oracle(ops, basis, n_pairs):
     """Nullspace of the constraint rows plus a dense generalized eigh."""
-    f = basis_fields(ops, basis)
     B = basis.comp.comp_basis
     P = ops.scalar_interp_matrix()
-    C = np.stack([(P.T @ (ops.wq[:, None] * (dw @ B))).ravel() for dw in f.D_eps_w])
+    C = np.stack([(P.T @ (ops.wq[:, None] * (dw @ B))).ravel() for dw in ops.D.apply6(basis.eps_w)])
     gram_D, gram_s = ops.strain_gram(B)
     N = null_space(C)
     lam, Y = eigh(N.T @ (gram_s @ N), N.T @ (gram_D @ N), subset_by_index=(0, n_pairs - 1))
@@ -377,7 +371,7 @@ def test_complement_matches_dense_oracle(dim, cells, k, l, space, splits):
         assert np.abs(lam_d[-1] - lam) > 1e-8, "oracle too short for the cluster"
         rest = z - cluster.T @ (cluster @ (gram_D @ z))
         assert np.sqrt(rest @ (gram_D @ rest)) <= 1e-8
-    rep = basis_invariant_report(ops_c, b, basis_fields(ops_c, b))
+    rep = basis_invariant_report(ops_c, b)
     assert rep["passed"], rep
 
 
@@ -390,7 +384,7 @@ def test_complement_past_old_dof_cap():
     assert {f: s["branch"] for f, s in b.eigensolves.items()} == {
         "displacement": "sparse", "temperature": "closed_form", "complement": "closed_form"
     }
-    rep = basis_invariant_report(ops_c, b, basis_fields(ops_c, b))
+    rep = basis_invariant_report(ops_c, b)
     assert rep["passed"], rep
     assert projection_norm_check(b, n_fields=200, seed=3)["non_expansive"]
 
@@ -401,7 +395,7 @@ def test_complement_certified_where_single_vector_lanczos_returned_copies():
     ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (7, 7, 7)), D)
     b = build_basis(ops_c, k=4, l=16)
     assert b.eigensolves["complement"] == {"branch": "closed_form", "inertia": 17, "kept": 16}
-    rep = basis_invariant_report(ops_c, b, basis_fields(ops_c, b))
+    rep = basis_invariant_report(ops_c, b)
     assert rep["gram_Z_D_err"] <= 1e-10
     assert rep["passed"], rep
 
@@ -445,7 +439,7 @@ def test_complement_runs_no_iterative_solver(monkeypatch):
     monkeypatch.setattr(basis_mod, "splu", _refuse)
     b = build_basis(ops_c, k=12, l=12)
     assert b.eigensolves["complement"]["branch"] == "closed_form"
-    assert basis_invariant_report(ops_c, b, basis_fields(ops_c, b))["passed"]
+    assert basis_invariant_report(ops_c, b)["passed"]
 
 
 def _refuse(*args, **kwargs):
@@ -459,12 +453,12 @@ def test_complement_under_soft_shear():
     ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (8, 8, 8)), soft)
     b = build_basis(ops_c, k=4, l=4)
     assert np.array_equal(b.lam_z[:4], np.ones(4))
-    rep = basis_invariant_report(ops_c, b, basis_fields(ops_c, b))
+    rep = basis_invariant_report(ops_c, b)
     assert rep["passed"], rep
     assert projection_norm_check(b, n_fields=200, seed=3)["non_expansive"]
 
 
 def test_full_space_variant(ops):
     b = build_basis(ops, k=3, l=4, space="full")
-    rep = basis_invariant_report(ops, b, basis_fields(ops, b))
+    rep = basis_invariant_report(ops, b)
     assert rep["passed"], rep

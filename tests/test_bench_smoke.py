@@ -28,6 +28,12 @@ TRACED_SPANS = (
     "runio.diag_write",
     "constitutive.evaluate_many",
     "lifting.solve_heat_lift",
+    "basis.displacement_eigenbasis",
+    "basis.temperature_eigenbasis",
+    "basis.complement_strain_basis",
+    "basis.basis_fields",
+    "lifting.build_lift",
+    "lifting.solve_elastic_lift",
 )
 
 

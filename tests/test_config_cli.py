@@ -29,6 +29,7 @@ from thermovisc.config import (
 )
 from thermovisc.diagnostics import RowTables
 from thermovisc.errors import ParseError, SolverFailure, ValidationError
+from thermovisc.evolution import ModalSystem, step
 from thermovisc.mesh_fem import AssembledOperators, assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor
 
@@ -881,8 +882,8 @@ def test_cli_converge_small(tmp_path):
 
 
 def test_zeta_is_paired_under_D_once_per_run_setup(monkeypatch):
-    # basis_fields forms the weighted D zeta once; the step's E, the rows'
-    # Gram matrix and the invariant report all read its products
+    # build_basis's basis_fields forms the weighted D zeta once; the step's E,
+    # the rows' Gram matrix and the invariant report all read its products
     seen = []
     real = ElasticityTensor.apply6
     monkeypatch.setattr(ElasticityTensor, "apply6", lambda D, v: seen.append(v) or real(D, v))
@@ -890,22 +891,48 @@ def test_zeta_is_paired_under_D_once_per_run_setup(monkeypatch):
     ops = build_operators(cfg)
     system, _, lifted, _ = prepare_run(cfg, ops)
     RowTables.build(system, lifted)
-    assert sum(v is system.fields.zeta for v in seen) == 1
+    assert sum(v is system.basis.zeta for v in seen) == 1
 
 
 def test_run_and_invariant_report_read_the_fields_pairings():
     cfg = validate_config(MINIMAL)
     ops = build_operators(cfg)
-    system, _, lifted, _ = prepare_run(cfg, ops)
-    assert RowTables.build(system, lifted).gram_zeta is system.fields.gram_zeta
-    assert system.E is system.fields.E
-    assert basis_invariant_report(ops, system.basis, system.fields)["passed"]
+    system, evo, lifted, state0 = prepare_run(cfg, ops)
+    tables = RowTables.build(system, lifted)
+    assert basis_invariant_report(ops, system.basis)["passed"]
     # the report checks the arrays the run reads, not a re-computation
+    perturbed = {}
     for name, check in (("gram_zeta", "gram_Z_D_err"), ("E", "cross_orth_err")):
-        perturbed = getattr(system.fields, name).copy()
-        perturbed[0, 0] += 1e-6
-        fields = dataclasses.replace(system.fields, **{name: perturbed})
-        assert basis_invariant_report(ops, system.basis, fields)["failed"] == [check]
+        perturbed[name] = getattr(system.basis, name).copy()
+        perturbed[name][0, 0] += 1e-6
+        changed = dataclasses.replace(system.basis, **{name: perturbed[name]})
+        assert basis_invariant_report(ops, changed)["failed"] == [check]
+    # and the rows' potential energy and the step's equilibrium residual read
+    # the basis's own arrays
+    system.basis = dataclasses.replace(system.basis, **perturbed)
+    delta, c = np.ones(system.l), np.zeros(lifted.factors.shape[1])
+    gram = system.basis.gram_zeta
+    assert tables.potential_energy(delta, c) == 0.5 * float(delta @ gram @ delta)
+    new, rep = step(system, state0, lifted, 1, evo)
+    assert rep.equilibrium_residual == float(np.abs(system.basis.E @ new.delta).max())
+
+
+def test_basis_tables_are_formed_once_by_build_basis(tmp_path, monkeypatch):
+    # basis_fields has one caller, build_basis: once per run set-up and per
+    # basis command, and never when a ModalSystem binds a basis to a law
+    calls = []
+    real = basis.basis_fields
+    monkeypatch.setattr(basis, "basis_fields", lambda *args: calls.append(args) or real(*args))
+    cfg = validate_config(MINIMAL)
+    ops = build_operators(cfg)
+    system, *_ = prepare_run(cfg, ops)
+    assert len(calls) == 1
+    ModalSystem(ops, system.basis, system.law)
+    assert len(calls) == 1
+    out = tmp_path / "out"
+    assert main(["basis", "--config", write_cfg(tmp_path, MINIMAL), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_mode_strains_are_formed_once_per_run_setup(monkeypatch):
@@ -921,4 +948,4 @@ def test_mode_strains_are_formed_once_per_run_setup(monkeypatch):
     system, *_ = prepare_run(cfg, build_operators(cfg))
     assert len(lifts) == 1
     assert len(strains) == system.basis.k + len(lifts)
-    assert system.fields.eps_w is system.basis.eps_w
+    assert not {"fields", "E"} & vars(system).keys()  # no second owner of a basis table

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thermovisc import basis
 from thermovisc.constitutive import (
     BodnerPartom,
     Mroz,
@@ -8,7 +9,7 @@ from thermovisc.constitutive import (
     certify_assumption1,
     vector_rate,
 )
-from thermovisc.errors import CertificationFailure, DomainExit, NonFiniteInput
+from thermovisc.errors import BadData, CertificationFailure, DomainExit, NonFiniteInput
 from thermovisc.tensor import ElasticityTensor, deviator_frame, dev6, dot6, norm6
 
 
@@ -232,6 +233,16 @@ def test_certify_negative_modulus_fails_coercivity():
 def test_certify_zero_samples_rejected():
     with pytest.raises(ValueError):
         certify_assumption1(NortonHoff(c=1.0, p=2.0), sample_count=0)
+
+
+def test_bad_arguments_raise_bad_data():
+    # a deliberate raise belongs to an error family (exit code 2 at the command line)
+    with pytest.raises(BadData):
+        BodnerPartom().advance_y_many(np.array([1.0]), np.array([1.0]), dt=0.0)
+    with pytest.raises(BadData):
+        certify_assumption1(NortonHoff(c=1.0, p=2.0), sample_count=0)
+    with pytest.raises(BadData):
+        basis._node_tensor_basis(2, "spherical")
 
 
 def test_certify_bodner_partom_default():

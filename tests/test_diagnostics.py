@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from thermovisc.basis import build_basis
+from thermovisc.basis import basis_fields, build_basis
 from thermovisc.constitutive import NortonHoff
 from thermovisc.diagnostics import (
     AprioriMonitor,
@@ -93,7 +94,7 @@ def test_apriori_monitor_isolated_run():
     dt, n = 1e-3, 40
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = build_lift(ops, np.linspace(0, dt * n, n + 1))
-    st = initialize(system, np.ones(ops.n_nodes), 0.3 * system.fields.zeta[0], cfg)
+    st = initialize(system, np.ones(ops.n_nodes), 0.3 * system.basis.zeta[0], cfg)
 
     mon = AprioriMonitor(beta=law.beta_coercivity, C=law.C_growth, p=law.p, volume=ops.mesh.volume)
     f0 = reconstruct_fields(system, st, lift, 0)
@@ -167,7 +168,7 @@ def test_collect_row_and_report_isolated():
     dt, n = 1e-3, 30
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = build_lift(ops, np.linspace(0, dt * n, n + 1))
-    st = initialize(system, np.full(ops.n_nodes, 2.0), 0.2 * system.fields.zeta[1], cfg)
+    st = initialize(system, np.full(ops.n_nodes, 2.0), 0.2 * system.basis.zeta[1], cfg)
 
     rows = []
     tables = RowTables.build(system, lift)
@@ -190,7 +191,8 @@ def test_collect_row_and_report_isolated():
 
 def _parity_case(name, zeta0_scale=1.0):
     """(system, initial state, lift, config) of one parity scenario; the first
-    complement mode is scaled by ``zeta0_scale`` before the fields are formed."""
+    complement mode is scaled by ``zeta0_scale`` and the basis's Gauss-point
+    tables are formed again from it."""
     ops = assemble(build_mesh(2, (1.0, 1.0), (5, 4)), ElasticityTensor.isotropic(1.0, 1.0))
     n = 12
     if name == "isolated":
@@ -201,6 +203,8 @@ def _parity_case(name, zeta0_scale=1.0):
         law, dt, max_iter = NortonHoff(c=1.0, p=4.0), 0.05, 4
     basis = build_basis(ops, k=3, l=4)
     basis.Z[0] *= zeta0_scale
+    tables = basis_fields(ops, basis.eps_w, basis.V, basis.Z, basis.comp.comp_basis)
+    basis = dataclasses.replace(basis, **dict(zip(("zeta", "v_quad", "E", "gram_zeta"), tables)))
     system = ModalSystem(ops, basis, law)
     cfg = EvolutionConfig(
         dt=dt, n_steps=n, truncation_level=1e30, solver_max_iter=max_iter
@@ -221,7 +225,7 @@ def _parity_case(name, zeta0_scale=1.0):
             theta_tilde0=np.full(ops.n_nodes, 0.1),
         )
         assert lift.factors.shape[1] == 2
-    epsp0 = 0.3 * system.fields.zeta[0] - 0.2 * system.fields.zeta[2]
+    epsp0 = 0.3 * system.basis.zeta[0] - 0.2 * system.basis.zeta[2]
     theta0 = np.full(ops.n_nodes, 1.5) - lift.theta_tilde[0]
     return system, initialize(system, theta0, epsp0, cfg), lift, cfg
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from thermovisc import cli, evolution
-from thermovisc.basis import BasisFields, build_basis
+from thermovisc.basis import build_basis
 from thermovisc.cli import main
 from thermovisc.constitutive import BodnerPartom, Mroz, NortonHoff, vector_rate
 from thermovisc.errors import (
@@ -64,7 +64,7 @@ def test_initialize_reproduces_gradient_mode():
     sys_ = make_system(k=3, l=2)
     # eps(w_2) carries trace, which initialize refuses, so the projection
     # initialize performs is called directly to exercise its raw identity
-    epsp0 = sys_.fields.eps_w[1]
+    epsp0 = sys_.basis.eps_w[1]
     gamma, delta = sys_.project(epsp0)
     assert np.abs(gamma - [0.0, 1.0, 0.0]).max() <= 1e-10
     assert np.abs(delta).max() <= 1e-10
@@ -75,7 +75,7 @@ def test_initialize_reproduces_gradient_mode():
 def test_initialize_always_refuses_a_strain_with_trace():
     sys_ = make_system(k=3, l=2)
     cfg = EvolutionConfig(dt=1e-3, n_steps=1)
-    epsp0 = sys_.fields.eps_w[1]
+    epsp0 = sys_.basis.eps_w[1]
     assert np.abs(trace6(epsp0)).max() > 1e-3
     with pytest.raises(BadData, match="initial inelastic strain has trace"):
         initialize(sys_, np.zeros(sys_.ops.n_nodes), epsp0, cfg)
@@ -129,7 +129,7 @@ def test_single_mode_exponential_decay():
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = build_lift(sys_.ops, grid(dt, n))
     amp = 0.2
-    st = initialize(sys_, np.ones(sys_.ops.n_nodes), amp * sys_.fields.zeta[0], cfg)
+    st = initialize(sys_, np.ones(sys_.ops.n_nodes), amp * sys_.basis.zeta[0], cfg)
     assert st.delta[0] == pytest.approx(amp, rel=1e-10)
     res = run(sys_, st, lift, cfg)
     rate = 2.0 * mu * g
@@ -241,7 +241,7 @@ def test_gamma_is_explicit_in_the_accepted_stress():
     assert rep.residual <= cfg.solver_tol
     theta_t_q, Ttd_q = evolution._lift_slices(sys_, lift, 1)
     Td = sys_.stress_dev(st1.delta, Ttd_q)
-    G = vector_rate(sys_.law, st1.beta @ sys_.fields.v_quad + theta_t_q, Td)
+    G = vector_rate(sys_.law, st1.beta @ sys_.basis.v_quad + theta_t_q, Td)
     expect = sys_.D_eps_w_frame @ (sys_.wq[:, None] * G).ravel()
     got = (st1.gamma - st0.gamma) * sys_.lam / dt
     assert np.abs(expect).max() > 1e-3
@@ -404,7 +404,7 @@ def test_one_pass_map_matches_the_vector_law(law, dim):
     level = float(np.quantile(diss, 0.7))  # the truncation is active
     wG = (sys_.wq[:, None] * G).ravel()
     src = np.clip(diss, 0.0, level)
-    heat = sys_.fields.v_quad @ (sys_.wq * src)
+    heat = sys_.basis.v_quad @ (sys_.wq * src)
     F = np.concatenate(
         [st.delta + dt * (sys_.D_zeta_frame @ wG), (st.beta + dt * heat) / (1.0 + dt * sys_.mu)]
     )
@@ -819,20 +819,17 @@ def test_finite_deviator_whose_norm_overflows_is_an_overflow(monkeypatch):
 def test_run_reads_no_voigt_stress_table(tmp_path, monkeypatch, mesh, data):
     # once set up, the steps read the mode tables and the lift stress only in
     # the deviator frame: with snapshots off, the run finishes after the Voigt
-    # tables D zeta, D eps(w) and the lift stress raise on every read
-    def unreadable(name):
-        def read(_self):
-            raise AssertionError(f"the step read the Voigt table {name}")
-
-        return property(read)
+    # product D x, which forms D zeta and D eps(w), and the lift stress raise
+    # on every use
+    def unreadable(_self, *_args):
+        raise AssertionError("the step read a Voigt stress table")
 
     set_up_run = cli.run
 
     def guarded(*args, **kwargs):
         # a class property shadows the instance's own T_tilde
-        tables = ((BasisFields, "D_zeta"), (BasisFields, "D_eps_w"), (LiftedFields, "T_tilde"))
-        for owner, name in tables:
-            monkeypatch.setattr(owner, name, unreadable(name), raising=False)
+        monkeypatch.setattr(LiftedFields, "T_tilde", property(unreadable), raising=False)
+        monkeypatch.setattr(ElasticityTensor, "apply6", unreadable)
         return set_up_run(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run", guarded)
@@ -899,10 +896,10 @@ def test_equilibrium_orthogonality_of_stress():
     rng = np.random.default_rng(5)
     delta = rng.standard_normal(4)
     T = -sys_.ops.D.apply6(sys_.epsp_quad(np.zeros(3), delta))
-    proj = np.einsum("q,qi,nqi->n", sys_.ops.wq, T, sys_.fields.eps_w)
+    proj = np.einsum("q,qi,nqi->n", sys_.ops.wq, T, sys_.basis.eps_w)
     assert np.abs(proj).max() <= 1e-12
     # the step's equilibrium residual reads the same functional from E
-    assert np.abs(sys_.E @ delta).max() <= 1e-12
+    assert np.abs(sys_.basis.E @ delta).max() <= 1e-12
 
 
 def test_bodner_partom_hardening_advances():
@@ -911,7 +908,7 @@ def test_bodner_partom_hardening_advances():
     dt, n = 1e-2, 5
     cfg = EvolutionConfig(dt=dt, n_steps=n)
     lift = build_lift(sys_.ops, grid(dt, n))
-    st = initialize(sys_, np.ones(sys_.ops.n_nodes), 0.3 * sys_.fields.zeta[0], cfg)
+    st = initialize(sys_, np.ones(sys_.ops.n_nodes), 0.3 * sys_.basis.zeta[0], cfg)
     assert st.y_quad is not None
     res = run(sys_, st, lift, cfg)
     y = res.final_state.y_quad
@@ -976,7 +973,7 @@ def test_coupled_scheme_first_order_in_dt():
         st = initialize(
             sys_,
             np.full(sys_.ops.n_nodes, 2.0),
-            0.3 * sys_.fields.zeta[0] + 0.2 * sys_.fields.zeta[2],
+            0.3 * sys_.basis.zeta[0] + 0.2 * sys_.basis.zeta[2],
             cfg,
         )
         return np.concatenate([run(sys_, st, lift, cfg).delta[-1], np.zeros(0)])
@@ -1054,11 +1051,11 @@ def test_three_dimensional_evolution():
     ops = assemble(build_mesh(3, (1.0, 1.0, 1.0), (2, 2, 2)), D)
     basis = build_basis(ops, k=2, l=2)
     sys_ = ModalSystem(ops, basis, NortonHoff(c=1.0, p=3.0))
-    assert np.abs(trace6(sys_.fields.zeta)).max() <= 1e-12
+    assert np.abs(trace6(sys_.basis.zeta)).max() <= 1e-12
     dt, n = 1e-3, 20
     cfg = EvolutionConfig(dt=dt, n_steps=n, truncation_level=1e30)
     lift = build_lift(ops, grid(dt, n))
-    st = initialize(sys_, np.full(ops.n_nodes, 1.5), 0.1 * sys_.fields.zeta[0], cfg)
+    st = initialize(sys_, np.full(ops.n_nodes, 1.5), 0.1 * sys_.basis.zeta[0], cfg)
     res = run(sys_, st, lift, cfg)
     e = 0.5 * np.einsum("ni,ni->n", res.delta, res.delta)
     assert np.all(np.diff(e) <= 1e-12)
@@ -1078,3 +1075,20 @@ def test_config_validation():
         EvolutionConfig(dt=-1e-3, n_steps=1)
     with pytest.raises(BadData):
         EvolutionConfig(dt=1e-3, n_steps=1, truncation_level=0.0)
+    # every solver setting is checked here, not where the run first reads it
+    for bad in (math.inf, math.nan):
+        with pytest.raises(BadData, match="dt"):
+            EvolutionConfig(dt=bad, n_steps=1)
+    for bad in (0.0, math.nan):
+        with pytest.raises(BadData, match="truncation level"):
+            EvolutionConfig(dt=1e-3, n_steps=1, truncation_level=bad)
+    for bad in (3.5, -1, True):
+        with pytest.raises(BadData, match="n_steps"):
+            EvolutionConfig(dt=1e-3, n_steps=bad)
+    for bad in (0.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(BadData, match="solver_tol"):
+            EvolutionConfig(dt=1e-3, n_steps=1, solver_tol=bad)
+    for bad in (0, -3, 2.0, False):
+        with pytest.raises(BadData, match="solver_max_iter"):
+            EvolutionConfig(dt=1e-3, n_steps=1, solver_max_iter=bad)
+    EvolutionConfig(dt=1e-3, n_steps=np.int64(0), solver_max_iter=np.int64(1))

@@ -76,10 +76,10 @@ def _system_and_lift(dim, D, space):
 def test_frame_tables_rebuild_their_deviators(dim, D, space):
     system, lift = _system_and_lift(dim, D, space)
     Q, m = system.ops.frame, system.m
-    f = system.fields
+    D, basis = system.ops.D, system.basis
     tables = {
-        "D_zeta": (f.D_zeta, system.D_zeta_frame),
-        "D_eps_w": (f.D_eps_w, system.D_eps_w_frame),
+        "D_zeta": (D.apply6(basis.zeta), system.D_zeta_frame),
+        "D_eps_w": (D.apply6(basis.eps_w), system.D_eps_w_frame),
         "T_tilde": (lift.T_tilde, lift.T_tilde_dev),
     }
     for name, (voigt, coords) in tables.items():
@@ -123,9 +123,9 @@ def test_equilibrium_residual_is_the_quadrature_form(case):
     # |E delta| reads the functional (eps(w_n), wq S) of S = D sum delta_m zeta_m
     system, lift, theta0 = case()
     cfg = EvolutionConfig(dt=0.05, n_steps=2)
-    epsp0 = 0.3 * system.fields.zeta[0] - 0.2 * system.fields.zeta[2]
+    epsp0 = 0.3 * system.basis.zeta[0] - 0.2 * system.basis.zeta[2]
     st = initialize(system, theta0, epsp0, cfg)
-    eps_w = system.fields.eps_w.reshape(system.k, -1)
+    eps_w = system.basis.eps_w.reshape(system.k, -1)
     wq = system.wq[:, None]
     res = run(system, st, lift, cfg)
     for delta, rep in zip(res.delta[1:], res.reports):
