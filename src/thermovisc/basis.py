@@ -10,15 +10,16 @@
   the nodal strain space, D-orthonormal with eigenvalues >= 1.
 
 The displacement family is the lowest eigenpairs of a sparse symmetric
-pencil.  Up to DENSE_CUTOFF dofs it is a dense LAPACK
-solve, complete by construction and faster there than ARPACK's fixed cost.
-Above it, shift-invert Lanczos (ARPACK) computes a few pairs more than kept
-and a completeness certificate checks them: by Sylvester's law of inertia
-the number of negative pivots of a symmetric LDL^T of A - sigma M equals
-the number of eigenvalues below sigma, so with sigma in the gap after the
-last kept group the count must equal the number of pairs computed below it.
-A missed pair shows as a mismatch; the solve is repeated with more pairs,
-and an uncertified basis is a SolverFailure.
+pencil.  Up to DENSE_CUTOFF dofs it is a dense LAPACK solve, complete by
+construction and faster there than ARPACK's fixed cost.  Above it,
+shift-invert Lanczos (ARPACK) on the operators' factor of the interior K_D,
+which the elastic lift shares (``AssembledOperators.K_ff_lu``), computes a
+few pairs more than kept and a completeness certificate checks them: by
+Sylvester's law of inertia the number of negative pivots of a symmetric
+LDL^T of A - sigma M equals the number of eigenvalues below sigma, so with
+sigma in the gap after the last kept group the count must equal the number
+of pairs computed below it.  A missed pair shows as a mismatch; the solve is
+repeated with more pairs, and an uncertified basis is a SolverFailure.
 
 ``build_basis`` forms the strains eps(w_n) at the Gauss points once, right
 after W, and both their readers take that one table: the complement's
@@ -56,11 +57,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, qr
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import __version__
 from .errors import BadConfig, BadData, EmptyComplement, SolverFailure
-from .mesh_fem import AssembledOperators, neumann_modes
+from .mesh_fem import AssembledOperators, neumann_modes, symmetric_lu
 from .tensor import DEVIATORIC_BASIS, VOIGT_PAIRS
 
 #: eigenproblem sizes, in the problem's own dofs, up to which the dense LAPACK
@@ -98,19 +99,6 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetric_lu(S):
-    """SuperLU of a symmetric S that orders rows and columns alike and pivots
-    on the diagonal, as an LDL^T would; meant for definite or shifted S."""
-    S = S.tocsc(copy=True)
-    S.eliminate_zeros()  # a stored zero would change the ordering, and so the factor
-    return splu(
-        S,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-
-
 def _negative_pivots(S) -> int | None:
     """Negative eigenvalues of the symmetric S, by Sylvester's law of inertia.
 
@@ -119,7 +107,7 @@ def _negative_pivots(S) -> int | None:
     met a zero pivot or exchanged a row.
     """
     try:
-        lu = _symmetric_lu(S)
+        lu = symmetric_lu(S)
     except RuntimeError:
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -140,73 +128,67 @@ def _check_residual(A, M, vals, X, what: str, C=None) -> None:
         raise SolverFailure(f"{what} eigensolve residual {res.max():.3e} > {_EIG_TOL}")
 
 
-def _lowest_eigenpairs(A, M, n: int, record=None):
-    """The n lowest eigenpairs of the displacement pencil A x = lam M x, ascending.
-
-    A and M are sparse symmetric positive definite.  A dense LAPACK solve
-    runs up to DENSE_CUTOFF dofs and where ARPACK cannot (n + _EXTRA_PAIRS
-    not below the dofs).  Otherwise ARPACK computes _EXTRA_PAIRS more pairs
-    than kept, from a seeded start vector, on one factor of A per call.
-    The last kept group ends at the first gap j >= n; the inertia at sigma
-    in that gap must count j eigenvalues below it, or more pairs are asked
-    for, and after _SPARSE_TRIES solves it is a SolverFailure.  ``record``,
-    when given, receives the branch, and for the sparse one sigma, the count,
-    the kept pairs and the number of solves.
-    """
-    N = A.shape[0]
-    record = {} if record is None else record
-    nev = n + _EXTRA_PAIRS
-    if nev >= N or N <= DENSE_CUTOFF:
-        try:
-            vals, vecs = eigh(A.toarray(), M.toarray(), subset_by_index=(0, n - 1))
-        except np.linalg.LinAlgError as err:
-            raise SolverFailure(f"displacement eigensolve failed: {err}") from None
-        _check_residual(A, M, vals, vecs, "displacement")
-        record.update(branch="dense")
-        return vals, vecs
-    try:
-        lu = _symmetric_lu(A)
-    except RuntimeError as err:
-        raise SolverFailure(f"displacement shift-invert factorization failed: {err}") from None
-    OPinv = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-    rng = np.random.default_rng(0)
-    for solve in range(1, _SPARSE_TRIES + 1):
-        try:
-            vals, vecs = eigsh(A, k=nev, M=M, sigma=0.0, OPinv=OPinv, v0=rng.standard_normal(N),
-                               maxiter=_ARPACK_RESTARTS)
-        except ArpackError as err:
-            raise SolverFailure(f"displacement eigensolve failed: {err}") from None
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        gaps = np.flatnonzero(np.diff(vals[n - 1 :]) > _GROUP_GAP * np.abs(vals).max())
-        if gaps.size == 0:  # the last kept group runs past the computed pairs
-            nev = min(nev + _EXTRA_PAIRS, N - 1)
-            continue
-        j = n + int(gaps[0])
-        sigma = 0.5 * (vals[j - 1] + vals[j])
-        below = _negative_pivots(A - sigma * M)
-        if below == j:
-            _check_residual(A, M, vals[:n], vecs[:, :n], "displacement")
-            record.update(branch="sparse", sigma=float(sigma), inertia=j, kept=n, solves=solve)
-            return vals[:n], vecs[:, :n]
-        nev = min(max(nev, below or 0) + _EXTRA_PAIRS, N - 1)
-    raise SolverFailure(
-        "displacement eigensolve incomplete: no inertia count matched the computed "
-        f"pairs after {_SPARSE_TRIES} solves"
-    )
-
-
 def displacement_eigenbasis(ops: AssembledOperators, k: int, record: dict | None = None):
-    """First k eigenpairs of K_D w = lambda M_u w on the interior dofs.
+    """First k eigenpairs of K_D w = lambda M_u w on the interior dofs, ascending.
 
-    ``record``, when given, receives how the pairs were found.
+    A dense LAPACK solve runs up to DENSE_CUTOFF dofs and where ARPACK cannot
+    (k + _EXTRA_PAIRS not below the dofs).  Otherwise ARPACK computes
+    _EXTRA_PAIRS more pairs than kept, from a seeded start vector, on the
+    operators' one factor of the interior K_D (``ops.K_ff_lu``, which the
+    elastic lift reuses).  The last kept group ends at the first gap j >= k;
+    the inertia at sigma in that gap must count j eigenvalues below it, or
+    more pairs are asked for, and after _SPARSE_TRIES solves it is a
+    SolverFailure.  ``record``, when given, receives the branch, and for the
+    sparse one sigma, the count, the kept pairs and the number of solves.
     """
     free = ops.interior_dofs
-    if not (1 <= k <= free.size):
-        raise BadConfig(f"k must be in [1, {free.size}], got {k}")
-    kff = ops.K_D[free][:, free]
-    mff = ops.M_u[free][:, free]
-    lam, vecs = _lowest_eigenpairs(kff, mff, k, record=record)
+    N = free.size
+    if not (1 <= k <= N):
+        raise BadConfig(f"k must be in [1, {N}], got {k}")
+    A = ops.K_D[free][:, free]
+    M = ops.M_u[free][:, free]
+    record = {} if record is None else record
+    nev = k + _EXTRA_PAIRS
+    if nev >= N or N <= DENSE_CUTOFF:
+        try:
+            lam, vecs = eigh(A.toarray(), M.toarray(), subset_by_index=(0, k - 1))
+        except np.linalg.LinAlgError as err:
+            raise SolverFailure(f"displacement eigensolve failed: {err}") from None
+        _check_residual(A, M, lam, vecs, "displacement")
+        record.update(branch="dense")
+    else:
+        try:
+            lu = ops.K_ff_lu
+        except RuntimeError as err:
+            raise SolverFailure(f"displacement shift-invert factorization failed: {err}") from None
+        OPinv = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+        rng = np.random.default_rng(0)
+        for solve in range(1, _SPARSE_TRIES + 1):
+            try:
+                lam, vecs = eigsh(A, k=nev, M=M, sigma=0.0, OPinv=OPinv,
+                                  v0=rng.standard_normal(N), maxiter=_ARPACK_RESTARTS)
+            except ArpackError as err:
+                raise SolverFailure(f"displacement eigensolve failed: {err}") from None
+            order = np.argsort(lam)
+            lam, vecs = lam[order], vecs[:, order]
+            gaps = np.flatnonzero(np.diff(lam[k - 1 :]) > _GROUP_GAP * np.abs(lam).max())
+            if gaps.size == 0:  # the last kept group runs past the computed pairs
+                nev = min(nev + _EXTRA_PAIRS, N - 1)
+                continue
+            j = k + int(gaps[0])
+            sigma = 0.5 * (lam[j - 1] + lam[j])
+            below = _negative_pivots(A - sigma * M)
+            if below == j:
+                break
+            nev = min(max(nev, below or 0) + _EXTRA_PAIRS, N - 1)
+        else:
+            raise SolverFailure(
+                "displacement eigensolve incomplete: no inertia count matched the computed "
+                f"pairs after {_SPARSE_TRIES} solves"
+            )
+        lam, vecs = lam[:k], vecs[:, :k]
+        _check_residual(A, M, lam, vecs, "displacement")
+        record.update(branch="sparse", sigma=float(sigma), inertia=j, kept=k, solves=solve)
     W = np.zeros((k, ops.n_dofs))
     W[:, free] = vecs.T
     return _fix_signs(W), lam
@@ -336,8 +318,7 @@ def complement_strain_basis(
     k = len(eps_w)
     wDB = ops.D.apply6(eps_w) @ B
     wDB *= ops.wq[:, None]
-    P = ops.scalar_interp_matrix()
-    C = (P.T @ np.hstack(wDB)).reshape(n, k, m).swapaxes(0, 1).reshape(k, ns)
+    C = (ops.P.T @ np.hstack(wDB)).reshape(n, k, m).swapaxes(0, 1).reshape(k, ns)
     # orthonormal rows with the same kernel: C C^T = I, and functionals that
     # are dependent on the nodal space are dropped rather than factored
     _, sv, Vt = np.linalg.svd(C, full_matrices=False)
@@ -425,8 +406,7 @@ def basis_fields(ops: AssembledOperators, eps_w, V, Z, comp_basis):
     """(zeta, v_quad, E, gram_zeta): the complement modes Z (node-major in the
     directions ``comp_basis``) and the temperature modes V at the Gauss points,
     and the D-pairings E = (eps(w_n), zeta_m)_D and (zeta_m, zeta_n)_D."""
-    P = ops.scalar_interp_matrix()
-    m = comp_basis.shape[1]
+    P, m = ops.P, comp_basis.shape[1]
     zeta = np.stack([(P @ z.reshape(-1, m)) @ comp_basis.T for z in Z])
     v_quad = np.stack([P @ v for v in V])
     wD_zeta = ops.D.apply6(zeta)  # the one weighted D zeta; it dies here

@@ -356,7 +356,7 @@ def _time_factor(spec: dict):
         # samples and extended constantly outside them
         try:
             table = np.loadtxt(time["path"], delimiter=",", comments="#", ndmin=2)
-        except OSError as err:
+        except (OSError, ValueError) as err:
             raise BadData(f"cannot read trajectory {time['path']}: {err}") from None
         if table.ndim != 2 or table.shape[1] != 2 or np.any(np.diff(table[:, 0]) <= 0):
             raise BadData(

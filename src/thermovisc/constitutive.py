@@ -237,14 +237,17 @@ def certify_assumption1(
     """
     if sample_count < 1:
         raise BadData(f"sample_count must be >= 1, got {sample_count}")
+    lo, hi = float(min(theta_values)), float(max(theta_values))
+    if not np.isfinite(hi - lo):
+        raise BadData(f"the theta range [{lo:g}, {hi:g}] must have a finite width")
     rng = np.random.default_rng(seed)
     n = int(sample_count)
 
     t1 = _random_deviators(rng, n, radius)
     t2 = _random_deviators(rng, n, radius)
-    theta = rng.uniform(min(theta_values), max(theta_values), size=n)
-    anchors = np.asarray(theta_values, dtype=float)
-    theta[: anchors.size] = anchors
+    theta = rng.uniform(lo, hi, size=n)
+    # the first samples sit at the anchor thetas (each is swept on its own below too)
+    theta[: len(theta_values)] = np.asarray(theta_values, dtype=float)[:n]
 
     g1 = vector_rate(law, theta, t1)
     g2 = vector_rate(law, theta, t2)

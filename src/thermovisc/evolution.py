@@ -750,13 +750,10 @@ def reconstruct_fields(
     eps_u_hom = system.eps_u_quad(state.gamma)
     epsp = system.epsp_quad(state.gamma, state.delta)
     T_hom = ops.D.apply6(eps_u_hom - epsp)
-    theta_hom = system.theta_nodal(state.beta)
 
     u_phys = u_hom + lifted.combine(lifted.u_tilde, step_index)
     eps_u_phys = eps_u_hom + lifted.combine(lifted.eps_u_tilde, step_index)
     T_phys = T_hom + lifted.combine(lifted.T_tilde, step_index)
-    theta_tilde = lifted.theta_tilde[step_index]
-    theta_phys = theta_hom + theta_tilde
     return {
         "u_hom": u_hom,
         "u": u_phys,
@@ -765,7 +762,5 @@ def reconstruct_fields(
         "T_hom": T_hom,
         "T": T_phys,
         "Td": dev6(T_phys),
-        "theta_hom": theta_hom,
-        "theta": theta_phys,
-        "theta_quad": system.theta_quad(state.beta) + ops.scalar_quad(theta_tilde),
+        "theta": system.theta_nodal(state.beta) + lifted.theta_tilde[step_index],
     }

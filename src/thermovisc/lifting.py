@@ -2,7 +2,9 @@
 
 The elastic lift solves the stationary system -div(D eps(u)) = f with the
 prescribed boundary displacement, via a nodal-interpolation extension of the
-boundary values plus a homogeneous correction.  Every datum has the form
+boundary values plus a homogeneous correction, solved with the operators' one
+factor of the interior K_D (``AssembledOperators.K_ff_lu``, which the
+displacement modes' shift-invert solve shares).  Every datum has the form
 factor(t) * base and the system is linear, so it is solved once per base
 field and scaled in time: the lift at time level i is sum_b c_b(t_i) base_b.
 The heat lift advances the sourceless heat equation with the prescribed
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import BadData, DimensionMismatch, SolverFailure
 from .mesh_fem import AssembledOperators, neumann_modes
@@ -93,7 +94,7 @@ def solve_elastic_lift(ops: AssembledOperators, f_nodal=None, g_boundary=None):
         raise BadData("elastic lift data leaves the float range")
     if scale > 0:  # a zero datum, or no interior, has the zero correction
         try:
-            lu = splu(ops.K_D[free][:, free].tocsc())
+            lu = ops.K_ff_lu
         except RuntimeError as err:
             raise SolverFailure(f"elastic lift factorization failed: {err}") from None
         u[free] += lu.solve(rhs[free])

@@ -23,6 +23,7 @@ from hashlib import sha256
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import BadConfig, DimensionMismatch
 from .tensor import SQRT2, VOIGT_PAIRS, ElasticityTensor, deviator_frame
@@ -191,6 +192,15 @@ def neumann_modes(mesh: BoxMesh) -> NeumannModes:
     )
 
 
+def symmetric_lu(S):
+    """SuperLU of a symmetric S that orders rows and columns alike and pivots
+    on the diagonal, as an LDL^T would; meant for definite or shifted S."""
+    S = S.tocsc(copy=True)
+    S.eliminate_zeros()  # a stored zero would change the ordering, and so the factor
+    return splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
 def _reference_element(dim: int):
     """Shape values and reference gradients at the Gauss points."""
     signs = 2.0 * _CORNERS[dim] - 1.0
@@ -215,6 +225,8 @@ class AssembledOperators:
     The temperature mass is kept in both consistent and lumped form; the
     evolution and all temperature diagnostics use the lumped one (positivity
     of the discrete heat update), the consistent one is exposed for checks.
+    The node-to-Gauss matrix ``P`` and the interior stiffness factor
+    ``K_ff_lu`` are formed on first read and shared by every reader.
     """
 
     def __init__(self, mesh: BoxMesh, D: ElasticityTensor):
@@ -276,6 +288,15 @@ class AssembledOperators:
         self.n_nodes = n
         self.n_dofs = ndof
 
+    @cached_property
+    def K_ff_lu(self):
+        """``symmetric_lu`` of K_D on the interior dofs, formed on first read: W's
+        shift-invert solve and every elastic lift solve read this one factor.  A
+        failed factorization raises SuperLU's RuntimeError uncached; each reader
+        names its own stage."""
+        free = self.interior_dofs
+        return symmetric_lu(self.K_D[free][:, free])
+
     # -- boundary -----------------------------------------------------------
 
     def _assemble_boundary_mass(self) -> sp.csr_matrix:
@@ -307,12 +328,21 @@ class AssembledOperators:
 
     # -- quadrature interpolation --------------------------------------------
 
+    @cached_property
+    def P(self) -> sp.csr_matrix:
+        """Sparse node-to-Gauss-point interpolation matrix (NQ, n), formed on
+        first read; every nodal field reaches the Gauss points through it."""
+        nqc, ncell = self.nqc, self.mesh.n_cells
+        rows = np.repeat(np.arange(ncell * nqc), self.mesh.conn.shape[1])
+        cols = np.repeat(self.mesh.conn, nqc, axis=0).ravel()
+        data = np.tile(self.N_ref, (ncell, 1)).ravel()
+        return sp.coo_matrix((data, (rows, cols)), shape=(ncell * nqc, self.n_nodes)).tocsr()
+
     def scalar_quad(self, values: np.ndarray) -> np.ndarray:
         """Interpolate a nodal scalar field to the Gauss points, (NQ,)."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_nodes,):
-            raise DimensionMismatch(f"expected ({self.n_nodes},), got {values.shape}")
-        return (values[self.mesh.conn] @ self.N_ref.T).ravel()
+        if np.shape(values) != (self.n_nodes,):
+            raise DimensionMismatch(f"expected ({self.n_nodes},), got {np.shape(values)}")
+        return self.P @ np.asarray(values, dtype=float)
 
     def strain_quad(self, u_flat: np.ndarray) -> np.ndarray:
         """Symmetric displacement gradient at Gauss points in Voigt form.
@@ -332,15 +362,6 @@ class AssembledOperators:
                 gij = g[:, i, :, i] if i == j else (g[:, i, :, j] + g[:, j, :, i]) / SQRT2
                 out[:, slot] = gij.T.ravel()  # Gauss points run fastest within a cell
         return out
-
-    def scalar_interp_matrix(self) -> sp.csr_matrix:
-        """Sparse node-to-quadrature interpolation operator, (NQ, n)."""
-        nqc = self.nqc
-        ncell = self.mesh.n_cells
-        rows = np.repeat(np.arange(ncell * nqc), self.mesh.conn.shape[1])
-        cols = np.repeat(self.mesh.conn, nqc, axis=0).ravel()
-        data = np.tile(self.N_ref, (ncell, 1)).ravel()
-        return sp.coo_matrix((data, (rows, cols)), shape=(ncell * nqc, self.n_nodes)).tocsr()
 
     # -- integrals -----------------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh, null_space
 
 import thermovisc.basis as basis_mod
+import thermovisc.mesh_fem as mesh_fem_mod
 from thermovisc import __version__
 from thermovisc.basis import (
     basis_invariant_report,
@@ -186,20 +187,24 @@ def test_inertia_certificate_recovers_a_dropped_pair(monkeypatch, dropping_eigsh
     assert np.abs(vals - vals_ref).max() <= 1e-10 * vals_ref[-1]
 
 
-def test_sparse_displacement_solve_factors_the_stiffness_once(monkeypatch, dropping_eigsh, ops):
-    # both ARPACK solves (the first drops a pair) share one factor of the
-    # interior K_D; every other factorization is an inertia count
+def test_sparse_displacement_solve_factors_the_stiffness_once(monkeypatch, dropping_eigsh):
+    # both ARPACK solves (the first drops a pair) share the operators' one
+    # factor of the interior K_D; every other factorization is an inertia count
+    ops = assemble(build_mesh(2, (1.0, 1.0), (6, 6)), D)  # no factor formed yet
     free = ops.interior_dofs
     kff = ops.K_D[free][:, free]
     monkeypatch.setattr(basis_mod, "DENSE_CUTOFF", 0)
     calls = dropping_eigsh(calls_that_drop=1)
     factored = []
-    real = basis_mod._symmetric_lu
-    monkeypatch.setattr(basis_mod, "_symmetric_lu", lambda S: factored.append(S) or real(S))
+    real = mesh_fem_mod.splu
+    monkeypatch.setattr(mesh_fem_mod, "splu", lambda S, **kw: factored.append(S) or real(S, **kw))
     record = {}
     displacement_eigenbasis(ops, 5, record=record)
     assert len(calls) == 2 and record["solves"] == 2
     assert [abs(S - kff).max() == 0.0 for S in factored] == [True, False, False]
+    # a second solve on the same operators factors only its inertia count
+    displacement_eigenbasis(ops, 5)
+    assert [abs(S - kff).max() == 0.0 for S in factored[3:]] == [False]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -332,8 +337,7 @@ def test_dump_load_round_trip(tmp_path, ops, basis):
 def _dense_complement_oracle(ops, basis, n_pairs):
     """Nullspace of the constraint rows plus a dense generalized eigh."""
     B = basis.comp.comp_basis
-    P = ops.scalar_interp_matrix()
-    C = np.stack([(P.T @ (ops.wq[:, None] * (dw @ B))).ravel() for dw in ops.D.apply6(basis.eps_w)])
+    C = np.stack([(ops.P.T @ (ops.wq[:, None] * (dw @ B))).ravel() for dw in ops.D.apply6(basis.eps_w)])
     gram_D, gram_s = ops.strain_gram(B)
     N = null_space(C)
     lam, Y = eigh(N.T @ (gram_s @ N), N.T @ (gram_D @ N), subset_by_index=(0, n_pairs - 1))
@@ -436,7 +440,7 @@ def test_complement_runs_no_iterative_solver(monkeypatch):
     # (W at 3D 7^3 has 648 interior dofs, below DENSE_CUTOFF)
     ops_c = assemble(build_mesh(3, (1.0, 1.0, 1.0), (7, 7, 7)), D)
     monkeypatch.setattr(basis_mod, "eigsh", _refuse)
-    monkeypatch.setattr(basis_mod, "splu", _refuse)
+    monkeypatch.setattr(mesh_fem_mod, "splu", _refuse)
     b = build_basis(ops_c, k=12, l=12)
     assert b.eigensolves["complement"]["branch"] == "closed_form"
     assert basis_invariant_report(ops_c, b)["passed"]

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from thermovisc import basis, lifting
+from thermovisc import basis, evolution, lifting, mesh_fem
 from thermovisc.basis import basis_invariant_report
 from thermovisc.cli import (
     EXIT_CONFIG,
@@ -28,7 +28,7 @@ from thermovisc.config import (
     validate_config,
 )
 from thermovisc.diagnostics import RowTables
-from thermovisc.errors import ParseError, SolverFailure, ValidationError
+from thermovisc.errors import BadData, ParseError, SolverFailure, ValidationError
 from thermovisc.evolution import ModalSystem, step
 from thermovisc.mesh_fem import AssembledOperators, assemble, build_mesh
 from thermovisc.tensor import ElasticityTensor
@@ -506,6 +506,10 @@ def test_csv_time_trajectory(tmp_path):
     assert np.array_equal(base, np.full(mesh.n_nodes, 2.0))
     assert factor(0.25) == pytest.approx(0.5)
     assert factor(0.75) == pytest.approx(0.75)
+    # a non-numeric row (a header) is a config error naming the file (exit 2)
+    traj.write_text("t,f\n0.0,0.0\n1.0,1.0\n")
+    with pytest.raises(BadData, match=f"cannot read trajectory {traj}"):
+        make_boundary_flux(cfg, mesh)
     # missing path is a validation error
     with pytest.raises(ValidationError):
         validate_config(
@@ -642,11 +646,13 @@ _NO_CONVERGENCE = ArpackNoConvergence("ARPACK error -1: No convergence", np.empt
         ("basis.eigsh", _NO_CONVERGENCE,
          lambda ops: basis.displacement_eigenbasis(_unit_square(4), 2),
          "displacement eigensolve failed"),
-        ("basis.splu", _SINGULAR, lambda ops: basis.displacement_eigenbasis(_unit_square(4), 2),
+        ("mesh_fem.splu", _SINGULAR,
+         lambda ops: basis.displacement_eigenbasis(_unit_square(4), 2),
          "displacement shift-invert factorization failed"),
         (None, None, _complement_off_premise, "complement eigensolve residual"),
         # a zero datum needs no factorization, so the lift gets a force
-        ("lifting.splu", _SINGULAR, lambda ops: lifting.solve_elastic_lift(ops, np.ones((16, 2))),
+        ("mesh_fem.splu", _SINGULAR,
+         lambda ops: lifting.solve_elastic_lift(ops, np.ones((16, 2))),
          "elastic lift factorization failed"),
         (None, None, _heat_lift_off_premise, r"heat lift residual \S+ at step 1$"),
     ],
@@ -664,8 +670,8 @@ def test_setup_solver_failure_names_stage(monkeypatch, target, error, solve, mes
     # a failing set-up factorization or eigensolve is a SolverFailure naming
     # the stage (exit 3), never a library exception
     ops = _unit_square(3)
-    if target in ("basis.eigsh", "basis.splu"):
-        monkeypatch.setattr(basis, "DENSE_CUTOFF", 0)  # take the ARPACK path
+    if target in ("basis.eigsh", "mesh_fem.splu"):
+        monkeypatch.setattr(basis, "DENSE_CUTOFF", 0)  # take the ARPACK path (the lift has none)
     if target is not None:
         monkeypatch.setattr(f"thermovisc.{target}", _raises(error))
     with pytest.raises(SolverFailure, match=message):
@@ -673,7 +679,8 @@ def test_setup_solver_failure_names_stage(monkeypatch, target, error, solve, mes
 
 
 def test_cli_run_lift_factorization_failure_exit(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(lifting, "splu", _raises(_SINGULAR))
+    # W is dense here, so the lift is the first reader of the shared factor
+    monkeypatch.setattr(mesh_fem, "splu", _raises(_SINGULAR))
     # a zero datum needs no factorization, so the run gets a force
     payload = copy.deepcopy(MINIMAL)
     payload["data"]["f"] = {"preset": "polynomial", "value": [2.0, 2.0]}
@@ -949,3 +956,40 @@ def test_mode_strains_are_formed_once_per_run_setup(monkeypatch):
     assert len(lifts) == 1
     assert len(strains) == system.basis.k + len(lifts)
     assert not {"fields", "E"} & vars(system).keys()  # no second owner of a basis table
+
+
+def test_run_setup_factors_the_interior_stiffness_once(monkeypatch):
+    # W's shift-invert solve and the elastic lift discretize the same operator
+    # and share one factor of the interior K_D; every other factorization of
+    # the set-up is an inertia count of a shifted matrix
+    cfg = load_config(REPO / "configs" / "forced.json")
+    ops = build_operators(cfg)
+    free = ops.interior_dofs
+    kff = ops.K_D[free][:, free]
+    monkeypatch.setattr(basis, "DENSE_CUTOFF", 0)
+    factored = []
+    for module in (basis, lifting, mesh_fem):
+        if hasattr(module, "splu"):
+            real = module.splu
+            monkeypatch.setattr(module, "splu", lambda S, *a, real=real, **kw: (
+                factored.append(S) or real(S, *a, **kw)))
+    system, _, lifted, _ = prepare_run(cfg, ops)
+    assert system.basis.eigensolves["displacement"]["branch"] == "sparse"
+    assert lifted.u_tilde.any()  # the lift solved a force
+    assert sum(abs(S - kff).max() == 0.0 for S in factored) == 1
+
+
+def test_node_to_gauss_matrix_is_formed_once(monkeypatch):
+    # the basis, the lift slices and the snapshots all read one (NQ, n) matrix
+    shapes = []
+    real = sp.coo_matrix
+    monkeypatch.setattr(sp, "coo_matrix", lambda *a, **kw: (
+        shapes.append(kw.get("shape")) or real(*a, **kw)))
+    cfg = load_config(REPO / "configs" / "forced.json")
+    cfg["discretization"]["n_steps"] = 3
+    ops = build_operators(cfg)
+    system, evo, lifted, state0 = prepare_run(cfg, ops)
+    assert lifted.theta_tilde.any()  # the steps interpolate the heat lift
+    result = evolution.run(system, state0, lifted, evo)
+    evolution.reconstruct_fields(system, result.final_state, lifted, evo.n_steps)
+    assert shapes.count((ops.wq.size, ops.n_nodes)) == 1

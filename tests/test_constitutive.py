@@ -243,6 +243,16 @@ def test_bad_arguments_raise_bad_data():
         certify_assumption1(NortonHoff(c=1.0, p=2.0), sample_count=0)
     with pytest.raises(BadData):
         basis._node_tensor_basis(2, "spherical")
+    with pytest.raises(BadData, match="finite width"):  # wider than the float range
+        certify_assumption1(NortonHoff(c=1.0, p=2.0), theta_values=(-1.7e308, 1.7e308))
+
+
+def test_certify_with_fewer_samples_than_thetas():
+    # the anchors fill the samples there are; each theta is still swept on its own
+    rep = certify_assumption1(NortonHoff(c=1.0, p=3.0), sample_count=1,
+                              theta_values=(0.0, 1.0, 10.0))
+    assert rep.passed and rep.sample_count == 1
+    assert sorted(rep.by_theta) == [0.0, 1.0, 10.0]
 
 
 def test_certify_bodner_partom_default():

@@ -1,4 +1,4 @@
-"""Seeded property tests of the exit-code contract of ``run`` and ``basis``.
+"""Seeded property tests of the exit-code contract of ``run``, ``basis`` and ``certify``.
 
 Random data, law and time specs on a 3x3 mesh with 2 steps, and random set-ups
 (2D/3D meshes of 1-4 cells a side with extents 1e-3-1e3, isotropic moduli on
@@ -8,7 +8,9 @@ traceback.  Once the config has loaded (the output directory exists), the
 command's artifact is this config's record: a raised failure leaves a failure
 record, and ``run``'s ``summary.json`` passes exactly when the exit code is 0.
 Where ``basis`` fails on a set-up, ``run`` fails with the same code and line.
-The data and law draws mix valid keys and values with malformed ones.
+``certify`` gets random laws and sweeps: thetas and radii up to the ends of
+the float range and 1-64 samples.  The data, law and sweep draws mix valid keys
+and values with malformed ones.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from thermovisc.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, main
@@ -134,8 +136,21 @@ DISCRETIZATION = st.fixed_dictionaries(
     }
 )
 
+#: thetas from the unit range to the ends of the float range, with their signs
+EXTREME = st.one_of(NUM, _log10(-300, 308), _log10(-300, 308).map(lambda x: -x),
+                    st.sampled_from([-1.7e308, 1.7e308, -1e308, 1e308, 5e-324]))
+
+CERTIFY = st.fixed_dictionaries(
+    {
+        "thetas": _maybe(st.lists(EXTREME, min_size=1, max_size=4)),
+        "radius": st.one_of(POS, _log10(-300, 308)),
+        "samples": st.integers(1, 64),
+    },
+)
+
 #: the artifact each command writes
-ARTIFACTS = {"run": "summary.json", "basis": "basis_report.json"}
+ARTIFACTS = {"run": "summary.json", "basis": "basis_report.json",
+             "certify": "certification.json"}
 
 
 def _exit_and_stderr(command, payload):
@@ -162,6 +177,7 @@ def _check_exit_code_contract(command, payload):
             assert "failed" not in record
         if command == "run":
             assert record["checks"]["passed"] is (code == 0)
+    return code, record
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -192,7 +208,7 @@ def _setup_payload(mesh, elasticity, disc):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(command=st.sampled_from(sorted(ARTIFACTS)), mesh=MESH, elasticity=ELASTICITY,
+@given(command=st.sampled_from(["basis", "run"]), mesh=MESH, elasticity=ELASTICITY,
        disc=DISCRETIZATION)
 def test_setup_exit_code_contract(command, mesh, elasticity, disc):
     _check_exit_code_contract(command, _setup_payload(mesh, elasticity, disc))
@@ -216,3 +232,16 @@ def test_run_refuses_every_basis_that_basis_refuses(mesh, elasticity, disc):
         assert run_err == f"invariant violation: basis invariants failed: {failed}\n"
     else:
         assert run_err == err
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(law=LAW, certify=CERTIFY)
+# a theta range wider than the float range
+@example(law={"type": "norton_hoff", "c": 1.0, "p": 3.0},
+         certify={"thetas": [-1.7e308, 1.7e308], "samples": 8})
+def test_certify_exit_code_contract(law, certify):
+    # every certify failure is raised, so its artifact is a failure record
+    code, record = _check_exit_code_contract(
+        "certify", {"material": {"law": law}, "certify": certify})
+    if record is not None:
+        assert record.get("failed", False) is (code != EXIT_OK)

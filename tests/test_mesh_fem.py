@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from thermovisc import mesh_fem
 from thermovisc.basis import build_basis
 from thermovisc.constitutive import Mroz
 from thermovisc.errors import BadConfig, DimensionMismatch
@@ -216,11 +219,39 @@ def test_scalar_quad_partition_of_unity(ops3d):
     )
 
 
-def test_interp_matrix_matches_direct(ops2d):
+def test_interp_matrix_matches_direct(ops2d, ops3d):
+    # Q1 interpolation reproduces a multilinear field, so P maps its nodal
+    # values to its values at the Gauss points, placed here from the cell
+    # corners and the 1D rule (first local axis slowest)
     rng = np.random.default_rng(2)
-    f = rng.standard_normal(ops2d.n_nodes)
-    P = ops2d.scalar_interp_matrix()
-    assert np.allclose(P @ f, ops2d.scalar_quad(f), atol=1e-13)
+    for ops in (ops2d, ops3d):
+        mesh = ops.mesh
+        a, b = rng.standard_normal((2, mesh.dim))
+        gauss = (1.0 + np.array([-1.0, 1.0]) / np.sqrt(3.0)) / 2.0
+        local = np.array(list(itertools.product(gauss, repeat=mesh.dim))) * mesh.spacing
+        xq = (mesh.nodes[mesh.conn[:, 0]][:, None, :] + local).reshape(-1, mesh.dim)
+        f = np.prod(a + b * mesh.nodes, axis=1)
+        assert np.abs(ops.P @ f - np.prod(a + b * xq, axis=1)).max() <= 1e-13 * np.abs(f).max()
+        # scalar_quad is that matrix, bit for bit
+        f = rng.standard_normal(ops.n_nodes)
+        assert np.array_equal(ops.scalar_quad(f), ops.P @ f)
+
+
+def test_a_failed_stiffness_factor_is_not_cached(monkeypatch):
+    ops = assemble(build_mesh(2, (1.0, 1.0), (3, 3)), D)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(mesh_fem, "splu", singular)
+    with pytest.raises(RuntimeError, match="singular"):
+        ops.K_ff_lu
+    monkeypatch.undo()
+    lu = ops.K_ff_lu
+    assert ops.K_ff_lu is lu
+    free = ops.interior_dofs
+    x = np.arange(1.0, free.size + 1)
+    assert np.abs(ops.K_D[free][:, free] @ lu.solve(x) - x).max() <= 1e-12 * x.max()
 
 
 # -- projections -------------------------------------------------------------
