@@ -124,7 +124,7 @@ def _check_residual(A, M, vals, X, what: str, C=None) -> None:
         R -= C.T @ (C @ R)
     scale = sp.linalg.norm(A, np.inf) + np.abs(vals) * sp.linalg.norm(M, np.inf)
     res = np.linalg.norm(R, axis=0) / (scale * np.linalg.norm(X, axis=0))
-    if np.any(res > _EIG_TOL):
+    if not np.all(res <= _EIG_TOL):
         raise SolverFailure(f"{what} eigensolve residual {res.max():.3e} > {_EIG_TOL}")
 
 

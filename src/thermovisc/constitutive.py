@@ -25,7 +25,9 @@ certificate:
 with C and beta independent of the temperature.  ``certify_assumption1``
 stress-tests the declared constants on a randomized sweep; everything
 downstream (energy decay, a-priori monitors) leans on these properties, so
-laws that cannot be certified are rejected up front.
+laws that cannot be certified are rejected up front.  Each of its checks
+passes only when its comparison holds, so a NaN statistic fails, and a sweep
+that cannot represent its norms in floating point is refused as bad data.
 
 Power-law convention: the implemented power law is G = c |Td|^(p-2) Td, the
 form whose dissipation is exactly c |Td|^p and whose growth constant is c.
@@ -231,15 +233,32 @@ def certify_assumption1(
 ) -> CertificationReport:
     """Randomized certificate for monotonicity, growth and coercivity.
 
-    Raises CertificationFailure (with the violating sample attached) when a
-    sweep statistic breaks the declared constants:
-    monotonicity >= -1e-12, growth ratio <= C, coercivity ratio >= beta(1-1e-9).
+    Raises CertificationFailure (with the violating sample attached) unless
+    every sweep statistic holds against the declared constants:
+    monotonicity >= -1e-12, growth ratio <= C(1+1e-12), beta > 0 and
+    coercivity ratio >= beta(1-1e-9), relative trace <= 1e-14; a NaN
+    statistic holds none of them.  A radius whose sweep would leave the float
+    range (|Td|^2, (1+r)^p, C (1+r)^p or |G|^2 past a sixteenth of the largest
+    float, tested in logarithms), or whose samples hold no |Td| > 1e-12 to
+    test coercivity on, is BadData, so the verdict is always about the law.
     """
     if sample_count < 1:
         raise BadData(f"sample_count must be >= 1, got {sample_count}")
+    if not 0.0 < radius < math.inf:
+        raise BadData(f"radius must be positive and finite, got {radius}")
     lo, hi = float(min(theta_values)), float(max(theta_values))
     if not np.isfinite(hi - lo):
         raise BadData(f"the theta range [{lo:g}, {hi:g}] must have a finite width")
+    pexp = float(law.p)
+    beta = float(law.beta_coercivity)
+    cgr = float(law.C_growth)
+    log_r1 = math.log1p(radius)
+    logs = [2.0 * math.log(radius), pexp * log_r1]
+    if cgr > 0.0:  # a non-positive C fails its own check below
+        logs += [math.log(cgr) + pexp * log_r1, 2.0 * (math.log(cgr) + (pexp - 1.0) * log_r1)]
+    if max(logs) > math.log(np.finfo(float).max / 16.0):
+        raise BadData(f"certify radius {radius:g} is too large for the sweep of {law.name}: "
+                      f"its norms leave the float range")
     rng = np.random.default_rng(seed)
     n = int(sample_count)
 
@@ -248,40 +267,47 @@ def certify_assumption1(
     theta = rng.uniform(lo, hi, size=n)
     # the first samples sit at the anchor thetas (each is swept on its own below too)
     theta[: len(theta_values)] = np.asarray(theta_values, dtype=float)[:n]
-
-    g1 = vector_rate(law, theta, t1)
-    g2 = vector_rate(law, theta, t2)
-
-    mono = dot6(g1 - g2, t1 - t2)
-    i_mono = int(np.argmin(mono))
-    mono_min = float(mono[i_mono])
-
-    pexp = float(law.p)
-    growth = norm6(g1) / (1.0 + norm6(t1)) ** (pexp - 1.0)
-    i_growth = int(np.argmax(growth))
-    growth_max = float(growth[i_growth])
-
     r1 = norm6(t1)
     mask = r1 > 1e-12
-    coer = np.full(n, np.inf)
-    coer[mask] = dot6(g1, t1)[mask] / r1[mask] ** pexp
-    i_coer = int(np.argmin(coer))
-    coer_min = float(coer[i_coer])
+    if not mask.any():
+        raise BadData(f"certify radius {radius:g} with {n} samples draws no |Td| > 1e-12, "
+                      f"so the sweep cannot test coercivity")
 
+    def ratios(th):
+        """The rates at (th, t1), their growth ratios and coercivity ratios (+inf at r ~ 0)."""
+        g = vector_rate(law, th, t1)
+        coer = np.full(n, np.inf)
+        coer[mask] = dot6(g, t1)[mask] / r1[mask] ** pexp
+        return g, norm6(g) / (1.0 + r1) ** (pexp - 1.0), coer
+
+    g1, growth, coer = ratios(theta)
+    g2 = vector_rate(law, theta, t2)
+    mono = dot6(g1 - g2, t1 - t2)
+    i_mono, i_growth, i_coer = int(np.argmin(mono)), int(np.argmax(growth)), int(np.argmin(coer))
+    mono_min, growth_max, coer_min = (
+        float(mono[i_mono]), float(growth[i_growth]), float(coer[i_coer]))
     trace_max = float(np.max(np.abs(trace6(g1)) / np.maximum(1.0, norm6(g1))))
 
     by_theta = {}
     for ta in theta_values:
-        th = np.full(n, float(ta))
-        ga = vector_rate(law, th, t1)
-        ca = dot6(ga, t1)[mask] / r1[mask] ** pexp
+        _, growth_a, coer_a = ratios(np.full(n, float(ta)))
         by_theta[float(ta)] = {
-            "growth_ratio_max": float(np.max(norm6(ga) / (1.0 + r1) ** (pexp - 1.0))),
-            "coercivity_ratio_min": float(np.min(ca)) if mask.any() else np.inf,
+            "growth_ratio_max": float(np.max(growth_a)),
+            "coercivity_ratio_min": float(np.min(coer_a)),
         }
 
-    beta = float(law.beta_coercivity)
-    cgr = float(law.C_growth)
+    # (name, holds, detail, sample): a check passes only when its comparison holds
+    checks = [
+        ("monotonicity", mono_min >= -1e-12, f"min residual {mono_min:.3e}",
+         (float(theta[i_mono]), t1[i_mono], t2[i_mono])),
+        ("growth", growth_max <= cgr * (1.0 + 1e-12),
+         f"ratio {growth_max:.6e} exceeds C={cgr:.6e}", (float(theta[i_growth]), t1[i_growth])),
+        ("coercivity", beta > 0.0 and coer_min >= beta * (1.0 - 1e-9),
+         f"ratio {coer_min:.6e} below beta={beta:.6e}", (float(theta[i_coer]), t1[i_coer])),
+        ("tracelessness", trace_max <= 1e-14, f"relative trace {trace_max:.3e}",
+         (float(theta[0]), t1[0])),
+    ]
+    failures = [(name, detail, sample) for name, holds, detail, sample in checks if not holds]
     report = CertificationReport(
         law=law.name,
         p=pexp,
@@ -294,41 +320,10 @@ def certify_assumption1(
         coercivity_ratio_min=coer_min,
         trace_max=trace_max,
         by_theta=by_theta,
-        passed=True,
+        passed=not failures,
     )
-
-    failures = []
-    if mono_min < -1e-12:
-        failures.append(
-            (
-                "monotonicity",
-                f"min residual {mono_min:.3e}",
-                (float(theta[i_mono]), t1[i_mono], t2[i_mono]),
-            )
-        )
-    if growth_max > cgr * (1.0 + 1e-12):
-        failures.append(
-            (
-                "growth",
-                f"ratio {growth_max:.6e} exceeds C={cgr:.6e}",
-                (float(theta[i_growth]), t1[i_growth]),
-            )
-        )
-    if not (beta > 0.0) or coer_min < beta * (1.0 - 1e-9):
-        failures.append(
-            (
-                "coercivity",
-                f"ratio {coer_min:.6e} below beta={beta:.6e}",
-                (float(theta[i_coer]), t1[i_coer]),
-            )
-        )
-    if trace_max > 1e-14:
-        failures.append(
-            ("tracelessness", f"relative trace {trace_max:.3e}", (float(theta[0]), t1[0]))
-        )
     if failures:
-        report.passed = False
         msg = "; ".join(f"{name} violated: {detail}" for name, detail, _ in failures)
-        checks = [name for name, _, _ in failures]
-        raise CertificationFailure(msg, report, checks=checks, sample=failures[0][2])
+        raise CertificationFailure(
+            msg, report, checks=[name for name, _, _ in failures], sample=failures[0][2])
     return report

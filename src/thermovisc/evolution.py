@@ -98,7 +98,7 @@ from .constitutive import BodnerPartom
 from .errors import BadData, NonFiniteInput, NonlinearSolveFailure, StateCorrupt
 from .lifting import LiftedFields
 from .mesh_fem import AssembledOperators
-from .tensor import VOIGT_TRACE, dev6, norm6, trace6
+from .tensor import VOIGT_TRACE, norm6, trace6
 
 
 def truncate(x, level: float):
@@ -749,18 +749,11 @@ def reconstruct_fields(
     u_hom = system.u_nodal(state.gamma)
     eps_u_hom = system.eps_u_quad(state.gamma)
     epsp = system.epsp_quad(state.gamma, state.delta)
-    T_hom = ops.D.apply6(eps_u_hom - epsp)
-
-    u_phys = u_hom + lifted.combine(lifted.u_tilde, step_index)
-    eps_u_phys = eps_u_hom + lifted.combine(lifted.eps_u_tilde, step_index)
-    T_phys = T_hom + lifted.combine(lifted.T_tilde, step_index)
     return {
         "u_hom": u_hom,
-        "u": u_phys,
-        "eps_u": eps_u_phys,
+        "u": u_hom + lifted.combine(lifted.u_tilde, step_index),
+        "eps_u": eps_u_hom + lifted.combine(lifted.eps_u_tilde, step_index),
         "epsp": epsp,
-        "T_hom": T_hom,
-        "T": T_phys,
-        "Td": dev6(T_phys),
+        "T": ops.D.apply6(eps_u_hom - epsp) + lifted.combine(lifted.T_tilde, step_index),
         "theta": system.theta_nodal(state.beta) + lifted.theta_tilde[step_index],
     }

@@ -99,7 +99,7 @@ def solve_elastic_lift(ops: AssembledOperators, f_nodal=None, g_boundary=None):
             raise SolverFailure(f"elastic lift factorization failed: {err}") from None
         u[free] += lu.solve(rhs[free])
         res = np.linalg.norm((ops.K_D @ u - ops.M_u @ f_nodal.ravel())[free])
-        if res > 1e-10 * max(scale, 1.0):
+        if not res <= 1e-10 * max(scale, 1.0):
             raise SolverFailure(f"elastic lift residual {res:.3e} exceeds tolerance")
     eps_q = ops.strain_quad(u)
     return u, eps_q, ops.D.apply6(eps_q)

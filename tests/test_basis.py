@@ -68,6 +68,21 @@ def test_eigenvalue_stability_under_basis_growth(ops):
     assert np.abs(lam10[:5] - lam5).max() <= 1e-9
 
 
+def test_displacement_residual_check_refuses_nan_eigenvectors(monkeypatch):
+    # the residual guard passes only a backward error within tolerance, never a NaN
+    real = basis_mod.eigh
+
+    def nan_eigh(*args, **kwargs):
+        lam, vecs = real(*args, **kwargs)
+        vecs[:, 0] = np.nan
+        return lam, vecs
+
+    monkeypatch.setattr(basis_mod, "eigh", nan_eigh)
+    ops = assemble(build_mesh(2, (1.0, 1.0), (3, 3)), D)
+    with pytest.raises(SolverFailure, match="displacement eigensolve residual nan"):
+        basis_mod.displacement_eigenbasis(ops, 2)
+
+
 def test_temperature_kernel(ops, basis):
     assert abs(basis.mu_v[0]) <= 1e-11
     v1 = basis.V[0]

@@ -224,10 +224,13 @@ def test_certify_mroz_acceptance_law():
 
 def test_certify_negative_modulus_fails_coercivity():
     law = Mroz.constant(-1.0)
-    with pytest.raises(CertificationFailure) as err:
-        certify_assumption1(law, sample_count=100)
-    assert "coercivity" in err.value.checks
-    assert err.value.sample is not None
+    # the radius check reads C only when it is positive, so a large radius
+    # still reaches the coercivity check
+    for radius in (10.0, 1e100):
+        with pytest.raises(CertificationFailure) as err:
+            certify_assumption1(law, sample_count=100, radius=radius)
+        assert "coercivity" in err.value.checks
+        assert err.value.sample is not None
 
 
 def test_certify_zero_samples_rejected():
@@ -245,6 +248,9 @@ def test_bad_arguments_raise_bad_data():
         basis._node_tensor_basis(2, "spherical")
     with pytest.raises(BadData, match="finite width"):  # wider than the float range
         certify_assumption1(NortonHoff(c=1.0, p=2.0), theta_values=(-1.7e308, 1.7e308))
+    for radius in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(BadData, match="radius must be positive and finite"):
+            certify_assumption1(NortonHoff(c=1.0, p=2.0), radius=radius)
 
 
 def test_certify_with_fewer_samples_than_thetas():
@@ -253,6 +259,54 @@ def test_certify_with_fewer_samples_than_thetas():
                               theta_values=(0.0, 1.0, 10.0))
     assert rep.passed and rep.sample_count == 1
     assert sorted(rep.by_theta) == [0.0, 1.0, 10.0]
+
+
+class _NaNAboveTwo(NortonHoff):
+    """The linear law, except that its factor is NaN wherever |Td| > 2."""
+
+    def evaluate_many(self, theta, r2, y=None):
+        phi = super().evaluate_many(theta, r2, y)
+        return np.where(r2 > 4.0, np.nan, phi)
+
+
+def test_certify_fails_a_nan_statistic():
+    # each check passes only when its comparison holds, and a NaN holds none
+    with pytest.raises(CertificationFailure) as err:
+        certify_assumption1(_NaNAboveTwo(c=1.0, p=2.0), sample_count=200, radius=10.0)
+    assert {"monotonicity", "growth", "coercivity"} <= set(err.value.checks)
+    assert not err.value.report.passed
+    assert np.isnan(err.value.report.growth_ratio_max)
+
+
+@pytest.mark.parametrize("law, passes, refused", [
+    (NortonHoff(c=1.0, p=2.0), (10.0, 1e60, 1e150), (1e160, 1e200, 1e308)),
+    (Mroz.lorentz(amplitude=1.0, offset=0.5), (10.0, 1e150), (1e160, 1e308)),
+    (NortonHoff(c=1.0, p=3.0), (10.0, 1e60), (1e100, 1e120, 1e200)),
+    (NortonHoff(c=1.0, p=6.0), (10.0, 1e20), (1e40, 1e100)),
+], ids=lambda v: getattr(v, "name", None))
+def test_certify_refuses_a_radius_past_the_float_range(law, passes, refused):
+    # the verdict is about the law: a radius whose sweep overflows is a config
+    # error, and a radius it can represent gives finite statistics
+    for radius in passes:
+        rep = certify_assumption1(law, sample_count=64, radius=radius)
+        assert rep.passed
+        stats = [rep.monotonicity_min, rep.growth_ratio_max, rep.coercivity_ratio_min,
+                 rep.trace_max] + [v for d in rep.by_theta.values() for v in d.values()]
+        assert np.isfinite(stats).all()
+    for radius in refused:
+        with pytest.raises(BadData) as err:
+            certify_assumption1(law, sample_count=64, radius=radius)
+        assert f"radius {radius:g} is too large" in str(err.value)
+        assert law.name in str(err.value)
+
+
+def test_certify_refuses_a_sweep_that_cannot_test_coercivity():
+    # the coercivity ratio is read only where |Td| > 1e-12; a sweep with no
+    # such sample would pass with an infinite statistic
+    with pytest.raises(BadData, match="cannot test coercivity"):
+        certify_assumption1(Mroz.constant(1.0), sample_count=8, radius=1e-12)
+    rep = certify_assumption1(Mroz.constant(1.0), sample_count=8, radius=1e-11)
+    assert np.isfinite(rep.coercivity_ratio_min)
 
 
 def test_certify_bodner_partom_default():

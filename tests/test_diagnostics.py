@@ -28,7 +28,7 @@ from thermovisc.evolution import (
 )
 from thermovisc.lifting import build_lift
 from thermovisc.mesh_fem import assemble, build_mesh
-from thermovisc.tensor import ElasticityTensor, norm6
+from thermovisc.tensor import ElasticityTensor, dev6, norm6
 
 D_HALF = ElasticityTensor.isotropic(lam=0.0, mu=0.5)
 
@@ -110,7 +110,7 @@ def test_apriori_monitor_isolated_run():
             dt,
             state.t,
             potential_energy(ops, f["eps_u"], f["epsp"]),
-            ops.integrate(norm6(f["Td"]) ** law.p),
+            ops.integrate(norm6(dev6(f["T"])) ** law.p),
             tables.lift_lp[i],
             l1_series[-1],
         )
@@ -274,7 +274,7 @@ def test_coefficient_rows_match_full_fields(name):
             field_mon.start(e_pot, theta_l1(ops, f["theta"]))
         else:
             substeps.append(rep.substeps)
-            field_lp = ops.integrate(norm6(f["Td"]) ** law.p)
+            field_lp = ops.integrate(norm6(dev6(f["T"])) ** law.p)
             lift_lp = tables.lift_lp[i]
             coef_mon.update(cfg.dt, state.t, e_pot, rep.stress_lp, lift_lp, theta_l1(ops, theta))
             field_mon.update(cfg.dt, state.t, e_pot, field_lp, lift_lp, theta_l1(ops, f["theta"]))

@@ -9,8 +9,9 @@ command's artifact is this config's record: a raised failure leaves a failure
 record, and ``run``'s ``summary.json`` passes exactly when the exit code is 0.
 Where ``basis`` fails on a set-up, ``run`` fails with the same code and line.
 ``certify`` gets random laws and sweeps: thetas and radii up to the ends of
-the float range and 1-64 samples.  The data, law and sweep draws mix valid keys
-and values with malformed ones.
+the float range and 1-64 samples.  It runs no solver, so it exits 0, 2 or 4,
+and a certificate that passes holds no NaN or infinite number.  The data,
+law and sweep draws mix valid keys and values with malformed ones.
 """
 
 import contextlib
@@ -153,19 +154,27 @@ ARTIFACTS = {"run": "summary.json", "basis": "basis_report.json",
              "certify": "certification.json"}
 
 
-def _exit_and_stderr(command, payload):
+def _refuse_non_finite(constant):
+    raise AssertionError(f"{constant} in the artifact of a command that exited 0")
+
+
+def _exit_and_stderr(command, payload, parse_ok=None):
+    """Exit code, stderr and artifact of ``command``; ``parse_ok`` is the
+    ``parse_constant`` hook that reads the artifact of an exit 0."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "o"
         path.write_text(json.dumps(payload))
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
-        record = json.loads((out / ARTIFACTS[command]).read_text()) if out.exists() else None
+        hook = parse_ok if code == EXIT_OK else None
+        record = (json.loads((out / ARTIFACTS[command]).read_text(), parse_constant=hook)
+                  if out.exists() else None)
     return code, err.getvalue(), record
 
 
-def _check_exit_code_contract(command, payload):
-    code, err, record = _exit_and_stderr(command, payload)
+def _check_exit_code_contract(command, payload, parse_ok=None):
+    code, err, record = _exit_and_stderr(command, payload, parse_ok)
     event(f"{command} exit {code}")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
@@ -239,9 +248,17 @@ def test_run_refuses_every_basis_that_basis_refuses(mesh, elasticity, disc):
 # a theta range wider than the float range
 @example(law={"type": "norton_hoff", "c": 1.0, "p": 3.0},
          certify={"thetas": [-1.7e308, 1.7e308], "samples": 8})
+# radii whose sweeps leave the float range
+@example(law={"type": "norton_hoff", "c": 1.0, "p": 6.0}, certify={"radius": 1e100, "samples": 8})
+@example(law={"type": "norton_hoff", "c": 1.0, "p": 3.0}, certify={"radius": 1e200, "samples": 8})
+# a radius so small that no sample can test coercivity
+@example(law={"type": "mroz", "g": {"kind": "constant", "value": 1}},
+         certify={"thetas": [0], "radius": 1e-12, "samples": 1})
 def test_certify_exit_code_contract(law, certify):
-    # every certify failure is raised, so its artifact is a failure record
+    # certify runs no solver; every certify failure is raised, so its artifact
+    # is a failure record, and a passing certificate holds only finite statistics
     code, record = _check_exit_code_contract(
-        "certify", {"material": {"law": law}, "certify": certify})
+        "certify", {"material": {"law": law}, "certify": certify}, _refuse_non_finite)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT)
     if record is not None:
         assert record.get("failed", False) is (code != EXIT_OK)

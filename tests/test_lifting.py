@@ -9,7 +9,7 @@ import thermovisc.lifting as lifting
 from thermovisc.basis import build_basis
 from thermovisc.config import make_boundary_displacement, make_force, validate_config
 from thermovisc.constitutive import Mroz
-from thermovisc.errors import BadData, DimensionMismatch
+from thermovisc.errors import BadData, DimensionMismatch, SolverFailure
 from thermovisc.evolution import ModalSystem, reconstruct_fields
 from thermovisc.lifting import (
     build_lift,
@@ -87,6 +87,19 @@ def test_elastic_lift_bad_data(ops):
         solve_elastic_lift(ops, f_nodal=f)
     with pytest.raises(DimensionMismatch):
         solve_elastic_lift(ops, f_nodal=np.zeros((3, 2)))
+
+
+def test_elastic_lift_refuses_a_nan_solve():
+    # the residual guard passes only a residual within tolerance, never a NaN
+    ops = assemble(build_mesh(2, (1.0, 1.0), (4, 4)), D)
+
+    class NaNFactor:
+        def solve(self, b):
+            return np.full_like(b, np.nan)
+
+    ops.K_ff_lu = NaNFactor()
+    with pytest.raises(SolverFailure, match="elastic lift residual nan exceeds tolerance"):
+        solve_elastic_lift(ops, f_nodal=np.ones((ops.n_nodes, 2)))
 
 
 def test_heat_lift_constant_is_steady(ops):
